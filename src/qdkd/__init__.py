@@ -6,12 +6,11 @@ state-vector channel, models intercept-measure-resend eavesdropping on either
 channel leg, and quantifies detection probability, key error rates, and key
 capacity against an exact enumeration oracle.
 
-The state-vector kernels run on a compiled Cython extension when available
-and fall back to a bit-identical pure-Python implementation (see
-qdkd.active_backend / the QDKD_KERNELS environment variable).
+The state-vector kernels are plain Python functions over tuples of four
+complex amplitudes (qdkd._kernels_py); qdkd.quantum wraps them in
+TwoQubitState values.
 """
 
-from ._backend import active_backend
 from .adversary import (
     AttackStrategy,
     ChannelLeg,

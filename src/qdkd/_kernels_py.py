@@ -1,9 +1,9 @@
-"""Pure-Python twin of the compiled two-qubit kernels.
+"""Two-qubit state-vector kernels in pure Python.
 
-Every function here has a bit-for-bit identical counterpart in
-``_kernels_c.pyx``: same operation order, same constants, same branch
-selection rule. Do not "simplify" arithmetic in one file without mirroring
-the other; tests/test_kernels.py enforces exact cross-backend equality.
+These are the only kernels the package uses. Seeded reports depend on their
+exact floating-point results, so keep the operation order, the constants and
+the branch selection rule when editing them; tests/test_kernels.py checks
+each kernel against a numpy matrix reference.
 
 States are plain tuples of 4 complex amplitudes indexed by the basis label
 (h, t) in the order 00, 01, 10, 11. Qubit codes: 0 = h (home), 1 = t

@@ -80,20 +80,19 @@ def apply_attack(
 
 @dataclass(frozen=True)
 class RoundInference:
-    """What Eve can pin down about one message round's key material.
+    """What Eve learns about one message round's key material from the
+    public transcript.
 
     relation is the public XOR of the parties' 2-bit labels (the announced
-    Bell outcome). resolved holds key bits her measurements determine
-    individually; for the supported intercept-resend strategies the posterior
-    over each party's label stays uniform, so it is empty.
+    Bell outcome). Her measurements add no individually determined key bit
+    for the supported strategies; oracle.eve_resolved_bits computes that.
     """
 
     relation: int
-    resolved: tuple[int, ...] = ()
 
 
-def eve_inference(record: EveRecord, transcript) -> list[RoundInference]:
-    """Per-message-round information extractable from Eve's viewpoint.
+def eve_inference(transcript) -> list[RoundInference]:
+    """Per-message-round relations Eve reads off the public transcript.
 
     Every announced Bell outcome hands the adversary the XOR relation between
     Alice's and Bob's labels, two bits per message round, even with no attack

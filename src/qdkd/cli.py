@@ -111,17 +111,15 @@ def _cmd_run(args) -> int:
         mismatch_threshold=args.mismatch_threshold,
         attack=_build_attack(args),
         seed=args.seed,
-        output_format=args.format,
-        output_path=args.out,
     )
     report = run_simulation(config)
-    payload = serialize_report(report, config.output_format)
-    if config.output_path:
+    payload = serialize_report(report, args.format)
+    if args.out:
         try:
-            with open(config.output_path, "wb") as fh:
+            with open(args.out, "wb") as fh:
                 fh.write(payload)
         except OSError as exc:
-            raise ConfigError(f"cannot write report to {config.output_path!r}: {exc}") from exc
+            raise ConfigError(f"cannot write report to {args.out!r}: {exc}") from exc
     else:
         sys.stdout.write(payload.decode())
     return ABORT_EXIT if report.aborted else 0

@@ -12,7 +12,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from . import _backend
+from . import _kernels_py as kernels
 from .errors import QdkdError
 
 NORM_TOL = 1e-9
@@ -97,6 +97,8 @@ class TwoQubitState:
     """Four complex amplitudes over |ht> in the index order 00, 01, 10, 11.
 
     Amplitudes must be finite and normalized (sum |amp|^2 = 1 within 1e-9).
+    The constructor checks this; kernel outputs, normalized by construction,
+    skip the check through _trusted.
     Physical equality is defined only up to a global phase; use
     states_equal_up_to_phase rather than ==, which compares amplitudes.
     """
@@ -108,7 +110,7 @@ class TwoQubitState:
             raise QdkdError("a two-qubit state needs exactly 4 amplitudes")
         if not all(isfinite(a) for a in self.amps):
             raise QdkdError("non-finite amplitude")
-        n = _backend.kernels.norm_sq(self.amps)
+        n = kernels.norm_sq(self.amps)
         if abs(n - 1.0) > NORM_TOL:
             raise QdkdError(f"state not normalized: sum |amp|^2 = {n!r}")
 
@@ -116,7 +118,7 @@ class TwoQubitState:
     def from_amplitudes(cls, a00, a01, a10, a11) -> "TwoQubitState":
         """Build a state from arbitrary amplitudes, rescaling to unit norm."""
         amps = (complex(a00), complex(a01), complex(a10), complex(a11))
-        n = _backend.kernels.norm_sq(amps)
+        n = kernels.norm_sq(amps)
         if n < 1e-15:
             raise QdkdError("cannot normalize the zero vector")
         s = n ** 0.5
@@ -130,22 +132,29 @@ class TwoQubitState:
         return cls(tuple(amps))
 
     def norm_sq(self) -> float:
-        return _backend.kernels.norm_sq(self.amps)
+        return kernels.norm_sq(self.amps)
+
+
+def _trusted(amps) -> TwoQubitState:
+    """Wrap kernel output without re-validating it."""
+    state = object.__new__(TwoQubitState)
+    object.__setattr__(state, "amps", amps)
+    return state
 
 
 def bell_state(outcome: BellOutcome) -> TwoQubitState:
     """The exact amplitude vector of the named Bell state."""
-    return TwoQubitState(_backend.kernels.BELL_AMPS[outcome])
+    return _trusted(kernels.BELL_AMPS[outcome])
 
 
 def apply_local(state: TwoQubitState, qubit: QubitId, u: LocalUnitary) -> TwoQubitState:
     """Apply u on the named qubit (identity on the other)."""
-    return TwoQubitState(_backend.kernels.apply_u(state.amps, qubit, u))
+    return _trusted(kernels.apply_u(state.amps, qubit, u))
 
 
 def prob_qubit(state: TwoQubitState, qubit: QubitId, basis: MeasBasis) -> tuple[float, float]:
     """Exact Born probabilities (p0, p1) for a single-qubit measurement."""
-    return _backend.kernels.qubit_probs(state.amps, qubit, basis)
+    return kernels.qubit_probs(state.amps, qubit, basis)
 
 
 def measure_qubit(
@@ -155,26 +164,21 @@ def measure_qubit(
 
     Bit 0 corresponds to |0> (Z) or |+> (X); bit 1 to |1> or |->.
     """
-    bit, amps = _backend.kernels.measure_qubit(state.amps, qubit, basis, randomness)
-    return bit, TwoQubitState(amps)
+    bit, amps = kernels.measure_qubit(state.amps, qubit, basis, randomness)
+    return bit, _trusted(amps)
 
 
 def prob_bell(state: TwoQubitState) -> tuple[float, float, float, float]:
     """Exact Bell-basis probabilities in outcome-label order."""
-    return _backend.kernels.bell_probs(state.amps)
+    return kernels.bell_probs(state.amps)
 
 
 def measure_bell(state: TwoQubitState, randomness: float) -> tuple[BellOutcome, TwoQubitState]:
     """Bell-basis measurement; the collapsed state is the outcome's Bell state."""
-    k, amps = _backend.kernels.measure_bell(state.amps, randomness)
-    return BellOutcome(k), TwoQubitState(amps)
+    k, amps = kernels.measure_bell(state.amps, randomness)
+    return BellOutcome(k), _trusted(amps)
 
 
 def states_equal_up_to_phase(a: TwoQubitState, b: TwoQubitState, eps: float = 1e-9) -> bool:
     """True iff |<a|b>| >= 1 - eps (equality modulo a global phase)."""
-    return abs(_backend.kernels.inner(a.amps, b.amps)) >= 1.0 - eps
-
-
-def active_backend() -> str:
-    """Name of the kernel backend in use: 'compiled' or 'python'."""
-    return _backend.active_backend()
+    return abs(kernels.inner(a.amps, b.amps)) >= 1.0 - eps

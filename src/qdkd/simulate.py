@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -61,25 +62,30 @@ class SimConfig:
     mismatch_threshold: int = 0
     attack: AttackStrategy = NoAttack()
     seed: int = 0
-    output_format: str = "json"
-    output_path: str | None = None
 
     def validate(self) -> "SimConfig":
-        if not isinstance(self.rounds, int) or self.rounds < 0:
+        if not _is_int(self.rounds) or self.rounds < 0:
             raise ConfigError(f"rounds must be a non-negative integer, got {self.rounds!r}")
         if not 0.0 <= self.control_prob <= 1.0:
             raise ConfigError(f"control_prob must lie in [0, 1], got {self.control_prob!r}")
+        if not isinstance(self.key_mode, KeyMode):
+            raise ConfigError(f"key_mode must be a KeyMode, got {self.key_mode!r}")
         if not 0.0 <= self.check_fraction <= 1.0:
             raise ConfigError(f"check_fraction must lie in [0, 1], got {self.check_fraction!r}")
-        if self.mismatch_threshold < 0:
-            raise ConfigError("mismatch_threshold must be non-negative")
+        if not _is_int(self.mismatch_threshold) or self.mismatch_threshold < 0:
+            raise ConfigError(
+                f"mismatch_threshold must be a non-negative integer, got {self.mismatch_threshold!r}"
+            )
         if not isinstance(self.attack, (NoAttack, InterceptResend)):
             raise ConfigError(f"unsupported attack strategy: {self.attack!r}")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError("seed must fit in an unsigned 64-bit integer")
-        if self.output_format not in ("json", "csv"):
-            raise ConfigError(f"output_format must be 'json' or 'csv', got {self.output_format!r}")
+        if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
         return self
+
+
+def _is_int(value) -> bool:
+    """True for integers, numpy's included, but not for bools."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -176,17 +182,16 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
     root = np.random.SeedSequence(config.seed)
     proto_ss, check_ss = root.spawn(2)
     rng = np.random.default_rng(proto_ss)
-    result = SessionResult(report=None)  # report filled in below
-    eve = result.eve
+    # Eve sees every public message: her transcript is the session's list.
+    transcript: list[ClassicalMessage] = []
+    eve = EveRecord(transcript=transcript)
+    result = SessionResult(report=None, transcript=transcript, eve=eve)  # report filled in below
+    publish = transcript.extend
     alice_buffer = KeyBuffer()
     bob_buffer = KeyBuffer()
     control_rounds = message_rounds = detections = 0
     aborted = False
     abort_cause = None
-
-    def publish(messages):
-        result.transcript.extend(messages)
-        eve.transcript.extend(messages)
 
     for index in range(config.rounds):
         state, u_a = alice_prepare(rng)

@@ -1,5 +1,4 @@
-"""Kernel-level tests: each backend against a numpy reference, and the two
-backends against each other bit-for-bit."""
+"""Kernel-level tests: each kernel against an independent numpy reference."""
 
 import math
 
@@ -9,14 +8,11 @@ import pytest
 from qdkd import _kernels_py
 from qdkd.errors import DegenerateBranchError
 
-try:
-    from qdkd import _kernels_c
-except ImportError:
-    _kernels_c = None
 
-BACKENDS = [pytest.param(_kernels_py, id="python")]
-if _kernels_c is not None:
-    BACKENDS.append(pytest.param(_kernels_c, id="compiled"))
+# Every test takes the kernel module as `kern`; the "python" id keeps the
+# test ids stable.
+pytestmark = pytest.mark.parametrize("kern", [_kernels_py], ids=["python"])
+
 
 # Independent numpy reference built from matrices and kron, not index tricks.
 U_MATS = [
@@ -55,7 +51,6 @@ def _rand_amps(rng):
     return tuple(complex(x) for x in v)
 
 
-@pytest.mark.parametrize("kern", BACKENDS)
 def test_bell_amps_values(kern):
     inv = math.sqrt(0.5)  # the correctly rounded double for 1/sqrt(2)
     assert kern.BELL_AMPS[0] == (0, inv, inv, 0)
@@ -64,7 +59,6 @@ def test_bell_amps_values(kern):
     assert kern.BELL_AMPS[3] == (inv, 0, 0, -inv)
 
 
-@pytest.mark.parametrize("kern", BACKENDS)
 @pytest.mark.parametrize("qubit", [0, 1])
 @pytest.mark.parametrize("u", [0, 1, 2, 3])
 def test_apply_u_matches_matrix_reference(kern, qubit, u, rng):
@@ -75,7 +69,6 @@ def test_apply_u_matches_matrix_reference(kern, qubit, u, rng):
         np.testing.assert_allclose(got, want, atol=1e-15)
 
 
-@pytest.mark.parametrize("kern", BACKENDS)
 @pytest.mark.parametrize("qubit", [0, 1])
 @pytest.mark.parametrize("basis", [0, 1])
 def test_qubit_probs_match_projector_reference(kern, qubit, basis, rng):
@@ -90,7 +83,6 @@ def test_qubit_probs_match_projector_reference(kern, qubit, basis, rng):
         assert p0 + p1 == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("kern", BACKENDS)
 def test_bell_probs_match_reference(kern, rng):
     for _ in range(25):
         amps = _rand_amps(rng)
@@ -100,7 +92,6 @@ def test_bell_probs_match_reference(kern, rng):
         assert sum(got) == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("kern", BACKENDS)
 @pytest.mark.parametrize("qubit", [0, 1])
 @pytest.mark.parametrize("basis", [0, 1])
 def test_collapse_is_normalized_eigenstate(kern, qubit, basis, rng):
@@ -112,48 +103,14 @@ def test_collapse_is_normalized_eigenstate(kern, qubit, basis, rng):
         assert probs[bit] == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("kern", BACKENDS)
 def test_collapse_onto_zero_branch_raises(kern):
     zero_zero = (1 + 0j, 0j, 0j, 0j)
     with pytest.raises(DegenerateBranchError):
         kern.collapse_qubit(zero_zero, 1, 0, 1)
 
 
-@pytest.mark.parametrize("kern", BACKENDS)
 def test_measure_bell_collapses_to_bell_state(kern, rng):
     for _ in range(20):
         amps = _rand_amps(rng)
         k, collapsed = kern.measure_bell(amps, rng.random())
         assert collapsed == kern.BELL_AMPS[k]
-
-
-@pytest.mark.skipif(_kernels_c is None, reason="compiled kernels unavailable")
-class TestBackendTwins:
-    """The compiled extension must agree with pure Python bit-for-bit."""
-
-    def test_constants_identical(self):
-        assert _kernels_c.INV_SQRT2 == _kernels_py.INV_SQRT2
-        assert _kernels_c.BELL_AMPS == _kernels_py.BELL_AMPS
-
-    def test_all_ops_identical_on_random_states(self, rng):
-        for _ in range(200):
-            amps = _rand_amps(rng)
-            other = _rand_amps(rng)
-            assert _kernels_c.norm_sq(amps) == _kernels_py.norm_sq(amps)
-            assert _kernels_c.inner(amps, other) == _kernels_py.inner(amps, other)
-            for qubit in (0, 1):
-                for u in range(4):
-                    assert _kernels_c.apply_u(amps, qubit, u) == _kernels_py.apply_u(
-                        amps, qubit, u
-                    )
-                for basis in (0, 1):
-                    assert _kernels_c.qubit_probs(amps, qubit, basis) == _kernels_py.qubit_probs(
-                        amps, qubit, basis
-                    )
-                    r = rng.random()
-                    assert _kernels_c.measure_qubit(
-                        amps, qubit, basis, r
-                    ) == _kernels_py.measure_qubit(amps, qubit, basis, r)
-            assert _kernels_c.bell_probs(amps) == _kernels_py.bell_probs(amps)
-            r = rng.random()
-            assert _kernels_c.measure_bell(amps, r) == _kernels_py.measure_bell(amps, r)
