@@ -1,22 +1,33 @@
 """Exact enumeration ground truth for the protocol's attack statistics.
 
-Everything here is computed by exhaustively walking the finite outcome tree
-(unitary choices, basis choices, Eve's outcomes, measurement branches) with
-exact probability arithmetic; no sampling, no floating point. Amplitudes are
-tracked unnormalized in the ring of numbers a + b*sqrt(2) with rational a, b,
-where every probability in the protocol's reachable state set is an exact
-Fraction (a ratio of squared norms). This module deliberately does not use
-the float kernels: it is the independent oracle the Monte Carlo simulator is
-validated against.
+The per-round statistics are computed by exhaustively walking the finite
+outcome tree (unitary choices, basis choices, Eve's outcomes, measurement
+branches) with exact probability arithmetic; no sampling, no floating point.
+Amplitudes are tracked unnormalized in the ring of numbers a + b*sqrt(2) with
+rational a, b, where every probability in the protocol's reachable state set
+is an exact Fraction (a ratio of squared norms). The key check's abort
+probability is a closed-form mixture over the enumerated per-round error
+distribution: an integer polynomial power counts the erring key positions,
+and hypergeometric counts weigh each count by the chance that the check
+passes. This module deliberately does not use the float kernels: it is the
+independent oracle the Monte Carlo simulator is validated against.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .adversary import AttackStrategy, ChannelLeg, EveBasisPolicy, NoAttack
-from .errors import OracleError
-from .protocol import Correlation, KeyCheckPolicy, KeyMode, checked_count, expected_correlation
+from .errors import ConfigError, OracleError
+from .protocol import (
+    Correlation,
+    KeyCheckPolicy,
+    KeyMode,
+    checked_count,
+    expected_correlation,
+    is_int,
+)
 from .quantum import LocalUnitary, MeasBasis, QubitId
 
 
@@ -216,57 +227,70 @@ def abort_probability(
 ) -> Fraction:
     """Exact probability that the public key check aborts.
 
-    The check compares ceil(fraction * L) positions drawn uniformly without
-    replacement from the L-bit pre-check key of a run with the given number
-    of message rounds; the run aborts when mismatches exceed the threshold.
-    Within one round the amplitude-position bits share one error indicator
-    and the phase-position bits another (both copies of a label mismatch
-    together in combined mode), which this enumeration accounts for exactly.
+    The check compares m = ceil(fraction * L) positions drawn uniformly
+    without replacement from the L-bit pre-check key of a run with the given
+    number of message rounds; the run aborts when mismatches exceed the
+    threshold. The subset is uniform and drawn independently of the error
+    pattern, so given B mismatching key positions, wherever they sit, the
+    mismatch count in the subset is Hypergeometric(L, B, m). Hence
+
+        P(abort) = 1 - sum_B P(B) * HypergeomCDF(threshold; L, B, m).
+
+    Each round adds 0, 1 or 2 erring label positions (none, one of the
+    amplitude and phase positions, or both; see message_error_distribution),
+    and in combined mode both copies of an erring position mismatch, so B is
+    that count summed over the independent rounds, times 2 in combined mode.
     """
-    n = message_rounds
-    if n == 0:
-        return Fraction(0)
-    dist = message_error_distribution(attack)
-    errors = [(e, p) for e, p in dist.items() if p]
-    group = 2 if key_mode is KeyMode.COMBINED else 1  # positions per indicator
+    return _abort_from_distribution(
+        message_error_distribution(attack), policy, message_rounds, key_mode
+    )
+
+
+def _abort_from_distribution(
+    dist: dict[int, Fraction], policy: KeyCheckPolicy, n: int, key_mode: KeyMode
+) -> Fraction:
+    """abort_probability for a per-round error distribution."""
+    if not is_int(n) or n < 0:
+        raise ConfigError(f"message_rounds must be a non-negative integer, got {n!r}")
+    if not isinstance(policy.fraction, numbers.Real) or not 0 <= policy.fraction <= 1:
+        raise ConfigError(f"check fraction must lie in [0, 1], got {policy.fraction!r}")
+    if not is_int(policy.mismatch_threshold) or policy.mismatch_threshold < 0:
+        raise ConfigError(
+            f"mismatch_threshold must be a non-negative integer, got {policy.mismatch_threshold!r}"
+        )
     length = key_mode.bits_per_round * n
     m = checked_count(policy.fraction, length)
-    if m == 0:
-        return Fraction(0)
-    cap = policy.mismatch_threshold + 1
-    # dp[(checked, mismatches capped at cap)] = sum of P(errors) * #ways to
-    # allocate the checked positions round by round.
-    dp = {(0, 0): Fraction(1)}
-    choose = [math.comb(group, j) for j in range(group + 1)]
-    for _ in range(n):
-        new = {}
-        for (c, mu), weight in dp.items():
-            for e, p in errors:
-                amp_err = (e >> 1) & 1
-                phase_err = e & 1
-                for ja in range(group + 1):
-                    c_a = c + ja
-                    if c_a > m:
-                        break
-                    for jp in range(group + 1):
-                        c2 = c_a + jp
-                        if c2 > m:
-                            break
-                        mu2 = min(mu + ja * amp_err + jp * phase_err, cap)
-                        ways = choose[ja] * choose[jp]
-                        key = (c2, mu2)
-                        add = weight * p * ways
-                        if key in new:
-                            new[key] += add
-                        else:
-                            new[key] = add
-        dp = new
-    total_ways = math.comb(length, m)
+    group = 2 if key_mode is KeyMode.COMBINED else 1  # key positions per erring label position
+    # P(0, 1, 2 erring label positions in a round) as integers over denom.
+    q = (dist[0], dist[1] + dist[2], dist[3])
+    denom = math.lcm(*(p.denominator for p in q))
+    weights = _power(tuple(p.numerator * (denom // p.denominator) for p in q), n)
+    passing = range(min(policy.mismatch_threshold, m) + 1)  # mismatch counts the check accepts
     accept = sum(
-        (w for (c, mu), w in dp.items() if c == m and mu <= policy.mismatch_threshold),
-        Fraction(0),
+        w * sum(math.comb(group * k, x) * math.comb(length - group * k, m - x) for x in passing)
+        for k, w in enumerate(weights)
+        if w
     )
-    return 1 - accept / total_ways
+    return 1 - Fraction(accept, denom**n * math.comb(length, m))
+
+
+def _power(poly: tuple[int, ...], n: int) -> list[int]:
+    """Integer coefficients of poly(x)**n, lowest degree first.
+
+    After factoring out the lowest power of x, the coefficients p_k of
+    c(x)**n with c_0 != 0 obey k * c_0 * p_k = sum_j ((n + 1) * j - k) * c_j
+    * p_(k-j), which follows from comparing coefficients in
+    c(x) * (c(x)**n)' = n * c'(x) * c(x)**n; every division is exact.
+    """
+    shift = next(i for i, c in enumerate(poly) if c)
+    c = poly[shift:]
+    p = [c[0] ** n]
+    for k in range(1, (len(c) - 1) * n + 1):
+        total = sum(
+            ((n + 1) * j - k) * c[j] * p[k - j] for j in range(1, min(k, len(c) - 1) + 1)
+        )
+        p.append(total // (k * c[0]))
+    return [0] * (shift * n) + p
 
 
 def eve_resolved_bits(attack: AttackStrategy, key_mode: KeyMode = KeyMode.COMBINED) -> Fraction:
@@ -341,7 +365,7 @@ def exact_oracle(
     phase = dist[1] + dist[3]
     abort = None
     if check_policy is not None and message_rounds is not None:
-        abort = abort_probability(attack, check_policy, message_rounds, key_mode)
+        abort = _abort_from_distribution(dist, check_policy, message_rounds, key_mode)
     return OracleResult(
         detection_prob_per_control_round=control_detection_probability(attack),
         key_error_rate_overall=(amp + phase) / 2,

@@ -13,6 +13,7 @@ enters only through injected generators.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -264,6 +265,11 @@ def accumulate_key(buffer: KeyBuffer, round_: KeyRound, mode: KeyMode) -> KeyBuf
 
 def _label_bits(label: int) -> tuple[int, int]:
     return (label >> 1) & 1, label & 1
+
+
+def is_int(value) -> bool:
+    """True for integers, numpy's included, but not for bools."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def checked_count(fraction: float, length: int) -> int:

@@ -12,7 +12,6 @@ import csv
 import io
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -41,6 +40,7 @@ from .protocol import (
     accumulate_key,
     alice_prepare,
     bob_choose_mode,
+    is_int,
     key_check,
     run_control_round,
     run_message_round,
@@ -49,6 +49,7 @@ from .quantum import QubitId, apply_local, bell_state, prob_bell
 
 ABORT_CONTROL = "control-round-detection"
 ABORT_KEY_CHECK = "key-check-mismatch"
+_Z95 = 1.96  # standard normal quantile of a two-sided 95% interval
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,7 @@ class SimConfig:
     seed: int = 0
 
     def validate(self) -> "SimConfig":
-        if not _is_int(self.rounds) or self.rounds < 0:
+        if not is_int(self.rounds) or self.rounds < 0:
             raise ConfigError(f"rounds must be a non-negative integer, got {self.rounds!r}")
         if not 0.0 <= self.control_prob <= 1.0:
             raise ConfigError(f"control_prob must lie in [0, 1], got {self.control_prob!r}")
@@ -72,20 +73,15 @@ class SimConfig:
             raise ConfigError(f"key_mode must be a KeyMode, got {self.key_mode!r}")
         if not 0.0 <= self.check_fraction <= 1.0:
             raise ConfigError(f"check_fraction must lie in [0, 1], got {self.check_fraction!r}")
-        if not _is_int(self.mismatch_threshold) or self.mismatch_threshold < 0:
+        if not is_int(self.mismatch_threshold) or self.mismatch_threshold < 0:
             raise ConfigError(
                 f"mismatch_threshold must be a non-negative integer, got {self.mismatch_threshold!r}"
             )
         if not isinstance(self.attack, (NoAttack, InterceptResend)):
             raise ConfigError(f"unsupported attack strategy: {self.attack!r}")
-        if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
+        if not is_int(self.seed) or not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
         return self
-
-
-def _is_int(value) -> bool:
-    """True for integers, numpy's included, but not for bools."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -147,12 +143,27 @@ class SessionResult:
 
 
 def _binomial_ci(successes: int, trials: int) -> tuple[float, float, float]:
-    """95% normal-approximation CI for a binomial proportion."""
+    """Point estimate and 95% Wilson score interval of a binomial proportion.
+
+    Unlike the normal approximation, the interval keeps a nonzero width at 0
+    and at all successes. The upper end is taken as 1 minus the lower end of
+    the failure count, which is the same value and makes it exactly 1 at
+    successes == trials.
+    """
     if trials == 0:
         return 0.0, 0.0, 0.0
-    p = successes / trials
-    se = math.sqrt(p * (1.0 - p) / trials)
-    return p, max(0.0, p - 1.96 * se), min(1.0, p + 1.96 * se)
+    return (
+        successes / trials,
+        _wilson_low(successes, trials),
+        1.0 - _wilson_low(trials - successes, trials),
+    )
+
+
+def _wilson_low(successes: int, trials: int) -> float:
+    """Lower end of the 95% Wilson score interval; exactly 0 at 0 successes."""
+    z2 = _Z95 * _Z95
+    spread = _Z95 * math.sqrt(successes * (trials - successes) / trials + z2 / 4)
+    return (successes + z2 / 2 - spread) / (trials + z2)
 
 
 def _error_rates(alice_key, bob_key) -> tuple[float, float, float]:

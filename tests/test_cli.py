@@ -96,6 +96,20 @@ class TestOracle:
         assert data["abort_probability"] > 0.95
         assert data["abort_probability_exact"].count("/") == 1
 
+    @pytest.mark.parametrize("flags", [
+        ("--message-rounds", "-5"),
+        ("--message-rounds", "10", "--check-fraction", "2"),
+        ("--message-rounds", "10", "--check-fraction", "-0.5"),
+        ("--message-rounds", "10", "--check-fraction", "nan"),
+        ("--message-rounds", "10", "--mismatch-threshold", "-1"),
+    ])
+    def test_bad_abort_query_exits_1(self, flags):
+        proc = qdkd("oracle", "--attack", "backward-ir", *flags)
+        assert proc.returncode == 1
+        assert "qdkd: error:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
 
 class TestTable:
     def test_table_prints_grid(self):

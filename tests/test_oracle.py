@@ -1,16 +1,21 @@
 """Tests of the exact enumeration oracle, including an independent
-float-arithmetic enumeration and a tiny-case brute force for the abort DP."""
+float-arithmetic enumeration and a tiny-case brute force for the abort
+probability."""
 
 import itertools
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qdkd import oracle
 from qdkd.adversary import ChannelLeg, EveBasisPolicy, InterceptResend, NoAttack
-from qdkd.errors import OracleError
+from qdkd.errors import ConfigError, OracleError
 from qdkd.oracle import (
     Rt2,
+    _power,
     abort_probability,
     control_detection_probability,
     exact_oracle,
@@ -33,6 +38,9 @@ FORWARD_X = InterceptResend(ChannelLeg.FORWARD, EveBasisPolicy.X)
 FORWARD_R = InterceptResend(ChannelLeg.FORWARD, EveBasisPolicy.RANDOM)
 BACKWARD_Z = InterceptResend(ChannelLeg.BACKWARD, EveBasisPolicy.Z)
 BACKWARD_X = InterceptResend(ChannelLeg.BACKWARD, EveBasisPolicy.X)
+BACKWARD_R = InterceptResend(ChannelLeg.BACKWARD, EveBasisPolicy.RANDOM)
+ALL_ATTACKS = (NoAttack(), FORWARD_Z, FORWARD_X, FORWARD_R, BACKWARD_Z, BACKWARD_X, BACKWARD_R)
+ATTACK_IDS = ("none", "fwd-z", "fwd-x", "fwd-random", "bwd-z", "bwd-x", "bwd-random")
 
 
 class TestRt2:
@@ -246,6 +254,27 @@ class TestAbortProbability:
         want = _brute_force_abort(dist, 2, policy, KeyMode.COMBINED)
         assert abort_probability(attack, policy, 2) == want
 
+    @pytest.mark.parametrize("key_mode", list(KeyMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("attack", ALL_ATTACKS, ids=ATTACK_IDS)
+    @pytest.mark.parametrize("rounds,fraction,threshold", [
+        (1, 1.0, 0),
+        (2, 0.25, 0),
+        (2, 0.3, 1),
+        (3, 0.3, 0),
+        (3, 0.25, 2),
+    ])
+    def test_matches_brute_force_for_every_attack_and_key_mode(
+        self, attack, key_mode, rounds, fraction, threshold
+    ):
+        # fraction * bits stays <= 4 checked positions at every size here.
+        policy = KeyCheckPolicy(fraction, threshold)
+        want = _brute_force_abort(message_error_distribution(attack), rounds, policy, key_mode)
+        assert abort_probability(attack, policy, rounds, key_mode) == want
+
+    def test_full_check_at_scale(self):
+        policy = KeyCheckPolicy(1.0, 0)
+        assert abort_probability(BACKWARD_Z, policy, 1000) == 1 - Fraction(1, 2) ** 1000
+
     def test_monotone_in_fraction(self):
         policy_small = KeyCheckPolicy(0.1, 0)
         policy_large = KeyCheckPolicy(0.3, 0)
@@ -258,6 +287,79 @@ class TestAbortProbability:
         assert p > Fraction(99, 100)
 
 
+class TestAbortProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        attack=st.sampled_from(ALL_ATTACKS),
+        key_mode=st.sampled_from(list(KeyMode)),
+        rounds=st.integers(0, 40),
+        fractions=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2).map(sorted),
+        threshold=st.integers(0, 6),
+    )
+    def test_non_decreasing_in_fraction(self, attack, key_mode, rounds, fractions, threshold):
+        low, high = (
+            abort_probability(attack, KeyCheckPolicy(f, threshold), rounds, key_mode)
+            for f in fractions
+        )
+        assert 0 <= low <= high <= 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        attack=st.sampled_from(ALL_ATTACKS),
+        key_mode=st.sampled_from(list(KeyMode)),
+        rounds=st.integers(0, 40),
+        fraction=st.floats(0.0, 1.0),
+        thresholds=st.lists(st.integers(0, 12), min_size=2, max_size=2).map(sorted),
+    )
+    def test_non_increasing_in_threshold(self, attack, key_mode, rounds, fraction, thresholds):
+        strict, lenient = (
+            abort_probability(attack, KeyCheckPolicy(fraction, t), rounds, key_mode)
+            for t in thresholds
+        )
+        assert 0 <= lenient <= strict <= 1
+
+
+class TestPolynomialPower:
+    @pytest.mark.parametrize(
+        "poly", [(1, 0, 0), (3, 1, 2), (5, 0, 7), (0, 1, 2), (0, 0, 3), (0, 4, 0)]
+    )
+    @pytest.mark.parametrize("n", [0, 1, 2, 7])
+    def test_matches_repeated_multiplication(self, poly, n):
+        want = [1]
+        for _ in range(n):
+            product = [0] * (len(want) + len(poly) - 1)
+            for i, a in enumerate(want):
+                for j, b in enumerate(poly):
+                    product[i + j] += a * b
+            want = product
+        got = _power(poly, n)
+        assert got == want[: len(got)]
+        assert not any(want[len(got):])
+
+
+class TestAbortValidation:
+    @pytest.mark.parametrize("policy,rounds", [
+        (KeyCheckPolicy(0.1, 0), -5),
+        (KeyCheckPolicy(0.1, 0), 2.0),
+        (KeyCheckPolicy(0.1, 0), True),
+        (KeyCheckPolicy(2.0, 0), 10),
+        (KeyCheckPolicy(-0.5, 0), 10),
+        (KeyCheckPolicy(float("nan"), 0), 10),
+        (KeyCheckPolicy("0.1", 0), 10),
+        (KeyCheckPolicy(0.1, -1), 10),
+        (KeyCheckPolicy(0.1, 0.5), 10),
+        (KeyCheckPolicy(0.1, False), 10),
+    ])
+    def test_bad_queries_rejected(self, policy, rounds):
+        with pytest.raises(ConfigError):
+            abort_probability(BACKWARD_Z, policy, rounds)
+        with pytest.raises(ConfigError):
+            exact_oracle(BACKWARD_Z, check_policy=policy, message_rounds=rounds)
+
+    def test_zero_rounds_never_abort(self):
+        assert abort_probability(BACKWARD_Z, KeyCheckPolicy(1.0, 0), 0) == 0
+
+
 class TestOracleResult:
     def test_forward_z_summary(self):
         r = exact_oracle(FORWARD_Z, check_policy=KeyCheckPolicy(0.1, 0), message_rounds=10)
@@ -266,3 +368,17 @@ class TestOracleResult:
 
     def test_abort_omitted_without_context(self):
         assert exact_oracle(FORWARD_Z).abort_probability is None
+
+    def test_enumerates_once_with_abort(self, monkeypatch):
+        calls = []
+        enumerate_errors = oracle.message_error_distribution
+
+        def counted(attack):
+            calls.append(attack)
+            return enumerate_errors(attack)
+
+        monkeypatch.setattr(oracle, "message_error_distribution", counted)
+        policy = KeyCheckPolicy(0.1, 0)
+        r = exact_oracle(BACKWARD_Z, check_policy=policy, message_rounds=40)
+        assert len(calls) == 1
+        assert r.abort_probability == abort_probability(BACKWARD_Z, policy, 40)

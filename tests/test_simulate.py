@@ -12,6 +12,7 @@ from qdkd.protocol import BellAnnouncement, KeyMode
 from qdkd.quantum import BellOutcome, LocalUnitary
 from qdkd.simulate import (
     ABORT_CONTROL,
+    _binomial_ci,
     ABORT_KEY_CHECK,
     SimConfig,
     derive_seed,
@@ -178,6 +179,47 @@ class TestOracleAgreement:
             index += 1
         se = math.sqrt(want * (1.0 - want) / control_rounds)
         assert abs(detections / control_rounds - want) <= 4 * se
+
+
+def _wilson(successes, trials, z=1.96):
+    """Textbook form of the Wilson score interval."""
+    p = successes / trials
+    centre = (p + z * z / (2 * trials)) / (1 + z * z / trials)
+    half = z / (1 + z * z / trials) * math.sqrt(p * (1 - p) / trials + z * z / (4 * trials**2))
+    return centre - half, centre + half
+
+
+class TestDetectionInterval:
+    def test_no_trials(self):
+        assert _binomial_ci(0, 0) == (0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("trials", [1, 251, 10_000])
+    def test_no_successes_has_width(self, trials):
+        p, low, high = _binomial_ci(0, trials)
+        assert p == low == 0.0
+        assert high == pytest.approx(1.96**2 / (trials + 1.96**2), rel=1e-12)
+
+    @pytest.mark.parametrize("trials", [1, 251, 10_000])
+    def test_all_successes_has_width(self, trials):
+        p, low, high = _binomial_ci(trials, trials)
+        assert p == high == 1.0
+        assert low == pytest.approx(trials / (trials + 1.96**2), rel=1e-12)
+
+    def test_interior_matches_closed_form(self):
+        p, low, high = _binomial_ci(3, 10)
+        want_low, want_high = _wilson(3, 10)
+        assert p == 0.3
+        assert low == pytest.approx(want_low, rel=1e-12)
+        assert high == pytest.approx(want_high, rel=1e-12)
+
+    def test_report_without_detections_has_width(self):
+        config = SimConfig(rounds=500, attack=BACKWARD_Z, check_fraction=0.0, seed=3)
+        report = run_simulation(config)
+        assert report.detections == 0 and report.control_rounds > 0
+        assert report.detection_ci_low == 0.0
+        assert report.detection_ci_high == pytest.approx(
+            1.96**2 / (report.control_rounds + 1.96**2), rel=1e-12
+        )
 
 
 class TestValidation:
