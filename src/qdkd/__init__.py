@@ -26,7 +26,6 @@ from .adversary import (
 from .errors import (
     ConfigError,
     DegenerateBranchError,
-    OracleError,
     ProtocolError,
     QdkdError,
 )

@@ -132,9 +132,7 @@ def _fraction_fields(value: Fraction | None, name: str) -> dict:
 
 
 def _cmd_oracle(args) -> int:
-    policy = None
-    if args.message_rounds is not None:
-        policy = KeyCheckPolicy(args.check_fraction, args.mismatch_threshold)
+    policy = KeyCheckPolicy(args.check_fraction, args.mismatch_threshold).validate()
     result = exact_oracle(
         _build_attack(args),
         check_policy=policy,

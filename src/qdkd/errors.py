@@ -20,7 +20,3 @@ class DegenerateBranchError(QdkdError, RuntimeError):
     internal-error flag if a collapse is requested onto a branch with
     probability below 1e-12.
     """
-
-
-class OracleError(QdkdError, RuntimeError):
-    """Exact-arithmetic invariant violated inside the enumeration oracle."""

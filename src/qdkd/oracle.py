@@ -3,23 +3,22 @@
 The per-round statistics are computed by exhaustively walking the finite
 outcome tree (unitary choices, basis choices, Eve's outcomes, measurement
 branches) with exact probability arithmetic; no sampling, no floating point.
-Amplitudes are tracked unnormalized in the ring of numbers a + b*sqrt(2) with
-rational a, b, where every probability in the protocol's reachable state set
-is an exact Fraction (a ratio of squared norms). The key check's abort
-probability is a closed-form mixture over the enumerated per-round error
-distribution: an integer polynomial power counts the erring key positions,
-and hypergeometric counts weigh each count by the chance that the check
-passes. This module deliberately does not use the float kernels: it is the
-independent oracle the Monte Carlo simulator is validated against.
+Amplitudes are tracked unnormalized as ints and Fractions: every amplitude in
+the protocol is real, and every probability is an exact Fraction formed as a
+ratio of squared norms, so the enumeration is exact rational arithmetic. The
+key check's abort probability is a closed-form mixture over the enumerated
+per-round error distribution: an integer polynomial power counts the erring
+key positions, and hypergeometric counts weigh each count by the chance that
+the check passes. This module deliberately does not use the float kernels:
+it is the independent oracle the Monte Carlo simulator is validated against.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .adversary import AttackStrategy, ChannelLeg, EveBasisPolicy, NoAttack
-from .errors import ConfigError, OracleError
+from .errors import ConfigError
 from .protocol import (
     Correlation,
     KeyCheckPolicy,
@@ -31,78 +30,30 @@ from .protocol import (
 from .quantum import LocalUnitary, MeasBasis, QubitId
 
 
-class Rt2:
-    """Exact a + b*sqrt(2) with rational coefficients."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a=0, b=0):
-        self.a = a if isinstance(a, Fraction) else Fraction(a)
-        self.b = b if isinstance(b, Fraction) else Fraction(b)
-
-    def __add__(self, other):
-        return Rt2(self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other):
-        return Rt2(self.a - other.a, self.b - other.b)
-
-    def __neg__(self):
-        return Rt2(-self.a, -self.b)
-
-    def __mul__(self, other):
-        if isinstance(other, Rt2):
-            return Rt2(self.a * other.a + 2 * self.b * other.b, self.a * other.b + self.b * other.a)
-        return Rt2(self.a * other, self.b * other)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return isinstance(other, Rt2) and self.a == other.a and self.b == other.b
-
-    def __hash__(self):
-        return hash((self.a, self.b))
-
-    def __bool__(self):
-        return bool(self.a) or bool(self.b)
-
-    def as_fraction(self) -> Fraction:
-        """This value as an exact rational; the sqrt(2) part must vanish."""
-        if self.b:
-            raise OracleError(f"expected a rational value, got {self!r}")
-        return self.a
-
-    def __float__(self):
-        return float(self.a) + float(self.b) * math.sqrt(2)
-
-    def __repr__(self):
-        return f"Rt2({self.a}, {self.b})"
-
-
-_ZERO = Rt2()
-_ONE = Rt2(1)
-_HALF = Rt2(Fraction(1, 2))
-_INV_SQRT2 = Rt2(0, Fraction(1, 2))  # sqrt(2)/2
-
-# Bell vectors in outcome-label order over |ht> = 00,01,10,11.
+# The Bell vectors as unnormalized sign vectors of squared norm 2, in
+# outcome-label order over |ht> = 00,01,10,11.
 _BELL = (
-    (_ZERO, _INV_SQRT2, _INV_SQRT2, _ZERO),
-    (_ZERO, _INV_SQRT2, -_INV_SQRT2, _ZERO),
-    (_INV_SQRT2, _ZERO, _ZERO, _INV_SQRT2),
-    (_INV_SQRT2, _ZERO, _ZERO, -_INV_SQRT2),
+    (0, 1, 1, 0),
+    (0, 1, -1, 0),
+    (1, 0, 0, 1),
+    (1, 0, 0, -1),
 )
 
 # Encoding unitaries, straight from their bra-ket definitions.
 _U = (
-    ((_ONE, _ZERO), (_ZERO, _ONE)),
-    ((_ONE, _ZERO), (_ZERO, -_ONE)),
-    ((_ZERO, _ONE), (_ONE, _ZERO)),
-    ((_ZERO, _ONE), (-_ONE, _ZERO)),
+    ((1, 0), (0, 1)),
+    ((1, 0), (0, -1)),
+    ((0, 1), (1, 0)),
+    ((0, 1), (-1, 0)),
 )
 
 # Projectors onto measurement outcomes, by basis then bit.
 _PROJ = (
-    (((_ONE, _ZERO), (_ZERO, _ZERO)), ((_ZERO, _ZERO), (_ZERO, _ONE))),  # Z
-    (((_HALF, _HALF), (_HALF, _HALF)), ((_HALF, -_HALF), (-_HALF, _HALF))),  # X
+    (((1, 0), (0, 0)), ((0, 0), (0, 1))),  # Z
+    (
+        ((Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 2))),
+        ((Fraction(1, 2), Fraction(-1, 2)), (Fraction(-1, 2), Fraction(1, 2))),
+    ),  # X
 )
 
 
@@ -124,11 +75,8 @@ def _apply_1q(state, qubit, m):
     )
 
 
-def _norm_sq(state) -> Fraction:
-    total = _ZERO
-    for s in state:
-        total = total + s * s
-    return total.as_fraction()
+def _norm_sq(state):
+    return sum(s * s for s in state)
 
 
 def _measurement_branches(state, qubit, basis):
@@ -136,7 +84,7 @@ def _measurement_branches(state, qubit, basis):
     n = _norm_sq(state)
     for bit in (0, 1):
         proj = _apply_1q(state, qubit, _PROJ[basis][bit])
-        w = _norm_sq(proj) / n
+        w = Fraction(_norm_sq(proj), n)
         if w:
             yield w, proj, bit
 
@@ -145,10 +93,8 @@ def _bell_branches(state):
     """Yield (conditional probability, outcome label) of a Bell measurement."""
     n = _norm_sq(state)
     for k, bvec in enumerate(_BELL):
-        c = _ZERO
-        for bi, si in zip(bvec, state):
-            c = c + bi * si
-        w = (c * c).as_fraction() / n
+        overlap = sum(bi * si for bi, si in zip(bvec, state))
+        w = Fraction(overlap * overlap, 2 * n)  # _BELL[k] has squared norm 2
         if w:
             yield w, k
 
@@ -170,6 +116,7 @@ def _attack_branches(state, leg: ChannelLeg, strategy: AttackStrategy):
 
 
 def _encoded_state(u_label: int):
+    """Alice's encoding of u_label on the unnormalized Psi+ pair."""
     return _apply_1q(_BELL[0], QubitId.T, _U[u_label])
 
 
@@ -199,6 +146,20 @@ def control_detection_probability(attack: AttackStrategy) -> Fraction:
     return total
 
 
+def _message_paths(attack: AttackStrategy):
+    """Yield (probability, u_A label, u_B label, Eve's forward observation,
+    Eve's backward observation, Bell outcome label) for every branch of one
+    message round."""
+    sixteenth = Fraction(1, 16)
+    for a in range(4):
+        for w_f, s1, obs_f in _attack_branches(_encoded_state(a), ChannelLeg.FORWARD, attack):
+            for b in range(4):
+                s2 = _apply_1q(s1, QubitId.T, _U[b])
+                for w_b, s3, obs_b in _attack_branches(s2, ChannelLeg.BACKWARD, attack):
+                    for w_bell, k in _bell_branches(s3):
+                        yield sixteenth * w_f * w_b * w_bell, a, b, obs_f, obs_b, k
+
+
 def message_error_distribution(attack: AttackStrategy) -> dict[int, Fraction]:
     """Exact distribution of the per-round error mask e.
 
@@ -207,15 +168,8 @@ def message_error_distribution(attack: AttackStrategy) -> dict[int, Fraction]:
     key mismatch indicators between the parties' buffers.
     """
     dist = {0: Fraction(0), 1: Fraction(0), 2: Fraction(0), 3: Fraction(0)}
-    sixteenth = Fraction(1, 16)
-    for a in range(4):
-        s0 = _encoded_state(a)
-        for w_f, s1, _ in _attack_branches(s0, ChannelLeg.FORWARD, attack):
-            for b in range(4):
-                s2 = _apply_1q(s1, QubitId.T, _U[b])
-                for w_b, s3, _ in _attack_branches(s2, ChannelLeg.BACKWARD, attack):
-                    for w_bell, k in _bell_branches(s3):
-                        dist[k ^ a ^ b] += sixteenth * w_f * w_b * w_bell
+    for p, a, b, _, _, k in _message_paths(attack):
+        dist[k ^ a ^ b] += p
     return dist
 
 
@@ -252,12 +206,7 @@ def _abort_from_distribution(
     """abort_probability for a per-round error distribution."""
     if not is_int(n) or n < 0:
         raise ConfigError(f"message_rounds must be a non-negative integer, got {n!r}")
-    if not isinstance(policy.fraction, numbers.Real) or not 0 <= policy.fraction <= 1:
-        raise ConfigError(f"check fraction must lie in [0, 1], got {policy.fraction!r}")
-    if not is_int(policy.mismatch_threshold) or policy.mismatch_threshold < 0:
-        raise ConfigError(
-            f"mismatch_threshold must be a non-negative integer, got {policy.mismatch_threshold!r}"
-        )
+    policy.validate()
     length = key_mode.bits_per_round * n
     m = checked_count(policy.fraction, length)
     group = 2 if key_mode is KeyMode.COMBINED else 1  # key positions per erring label position
@@ -302,39 +251,24 @@ def eve_resolved_bits(attack: AttackStrategy, key_mode: KeyMode = KeyMode.COMBIN
     Combined mode counts all four bits (both labels), the single modes only
     the kept party's two.
     """
-    views: dict[tuple, dict[tuple[int, int], Fraction]] = {}
-    sixteenth = Fraction(1, 16)
-    for a in range(4):
-        s0 = _encoded_state(a)
-        for w_f, s1, obs_f in _attack_branches(s0, ChannelLeg.FORWARD, attack):
-            for b in range(4):
-                s2 = _apply_1q(s1, QubitId.T, _U[b])
-                for w_b, s3, obs_b in _attack_branches(s2, ChannelLeg.BACKWARD, attack):
-                    for w_bell, k in _bell_branches(s3):
-                        p = sixteenth * w_f * w_b * w_bell
-                        view = (obs_f, obs_b, k)
-                        posterior = views.setdefault(view, {})
-                        posterior[(a, b)] = posterior.get((a, b), Fraction(0)) + p
-    if key_mode is KeyMode.COMBINED:
-        bit_extractors = [
-            lambda ab: (ab[0] >> 1) & 1,
-            lambda ab: ab[0] & 1,
-            lambda ab: (ab[1] >> 1) & 1,
-            lambda ab: ab[1] & 1,
-        ]
-    elif key_mode is KeyMode.SINGLE_ALICE:
-        bit_extractors = [lambda ab: (ab[0] >> 1) & 1, lambda ab: ab[0] & 1]
-    else:
-        bit_extractors = [lambda ab: (ab[1] >> 1) & 1, lambda ab: ab[1] & 1]
-    expected = Fraction(0)
-    for posterior in views.values():
-        p_view = sum(posterior.values(), Fraction(0))
-        support = list(posterior.keys())
-        resolved = sum(
-            1 for extract in bit_extractors if len({extract(ab) for ab in support}) == 1
-        )
-        expected += p_view * resolved
-    return expected
+    mass: dict[tuple, Fraction] = {}
+    support: dict[tuple, set[int]] = {}  # by view: the kept key bits, as one int per path
+    for p, a, b, obs_f, obs_b, k in _message_paths(attack):
+        view = (obs_f, obs_b, k)
+        mass[view] = mass.get(view, 0) + p
+        if key_mode is KeyMode.COMBINED:
+            kept = a << 2 | b
+        else:
+            kept = a if key_mode is KeyMode.SINGLE_ALICE else b
+        support.setdefault(view, set()).add(kept)
+    width = key_mode.bits_per_round
+    return sum(
+        (
+            mass[view] * sum(len({x >> j & 1 for x in kept_bits}) == 1 for j in range(width))
+            for view, kept_bits in support.items()
+        ),
+        Fraction(0),
+    )
 
 
 @dataclass(frozen=True)

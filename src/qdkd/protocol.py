@@ -17,7 +17,7 @@ import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import ProtocolError
+from .errors import ConfigError, ProtocolError
 from .quantum import (
     BellOutcome,
     LocalUnitary,
@@ -272,6 +272,12 @@ def is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def require_probability(name: str, value) -> None:
+    """Raise ConfigError unless value is a real number in [0, 1]."""
+    if not isinstance(value, numbers.Real) or not 0 <= value <= 1:
+        raise ConfigError(f"{name} must lie in [0, 1], got {value!r}")
+
+
 def checked_count(fraction: float, length: int) -> int:
     """Number of key positions publicly compared: ceil(fraction * length)."""
     return math.ceil(fraction * length)
@@ -284,6 +290,15 @@ class KeyCheckPolicy:
 
     fraction: float
     mismatch_threshold: int = 0
+
+    def validate(self) -> "KeyCheckPolicy":
+        require_probability("check_fraction", self.fraction)
+        if not is_int(self.mismatch_threshold) or self.mismatch_threshold < 0:
+            raise ConfigError(
+                "mismatch_threshold must be a non-negative integer, "
+                f"got {self.mismatch_threshold!r}"
+            )
+        return self
 
 
 @dataclass(frozen=True)

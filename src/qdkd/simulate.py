@@ -42,6 +42,7 @@ from .protocol import (
     bob_choose_mode,
     is_int,
     key_check,
+    require_probability,
     run_control_round,
     run_message_round,
 )
@@ -67,16 +68,10 @@ class SimConfig:
     def validate(self) -> "SimConfig":
         if not is_int(self.rounds) or self.rounds < 0:
             raise ConfigError(f"rounds must be a non-negative integer, got {self.rounds!r}")
-        if not 0.0 <= self.control_prob <= 1.0:
-            raise ConfigError(f"control_prob must lie in [0, 1], got {self.control_prob!r}")
+        require_probability("control_prob", self.control_prob)
         if not isinstance(self.key_mode, KeyMode):
             raise ConfigError(f"key_mode must be a KeyMode, got {self.key_mode!r}")
-        if not 0.0 <= self.check_fraction <= 1.0:
-            raise ConfigError(f"check_fraction must lie in [0, 1], got {self.check_fraction!r}")
-        if not is_int(self.mismatch_threshold) or self.mismatch_threshold < 0:
-            raise ConfigError(
-                f"mismatch_threshold must be a non-negative integer, got {self.mismatch_threshold!r}"
-            )
+        KeyCheckPolicy(self.check_fraction, self.mismatch_threshold).validate()
         if not isinstance(self.attack, (NoAttack, InterceptResend)):
             raise ConfigError(f"unsupported attack strategy: {self.attack!r}")
         if not is_int(self.seed) or not 0 <= self.seed < 2**64:

@@ -118,10 +118,13 @@ class TestEveInference:
             InterceptResend(ChannelLeg.BACKWARD, EveBasisPolicy.Z),
             InterceptResend(ChannelLeg.FORWARD, EveBasisPolicy.Z),
             InterceptResend(ChannelLeg.BACKWARD, EveBasisPolicy.RANDOM),
+            InterceptResend(ChannelLeg.FORWARD, EveBasisPolicy.X),
+            InterceptResend(ChannelLeg.FORWARD, EveBasisPolicy.RANDOM),
+            InterceptResend(ChannelLeg.BACKWARD, EveBasisPolicy.X),
         ],
     )
     def test_no_individually_resolved_bits(self, attack):
-        # Eve's view never pins down a single key bit for these strategies;
-        # she only ever learns XOR relations.
-        assert eve_resolved_bits(attack, KeyMode.COMBINED) == 0
-        assert eve_resolved_bits(attack, KeyMode.SINGLE_BOB) == 0
+        # Eve's view never pins down a single key bit for any strategy, in
+        # any key mode; she only ever learns XOR relations.
+        for key_mode in KeyMode:
+            assert eve_resolved_bits(attack, key_mode) == 0

@@ -102,6 +102,8 @@ class TestOracle:
         ("--message-rounds", "10", "--check-fraction", "-0.5"),
         ("--message-rounds", "10", "--check-fraction", "nan"),
         ("--message-rounds", "10", "--mismatch-threshold", "-1"),
+        ("--check-fraction", "2"),
+        ("--mismatch-threshold", "-1"),
     ])
     def test_bad_abort_query_exits_1(self, flags):
         proc = qdkd("oracle", "--attack", "backward-ir", *flags)

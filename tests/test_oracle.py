@@ -12,9 +12,8 @@ from hypothesis import strategies as st
 
 from qdkd import oracle
 from qdkd.adversary import ChannelLeg, EveBasisPolicy, InterceptResend, NoAttack
-from qdkd.errors import ConfigError, OracleError
+from qdkd.errors import ConfigError
 from qdkd.oracle import (
-    Rt2,
     _power,
     abort_probability,
     control_detection_probability,
@@ -43,28 +42,6 @@ ALL_ATTACKS = (NoAttack(), FORWARD_Z, FORWARD_X, FORWARD_R, BACKWARD_Z, BACKWARD
 ATTACK_IDS = ("none", "fwd-z", "fwd-x", "fwd-random", "bwd-z", "bwd-x", "bwd-random")
 
 
-class TestRt2:
-    def test_arithmetic(self):
-        root2 = Rt2(0, 1)
-        assert root2 * root2 == Rt2(2)
-        inv = Rt2(0, Fraction(1, 2))
-        assert inv * inv == Rt2(Fraction(1, 2))
-        assert (Rt2(1, 1) + Rt2(2, -1)) == Rt2(3, 0)
-        assert -Rt2(1, 2) == Rt2(-1, -2)
-
-    def test_mixed_product(self):
-        # (1 + sqrt2)(3 + 2 sqrt2) = 3 + 2 sqrt2 + 3 sqrt2 + 4 = 7 + 5 sqrt2
-        assert Rt2(1, 1) * Rt2(3, 2) == Rt2(7, 5)
-
-    def test_as_fraction_guards_irrational(self):
-        with pytest.raises(OracleError):
-            Rt2(1, 1).as_fraction()
-        assert Rt2(Fraction(3, 4)).as_fraction() == Fraction(3, 4)
-
-    def test_float_conversion(self):
-        assert float(Rt2(0, Fraction(1, 2))) == pytest.approx(1 / math.sqrt(2))
-
-
 class TestDetectionProbability:
     def test_no_attack_is_zero(self):
         assert control_detection_probability(NoAttack()) == 0
@@ -84,7 +61,7 @@ class TestDetectionProbability:
 
     def test_agrees_with_float_enumeration(self):
         # Second, fully independent route through the float kernels.
-        for attack in (NoAttack(), FORWARD_Z, FORWARD_X, FORWARD_R):
+        for attack in ALL_ATTACKS:
             exact = float(control_detection_probability(attack))
             assert _float_detection_probability(attack) == pytest.approx(exact, abs=1e-12)
 
@@ -166,6 +143,27 @@ class TestErrorDistribution:
         assert dist[2] == Fraction(1, 2)
         assert dist[1] == dist[3] == 0
 
+    @pytest.mark.parametrize(
+        "attack,want",
+        zip(
+            ALL_ATTACKS,
+            (
+                {0: 1},
+                {0: Fraction(1, 2), 1: Fraction(1, 2)},
+                {0: Fraction(1, 2), 2: Fraction(1, 2)},
+                {0: Fraction(1, 2), 1: Fraction(1, 4), 2: Fraction(1, 4)},
+                {0: Fraction(1, 2), 1: Fraction(1, 2)},
+                {0: Fraction(1, 2), 2: Fraction(1, 2)},
+                {0: Fraction(1, 2), 1: Fraction(1, 4), 2: Fraction(1, 4)},
+            ),
+        ),
+        ids=ATTACK_IDS,
+    )
+    def test_exact_distribution(self, attack, want):
+        dist = message_error_distribution(attack)
+        assert dist == {e: want.get(e, 0) for e in range(4)}
+        assert all(type(p) is Fraction for p in dist.values())
+
     def test_rates_no_attack_and_backward_z(self):
         r = exact_oracle(BACKWARD_Z)
         assert r.key_error_rate_phase_bit == Fraction(1, 2)
@@ -174,7 +172,9 @@ class TestErrorDistribution:
         clean = exact_oracle(NoAttack())
         assert clean.key_error_rate_overall == 0
 
-    @pytest.mark.parametrize("attack", [NoAttack(), FORWARD_Z, BACKWARD_Z, BACKWARD_X, FORWARD_R])
+    @pytest.mark.parametrize(
+        "attack", [NoAttack(), FORWARD_Z, BACKWARD_Z, BACKWARD_X, FORWARD_R, FORWARD_X, BACKWARD_R]
+    )
     def test_agrees_with_float_enumeration(self, attack):
         exact = message_error_distribution(attack)
         floats = _float_error_distribution(attack)

@@ -236,6 +236,9 @@ class TestValidation:
             {"rounds": 10, "seed": 1.5},
             {"rounds": 10, "seed": "x"},
             {"rounds": 10, "key_mode": "combined"},
+            {"rounds": 10, "control_prob": "x"},
+            {"rounds": 10, "control_prob": None},
+            {"rounds": 10, "check_fraction": "x"},
         ],
     )
     def test_bad_configs_rejected(self, kwargs):
