@@ -42,11 +42,9 @@ from .protocol import (
     ClassicalMessage,
     ControlVerdict,
     Correlation,
-    KeyBuffer,
     KeyCheckPolicy,
     KeyCheckResult,
     KeyMode,
-    KeyRound,
     RoundMode,
     accumulate_key,
     alice_prepare,

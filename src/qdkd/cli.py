@@ -6,17 +6,20 @@ Subcommands:
   table   print the deterministic unitary/Bell-outcome table
 
 Exit codes: 0 on accept, 2 when the run aborted (eavesdropper detected or
-key check failed), 1 on usage or configuration errors.
+key check failed), 1 on usage or configuration errors and when stdout is
+closed before the output is written.
 """
 
 import argparse
 import json
+import os
 import sys
+from dataclasses import fields
 from fractions import Fraction
 
 from .adversary import ChannelLeg, EveBasisPolicy, InterceptResend, NoAttack
 from .errors import ConfigError
-from .oracle import exact_oracle
+from .oracle import OracleResult, exact_oracle
 from .protocol import KeyCheckPolicy, KeyMode
 from .simulate import SimConfig, render_unitary_table, run_simulation, serialize_report
 
@@ -47,6 +50,30 @@ def _add_attack_flags(parser):
     )
 
 
+def _add_key_flags(parser):
+    parser.add_argument(
+        "--key-mode",
+        choices=["combined", "single"],
+        default="combined",
+        help="keep both parties' bits (combined, default) or one party's (single)",
+    )
+    parser.add_argument(
+        "--single-keep",
+        choices=["alice", "bob"],
+        default="alice",
+        help="which party's bits the single key mode keeps (default alice)",
+    )
+    parser.add_argument(
+        "--check-fraction", type=float, default=0.1, help="key fraction compared publicly"
+    )
+    parser.add_argument(
+        "--mismatch-threshold",
+        type=int,
+        default=0,
+        help="mismatches the key check tolerates before aborting (default 0)",
+    )
+
+
 def _build_attack(args):
     if args.attack == "none":
         return NoAttack()
@@ -69,17 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--control-prob", type=float, default=0.5, help="per-round control-mode probability"
     )
-    run.add_argument("--key-mode", choices=["combined", "single"], default="combined")
-    run.add_argument(
-        "--single-keep",
-        choices=["alice", "bob"],
-        default="alice",
-        help="which party's bits the single key mode keeps (default alice)",
-    )
-    run.add_argument(
-        "--check-fraction", type=float, default=0.1, help="key fraction compared publicly"
-    )
-    run.add_argument("--mismatch-threshold", type=int, default=0)
+    _add_key_flags(run)
     _add_attack_flags(run)
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--format", choices=["json", "csv"], default="json")
@@ -87,10 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     oracle = sub.add_parser("oracle", help="print exact enumeration statistics")
     _add_attack_flags(oracle)
-    oracle.add_argument("--key-mode", choices=["combined", "single"], default="combined")
-    oracle.add_argument("--single-keep", choices=["alice", "bob"], default="alice")
-    oracle.add_argument("--check-fraction", type=float, default=0.1)
-    oracle.add_argument("--mismatch-threshold", type=int, default=0)
+    _add_key_flags(oracle)
     oracle.add_argument(
         "--message-rounds",
         type=int,
@@ -132,23 +146,15 @@ def _fraction_fields(value: Fraction | None, name: str) -> dict:
 
 
 def _cmd_oracle(args) -> int:
-    policy = KeyCheckPolicy(args.check_fraction, args.mismatch_threshold).validate()
     result = exact_oracle(
         _build_attack(args),
-        check_policy=policy,
+        check_policy=KeyCheckPolicy(args.check_fraction, args.mismatch_threshold),
         message_rounds=args.message_rounds,
         key_mode=_build_key_mode(args),
     )
     out = {}
-    out.update(
-        _fraction_fields(result.detection_prob_per_control_round, "detection_prob_per_control_round")
-    )
-    out.update(_fraction_fields(result.key_error_rate_overall, "key_error_rate_overall"))
-    out.update(
-        _fraction_fields(result.key_error_rate_amplitude_bit, "key_error_rate_amplitude_bit")
-    )
-    out.update(_fraction_fields(result.key_error_rate_phase_bit, "key_error_rate_phase_bit"))
-    out.update(_fraction_fields(result.abort_probability, "abort_probability"))
+    for f in fields(OracleResult):
+        out.update(_fraction_fields(getattr(result, f.name), f.name))
     print(json.dumps(out, indent=2))
     return 0
 
@@ -157,13 +163,23 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "oracle":
-            return _cmd_oracle(args)
-        print(render_unitary_table())
-        return 0
+            code = _cmd_run(args)
+        elif args.command == "oracle":
+            code = _cmd_oracle(args)
+        else:
+            print(render_unitary_table())
+            code = 0
+        sys.stdout.flush()  # a closed pipe surfaces here, not at interpreter exit
+        return code
     except ConfigError as exc:
         print(f"qdkd: error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except BrokenPipeError:
+        # The reader closed stdout early. Point stdout at devnull so the
+        # flush of the unwritten rest at interpreter exit stays silent.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return USAGE_ERROR
 
 

@@ -195,6 +195,7 @@ def abort_probability(
     and in combined mode both copies of an erring position mismatch, so B is
     that count summed over the independent rounds, times 2 in combined mode.
     """
+    policy.validate()
     return _abort_from_distribution(
         message_error_distribution(attack), policy, message_rounds, key_mode
     )
@@ -203,10 +204,9 @@ def abort_probability(
 def _abort_from_distribution(
     dist: dict[int, Fraction], policy: KeyCheckPolicy, n: int, key_mode: KeyMode
 ) -> Fraction:
-    """abort_probability for a per-round error distribution."""
+    """abort_probability for a per-round error distribution and a validated policy."""
     if not is_int(n) or n < 0:
         raise ConfigError(f"message_rounds must be a non-negative integer, got {n!r}")
-    policy.validate()
     length = key_mode.bits_per_round * n
     m = checked_count(policy.fraction, length)
     group = 2 if key_mode is KeyMode.COMBINED else 1  # key positions per erring label position
@@ -292,8 +292,10 @@ def exact_oracle(
 
     The abort probability needs a key length to be well defined, so it is
     only computed when both a check policy and a message-round count are
-    supplied.
+    supplied; a check policy is validated whenever one is passed.
     """
+    if check_policy is not None:
+        check_policy.validate()
     dist = message_error_distribution(attack)
     amp = dist[2] + dist[3]
     phase = dist[1] + dist[3]

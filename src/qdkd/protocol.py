@@ -14,7 +14,7 @@ enters only through injected generators.
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ConfigError, ProtocolError
@@ -225,42 +225,22 @@ def decode(own_u: LocalUnitary, announced: BellOutcome) -> LocalUnitary:
 # --- Key material ---
 
 
-@dataclass(frozen=True)
-class KeyRound:
-    """One message round's contribution as seen by one party."""
-
-    index: int
-    alice_bits: int  # 2-bit label of Alice's unitary (own or decoded)
-    bob_bits: int  # 2-bit label of Bob's unitary (own or decoded)
-
-
-@dataclass
-class KeyBuffer:
-    """Per-round records plus the flat bit sequence for the active key mode.
-
-    Within the flat sequence, even offsets inside each 2-bit label carry the
-    amplitude (Psi vs Phi) bit, odd offsets the phase (+ vs -) bit.
-    """
-
-    rounds: list[KeyRound] = field(default_factory=list)
-    bits: list[int] = field(default_factory=list)
-
-
-def accumulate_key(buffer: KeyBuffer, round_: KeyRound, mode: KeyMode) -> KeyBuffer:
-    """Append one decoded message round to the buffer under the given mode.
+def accumulate_key(key: list[int], alice_label: int, bob_label: int, mode: KeyMode) -> list[int]:
+    """Append one decoded message round to a party's key under the given mode.
 
     Combined appends Alice's 2 bits then Bob's 2 bits; the single modes keep
-    only the configured party's bits.
+    only the configured party's bits. Each label is the 2-bit label of a
+    unitary, own or decoded; within each label the even offset carries the
+    amplitude (Psi vs Phi) bit and the odd offset the phase (+ vs -) bit.
     """
-    buffer.rounds.append(round_)
     if mode is KeyMode.COMBINED:
-        buffer.bits.extend(_label_bits(round_.alice_bits))
-        buffer.bits.extend(_label_bits(round_.bob_bits))
+        key.extend(_label_bits(alice_label))
+        key.extend(_label_bits(bob_label))
     elif mode is KeyMode.SINGLE_ALICE:
-        buffer.bits.extend(_label_bits(round_.alice_bits))
+        key.extend(_label_bits(alice_label))
     else:
-        buffer.bits.extend(_label_bits(round_.bob_bits))
-    return buffer
+        key.extend(_label_bits(bob_label))
+    return key
 
 
 def _label_bits(label: int) -> tuple[int, int]:

@@ -29,13 +29,12 @@ from .protocol import (
     BellOutcome,
     CheckVerdict,
     ClassicalMessage,
+    ControlOutcome,
     ControlVerdict,
-    KeyBuffer,
     KeyCheckPolicy,
     KeyMode,
-    KeyRound,
     LocalUnitary,
-    MeasBasis,
+    MessageOutcome,
     RoundMode,
     accumulate_key,
     alice_prepare,
@@ -107,20 +106,11 @@ class SimulationReport:
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """Full transcript of one protocol round."""
+    """One protocol round: its index, Alice's unitary and the round's outcome."""
 
     index: int
-    mode: RoundMode
     u_a: LocalUnitary
-    basis: MeasBasis | None = None
-    bob_bit: int | None = None
-    alice_bit: int | None = None
-    verdict: ControlVerdict | None = None
-    u_b: LocalUnitary | None = None
-    announced: BellOutcome | None = None
-    alice_decoded: LocalUnitary | None = None
-    bob_decoded: LocalUnitary | None = None
-    transcript: tuple[ClassicalMessage, ...] = ()
+    outcome: ControlOutcome | MessageOutcome
 
 
 @dataclass
@@ -193,11 +183,19 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
     eve = EveRecord(transcript=transcript)
     result = SessionResult(report=None, transcript=transcript, eve=eve)  # report filled in below
     publish = transcript.extend
-    alice_buffer = KeyBuffer()
-    bob_buffer = KeyBuffer()
+    alice_key: list[int] = []
+    bob_key: list[int] = []
     control_rounds = message_rounds = detections = 0
     aborted = False
     abort_cause = None
+
+    # Binds the adversary to the returning photon; reads the current round's
+    # index when a message round calls it.
+    def return_channel(s):
+        s2, obs2 = apply_attack(s, ChannelLeg.BACKWARD, config.attack, rng, index)
+        if obs2 is not None:
+            eve.observations.append(obs2)
+        return s2
 
     for index in range(config.rounds):
         state, u_a = alice_prepare(rng)
@@ -208,62 +206,22 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
         if mode is RoundMode.CONTROL:
             control_rounds += 1
             outcome = run_control_round(u_a, state, rng)
-            publish(outcome.transcript)
-            if keep_records:
-                result.records.append(
-                    RoundRecord(
-                        index=index,
-                        mode=mode,
-                        u_a=u_a,
-                        basis=outcome.basis,
-                        bob_bit=outcome.bob_bit,
-                        alice_bit=outcome.alice_bit,
-                        verdict=outcome.verdict,
-                        transcript=outcome.transcript,
-                    )
-                )
-            if outcome.verdict is ControlVerdict.EVE_DETECTED:
-                detections += 1
-                aborted = True
-                abort_cause = ABORT_CONTROL
-                break
         else:
             message_rounds += 1
-
-            def return_channel(s):
-                s2, obs2 = apply_attack(s, ChannelLeg.BACKWARD, config.attack, rng, index)
-                if obs2 is not None:
-                    eve.observations.append(obs2)
-                return s2
-
             outcome = run_message_round(u_a, state, rng, return_channel)
-            publish(outcome.transcript)
-            accumulate_key(
-                alice_buffer,
-                KeyRound(index, u_a.label, outcome.alice_view.label),
-                config.key_mode,
-            )
-            accumulate_key(
-                bob_buffer,
-                KeyRound(index, outcome.bob_view.label, outcome.u_b.label),
-                config.key_mode,
-            )
-            if keep_records:
-                result.records.append(
-                    RoundRecord(
-                        index=index,
-                        mode=mode,
-                        u_a=u_a,
-                        u_b=outcome.u_b,
-                        announced=outcome.announced,
-                        alice_decoded=outcome.alice_view,
-                        bob_decoded=outcome.bob_view,
-                        transcript=outcome.transcript,
-                    )
-                )
+            accumulate_key(alice_key, u_a.label, outcome.alice_view.label, config.key_mode)
+            accumulate_key(bob_key, outcome.bob_view.label, outcome.u_b.label, config.key_mode)
+        publish(outcome.transcript)
+        if keep_records:
+            result.records.append(RoundRecord(index, u_a, outcome))
+        if mode is RoundMode.CONTROL and outcome.verdict is ControlVerdict.EVE_DETECTED:
+            detections += 1
+            aborted = True
+            abort_cause = ABORT_CONTROL
+            break
 
-    alice_pre = tuple(alice_buffer.bits)
-    bob_pre = tuple(bob_buffer.bits)
+    alice_pre = tuple(alice_key)
+    bob_pre = tuple(bob_key)
     overall, amp_rate, phase_rate = _error_rates(alice_pre, bob_pre)
 
     checked = 0

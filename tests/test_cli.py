@@ -1,6 +1,7 @@
 """CLI surface tests: subcommands, report output, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -75,6 +76,27 @@ class TestUsageErrors:
         proc = qdkd("run", "--rounds", "5", "--out", str(tmp_path / "no" / "dir" / "r.json"))
         assert proc.returncode == 1
         assert "cannot write report" in proc.stderr
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("args", [
+        ("run", "--rounds", "50"),
+        ("oracle", "--attack", "backward-ir"),
+        ("table",),
+    ])
+    def test_closed_pipe_exits_1_quietly(self, args):
+        # A reader that is already gone: every write to the pipe fails.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "qdkd", *args],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == ""
 
 
 class TestOracle:

@@ -356,6 +356,20 @@ class TestAbortValidation:
         with pytest.raises(ConfigError):
             exact_oracle(BACKWARD_Z, check_policy=policy, message_rounds=rounds)
 
+    @pytest.mark.parametrize("policy", [
+        KeyCheckPolicy(2.0, -1),
+        KeyCheckPolicy(2.0, 0),
+        KeyCheckPolicy(-0.5, 0),
+        KeyCheckPolicy(float("nan"), 0),
+        KeyCheckPolicy("0.1", 0),
+        KeyCheckPolicy(0.1, -1),
+        KeyCheckPolicy(0.1, 0.5),
+        KeyCheckPolicy(0.1, False),
+    ])
+    def test_bad_policy_rejected_without_rounds(self, policy):
+        with pytest.raises(ConfigError):
+            exact_oracle(NoAttack(), check_policy=policy)
+
     def test_zero_rounds_never_abort(self):
         assert abort_probability(BACKWARD_Z, KeyCheckPolicy(1.0, 0), 0) == 0
 

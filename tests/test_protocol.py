@@ -14,10 +14,8 @@ from qdkd.protocol import (
     CheckVerdict,
     ControlVerdict,
     Correlation,
-    KeyBuffer,
     KeyCheckPolicy,
     KeyMode,
-    KeyRound,
     ModeAnnouncement,
     ResultAnnouncement,
     RoundMode,
@@ -212,25 +210,19 @@ class TestDecode:
 
 class TestKeyAccumulation:
     def test_combined_appends_alice_bits_first(self):
-        buf = accumulate_key(KeyBuffer(), KeyRound(0, 0b10, 0b01), KeyMode.COMBINED)
-        assert buf.bits == [1, 0, 0, 1]
+        assert accumulate_key([], 0b10, 0b01, KeyMode.COMBINED) == [1, 0, 0, 1]
 
     def test_single_bob_projects(self):
-        buf = accumulate_key(KeyBuffer(), KeyRound(0, 0b10, 0b01), KeyMode.SINGLE_BOB)
-        assert buf.bits == [0, 1]
+        assert accumulate_key([], 0b10, 0b01, KeyMode.SINGLE_BOB) == [0, 1]
 
     def test_single_alice_projects(self):
-        buf = accumulate_key(KeyBuffer(), KeyRound(0, 0b10, 0b01), KeyMode.SINGLE_ALICE)
-        assert buf.bits == [1, 0]
+        assert accumulate_key([], 0b10, 0b01, KeyMode.SINGLE_ALICE) == [1, 0]
 
     def test_combined_length_is_4n(self, rng):
-        buf = KeyBuffer()
-        for i in range(25):
-            accumulate_key(
-                buf, KeyRound(i, int(rng.integers(4)), int(rng.integers(4))), KeyMode.COMBINED
-            )
-        assert len(buf.bits) == 100
-        assert len(buf.rounds) == 25
+        key = []
+        for _ in range(25):
+            accumulate_key(key, int(rng.integers(4)), int(rng.integers(4)), KeyMode.COMBINED)
+        assert len(key) == 100
 
 
 class TestKeyCheck:

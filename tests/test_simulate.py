@@ -5,10 +5,19 @@ import math
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdkd.adversary import ChannelLeg, EveBasisPolicy, InterceptResend, NoAttack
 from qdkd.errors import ConfigError
-from qdkd.protocol import BellAnnouncement, KeyMode
+from qdkd.protocol import (
+    BellAnnouncement,
+    ControlOutcome,
+    KeyCheckChallenge,
+    KeyMode,
+    MessageOutcome,
+    accumulate_key,
+)
 from qdkd.quantum import BellOutcome, LocalUnitary
 from qdkd.simulate import (
     ABORT_CONTROL,
@@ -27,6 +36,9 @@ from qdkd.simulate import (
 
 BACKWARD_Z = InterceptResend(ChannelLeg.BACKWARD, EveBasisPolicy.Z)
 FORWARD_Z = InterceptResend(ChannelLeg.FORWARD, EveBasisPolicy.Z)
+ALL_ATTACKS = [NoAttack()] + [
+    InterceptResend(leg, policy) for leg in ChannelLeg for policy in EveBasisPolicy
+]
 
 
 class TestHonestRuns:
@@ -74,6 +86,71 @@ class TestHonestRuns:
         assert len(session.records) == session.report.rounds_total
         for record in session.records:
             assert isinstance(record.u_a, LocalUnitary)
+
+
+class TestSessionProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rounds=st.integers(0, 120),
+        attack=st.sampled_from(ALL_ATTACKS),
+        key_mode=st.sampled_from(list(KeyMode)),
+        control_prob=st.floats(0.0, 1.0),
+        check_fraction=st.floats(0.0, 1.0),
+        threshold=st.integers(0, 5),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_records_rebuild_the_session(
+        self, rounds, attack, key_mode, control_prob, check_fraction, threshold, seed
+    ):
+        config = SimConfig(
+            rounds=rounds,
+            control_prob=control_prob,
+            key_mode=key_mode,
+            check_fraction=check_fraction,
+            mismatch_threshold=threshold,
+            attack=attack,
+            seed=seed,
+        )
+        session = run_session(config, keep_records=True)
+        report = session.report
+        records = session.records
+
+        assert [r.index for r in records] == list(range(report.rounds_total))
+        body = [m for r in records for m in r.outcome.transcript]
+        assert session.transcript[: len(body)] == body
+        tail = session.transcript[len(body):]
+        if report.abort_cause == ABORT_CONTROL:
+            assert tail == []
+        else:
+            assert isinstance(tail[0], KeyCheckChallenge)
+            assert len(tail) == (4 if report.aborted else 3)
+
+        alice_key, bob_key = [], []
+        for r in records:
+            if isinstance(r.outcome, MessageOutcome):
+                accumulate_key(alice_key, r.u_a.label, r.outcome.alice_view.label, key_mode)
+                accumulate_key(bob_key, r.outcome.bob_view.label, r.outcome.u_b.label, key_mode)
+        assert tuple(alice_key) == session.alice_pre_check
+        assert tuple(bob_key) == session.bob_pre_check
+
+        assert run_session(config).report == report
+
+        controls = sum(isinstance(r.outcome, ControlOutcome) for r in records)
+        assert report.control_rounds == controls
+        assert report.message_rounds == report.rounds_total - controls
+        assert report.rounds_total <= rounds
+        assert report.detections == (report.abort_cause == ABORT_CONTROL)
+        if report.abort_cause != ABORT_CONTROL:
+            assert report.rounds_total == rounds
+        pre = len(session.alice_pre_check)
+        assert pre == key_mode.bits_per_round * report.message_rounds
+        assert report.capacity_bits_per_message_round == (
+            key_mode.bits_per_round if report.message_rounds else 0.0
+        )
+        assert report.publicly_inferable_bits == 2 * report.message_rounds
+        assert report.final_key_length == len(session.alice_final) == len(session.bob_final)
+        checked = len(tail[0].positions) if tail else 0
+        assert report.final_key_length == pre - checked
 
 
 class TestAttackedRuns:
@@ -134,17 +211,7 @@ class TestOracleAgreement:
     """Monte Carlo estimates within 4 binomial SE of the exact oracle, for
     every supported attack strategy."""
 
-    ERROR_ATTACKS = [
-        NoAttack(),
-        InterceptResend(ChannelLeg.FORWARD, EveBasisPolicy.Z),
-        InterceptResend(ChannelLeg.FORWARD, EveBasisPolicy.X),
-        InterceptResend(ChannelLeg.FORWARD, EveBasisPolicy.RANDOM),
-        InterceptResend(ChannelLeg.BACKWARD, EveBasisPolicy.Z),
-        InterceptResend(ChannelLeg.BACKWARD, EveBasisPolicy.X),
-        InterceptResend(ChannelLeg.BACKWARD, EveBasisPolicy.RANDOM),
-    ]
-
-    @pytest.mark.parametrize("attack", ERROR_ATTACKS)
+    @pytest.mark.parametrize("attack", ALL_ATTACKS)
     def test_key_error_rates_match_oracle(self, attack):
         from qdkd.oracle import exact_oracle
 
