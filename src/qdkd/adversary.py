@@ -9,6 +9,7 @@ photon of message rounds, so control-round statistics never see it.
 from dataclasses import dataclass, field
 from enum import Enum
 
+from .errors import ConfigError
 from .protocol import BellAnnouncement, ClassicalMessage
 from .quantum import MeasBasis, QubitId, TwoQubitState, measure_qubit
 
@@ -36,6 +37,21 @@ class InterceptResend:
 
 
 AttackStrategy = NoAttack | InterceptResend
+
+
+def validate_attack(strategy) -> AttackStrategy:
+    """Return strategy if it is a supported attack; raise ConfigError otherwise.
+
+    Supported are NoAttack and an InterceptResend whose leg is a ChannelLeg
+    and whose basis policy is an EveBasisPolicy.
+    """
+    if isinstance(strategy, NoAttack) or (
+        isinstance(strategy, InterceptResend)
+        and isinstance(strategy.leg, ChannelLeg)
+        and isinstance(strategy.basis_policy, EveBasisPolicy)
+    ):
+        return strategy
+    raise ConfigError(f"unsupported attack strategy: {strategy!r}")
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .adversary import AttackStrategy, ChannelLeg, EveBasisPolicy, NoAttack
+from .adversary import AttackStrategy, ChannelLeg, EveBasisPolicy, NoAttack, validate_attack
 from .errors import ConfigError
 from .protocol import (
     Correlation,
@@ -126,6 +126,7 @@ def control_detection_probability(attack: AttackStrategy) -> Fraction:
     Enumerates Alice's unitary, Eve's branches on the forward leg, Bob's
     uniformly random basis, and both parties' measurement outcomes.
     """
+    validate_attack(attack)
     total = Fraction(0)
     quarter = Fraction(1, 4)
     half = Fraction(1, 2)
@@ -150,6 +151,7 @@ def _message_paths(attack: AttackStrategy):
     """Yield (probability, u_A label, u_B label, Eve's forward observation,
     Eve's backward observation, Bell outcome label) for every branch of one
     message round."""
+    validate_attack(attack)
     sixteenth = Fraction(1, 16)
     for a in range(4):
         for w_f, s1, obs_f in _attack_branches(_encoded_state(a), ChannelLeg.FORWARD, attack):

@@ -17,6 +17,8 @@ import numbers
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import ConfigError, ProtocolError
 from .quantum import (
     BellOutcome,
@@ -114,6 +116,25 @@ ClassicalMessage = (
     | AbortNotice
 )
 
+# The messages are immutable, so every round shares these transcripts.
+# CONTROL_TRANSCRIPTS[detected][basis][bob_bit] is a control round's,
+# MESSAGE_TRANSCRIPTS[announced] a message round's.
+_CONTROL_NOTICES = ((), (AbortNotice("control-round correlation mismatch"),))
+CONTROL_TRANSCRIPTS = tuple(
+    tuple(
+        tuple(
+            (ModeAnnouncement(RoundMode.CONTROL), BasisAnnouncement(basis), ResultAnnouncement(bit))
+            + notice
+            for bit in (0, 1)
+        )
+        for basis in MeasBasis
+    )
+    for notice in _CONTROL_NOTICES
+)
+MESSAGE_TRANSCRIPTS = tuple(
+    (ModeAnnouncement(RoundMode.MESSAGE), BellAnnouncement(outcome)) for outcome in BellOutcome
+)
+
 
 # The deterministic correlation an honest run exhibits, by (unitary, basis).
 # Z basis: the Psi states anticorrelate h and t, the Phi states correlate.
@@ -173,19 +194,11 @@ def run_control_round(u_a: LocalUnitary, state: TwoQubitState, rng) -> ControlOu
     bob_bit, after_bob = measure_qubit(state, QubitId.T, basis, rng.random())
     alice_bit, _ = measure_qubit(after_bob, QubitId.H, basis, rng.random())
     observed = Correlation.CORRELATED if alice_bit == bob_bit else Correlation.ANTICORRELATED
-    verdict = (
-        ControlVerdict.PASS
-        if observed == expected_correlation(u_a, basis)
-        else ControlVerdict.EVE_DETECTED
+    detected = observed != expected_correlation(u_a, basis)
+    verdict = ControlVerdict.EVE_DETECTED if detected else ControlVerdict.PASS
+    return ControlOutcome(
+        verdict, basis, bob_bit, alice_bit, CONTROL_TRANSCRIPTS[detected][basis][bob_bit]
     )
-    transcript = [
-        ModeAnnouncement(RoundMode.CONTROL),
-        BasisAnnouncement(basis),
-        ResultAnnouncement(bob_bit),
-    ]
-    if verdict is ControlVerdict.EVE_DETECTED:
-        transcript.append(AbortNotice("control-round correlation mismatch"))
-    return ControlOutcome(verdict, basis, bob_bit, alice_bit, tuple(transcript))
 
 
 @dataclass(frozen=True)
@@ -210,11 +223,9 @@ def run_message_round(
     encoded = apply_local(state, QubitId.T, u_b)
     in_transit = return_channel(encoded) if return_channel is not None else encoded
     announced, _ = measure_bell(in_transit, rng.random())
-    transcript = (
-        ModeAnnouncement(RoundMode.MESSAGE),
-        BellAnnouncement(announced),
+    return MessageOutcome(
+        u_b, announced, decode(u_a, announced), decode(u_b, announced), MESSAGE_TRANSCRIPTS[announced]
     )
-    return MessageOutcome(u_b, announced, decode(u_a, announced), decode(u_b, announced), transcript)
 
 
 def decode(own_u: LocalUnitary, announced: BellOutcome) -> LocalUnitary:
@@ -253,8 +264,8 @@ def is_int(value) -> bool:
 
 
 def require_probability(name: str, value) -> None:
-    """Raise ConfigError unless value is a real number in [0, 1]."""
-    if not isinstance(value, numbers.Real) or not 0 <= value <= 1:
+    """Raise ConfigError unless value is a real number in [0, 1]; bools are refused."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool) or not 0 <= value <= 1:
         raise ConfigError(f"{name} must lie in [0, 1], got {value!r}")
 
 
@@ -303,21 +314,21 @@ def key_check(alice_key, bob_key, policy: KeyCheckPolicy, public_rng) -> KeyChec
             f"key length mismatch: {len(alice_key)} vs {len(bob_key)} (transcript desync)"
         )
     length = len(alice_key)
+    alice, bob = key_array(alice_key), key_array(bob_key)
     m = checked_count(policy.fraction, length)
     if m > 0:
-        order = public_rng.permutation(length)
-        positions = tuple(sorted(int(i) for i in order[:m]))
+        picked = np.sort(public_rng.permutation(length)[:m])
     else:
-        positions = ()
-    alice_sample = tuple(alice_key[i] for i in positions)
-    bob_sample = tuple(bob_key[i] for i in positions)
-    mismatches = sum(a != b for a, b in zip(alice_sample, bob_sample))
+        picked = np.zeros(0, dtype=np.intp)
+    alice_sample, bob_sample = alice[picked], bob[picked]
+    mismatches = int(np.count_nonzero(alice_sample != bob_sample))
     verdict = (
         CheckVerdict.ABORT if mismatches > policy.mismatch_threshold else CheckVerdict.ACCEPT
     )
-    checked = set(positions)
-    alice_final = tuple(b for i, b in enumerate(alice_key) if i not in checked)
-    bob_final = tuple(b for i, b in enumerate(bob_key) if i not in checked)
+    kept = np.ones(length, dtype=bool)
+    kept[picked] = False
+    positions = tuple(picked.tolist())
+    alice_sample, bob_sample = tuple(alice_sample.tolist()), tuple(bob_sample.tolist())
     transcript = [
         KeyCheckChallenge(positions),
         KeyCheckResponse(alice_sample),
@@ -326,5 +337,18 @@ def key_check(alice_key, bob_key, policy: KeyCheckPolicy, public_rng) -> KeyChec
     if verdict is CheckVerdict.ABORT:
         transcript.append(AbortNotice(f"key check found {mismatches} mismatching bits"))
     return KeyCheckResult(
-        verdict, mismatches, positions, alice_final, bob_final, tuple(transcript)
+        verdict,
+        mismatches,
+        positions,
+        tuple(alice[kept].tolist()),
+        tuple(bob[kept].tolist()),
+        tuple(transcript),
     )
+
+
+def key_array(key) -> np.ndarray:
+    """A key as an array without copying bytes: uint8 for a bytes-like key,
+    numpy's own conversion (which keeps every value) for a sequence."""
+    if isinstance(key, (bytes, bytearray)):
+        return np.frombuffer(key, dtype=np.uint8)
+    return np.asarray(key)

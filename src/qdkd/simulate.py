@@ -6,46 +6,78 @@ protocol stream and the public key-check stream are both derived from it, so
 identical configs produce byte-identical serialized reports. A control-round
 detection aborts the session immediately; otherwise the public key check runs
 once at the end.
+
+The two streams come from SeedSequence(seed).spawn(2). The key check draws
+default_rng(second child).permutation. The rounds read the raw 64-bit words
+of PCG64(first child) in order:
+
+- a 32-bit draw takes the low half of a fresh word, and the next 32-bit draw
+  takes the high half of that word; uniforms drawn in between leave the
+  buffered half in place;
+- a unitary (u_A, u_B) is the top 2 bits of a 32-bit draw, a basis its top
+  bit;
+- a uniform is (word >> 11) * 2**-53, taken from a fresh word.
+
+These are the values numpy's Generator returns for integers(4), integers(2)
+and random() on PCG64, so a session equals the scalar round functions of
+qdkd.protocol and qdkd.adversary driven by default_rng(first child). Each
+round draws, in order: u_A; on the forward leg, Eve's basis (random policy
+only) and her uniform; the mode uniform (a control round iff it is below
+control_prob); in a control round, Bob's basis, Bob's uniform and Alice's
+uniform; in a message round, u_B, then on the backward leg Eve's basis
+(random policy only) and her uniform, then the uniform of the Bell
+measurement. A qubit measurement gives bit 0 iff its uniform is below p0; a
+Bell measurement gives the first outcome whose cumulative probability
+exceeds its uniform.
+
+run_session walks each round through tables of the round automaton: the
+few dozen two-qubit states a session can reach under one attack, with the
+kernels' probabilities and successor states precomputed per state.
 """
 
 import csv
+import functools
 import io
 import json
 import math
+import struct
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
+from . import _kernels_py as kernels
 from .adversary import (
     AttackStrategy,
     ChannelLeg,
+    EveBasisPolicy,
+    EveObservation,
     EveRecord,
-    InterceptResend,
     NoAttack,
-    apply_attack,
+    validate_attack,
 )
-from .errors import ConfigError
+from .errors import ConfigError, DegenerateBranchError
 from .protocol import (
+    CONTROL_TRANSCRIPTS,
+    MESSAGE_TRANSCRIPTS,
     BellOutcome,
     CheckVerdict,
     ClassicalMessage,
     ControlOutcome,
     ControlVerdict,
+    Correlation,
     KeyCheckPolicy,
     KeyMode,
     LocalUnitary,
     MessageOutcome,
-    RoundMode,
     accumulate_key,
-    alice_prepare,
-    bob_choose_mode,
+    expected_correlation,
     is_int,
+    key_array,
     key_check,
     require_probability,
-    run_control_round,
-    run_message_round,
 )
-from .quantum import QubitId, apply_local, bell_state, prob_bell
+from .quantum import MeasBasis, QubitId, apply_local, bell_state, prob_bell
+
 
 ABORT_CONTROL = "control-round-detection"
 ABORT_KEY_CHECK = "key-check-mismatch"
@@ -71,8 +103,7 @@ class SimConfig:
         if not isinstance(self.key_mode, KeyMode):
             raise ConfigError(f"key_mode must be a KeyMode, got {self.key_mode!r}")
         KeyCheckPolicy(self.check_fraction, self.mismatch_threshold).validate()
-        if not isinstance(self.attack, (NoAttack, InterceptResend)):
-            raise ConfigError(f"unsupported attack strategy: {self.attack!r}")
+        validate_attack(self.attack)
         if not is_int(self.seed) or not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
         return self
@@ -156,80 +187,278 @@ def _error_rates(alice_key, bob_key) -> tuple[float, float, float]:
     n = len(alice_key)
     if n == 0:
         return 0.0, 0.0, 0.0
-    overall = amp = phase = 0
-    for i, (a, b) in enumerate(zip(alice_key, bob_key)):
-        if a != b:
-            overall += 1
-            if i % 2 == 0:
-                amp += 1
-            else:
-                phase += 1
+    differs = key_array(alice_key) != key_array(bob_key)
+    amp = int(np.count_nonzero(differs[0::2]))
+    phase = int(np.count_nonzero(differs[1::2]))
     half = n // 2
     return (
-        overall / n,
+        (amp + phase) / n,
         amp / half if half else 0.0,
         phase / half if half else 0.0,
     )
 
 
+# --- The protocol stream and the round automaton ---
+
+_MAX_CHUNK_WORDS = 4096
+
+
+def _raw_words(bitgen: "np.random.PCG64"):
+    """The raw 64-bit words of bitgen, drawn in chunks that double from 64 words."""
+    chunk = 64
+    while True:
+        yield from bitgen.random_raw(chunk).tolist()
+        chunk = min(2 * chunk, _MAX_CHUNK_WORDS)
+
+
+def _protocol_stream(seed_seq: "np.random.SeedSequence"):
+    """(top_bits, uniform): Generator draws replayed from PCG64's raw words.
+
+    top_bits(n) is Generator.integers(2**n) for n = 1, 2, the top n bits of
+    a 32-bit draw; uniform() is Generator.random().
+    """
+    next_word = _raw_words(np.random.PCG64(seed_seq)).__next__
+    half = None  # the high half of the word the last 32-bit draw opened
+
+    def top_bits(n: int) -> int:
+        nonlocal half
+        if half is None:
+            word = next_word()
+            half = word >> 32
+            return (word & 0xFFFFFFFF) >> (32 - n)
+        word, half = half, None
+        return word >> (32 - n)
+
+    def uniform() -> float:
+        return (next_word() >> 11) * 2.0**-53
+
+    return top_bits, uniform
+
+
+_DEGENERATE = -1  # the successor of a branch whose collapse the kernel refuses
+
+
+class _RoundTables:
+    """The round automaton under one attack, with every value from the kernels.
+
+    States are interned by the exact bytes of their amplitudes (so -0.0 and
+    0.0 differ) and numbered in the order first met. Only states on protocol
+    paths get entries:
+
+    - measure[qubit][s][basis] = (p0, successor of bit 0, successor of bit 1);
+    - encode[s][u] = the state after u on the travel photon;
+    - bell[s] = the cumulative thresholds (p0, p0 + p1, p0 + p1 + p2), summed
+      as kernels.measure_bell sums them, and whether falling through to
+      outcome 3 raises.
+
+    A selected branch the kernels refuse is handed back to the kernel, which
+    raises DegenerateBranchError as the scalar round functions do.
+    """
+
+    def __init__(self, forward: tuple[int, ...], backward: tuple[int, ...]):
+        self.amps: list[tuple] = []
+        self._ids: dict[bytes, int] = {}
+        self.measure: tuple[list, list] = ([], [])
+        self.encode: list = []
+        self.bell: list = []
+        self.prepared = tuple(
+            self._intern(kernels.apply_u(kernels.BELL_AMPS[0], QubitId.T, u)) for u in range(4)
+        )
+        at_bob = {s for prepared in self.prepared for s in self._leg(prepared, forward)}
+        for s in at_bob:
+            for basis in MeasBasis:
+                for after_bob in self._branches(s, QubitId.T, basis)[1:]:
+                    if after_bob != _DEGENERATE:
+                        self._branches(after_bob, QubitId.H, basis)
+            self.encode[s] = tuple(
+                self._intern(kernels.apply_u(self.amps[s], QubitId.T, u)) for u in range(4)
+            )
+            for returned in self.encode[s]:
+                for at_alice in self._leg(returned, backward):
+                    self._add_bell(at_alice)
+
+    def _intern(self, amps) -> int:
+        key = struct.pack("8d", *(x for a in amps for x in (a.real, a.imag)))
+        s = self._ids.get(key)
+        if s is None:
+            s = self._ids[key] = len(self.amps)
+            self.amps.append(amps)
+            self.measure[0].append([None, None])
+            self.measure[1].append([None, None])
+            self.encode.append(None)
+            self.bell.append(None)
+        return s
+
+    def _branches(self, s: int, qubit: int, basis: int) -> tuple:
+        row = self.measure[qubit][s]
+        if row[basis] is None:
+            amps = self.amps[s]
+            p0, _p1 = kernels.qubit_probs(amps, qubit, basis)
+            row[basis] = (p0, *(self._collapse(amps, qubit, basis, bit) for bit in (0, 1)))
+        return row[basis]
+
+    def _collapse(self, amps, qubit: int, basis: int, bit: int) -> int:
+        try:
+            return self._intern(kernels.collapse_qubit(amps, qubit, basis, bit))
+        except DegenerateBranchError:
+            return _DEGENERATE
+
+    def _leg(self, s: int, bases: tuple[int, ...]) -> list[int]:
+        """The states a leg entered in state s can end in, given Eve's bases on it."""
+        if not bases:
+            return [s]
+        return [
+            t for basis in bases for t in self._branches(s, QubitId.T, basis)[1:] if t != _DEGENERATE
+        ]
+
+    def _add_bell(self, s: int) -> None:
+        if self.bell[s] is not None:
+            return
+        amps = self.amps[s]
+        p0, p1, p2, _p3 = kernels.bell_probs(amps)
+        acc0 = p0
+        acc1 = acc0 + p1
+        acc2 = acc1 + p2
+        try:
+            kernels.measure_bell(amps, acc2)  # a uniform that falls through to outcome 3
+            raises = False
+        except DegenerateBranchError:
+            raises = True
+        self.bell[s] = (acc0, acc1, acc2, raises)
+
+    def measured(self, s: int, qubit: int, basis: int, r: float) -> tuple[int, int]:
+        """(bit, successor) of measuring a qubit of state s with uniform r."""
+        p0, s0, s1 = self.measure[qubit][s][basis]
+        bit, t = (0, s0) if r < p0 else (1, s1)
+        if t == _DEGENERATE:
+            kernels.measure_qubit(self.amps[s], qubit, basis, r)  # raises
+        return bit, t
+
+    def bell_outcome(self, s: int, r: float) -> int:
+        """The Bell outcome code of state s with uniform r."""
+        acc0, acc1, acc2, raises = self.bell[s]
+        if r < acc0:
+            return 0
+        if r < acc1:
+            return 1
+        if r < acc2:
+            return 2
+        if raises:
+            kernels.measure_bell(self.amps[s], r)  # raises
+        return 3
+
+
+_POLICY_BASES = {EveBasisPolicy.Z: (0,), EveBasisPolicy.X: (1,), EveBasisPolicy.RANDOM: (0, 1)}
+
+
+def _eve_bases(attack: AttackStrategy, leg: ChannelLeg) -> tuple[int, ...]:
+    """The bases Eve may measure in on a leg: none, a fixed one, or both at random."""
+    if isinstance(attack, NoAttack) or attack.leg is not leg:
+        return ()
+    return _POLICY_BASES[attack.basis_policy]
+
+
+@functools.cache
+def _round_tables(forward: tuple[int, ...], backward: tuple[int, ...]) -> _RoundTables:
+    return _RoundTables(forward, backward)
+
+
+# Per key mode, the bytes a message round appends: [alice label][bob label].
+_KEY_BITS = {
+    mode: tuple(tuple(bytes(accumulate_key([], a, b, mode)) for b in range(4)) for a in range(4))
+    for mode in KeyMode
+}
+# [u_A][basis]: whether an honest control round shows correlated bits.
+_CORRELATED = tuple(
+    tuple(expected_correlation(u, basis) is Correlation.CORRELATED for basis in MeasBasis)
+    for u in LocalUnitary
+)
+_UNITARIES = tuple(LocalUnitary)
+_BASES = tuple(MeasBasis)
+
+
 def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
-    """Execute one protocol session and return the report plus raw material."""
+    """Execute one protocol session and return the report plus raw material.
+
+    Rounds draw from the protocol stream described in the module docstring
+    and step through the attack's round tables; RoundRecords are built only
+    with keep_records.
+    """
     config.validate()
-    root = np.random.SeedSequence(config.seed)
-    proto_ss, check_ss = root.spawn(2)
-    rng = np.random.default_rng(proto_ss)
+    proto_ss, check_ss = np.random.SeedSequence(config.seed).spawn(2)
+    top_bits, uniform = _protocol_stream(proto_ss)
+    forward = _eve_bases(config.attack, ChannelLeg.FORWARD)
+    backward = _eve_bases(config.attack, ChannelLeg.BACKWARD)
+    tables = _round_tables(forward, backward)
+    measured, bell_outcome = tables.measured, tables.bell_outcome
+    prepared, encode = tables.prepared, tables.encode
+    key_bits = _KEY_BITS[config.key_mode]
+    control_prob = config.control_prob
     # Eve sees every public message: her transcript is the session's list.
     transcript: list[ClassicalMessage] = []
     eve = EveRecord(transcript=transcript)
     result = SessionResult(report=None, transcript=transcript, eve=eve)  # report filled in below
     publish = transcript.extend
-    alice_key: list[int] = []
-    bob_key: list[int] = []
+    observe = eve.observations.append
+    alice_key = bytearray()
+    bob_key = bytearray()
     control_rounds = message_rounds = detections = 0
     aborted = False
     abort_cause = None
 
-    # Binds the adversary to the returning photon; reads the current round's
-    # index when a message round calls it.
-    def return_channel(s):
-        s2, obs2 = apply_attack(s, ChannelLeg.BACKWARD, config.attack, rng, index)
-        if obs2 is not None:
-            eve.observations.append(obs2)
-        return s2
-
     for index in range(config.rounds):
-        state, u_a = alice_prepare(rng)
-        state, obs = apply_attack(state, ChannelLeg.FORWARD, config.attack, rng, index)
-        if obs is not None:
-            eve.observations.append(obs)
-        mode = bob_choose_mode(config.control_prob, rng)
-        if mode is RoundMode.CONTROL:
+        u_a = top_bits(2)
+        s = prepared[u_a]
+        if forward:
+            basis = top_bits(1) if len(forward) == 2 else forward[0]
+            bit, s = measured(s, QubitId.T, basis, uniform())
+            observe(EveObservation(index, ChannelLeg.FORWARD, _BASES[basis], bit))
+        if uniform() < control_prob:
             control_rounds += 1
-            outcome = run_control_round(u_a, state, rng)
+            basis = top_bits(1)
+            bob_bit, s = measured(s, QubitId.T, basis, uniform())
+            alice_bit, _ = measured(s, QubitId.H, basis, uniform())
+            detected = (alice_bit == bob_bit) != _CORRELATED[u_a][basis]
+            messages = CONTROL_TRANSCRIPTS[detected][basis][bob_bit]
+            if keep_records:
+                verdict = ControlVerdict.EVE_DETECTED if detected else ControlVerdict.PASS
+                outcome = ControlOutcome(verdict, _BASES[basis], bob_bit, alice_bit, messages)
         else:
             message_rounds += 1
-            outcome = run_message_round(u_a, state, rng, return_channel)
-            accumulate_key(alice_key, u_a.label, outcome.alice_view.label, config.key_mode)
-            accumulate_key(bob_key, outcome.bob_view.label, outcome.u_b.label, config.key_mode)
-        publish(outcome.transcript)
+            detected = False
+            u_b = top_bits(2)
+            s = encode[s][u_b]
+            if backward:
+                basis = top_bits(1) if len(backward) == 2 else backward[0]
+                bit, s = measured(s, QubitId.T, basis, uniform())
+                observe(EveObservation(index, ChannelLeg.BACKWARD, _BASES[basis], bit))
+            k = bell_outcome(s, uniform())
+            alice_key += key_bits[u_a][k ^ u_a]
+            bob_key += key_bits[k ^ u_b][u_b]
+            messages = MESSAGE_TRANSCRIPTS[k]
+            if keep_records:
+                outcome = MessageOutcome(
+                    _UNITARIES[u_b], BellOutcome(k), _UNITARIES[k ^ u_a], _UNITARIES[k ^ u_b], messages
+                )
+        publish(messages)
         if keep_records:
-            result.records.append(RoundRecord(index, u_a, outcome))
-        if mode is RoundMode.CONTROL and outcome.verdict is ControlVerdict.EVE_DETECTED:
+            result.records.append(RoundRecord(index, _UNITARIES[u_a], outcome))
+        if detected:
             detections += 1
             aborted = True
             abort_cause = ABORT_CONTROL
             break
 
+    overall, amp_rate, phase_rate = _error_rates(alice_key, bob_key)
     alice_pre = tuple(alice_key)
     bob_pre = tuple(bob_key)
-    overall, amp_rate, phase_rate = _error_rates(alice_pre, bob_pre)
 
     checked = 0
     alice_final = alice_pre
     bob_final = bob_pre
     if not aborted:
         policy = KeyCheckPolicy(config.check_fraction, config.mismatch_threshold)
-        check = key_check(alice_pre, bob_pre, policy, np.random.default_rng(check_ss))
+        check = key_check(alice_key, bob_key, policy, np.random.default_rng(check_ss))
         publish(check.transcript)
         checked = len(check.positions)
         alice_final = check.alice_final

@@ -349,6 +349,7 @@ class TestAbortValidation:
         (KeyCheckPolicy(0.1, -1), 10),
         (KeyCheckPolicy(0.1, 0.5), 10),
         (KeyCheckPolicy(0.1, False), 10),
+        (KeyCheckPolicy(True, 0), 10),
     ])
     def test_bad_queries_rejected(self, policy, rounds):
         with pytest.raises(ConfigError):
@@ -365,10 +366,33 @@ class TestAbortValidation:
         KeyCheckPolicy(0.1, -1),
         KeyCheckPolicy(0.1, 0.5),
         KeyCheckPolicy(0.1, False),
+        KeyCheckPolicy(True, 0),
     ])
     def test_bad_policy_rejected_without_rounds(self, policy):
         with pytest.raises(ConfigError):
             exact_oracle(NoAttack(), check_policy=policy)
+
+    @pytest.mark.parametrize("attack", [
+        InterceptResend("forward"),
+        InterceptResend("backward", EveBasisPolicy.X),
+        InterceptResend(ChannelLeg.BACKWARD, "z"),
+        InterceptResend(None),
+        "bogus",
+        None,
+    ])
+    def test_bad_attack_rejected(self, attack):
+        policy = KeyCheckPolicy(0.1, 0)
+        calls = [
+            lambda: exact_oracle(attack),
+            lambda: exact_oracle(attack, check_policy=policy, message_rounds=10),
+            lambda: abort_probability(attack, policy, 10),
+            lambda: control_detection_probability(attack),
+            lambda: message_error_distribution(attack),
+            lambda: oracle.eve_resolved_bits(attack),
+        ]
+        for call in calls:
+            with pytest.raises(ConfigError):
+                call()
 
     def test_zero_rounds_never_abort(self):
         assert abort_probability(BACKWARD_Z, KeyCheckPolicy(1.0, 0), 0) == 0

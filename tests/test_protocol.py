@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ScriptedRng
 from qdkd.errors import ProtocolError
@@ -280,6 +282,59 @@ class TestKeyCheck:
             aborted_once = aborted_once or result.verdict is CheckVerdict.ABORT
         assert aborted_once  # fraction 1.0 sees every mismatch
 
+    def test_values_compared_as_given(self):
+        result = key_check((0, 256, True), (0, 0, 1), KeyCheckPolicy(1.0, 5), np.random.default_rng(0))
+        assert result.mismatches == 1
+        assert result.transcript[1].bits == (0, 256, True)
+
     def test_abort_transcript_has_notice(self):
         result = key_check((0, 0), (1, 1), KeyCheckPolicy(1.0), np.random.default_rng(0))
         assert isinstance(result.transcript[-1], AbortNotice)
+
+
+def _reference_key_check(alice_key, bob_key, policy, public_rng):
+    """key_check over Python tuples, position by position."""
+    length = len(alice_key)
+    m = math.ceil(policy.fraction * length)
+    positions = tuple(sorted(int(i) for i in public_rng.permutation(length)[:m])) if m else ()
+    alice_sample = tuple(alice_key[i] for i in positions)
+    bob_sample = tuple(bob_key[i] for i in positions)
+    mismatches = sum(a != b for a, b in zip(alice_sample, bob_sample))
+    checked = set(positions)
+    return (
+        mismatches,
+        positions,
+        tuple(b for i, b in enumerate(alice_key) if i not in checked),
+        tuple(b for i, b in enumerate(bob_key) if i not in checked),
+        alice_sample,
+        bob_sample,
+    )
+
+
+class TestKeyCheckArrays:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        pairs=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), max_size=300),
+        fraction=st.floats(0.0, 1.0),
+        threshold=st.integers(0, 6),
+        seed=st.integers(0, 2**64 - 1),
+        as_bytes=st.booleans(),
+    )
+    def test_matches_positionwise_check(self, pairs, fraction, threshold, seed, as_bytes):
+        alice = tuple(a for a, _ in pairs)
+        bob = tuple(b for _, b in pairs)
+        policy = KeyCheckPolicy(fraction, threshold)
+        mismatches, positions, alice_final, bob_final, alice_sample, bob_sample = (
+            _reference_key_check(alice, bob, policy, np.random.default_rng(seed))
+        )
+        keys = (bytearray(alice), bytes(bob)) if as_bytes else (alice, bob)
+        result = key_check(*keys, policy, np.random.default_rng(seed))
+        assert result.mismatches == mismatches
+        assert result.positions == positions
+        assert result.alice_final == alice_final
+        assert result.bob_final == bob_final
+        assert result.transcript[1].bits == alice_sample
+        assert result.transcript[2].bits == bob_sample
+        want = CheckVerdict.ABORT if mismatches > threshold else CheckVerdict.ACCEPT
+        assert result.verdict is want
+        assert all(type(b) is int for b in result.alice_final + result.positions)

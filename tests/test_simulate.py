@@ -1,29 +1,46 @@
 """Harness tests: determinism, accounting, serialization, table rendering."""
 
 import dataclasses
+import hashlib
 import math
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdkd.adversary import ChannelLeg, EveBasisPolicy, InterceptResend, NoAttack
-from qdkd.errors import ConfigError
+from qdkd import _kernels_py as kernels
+from qdkd.adversary import ChannelLeg, EveBasisPolicy, InterceptResend, NoAttack, apply_attack
+from qdkd.errors import ConfigError, DegenerateBranchError
 from qdkd.protocol import (
     BellAnnouncement,
+    CheckVerdict,
     ControlOutcome,
+    ControlVerdict,
     KeyCheckChallenge,
+    KeyCheckPolicy,
     KeyMode,
     MessageOutcome,
+    RoundMode,
     accumulate_key,
+    alice_prepare,
+    bob_choose_mode,
+    key_check,
+    run_control_round,
+    run_message_round,
 )
 from qdkd.quantum import BellOutcome, LocalUnitary
 from qdkd.simulate import (
     ABORT_CONTROL,
     _binomial_ci,
+    _eve_bases,
+    _protocol_stream,
+    _round_tables,
     ABORT_KEY_CHECK,
+    RoundRecord,
     SimConfig,
+    SimulationReport,
     derive_seed,
     parse_report,
     render_unitary_table,
@@ -306,6 +323,12 @@ class TestValidation:
             {"rounds": 10, "control_prob": "x"},
             {"rounds": 10, "control_prob": None},
             {"rounds": 10, "check_fraction": "x"},
+            {"rounds": 10, "attack": InterceptResend("forward")},
+            {"rounds": 10, "attack": InterceptResend("backward", EveBasisPolicy.X)},
+            {"rounds": 10, "attack": InterceptResend(ChannelLeg.FORWARD, "z")},
+            {"rounds": 10, "attack": "bogus"},
+            {"rounds": 10, "control_prob": True},
+            {"rounds": 10, "check_fraction": False},
         ],
     )
     def test_bad_configs_rejected(self, kwargs):
@@ -358,3 +381,246 @@ class TestOutcomeTable:
         assert len(lines) == 5
         assert lines[1].split()[-4:] == ["Ψ+", "Ψ−", "Φ+", "Φ−"]
         assert lines[4].split()[-4:] == ["Φ−", "Φ+", "Ψ−", "Ψ+"]
+
+
+# --- The table-driven session against the scalar round functions ---
+
+
+def _reference_error_rates(alice_key, bob_key):
+    n = len(alice_key)
+    if n == 0:
+        return 0.0, 0.0, 0.0
+    overall = amp = phase = 0
+    for i, (a, b) in enumerate(zip(alice_key, bob_key)):
+        if a != b:
+            overall += 1
+            if i % 2 == 0:
+                amp += 1
+            else:
+                phase += 1
+    half = n // 2
+    return (
+        overall / n,
+        amp / half if half else 0.0,
+        phase / half if half else 0.0,
+    )
+
+
+def _reference_session(config):
+    """One session by the public scalar round functions, drawing from
+    default_rng of the protocol seed sequence: the session loop as it was
+    before the round tables. Returns (report, records, transcript,
+    observations, pre-check keys, final keys)."""
+    proto_ss, check_ss = np.random.SeedSequence(config.seed).spawn(2)
+    rng = np.random.default_rng(proto_ss)
+    transcript, observations, records = [], [], []
+    alice_key, bob_key = [], []
+    control_rounds = message_rounds = detections = 0
+    aborted = False
+    abort_cause = None
+
+    def return_channel(s):
+        s2, obs2 = apply_attack(s, ChannelLeg.BACKWARD, config.attack, rng, index)
+        if obs2 is not None:
+            observations.append(obs2)
+        return s2
+
+    for index in range(config.rounds):
+        state, u_a = alice_prepare(rng)
+        state, obs = apply_attack(state, ChannelLeg.FORWARD, config.attack, rng, index)
+        if obs is not None:
+            observations.append(obs)
+        mode = bob_choose_mode(config.control_prob, rng)
+        if mode is RoundMode.CONTROL:
+            control_rounds += 1
+            outcome = run_control_round(u_a, state, rng)
+        else:
+            message_rounds += 1
+            outcome = run_message_round(u_a, state, rng, return_channel)
+            accumulate_key(alice_key, u_a.label, outcome.alice_view.label, config.key_mode)
+            accumulate_key(bob_key, outcome.bob_view.label, outcome.u_b.label, config.key_mode)
+        transcript.extend(outcome.transcript)
+        records.append(RoundRecord(index, u_a, outcome))
+        if mode is RoundMode.CONTROL and outcome.verdict is ControlVerdict.EVE_DETECTED:
+            detections += 1
+            aborted = True
+            abort_cause = ABORT_CONTROL
+            break
+
+    alice_pre, bob_pre = tuple(alice_key), tuple(bob_key)
+    overall, amp_rate, phase_rate = _reference_error_rates(alice_pre, bob_pre)
+    checked = 0
+    alice_final, bob_final = alice_pre, bob_pre
+    if not aborted:
+        policy = KeyCheckPolicy(config.check_fraction, config.mismatch_threshold)
+        check = key_check(alice_pre, bob_pre, policy, np.random.default_rng(check_ss))
+        transcript.extend(check.transcript)
+        checked = len(check.positions)
+        alice_final, bob_final = check.alice_final, check.bob_final
+        if check.verdict is CheckVerdict.ABORT:
+            aborted = True
+            abort_cause = ABORT_KEY_CHECK
+    detection_prob, ci_low, ci_high = _binomial_ci(detections, control_rounds)
+    report = SimulationReport(
+        rounds_total=control_rounds + message_rounds,
+        control_rounds=control_rounds,
+        message_rounds=message_rounds,
+        detections=detections,
+        detection_prob=detection_prob,
+        detection_ci_low=ci_low,
+        detection_ci_high=ci_high,
+        key_error_rate_overall=overall,
+        key_error_rate_amplitude_bit=amp_rate,
+        key_error_rate_phase_bit=phase_rate,
+        aborted=aborted,
+        abort_cause=abort_cause,
+        final_key_length=len(alice_pre) - checked,
+        capacity_bits_per_message_round=len(alice_pre) / message_rounds if message_rounds else 0.0,
+        publicly_inferable_bits=2 * message_rounds,
+    )
+    return report, records, transcript, observations, (alice_pre, bob_pre), (alice_final, bob_final)
+
+
+def _assert_matches_reference(config):
+    report, records, transcript, observations, pre, final = _reference_session(config)
+    session = run_session(config, keep_records=True)
+    assert session.records == records
+    assert session.transcript == transcript
+    assert session.eve.transcript is session.transcript
+    assert session.eve.observations == observations
+    assert (session.alice_pre_check, session.bob_pre_check) == pre
+    assert (session.alice_final, session.bob_final) == final
+    assert serialize_report(session.report) == serialize_report(report)
+    assert serialize_report(session.report, "csv") == serialize_report(report, "csv")
+
+
+class TestSessionStream:
+    """run_session draws exactly what the scalar round functions draw from
+    numpy's Generator, so both give the same sessions."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        rounds=st.integers(0, 200),
+        attack=st.sampled_from(ALL_ATTACKS),
+        key_mode=st.sampled_from(list(KeyMode)),
+        control_prob=st.floats(0.0, 1.0),
+        check_fraction=st.floats(0.0, 1.0),
+        threshold=st.integers(0, 5),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_matches_scalar_rounds(
+        self, rounds, attack, key_mode, control_prob, check_fraction, threshold, seed
+    ):
+        _assert_matches_reference(
+            SimConfig(
+                rounds=rounds,
+                control_prob=control_prob,
+                key_mode=key_mode,
+                check_fraction=check_fraction,
+                mismatch_threshold=threshold,
+                attack=attack,
+                seed=seed,
+            )
+        )
+
+    @pytest.mark.parametrize("key_mode", list(KeyMode))
+    @pytest.mark.parametrize("attack", ALL_ATTACKS)
+    def test_matrix_matches_scalar_rounds(self, attack, key_mode):
+        for control_prob in (0.0, 0.5):
+            _assert_matches_reference(
+                SimConfig(rounds=300, control_prob=control_prob, key_mode=key_mode,
+                          attack=attack, seed=2024)
+            )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        ops=st.lists(st.sampled_from(["u", "b", "r"]), max_size=300),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_draws_equal_generator_draws(self, ops, seed):
+        generator = np.random.default_rng(np.random.SeedSequence(seed))
+        top_bits, uniform = _protocol_stream(np.random.SeedSequence(seed))
+        for op in ops:
+            if op == "u":
+                assert top_bits(2) == generator.integers(4)
+            elif op == "b":
+                assert top_bits(1) == generator.integers(2)
+            else:
+                assert uniform() == generator.random()
+
+    def test_draws_span_refills(self):
+        generator = np.random.default_rng(np.random.SeedSequence(5))
+        top_bits, uniform = _protocol_stream(np.random.SeedSequence(5))
+        for i in range(20_000):
+            if i % 3:
+                assert uniform() == generator.random()
+            else:
+                assert top_bits(2) == generator.integers(4)
+
+    # sha-256 of the concatenated JSON reports of the 400-round matrix below,
+    # recorded from the scalar session loop before the round tables.
+    GOLDEN_DIGEST = "4acaf072da6a6c99b9279339bbfe55ddf96e17e865f0093233caadaa1648af0e"
+
+    def test_golden_digest(self):
+        digest = hashlib.sha256()
+        for attack in ALL_ATTACKS:
+            for key_mode in KeyMode:
+                for seed in range(5):
+                    for control_prob in (0.0, 0.5):
+                        config = SimConfig(rounds=400, control_prob=control_prob,
+                                           key_mode=key_mode, attack=attack, seed=seed)
+                        digest.update(serialize_report(run_simulation(config)))
+        assert digest.hexdigest() == self.GOLDEN_DIGEST
+
+
+def _uniforms_around(*points):
+    """Draws at and next to each point, plus a few fixed ones. The decision
+    rules hold for any float, so 1.0 and above are included: they reach the
+    branches the kernels refuse."""
+    values = {0.0, 0.5, 1.0 - 2.0**-53, 1.0}
+    for p in points:
+        values.update((math.nextafter(p, -1.0), p, math.nextafter(p, 2.0)))
+    return sorted(values)
+
+
+class TestRoundTables:
+    """Every table decision equals the kernel's, raising included."""
+
+    @pytest.mark.parametrize("attack", ALL_ATTACKS)
+    def test_decisions_match_kernels(self, attack):
+        tables = _round_tables(
+            _eve_bases(attack, ChannelLeg.FORWARD), _eve_bases(attack, ChannelLeg.BACKWARD)
+        )
+        checked = raised = 0
+        for s, amps in enumerate(tables.amps):
+            for qubit in (0, 1):
+                for basis in (0, 1):
+                    entry = tables.measure[qubit][s][basis]
+                    if entry is None:
+                        continue
+                    for r in _uniforms_around(entry[0]):
+                        checked += 1
+                        try:
+                            want = kernels.measure_qubit(amps, qubit, basis, r)
+                        except DegenerateBranchError:
+                            with pytest.raises(DegenerateBranchError):
+                                tables.measured(s, qubit, basis, r)
+                            raised += 1
+                            continue
+                        bit, t = tables.measured(s, qubit, basis, r)
+                        assert (bit, tables.amps[t]) == want
+            if tables.encode[s] is not None:
+                for u in range(4):
+                    assert tables.amps[tables.encode[s][u]] == kernels.apply_u(amps, 1, u)
+            if tables.bell[s] is not None:
+                for r in _uniforms_around(*tables.bell[s][:3]):
+                    checked += 1
+                    try:
+                        want, _ = kernels.measure_bell(amps, r)
+                    except DegenerateBranchError:
+                        with pytest.raises(DegenerateBranchError):
+                            tables.bell_outcome(s, r)
+                        raised += 1
+                        continue
+                    assert tables.bell_outcome(s, r) == want
+        assert checked > raised > 0
