@@ -7,9 +7,10 @@ identical configs produce byte-identical serialized reports. A control-round
 detection aborts the session immediately; otherwise the public key check runs
 once at the end.
 
-The two streams come from SeedSequence(seed).spawn(2). The key check draws
-default_rng(second child).permutation. The rounds read the raw 64-bit words
-of PCG64(first child) in order:
+The two streams are the children of SeedSequence(seed).spawn(2), built
+directly as SeedSequence(seed, spawn_key=(i,)); the second is built only
+when the key check runs, which draws default_rng(second child).permutation.
+The rounds read the raw 64-bit words of PCG64(first child) in order:
 
 - a 32-bit draw takes the low half of a fresh word, and the next 32-bit draw
   takes the high half of that word; uniforms drawn in between leave the
@@ -32,7 +33,14 @@ exceeds its uniform.
 
 run_session walks each round through tables of the round automaton: the
 few dozen two-qubit states a session can reach under one attack, with the
-kernels' probabilities and successor states precomputed per state.
+kernels' probabilities and successor states precomputed per state. It draws
+the words in chunks that double from 64 to 4096 and decodes each chunk once
+with numpy into three lists, one entry per word: the top 2 bits of the low
+half, the top 2 bits of the high half and the uniform. The loop then draws
+by index, keeping the next fresh word and the word whose high half is
+buffered, and decides each measurement by comparing the uniform with the
+table's thresholds in place; only a branch the kernels refuse goes through a
+call, which raises.
 """
 
 import csv
@@ -41,7 +49,7 @@ import io
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -104,9 +112,13 @@ class SimConfig:
             raise ConfigError(f"key_mode must be a KeyMode, got {self.key_mode!r}")
         KeyCheckPolicy(self.check_fraction, self.mismatch_threshold).validate()
         validate_attack(self.attack)
-        if not is_int(self.seed) or not 0 <= self.seed < 2**64:
-            raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
+        _require_seed("seed", self.seed)
         return self
+
+
+def _require_seed(name: str, value) -> None:
+    if not is_int(value) or not 0 <= value < 2**64:
+        raise ConfigError(f"{name} must be an unsigned 64-bit integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -201,38 +213,16 @@ def _error_rates(alice_key, bob_key) -> tuple[float, float, float]:
 # --- The protocol stream and the round automaton ---
 
 _MAX_CHUNK_WORDS = 4096
+_ROUND_WORDS = 8  # no round reads more fresh words than this
 
 
-def _raw_words(bitgen: "np.random.PCG64"):
-    """The raw 64-bit words of bitgen, drawn in chunks that double from 64 words."""
-    chunk = 64
-    while True:
-        yield from bitgen.random_raw(chunk).tolist()
-        chunk = min(2 * chunk, _MAX_CHUNK_WORDS)
-
-
-def _protocol_stream(seed_seq: "np.random.SeedSequence"):
-    """(top_bits, uniform): Generator draws replayed from PCG64's raw words.
-
-    top_bits(n) is Generator.integers(2**n) for n = 1, 2, the top n bits of
-    a 32-bit draw; uniform() is Generator.random().
-    """
-    next_word = _raw_words(np.random.PCG64(seed_seq)).__next__
-    half = None  # the high half of the word the last 32-bit draw opened
-
-    def top_bits(n: int) -> int:
-        nonlocal half
-        if half is None:
-            word = next_word()
-            half = word >> 32
-            return (word & 0xFFFFFFFF) >> (32 - n)
-        word, half = half, None
-        return word >> (32 - n)
-
-    def uniform() -> float:
-        return (next_word() >> 11) * 2.0**-53
-
-    return top_bits, uniform
+def _decode_words(words) -> tuple[list, list, list]:
+    """(lo2, hi2, uni) of raw 64-bit words, one entry per word: the top 2 bits
+    of the low half, the top 2 bits of the high half and the uniform."""
+    lo2 = ((words >> np.uint64(30)) & np.uint64(3)).tolist()
+    hi2 = (words >> np.uint64(62)).tolist()
+    uni = ((words >> np.uint64(11)).astype(np.float64) * 2.0**-53).tolist()
+    return lo2, hi2, uni
 
 
 _DEGENERATE = -1  # the successor of a branch whose collapse the kernel refuses
@@ -385,13 +375,15 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
     with keep_records.
     """
     config.validate()
-    proto_ss, check_ss = np.random.SeedSequence(config.seed).spawn(2)
-    top_bits, uniform = _protocol_stream(proto_ss)
+    bitgen = np.random.PCG64(np.random.SeedSequence(config.seed, spawn_key=(0,)))
     forward = _eve_bases(config.attack, ChannelLeg.FORWARD)
     backward = _eve_bases(config.attack, ChannelLeg.BACKWARD)
+    forward_leg, backward_leg = ChannelLeg.FORWARD, ChannelLeg.BACKWARD
+    forward_random = len(forward) == 2
+    backward_random = len(backward) == 2
     tables = _round_tables(forward, backward)
-    measured, bell_outcome = tables.measured, tables.bell_outcome
-    prepared, encode = tables.prepared, tables.encode
+    prepared, encode, bell = tables.prepared, tables.encode, tables.bell
+    measure_h, measure_t = tables.measure[QubitId.H], tables.measure[QubitId.T]
     key_bits = _KEY_BITS[config.key_mode]
     control_prob = config.control_prob
     # Eve sees every public message: her transcript is the session's list.
@@ -405,19 +397,90 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
     control_rounds = message_rounds = detections = 0
     aborted = False
     abort_cause = None
+    # The decoded stream: p is the next fresh word, q the word whose high
+    # half is buffered (-1 if none). A 32-bit draw is lo2[p] (opening word p)
+    # or hi2[q]; a uniform is uni[p]; a basis is a 2-bit value >> 1.
+    lo2 = hi2 = uni = []
+    p, q = 0, -1
+    refill_at = -1
+    chunk = 64
 
     for index in range(config.rounds):
-        u_a = top_bits(2)
+        if p > refill_at:
+            keep = q if q >= 0 else p
+            new_lo2, new_hi2, new_uni = _decode_words(bitgen.random_raw(chunk))
+            lo2 = lo2[keep:] + new_lo2
+            hi2 = hi2[keep:] + new_hi2
+            uni = uni[keep:] + new_uni
+            p -= keep
+            if q >= 0:
+                q = 0
+            refill_at = len(uni) - _ROUND_WORDS
+            chunk = min(2 * chunk, _MAX_CHUNK_WORDS)
+        if q < 0:
+            u_a = lo2[p]
+            q = p
+            p += 1
+        else:
+            u_a = hi2[q]
+            q = -1
         s = prepared[u_a]
         if forward:
-            basis = top_bits(1) if len(forward) == 2 else forward[0]
-            bit, s = measured(s, QubitId.T, basis, uniform())
-            observe(EveObservation(index, ChannelLeg.FORWARD, _BASES[basis], bit))
-        if uniform() < control_prob:
+            if not forward_random:
+                basis = forward[0]
+            elif q < 0:
+                basis = lo2[p] >> 1
+                q = p
+                p += 1
+            else:
+                basis = hi2[q] >> 1
+                q = -1
+            p0, s0, s1 = measure_t[s][basis]
+            r = uni[p]
+            p += 1
+            if r < p0:
+                bit = 0
+                t = s0
+            else:
+                bit = 1
+                t = s1
+            if t == _DEGENERATE:
+                tables.measured(s, QubitId.T, basis, r)  # raises
+            s = t
+            observe(EveObservation(index, forward_leg, _BASES[basis], bit))
+        r = uni[p]
+        p += 1
+        if r < control_prob:
             control_rounds += 1
-            basis = top_bits(1)
-            bob_bit, s = measured(s, QubitId.T, basis, uniform())
-            alice_bit, _ = measured(s, QubitId.H, basis, uniform())
+            if q < 0:
+                basis = lo2[p] >> 1
+                q = p
+                p += 1
+            else:
+                basis = hi2[q] >> 1
+                q = -1
+            p0, s0, s1 = measure_t[s][basis]
+            r = uni[p]
+            p += 1
+            if r < p0:
+                bob_bit = 0
+                t = s0
+            else:
+                bob_bit = 1
+                t = s1
+            if t == _DEGENERATE:
+                tables.measured(s, QubitId.T, basis, r)  # raises
+            p0, s0, s1 = measure_h[t][basis]
+            r = uni[p]
+            p += 1
+            if r < p0:
+                alice_bit = 0
+                s = s0
+            else:
+                alice_bit = 1
+                s = s1
+            if s == _DEGENERATE:
+                tables.measured(t, QubitId.H, basis, r)  # raises
             detected = (alice_bit == bob_bit) != _CORRELATED[u_a][basis]
             messages = CONTROL_TRANSCRIPTS[detected][basis][bob_bit]
             if keep_records:
@@ -426,13 +489,50 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
         else:
             message_rounds += 1
             detected = False
-            u_b = top_bits(2)
+            if q < 0:
+                u_b = lo2[p]
+                q = p
+                p += 1
+            else:
+                u_b = hi2[q]
+                q = -1
             s = encode[s][u_b]
             if backward:
-                basis = top_bits(1) if len(backward) == 2 else backward[0]
-                bit, s = measured(s, QubitId.T, basis, uniform())
-                observe(EveObservation(index, ChannelLeg.BACKWARD, _BASES[basis], bit))
-            k = bell_outcome(s, uniform())
+                if not backward_random:
+                    basis = backward[0]
+                elif q < 0:
+                    basis = lo2[p] >> 1
+                    q = p
+                    p += 1
+                else:
+                    basis = hi2[q] >> 1
+                    q = -1
+                p0, s0, s1 = measure_t[s][basis]
+                r = uni[p]
+                p += 1
+                if r < p0:
+                    bit = 0
+                    t = s0
+                else:
+                    bit = 1
+                    t = s1
+                if t == _DEGENERATE:
+                    tables.measured(s, QubitId.T, basis, r)  # raises
+                s = t
+                observe(EveObservation(index, backward_leg, _BASES[basis], bit))
+            acc0, acc1, acc2, raises = bell[s]
+            r = uni[p]
+            p += 1
+            if r < acc0:
+                k = 0
+            elif r < acc1:
+                k = 1
+            elif r < acc2:
+                k = 2
+            else:
+                if raises:
+                    tables.bell_outcome(s, r)  # raises
+                k = 3
             alice_key += key_bits[u_a][k ^ u_a]
             bob_key += key_bits[k ^ u_b][u_b]
             messages = MESSAGE_TRANSCRIPTS[k]
@@ -458,6 +558,7 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
     bob_final = bob_pre
     if not aborted:
         policy = KeyCheckPolicy(config.check_fraction, config.mismatch_threshold)
+        check_ss = np.random.SeedSequence(config.seed, spawn_key=(1,))
         check = key_check(alice_key, bob_key, policy, np.random.default_rng(check_ss))
         publish(check.transcript)
         checked = len(check.positions)
@@ -500,11 +601,17 @@ def run_simulation(config: SimConfig) -> SimulationReport:
 
 def derive_seed(master_seed: int, index: int) -> int:
     """Stable per-run seed for independent trials of one experiment."""
+    _require_seed("master_seed", master_seed)
+    if not is_int(index) or index < 0:
+        raise ConfigError(f"index must be a non-negative integer, got {index!r}")
     return int(np.random.SeedSequence([master_seed, index]).generate_state(1, np.uint64)[0])
 
 
 def run_batch(config: SimConfig, n_runs: int) -> list[SimulationReport]:
     """Independent sessions with per-run seeds split off the config seed."""
+    config.validate()
+    if not is_int(n_runs) or n_runs < 0:
+        raise ConfigError(f"n_runs must be a non-negative integer, got {n_runs!r}")
     return [
         run_simulation(replace(config, seed=derive_seed(config.seed, i))) for i in range(n_runs)
     ]
@@ -513,9 +620,12 @@ def run_batch(config: SimConfig, n_runs: int) -> list[SimulationReport]:
 # --- Report serialization ---
 
 
+_REPORT_FIELDS = tuple(f.name for f in fields(SimulationReport))
+
+
 def serialize_report(report: SimulationReport, fmt: str = "json") -> bytes:
     """Render a report as JSON (lossless round-trip) or single-row CSV."""
-    data = asdict(report)
+    data = {name: getattr(report, name) for name in _REPORT_FIELDS}
     if fmt == "json":
         return (json.dumps(data, indent=2) + "\n").encode()
     if fmt == "csv":
@@ -538,8 +648,7 @@ def _csv_cell(value):
 def parse_report(data: bytes) -> SimulationReport:
     """Inverse of serialize_report for the JSON format."""
     raw = json.loads(data.decode())
-    names = {f.name for f in fields(SimulationReport)}
-    if set(raw) != names:
+    if set(raw) != set(_REPORT_FIELDS):
         raise ConfigError("JSON fields do not match the report schema")
     return SimulationReport(**raw)
 

@@ -34,8 +34,8 @@ from qdkd.quantum import BellOutcome, LocalUnitary
 from qdkd.simulate import (
     ABORT_CONTROL,
     _binomial_ci,
+    _decode_words,
     _eve_bases,
-    _protocol_stream,
     _round_tables,
     ABORT_KEY_CHECK,
     RoundRecord,
@@ -222,6 +222,25 @@ class TestDeterminism:
     def test_run_batch_reproducible(self):
         config = SimConfig(rounds=50, seed=77)
         assert run_batch(config, 5) == run_batch(config, 5)
+
+    @pytest.mark.parametrize(
+        "func, args",
+        [
+            (run_batch, (SimConfig(rounds=5), -1)),
+            (run_batch, (SimConfig(rounds=5), True)),
+            (run_batch, (SimConfig(rounds=5), 1.5)),
+            (run_batch, (SimConfig(rounds=-1), 0)),
+            (derive_seed, (-1, 0)),
+            (derive_seed, (2**64, 0)),
+            (derive_seed, (1.5, 0)),
+            (derive_seed, (True, 0)),
+            (derive_seed, (0, -1)),
+            (derive_seed, (0, 1.5)),
+        ],
+    )
+    def test_bad_batch_input_rejected(self, func, args):
+        with pytest.raises(ConfigError):
+            func(*args)
 
 
 class TestOracleAgreement:
@@ -532,30 +551,47 @@ class TestSessionStream:
                           attack=attack, seed=2024)
             )
 
-    @settings(max_examples=300, deadline=None)
-    @given(
-        ops=st.lists(st.sampled_from(["u", "b", "r"]), max_size=300),
-        seed=st.integers(0, 2**64 - 1),
-    )
-    def test_draws_equal_generator_draws(self, ops, seed):
+    @pytest.mark.parametrize("seed", [0, 5, 2**64 - 1])
+    def test_decoded_words_equal_generator_draws(self, seed):
+        bitgen = np.random.PCG64(np.random.SeedSequence(seed))
+        lo2, hi2, uni = [], [], []
+        for chunk in (1, 7, 64, 4096):
+            for decoded, part in zip((lo2, hi2, uni), _decode_words(bitgen.random_raw(chunk))):
+                decoded += part
+        halves = [two_bits for pair in zip(lo2, hi2) for two_bits in pair]
         generator = np.random.default_rng(np.random.SeedSequence(seed))
-        top_bits, uniform = _protocol_stream(np.random.SeedSequence(seed))
-        for op in ops:
-            if op == "u":
-                assert top_bits(2) == generator.integers(4)
-            elif op == "b":
-                assert top_bits(1) == generator.integers(2)
-            else:
-                assert uniform() == generator.random()
+        assert halves == [generator.integers(4) for _ in halves]
+        generator = np.random.default_rng(np.random.SeedSequence(seed))
+        assert [two_bits >> 1 for two_bits in halves] == [generator.integers(2) for _ in halves]
+        generator = np.random.default_rng(np.random.SeedSequence(seed))
+        assert uni == [generator.random() for _ in uni]
 
-    def test_draws_span_refills(self):
-        generator = np.random.default_rng(np.random.SeedSequence(5))
-        top_bits, uniform = _protocol_stream(np.random.SeedSequence(5))
-        for i in range(20_000):
-            if i % 3:
-                assert uniform() == generator.random()
-            else:
-                assert top_bits(2) == generator.integers(4)
+    @pytest.mark.parametrize("control_prob", [0.0, 0.5])
+    @pytest.mark.parametrize(
+        "attack",
+        [
+            NoAttack(),
+            InterceptResend(ChannelLeg.FORWARD, EveBasisPolicy.RANDOM),
+            InterceptResend(ChannelLeg.BACKWARD, EveBasisPolicy.RANDOM),
+        ],
+    )
+    def test_long_session_spans_refills(self, attack, control_prob):
+        # 2,500 rounds read past the 4,096-word chunk cap; the random
+        # policies' odd 32-bit draws make refills meet a buffered half.
+        _assert_matches_reference(
+            SimConfig(rounds=2500, control_prob=control_prob, attack=attack, seed=31)
+        )
+
+    @pytest.mark.parametrize("seed", [0, 1, 12345, 2**64 - 1])
+    def test_stream_sequences_are_spawned_children(self, seed):
+        children = np.random.SeedSequence(seed).spawn(2)
+        for index, child in enumerate(children):
+            direct = np.random.SeedSequence(seed, spawn_key=(index,))
+            assert direct.generate_state(4).tolist() == child.generate_state(4).tolist()
+            assert (
+                np.random.PCG64(direct).random_raw(8).tolist()
+                == np.random.PCG64(child).random_raw(8).tolist()
+            )
 
     # sha-256 of the concatenated JSON reports of the 400-round matrix below,
     # recorded from the scalar session loop before the round tables.
