@@ -21,6 +21,7 @@ from .adversary import (
     NoAttack,
     RoundInference,
     apply_attack,
+    eve_bases,
     eve_inference,
 )
 from .errors import (

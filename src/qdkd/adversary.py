@@ -73,6 +73,24 @@ class EveRecord:
     transcript: list[ClassicalMessage] = field(default_factory=list)
 
 
+_POLICY_BASES = {
+    EveBasisPolicy.Z: (MeasBasis.Z,),
+    EveBasisPolicy.X: (MeasBasis.X,),
+    EveBasisPolicy.RANDOM: (MeasBasis.Z, MeasBasis.X),
+}
+
+
+def eve_bases(strategy: AttackStrategy, leg: ChannelLeg) -> tuple[MeasBasis, ...]:
+    """The bases Eve measures in on one leg, each equally likely.
+
+    () when the leg is not attacked, the fixed basis of a Z or X policy, and
+    (Z, X) for the random policy, which draws a fresh basis per photon.
+    """
+    if isinstance(strategy, NoAttack) or strategy.leg is not leg:
+        return ()
+    return _POLICY_BASES[strategy.basis_policy]
+
+
 def apply_attack(
     state: TwoQubitState, leg: ChannelLeg, strategy: AttackStrategy, rng, round_index: int = -1
 ) -> tuple[TwoQubitState, EveObservation | None]:
@@ -82,14 +100,10 @@ def apply_attack(
     intercept-resend measures photon t projectively and forwards the
     collapsed eigenstate.
     """
-    if isinstance(strategy, NoAttack) or strategy.leg is not leg:
+    bases = eve_bases(strategy, leg)
+    if not bases:
         return state, None
-    if strategy.basis_policy is EveBasisPolicy.RANDOM:
-        basis = MeasBasis(int(rng.integers(2)))
-    elif strategy.basis_policy is EveBasisPolicy.X:
-        basis = MeasBasis.X
-    else:
-        basis = MeasBasis.Z
+    basis = bases[int(rng.integers(2))] if len(bases) > 1 else bases[0]
     bit, collapsed = measure_qubit(state, QubitId.T, basis, rng.random())
     return collapsed, EveObservation(round_index, leg, basis, bit)
 

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .adversary import AttackStrategy, ChannelLeg, EveBasisPolicy, NoAttack, validate_attack
+from .adversary import AttackStrategy, ChannelLeg, eve_bases, validate_attack
 from .errors import ConfigError
 from .protocol import (
     Correlation,
@@ -101,16 +101,12 @@ def _bell_branches(state):
 
 def _attack_branches(state, leg: ChannelLeg, strategy: AttackStrategy):
     """Yield (probability, state after Eve, observation or None) on one leg."""
-    if isinstance(strategy, NoAttack) or strategy.leg is not leg:
+    bases = eve_bases(strategy, leg)
+    if not bases:
         yield Fraction(1), state, None
         return
-    if strategy.basis_policy is EveBasisPolicy.Z:
-        bases = ((Fraction(1), MeasBasis.Z),)
-    elif strategy.basis_policy is EveBasisPolicy.X:
-        bases = ((Fraction(1), MeasBasis.X),)
-    else:
-        bases = ((Fraction(1, 2), MeasBasis.Z), (Fraction(1, 2), MeasBasis.X))
-    for p_basis, basis in bases:
+    p_basis = Fraction(1, len(bases))
+    for basis in bases:
         for w, proj, bit in _measurement_branches(state, QubitId.T, basis):
             yield p_basis * w, proj, (basis, bit)
 

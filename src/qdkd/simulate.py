@@ -39,8 +39,10 @@ with numpy into three lists, one entry per word: the top 2 bits of the low
 half, the top 2 bits of the high half and the uniform. The loop then draws
 by index, keeping the next fresh word and the word whose high half is
 buffered, and decides each measurement by comparing the uniform with the
-table's thresholds in place; only a branch the kernels refuse goes through a
-call, which raises.
+table's thresholds in place. The build checks that no uniform in [0, 1) can
+select a branch the kernels refuse (a collapse onto a ~zero branch, or a
+Bell outcome 3 of ~zero probability) and raises DegenerateBranchError
+otherwise, so the loop needs no check of its own.
 """
 
 import csv
@@ -57,10 +59,10 @@ from . import _kernels_py as kernels
 from .adversary import (
     AttackStrategy,
     ChannelLeg,
-    EveBasisPolicy,
     EveObservation,
     EveRecord,
     NoAttack,
+    eve_bases,
     validate_attack,
 )
 from .errors import ConfigError, DegenerateBranchError
@@ -225,9 +227,6 @@ def _decode_words(words) -> tuple[list, list, list]:
     return lo2, hi2, uni
 
 
-_DEGENERATE = -1  # the successor of a branch whose collapse the kernel refuses
-
-
 class _RoundTables:
     """The round automaton under one attack, with every value from the kernels.
 
@@ -235,17 +234,20 @@ class _RoundTables:
     0.0 differ) and numbered in the order first met. Only states on protocol
     paths get entries:
 
-    - measure[qubit][s][basis] = (p0, successor of bit 0, successor of bit 1);
+    - measure[qubit][s][basis] = (p0, successor of bit 0, successor of bit 1),
+      where the successor of a branch the kernels refuse to collapse is None;
     - encode[s][u] = the state after u on the travel photon;
     - bell[s] = the cumulative thresholds (p0, p0 + p1, p0 + p1 + p2), summed
-      as kernels.measure_bell sums them, and whether falling through to
-      outcome 3 raises.
+      as kernels.measure_bell sums them.
 
-    A selected branch the kernels refuse is handed back to the kernel, which
-    raises DegenerateBranchError as the scalar round functions do.
+    A stream uniform lies in [0, 1), so a refused bit 0 with p0 == 0, a
+    refused bit 1 with p0 >= 1 and a refused Bell outcome 3 with
+    p0 + p1 + p2 >= 1 are never selected. The build raises
+    DegenerateBranchError for any other refused branch, so a walk through
+    the tables never meets one.
     """
 
-    def __init__(self, forward: tuple[int, ...], backward: tuple[int, ...]):
+    def __init__(self, forward: tuple[MeasBasis, ...], backward: tuple[MeasBasis, ...]):
         self.amps: list[tuple] = []
         self._ids: dict[bytes, int] = {}
         self.measure: tuple[list, list] = ([], [])
@@ -258,7 +260,7 @@ class _RoundTables:
         for s in at_bob:
             for basis in MeasBasis:
                 for after_bob in self._branches(s, QubitId.T, basis)[1:]:
-                    if after_bob != _DEGENERATE:
+                    if after_bob is not None:
                         self._branches(after_bob, QubitId.H, basis)
             self.encode[s] = tuple(
                 self._intern(kernels.apply_u(self.amps[s], QubitId.T, u)) for u in range(4)
@@ -284,72 +286,43 @@ class _RoundTables:
         if row[basis] is None:
             amps = self.amps[s]
             p0, _p1 = kernels.qubit_probs(amps, qubit, basis)
-            row[basis] = (p0, *(self._collapse(amps, qubit, basis, bit) for bit in (0, 1)))
+            s0 = self._collapse(amps, qubit, basis, 0)
+            s1 = self._collapse(amps, qubit, basis, 1)
+            if (s0 is None and p0 > 0.0) or (s1 is None and p0 < 1.0):
+                raise DegenerateBranchError(f"a draw can select a refused branch (p0 = {p0!r})")
+            row[basis] = (p0, s0, s1)
         return row[basis]
 
-    def _collapse(self, amps, qubit: int, basis: int, bit: int) -> int:
+    def _collapse(self, amps, qubit: int, basis: int, bit: int) -> int | None:
         try:
             return self._intern(kernels.collapse_qubit(amps, qubit, basis, bit))
         except DegenerateBranchError:
-            return _DEGENERATE
+            return None
 
-    def _leg(self, s: int, bases: tuple[int, ...]) -> list[int]:
+    def _leg(self, s: int, bases: tuple[MeasBasis, ...]) -> list[int]:
         """The states a leg entered in state s can end in, given Eve's bases on it."""
         if not bases:
             return [s]
         return [
-            t for basis in bases for t in self._branches(s, QubitId.T, basis)[1:] if t != _DEGENERATE
+            t for basis in bases for t in self._branches(s, QubitId.T, basis)[1:] if t is not None
         ]
 
     def _add_bell(self, s: int) -> None:
         if self.bell[s] is not None:
             return
-        amps = self.amps[s]
-        p0, p1, p2, _p3 = kernels.bell_probs(amps)
+        p0, p1, p2, p3 = kernels.bell_probs(self.amps[s])
         acc0 = p0
         acc1 = acc0 + p1
         acc2 = acc1 + p2
-        try:
-            kernels.measure_bell(amps, acc2)  # a uniform that falls through to outcome 3
-            raises = False
-        except DegenerateBranchError:
-            raises = True
-        self.bell[s] = (acc0, acc1, acc2, raises)
-
-    def measured(self, s: int, qubit: int, basis: int, r: float) -> tuple[int, int]:
-        """(bit, successor) of measuring a qubit of state s with uniform r."""
-        p0, s0, s1 = self.measure[qubit][s][basis]
-        bit, t = (0, s0) if r < p0 else (1, s1)
-        if t == _DEGENERATE:
-            kernels.measure_qubit(self.amps[s], qubit, basis, r)  # raises
-        return bit, t
-
-    def bell_outcome(self, s: int, r: float) -> int:
-        """The Bell outcome code of state s with uniform r."""
-        acc0, acc1, acc2, raises = self.bell[s]
-        if r < acc0:
-            return 0
-        if r < acc1:
-            return 1
-        if r < acc2:
-            return 2
-        if raises:
-            kernels.measure_bell(self.amps[s], r)  # raises
-        return 3
-
-
-_POLICY_BASES = {EveBasisPolicy.Z: (0,), EveBasisPolicy.X: (1,), EveBasisPolicy.RANDOM: (0, 1)}
-
-
-def _eve_bases(attack: AttackStrategy, leg: ChannelLeg) -> tuple[int, ...]:
-    """The bases Eve may measure in on a leg: none, a fixed one, or both at random."""
-    if isinstance(attack, NoAttack) or attack.leg is not leg:
-        return ()
-    return _POLICY_BASES[attack.basis_policy]
+        if p3 < 1e-12 and acc2 < 1.0:  # kernels.measure_bell's refusal of outcome 3
+            raise DegenerateBranchError(f"a draw can select a refused Bell outcome (p3 = {p3!r})")
+        self.bell[s] = (acc0, acc1, acc2)
 
 
 @functools.cache
-def _round_tables(forward: tuple[int, ...], backward: tuple[int, ...]) -> _RoundTables:
+def _round_tables(
+    forward: tuple[MeasBasis, ...], backward: tuple[MeasBasis, ...]
+) -> _RoundTables:
     return _RoundTables(forward, backward)
 
 
@@ -376,8 +349,8 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
     """
     config.validate()
     bitgen = np.random.PCG64(np.random.SeedSequence(config.seed, spawn_key=(0,)))
-    forward = _eve_bases(config.attack, ChannelLeg.FORWARD)
-    backward = _eve_bases(config.attack, ChannelLeg.BACKWARD)
+    forward = eve_bases(config.attack, ChannelLeg.FORWARD)
+    backward = eve_bases(config.attack, ChannelLeg.BACKWARD)
     forward_leg, backward_leg = ChannelLeg.FORWARD, ChannelLeg.BACKWARD
     forward_random = len(forward) == 2
     backward_random = len(backward) == 2
@@ -389,7 +362,7 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
     # Eve sees every public message: her transcript is the session's list.
     transcript: list[ClassicalMessage] = []
     eve = EveRecord(transcript=transcript)
-    result = SessionResult(report=None, transcript=transcript, eve=eve)  # report filled in below
+    records: list[RoundRecord] = []
     publish = transcript.extend
     observe = eve.observations.append
     alice_key = bytearray()
@@ -440,13 +413,10 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
             p += 1
             if r < p0:
                 bit = 0
-                t = s0
+                s = s0
             else:
                 bit = 1
-                t = s1
-            if t == _DEGENERATE:
-                tables.measured(s, QubitId.T, basis, r)  # raises
-            s = t
+                s = s1
             observe(EveObservation(index, forward_leg, _BASES[basis], bit))
         r = uni[p]
         p += 1
@@ -464,23 +434,13 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
             p += 1
             if r < p0:
                 bob_bit = 0
-                t = s0
-            else:
-                bob_bit = 1
-                t = s1
-            if t == _DEGENERATE:
-                tables.measured(s, QubitId.T, basis, r)  # raises
-            p0, s0, s1 = measure_h[t][basis]
-            r = uni[p]
-            p += 1
-            if r < p0:
-                alice_bit = 0
                 s = s0
             else:
-                alice_bit = 1
+                bob_bit = 1
                 s = s1
-            if s == _DEGENERATE:
-                tables.measured(t, QubitId.H, basis, r)  # raises
+            # The round ends with Alice's measurement: only her bit is read.
+            alice_bit = 0 if uni[p] < measure_h[s][basis][0] else 1
+            p += 1
             detected = (alice_bit == bob_bit) != _CORRELATED[u_a][basis]
             messages = CONTROL_TRANSCRIPTS[detected][basis][bob_bit]
             if keep_records:
@@ -512,15 +472,12 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
                 p += 1
                 if r < p0:
                     bit = 0
-                    t = s0
+                    s = s0
                 else:
                     bit = 1
-                    t = s1
-                if t == _DEGENERATE:
-                    tables.measured(s, QubitId.T, basis, r)  # raises
-                s = t
+                    s = s1
                 observe(EveObservation(index, backward_leg, _BASES[basis], bit))
-            acc0, acc1, acc2, raises = bell[s]
+            acc0, acc1, acc2 = bell[s]
             r = uni[p]
             p += 1
             if r < acc0:
@@ -530,8 +487,6 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
             elif r < acc2:
                 k = 2
             else:
-                if raises:
-                    tables.bell_outcome(s, r)  # raises
                 k = 3
             alice_key += key_bits[u_a][k ^ u_a]
             bob_key += key_bits[k ^ u_b][u_b]
@@ -542,7 +497,7 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
                 )
         publish(messages)
         if keep_records:
-            result.records.append(RoundRecord(index, _UNITARIES[u_a], outcome))
+            records.append(RoundRecord(index, _UNITARIES[u_a], outcome))
         if detected:
             detections += 1
             aborted = True
@@ -570,7 +525,7 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
 
     detection_prob, ci_low, ci_high = _binomial_ci(detections, control_rounds)
     capacity = len(alice_pre) / message_rounds if message_rounds else 0.0
-    result.report = SimulationReport(
+    report = SimulationReport(
         rounds_total=control_rounds + message_rounds,
         control_rounds=control_rounds,
         message_rounds=message_rounds,
@@ -587,11 +542,16 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
         capacity_bits_per_message_round=capacity,
         publicly_inferable_bits=2 * message_rounds,
     )
-    result.alice_pre_check = alice_pre
-    result.bob_pre_check = bob_pre
-    result.alice_final = alice_final
-    result.bob_final = bob_final
-    return result
+    return SessionResult(
+        report=report,
+        records=records,
+        transcript=transcript,
+        eve=eve,
+        alice_pre_check=alice_pre,
+        bob_pre_check=bob_pre,
+        alice_final=alice_final,
+        bob_final=bob_final,
+    )
 
 
 def run_simulation(config: SimConfig) -> SimulationReport:
@@ -647,8 +607,11 @@ def _csv_cell(value):
 
 def parse_report(data: bytes) -> SimulationReport:
     """Inverse of serialize_report for the JSON format."""
-    raw = json.loads(data.decode())
-    if set(raw) != set(_REPORT_FIELDS):
+    try:
+        raw = json.loads(data.decode())
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
+        raise ConfigError(f"report is not UTF-8 JSON: {exc}") from None
+    if not isinstance(raw, dict) or set(raw) != set(_REPORT_FIELDS):
         raise ConfigError("JSON fields do not match the report schema")
     return SimulationReport(**raw)
 

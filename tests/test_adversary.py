@@ -10,6 +10,7 @@ from qdkd.adversary import (
     InterceptResend,
     NoAttack,
     apply_attack,
+    eve_bases,
     eve_inference,
 )
 from qdkd.oracle import eve_resolved_bits
@@ -91,6 +92,20 @@ class TestApplyAttack:
                 counts[int(outcome)] += 1
             se = math.sqrt(0.25 / n)
             assert abs(counts[int(true)] / n - 0.5) <= 4 * se + 1e-9
+
+
+class TestEveBases:
+    @pytest.mark.parametrize("leg", list(ChannelLeg))
+    def test_bases_per_attack(self, leg):
+        other = ChannelLeg.BACKWARD if leg is ChannelLeg.FORWARD else ChannelLeg.FORWARD
+        assert eve_bases(NoAttack(), leg) == ()
+        for policy, want in [
+            (EveBasisPolicy.Z, (MeasBasis.Z,)),
+            (EveBasisPolicy.X, (MeasBasis.X,)),
+            (EveBasisPolicy.RANDOM, (MeasBasis.Z, MeasBasis.X)),
+        ]:
+            assert eve_bases(InterceptResend(leg, policy), leg) == want
+            assert eve_bases(InterceptResend(leg, policy), other) == ()
 
 
 class TestEveInference:

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import math
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdkd import _kernels_py as kernels
-from qdkd.adversary import ChannelLeg, EveBasisPolicy, InterceptResend, NoAttack, apply_attack
+from qdkd.adversary import (
+    ChannelLeg,
+    EveBasisPolicy,
+    InterceptResend,
+    NoAttack,
+    apply_attack,
+    eve_bases,
+)
 from qdkd.errors import ConfigError, DegenerateBranchError
 from qdkd.protocol import (
     BellAnnouncement,
@@ -35,8 +43,8 @@ from qdkd.simulate import (
     ABORT_CONTROL,
     _binomial_ci,
     _decode_words,
-    _eve_bases,
     _round_tables,
+    _RoundTables,
     ABORT_KEY_CHECK,
     RoundRecord,
     SimConfig,
@@ -283,6 +291,27 @@ class TestOracleAgreement:
         se = math.sqrt(want * (1.0 - want) / control_rounds)
         assert abs(detections / control_rounds - want) <= 4 * se
 
+    @pytest.mark.parametrize(
+        "attack, key_mode, want",
+        [
+            (BACKWARD_Z, KeyMode.COMBINED, Fraction(49555, 73112)),
+            (InterceptResend(ChannelLeg.BACKWARD, EveBasisPolicy.RANDOM), KeyMode.SINGLE_ALICE,
+             Fraction(67, 152)),
+        ],
+    )
+    def test_interior_abort_rate_matches_oracle(self, attack, key_mode, want):
+        # control_prob 0 fixes 10 message rounds, so every session meets the
+        # same exact abort probability, well inside (0, 1).
+        from qdkd.oracle import abort_probability
+
+        config = SimConfig(rounds=10, control_prob=0.0, key_mode=key_mode, check_fraction=0.1,
+                           mismatch_threshold=0, attack=attack, seed=4242)
+        assert abort_probability(attack, KeyCheckPolicy(0.1, 0), 10, key_mode) == want
+        n = 4_000
+        aborts = sum(report.aborted for report in run_batch(config, n))
+        se = math.sqrt(float(want) * (1.0 - float(want)) / n)
+        assert abs(aborts / n - float(want)) <= 5 * se
+
 
 def _wilson(successes, trials, z=1.96):
     """Textbook form of the Wilson score interval."""
@@ -379,6 +408,13 @@ class TestSerialization:
         for fmt in ("yaml", "xml"):
             with pytest.raises(ConfigError):
                 serialize_report(report, fmt)
+
+    @pytest.mark.parametrize(
+        "data", [b"1", b"null", b"not json", b"\xff", b"[]", b'{"rounds_total": 0}']
+    )
+    def test_malformed_report_rejected(self, data):
+        with pytest.raises(ConfigError):
+            parse_report(data)
 
 
 class TestOutcomeTable:
@@ -610,53 +646,69 @@ class TestSessionStream:
 
 
 def _uniforms_around(*points):
-    """Draws at and next to each point, plus a few fixed ones. The decision
-    rules hold for any float, so 1.0 and above are included: they reach the
-    branches the kernels refuse."""
-    values = {0.0, 0.5, 1.0 - 2.0**-53, 1.0}
+    """Stream uniforms at and next to each point, plus a few fixed ones; all
+    in [0, 1), the range of (w >> 11) * 2**-53."""
+    values = {0.0, 0.5, 1.0 - 2.0**-53}
     for p in points:
         values.update((math.nextafter(p, -1.0), p, math.nextafter(p, 2.0)))
-    return sorted(values)
+    return sorted(v for v in values if 0.0 <= v < 1.0)
+
+
+def _bell_rule(thresholds, r):
+    """The loop's Bell decision: the first outcome whose threshold exceeds r."""
+    return next((k for k, acc in enumerate(thresholds) if r < acc), 3)
 
 
 class TestRoundTables:
-    """Every table decision equals the kernel's, raising included."""
+    """Every table decision a stream uniform can reach equals the kernel's."""
 
     @pytest.mark.parametrize("attack", ALL_ATTACKS)
     def test_decisions_match_kernels(self, attack):
         tables = _round_tables(
-            _eve_bases(attack, ChannelLeg.FORWARD), _eve_bases(attack, ChannelLeg.BACKWARD)
+            eve_bases(attack, ChannelLeg.FORWARD), eve_bases(attack, ChannelLeg.BACKWARD)
         )
-        checked = raised = 0
+        checked = refused = 0
         for s, amps in enumerate(tables.amps):
             for qubit in (0, 1):
                 for basis in (0, 1):
                     entry = tables.measure[qubit][s][basis]
                     if entry is None:
                         continue
-                    for r in _uniforms_around(entry[0]):
+                    p0, s0, s1 = entry
+                    refused += (s0 is None) + (s1 is None)
+                    for r in _uniforms_around(p0):
                         checked += 1
-                        try:
-                            want = kernels.measure_qubit(amps, qubit, basis, r)
-                        except DegenerateBranchError:
-                            with pytest.raises(DegenerateBranchError):
-                                tables.measured(s, qubit, basis, r)
-                            raised += 1
-                            continue
-                        bit, t = tables.measured(s, qubit, basis, r)
-                        assert (bit, tables.amps[t]) == want
+                        bit, t = (0, s0) if r < p0 else (1, s1)
+                        assert (bit, tables.amps[t]) == kernels.measure_qubit(amps, qubit, basis, r)
             if tables.encode[s] is not None:
                 for u in range(4):
                     assert tables.amps[tables.encode[s][u]] == kernels.apply_u(amps, 1, u)
             if tables.bell[s] is not None:
-                for r in _uniforms_around(*tables.bell[s][:3]):
+                refused += kernels.bell_probs(amps)[3] < 1e-12
+                for r in _uniforms_around(*tables.bell[s]):
                     checked += 1
-                    try:
-                        want, _ = kernels.measure_bell(amps, r)
-                    except DegenerateBranchError:
-                        with pytest.raises(DegenerateBranchError):
-                            tables.bell_outcome(s, r)
-                        raised += 1
-                        continue
-                    assert tables.bell_outcome(s, r) == want
-        assert checked > raised > 0
+                    assert _bell_rule(tables.bell[s], r) == kernels.measure_bell(amps, r)[0]
+        assert checked > 0 and refused > 0
+
+    @pytest.mark.parametrize(
+        "name, nudge",
+        [
+            # A certain outcome one ulp short of 1: a draw can select the refused bit 1.
+            ("qubit_probs", lambda p0, p1: (min(p0, 1.0 - 2.0**-52), p1)),
+            # ... or fall through to a refused Bell outcome 3.
+            ("bell_probs", lambda p0, p1, p2, p3: (min(p0, 1.0 - 2.0**-52), p1, p2, p3)),
+        ],
+    )
+    def test_selectable_refused_branch_fails_the_build(self, monkeypatch, name, nudge):
+        probs = getattr(kernels, name)
+        monkeypatch.setattr(kernels, name, lambda *args: nudge(*probs(*args)))
+        with pytest.raises(DegenerateBranchError):
+            _RoundTables((), ())
+
+    @pytest.mark.parametrize("name", ["qubit_probs", "bell_probs"])
+    def test_certain_branch_at_exactly_one_builds(self, monkeypatch, name):
+        # No uniform reaches 1.0, so the refused partner of a branch with
+        # probability exactly 1 stays unselectable.
+        probs = getattr(kernels, name)
+        monkeypatch.setattr(kernels, name, lambda *args: tuple(min(p, 1.0) for p in probs(*args)))
+        _RoundTables((), ())
