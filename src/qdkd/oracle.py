@@ -194,6 +194,7 @@ def abort_probability(
     that count summed over the independent rounds, times 2 in combined mode.
     """
     policy.validate()
+    _require_message_rounds(message_rounds)
     return _abort_from_distribution(
         message_error_distribution(attack), policy, message_rounds, key_mode
     )
@@ -202,9 +203,8 @@ def abort_probability(
 def _abort_from_distribution(
     dist: dict[int, Fraction], policy: KeyCheckPolicy, n: int, key_mode: KeyMode
 ) -> Fraction:
-    """abort_probability for a per-round error distribution and a validated policy."""
-    if not is_int(n) or n < 0:
-        raise ConfigError(f"message_rounds must be a non-negative integer, got {n!r}")
+    """abort_probability for a per-round error distribution, a validated policy
+    and a validated message-round count."""
     length = key_mode.bits_per_round * n
     m = checked_count(policy.fraction, length)
     group = 2 if key_mode is KeyMode.COMBINED else 1  # key positions per erring label position
@@ -219,6 +219,11 @@ def _abort_from_distribution(
         if w
     )
     return 1 - Fraction(accept, denom**n * math.comb(length, m))
+
+
+def _require_message_rounds(n) -> None:
+    if not is_int(n) or n < 0:
+        raise ConfigError(f"message_rounds must be a non-negative integer, got {n!r}")
 
 
 def _power(poly: tuple[int, ...], n: int) -> list[int]:
@@ -290,10 +295,12 @@ def exact_oracle(
 
     The abort probability needs a key length to be well defined, so it is
     only computed when both a check policy and a message-round count are
-    supplied; a check policy is validated whenever one is passed.
+    supplied; each is validated whenever it is passed.
     """
     if check_policy is not None:
         check_policy.validate()
+    if message_rounds is not None:
+        _require_message_rounds(message_rounds)
     dist = message_error_distribution(attack)
     amp = dist[2] + dist[3]
     phase = dist[1] + dist[3]

@@ -160,7 +160,12 @@ class RoundRecord:
 
 @dataclass
 class SessionResult:
-    """Report plus the raw material tests and analyses need."""
+    """Report and keys, plus the raw material tests and analyses need.
+
+    records, transcript and eve are filled only by run_session(...,
+    keep_records=True); otherwise they are empty. eve.transcript is
+    transcript: Eve sees every public message.
+    """
 
     report: SimulationReport
     records: list[RoundRecord] = field(default_factory=list)
@@ -341,11 +346,14 @@ _BASES = tuple(MeasBasis)
 
 
 def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
-    """Execute one protocol session and return the report plus raw material.
+    """Execute one protocol session and return its report, keys and raw material.
 
     Rounds draw from the protocol stream described in the module docstring
-    and step through the attack's round tables; RoundRecords are built only
-    with keep_records.
+    and step through the attack's round tables. keep_records is the one
+    switch for the raw material: only with it does the session build its
+    RoundRecords, Eve's observations and the public transcript (the
+    records' transcripts followed by the key check's). Without it those
+    stay empty; the report and keys are the same either way.
     """
     config.validate()
     bitgen = np.random.PCG64(np.random.SeedSequence(config.seed, spawn_key=(0,)))
@@ -359,12 +367,8 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
     measure_h, measure_t = tables.measure[QubitId.H], tables.measure[QubitId.T]
     key_bits = _KEY_BITS[config.key_mode]
     control_prob = config.control_prob
-    # Eve sees every public message: her transcript is the session's list.
-    transcript: list[ClassicalMessage] = []
-    eve = EveRecord(transcript=transcript)
     records: list[RoundRecord] = []
-    publish = transcript.extend
-    observe = eve.observations.append
+    observations: list[EveObservation] = []
     alice_key = bytearray()
     bob_key = bytearray()
     control_rounds = message_rounds = detections = 0
@@ -417,7 +421,8 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
             else:
                 bit = 1
                 s = s1
-            observe(EveObservation(index, forward_leg, _BASES[basis], bit))
+            if keep_records:
+                observations.append(EveObservation(index, forward_leg, _BASES[basis], bit))
         r = uni[p]
         p += 1
         if r < control_prob:
@@ -442,9 +447,9 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
             alice_bit = 0 if uni[p] < measure_h[s][basis][0] else 1
             p += 1
             detected = (alice_bit == bob_bit) != _CORRELATED[u_a][basis]
-            messages = CONTROL_TRANSCRIPTS[detected][basis][bob_bit]
             if keep_records:
                 verdict = ControlVerdict.EVE_DETECTED if detected else ControlVerdict.PASS
+                messages = CONTROL_TRANSCRIPTS[detected][basis][bob_bit]
                 outcome = ControlOutcome(verdict, _BASES[basis], bob_bit, alice_bit, messages)
         else:
             message_rounds += 1
@@ -476,7 +481,8 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
                 else:
                     bit = 1
                     s = s1
-                observe(EveObservation(index, backward_leg, _BASES[basis], bit))
+                if keep_records:
+                    observations.append(EveObservation(index, backward_leg, _BASES[basis], bit))
             acc0, acc1, acc2 = bell[s]
             r = uni[p]
             p += 1
@@ -490,12 +496,11 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
                 k = 3
             alice_key += key_bits[u_a][k ^ u_a]
             bob_key += key_bits[k ^ u_b][u_b]
-            messages = MESSAGE_TRANSCRIPTS[k]
             if keep_records:
+                messages = MESSAGE_TRANSCRIPTS[k]
                 outcome = MessageOutcome(
                     _UNITARIES[u_b], BellOutcome(k), _UNITARIES[k ^ u_a], _UNITARIES[k ^ u_b], messages
                 )
-        publish(messages)
         if keep_records:
             records.append(RoundRecord(index, _UNITARIES[u_a], outcome))
         if detected:
@@ -511,11 +516,14 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
     checked = 0
     alice_final = alice_pre
     bob_final = bob_pre
+    # Eve sees every public message: the rounds', then the key check's.
+    transcript = [message for record in records for message in record.outcome.transcript]
     if not aborted:
         policy = KeyCheckPolicy(config.check_fraction, config.mismatch_threshold)
         check_ss = np.random.SeedSequence(config.seed, spawn_key=(1,))
         check = key_check(alice_key, bob_key, policy, np.random.default_rng(check_ss))
-        publish(check.transcript)
+        if keep_records:
+            transcript += check.transcript
         checked = len(check.positions)
         alice_final = check.alice_final
         bob_final = check.bob_final
@@ -546,7 +554,7 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
         report=report,
         records=records,
         transcript=transcript,
-        eve=eve,
+        eve=EveRecord(observations, transcript),
         alice_pre_check=alice_pre,
         bob_pre_check=bob_pre,
         alice_final=alice_final,
@@ -580,7 +588,8 @@ def run_batch(config: SimConfig, n_runs: int) -> list[SimulationReport]:
 # --- Report serialization ---
 
 
-_REPORT_FIELDS = tuple(f.name for f in fields(SimulationReport))
+# Field name -> annotated type: int (a count), float (a rate), bool or str | None.
+_REPORT_FIELDS = {f.name: f.type for f in fields(SimulationReport)}
 
 
 def serialize_report(report: SimulationReport, fmt: str = "json") -> bytes:
@@ -606,13 +615,22 @@ def _csv_cell(value):
 
 
 def parse_report(data: bytes) -> SimulationReport:
-    """Inverse of serialize_report for the JSON format."""
+    """Inverse of serialize_report for the JSON format.
+
+    Every field must be present and hold its annotated type: a count is an
+    int (not a bool), a rate a float, aborted a bool and abort_cause None or
+    a str.
+    """
     try:
         raw = json.loads(data.decode())
     except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
         raise ConfigError(f"report is not UTF-8 JSON: {exc}") from None
     if not isinstance(raw, dict) or set(raw) != set(_REPORT_FIELDS):
         raise ConfigError("JSON fields do not match the report schema")
+    for name, kind in _REPORT_FIELDS.items():
+        value = raw[name]
+        if not (is_int(value) if kind is int else isinstance(value, kind)):
+            raise ConfigError(f"report field {name} has the wrong type: {value!r}")
     return SimulationReport(**raw)
 
 

@@ -122,7 +122,7 @@ class TestEveInference:
     def test_honest_run_yields_relations_only(self, rng):
         from qdkd.simulate import SimConfig, run_session
 
-        session = run_session(SimConfig(rounds=60, seed=11))
+        session = run_session(SimConfig(rounds=60, seed=11), keep_records=True)
         inferred = eve_inference(session.transcript)
         assert len(inferred) == session.report.message_rounds
 

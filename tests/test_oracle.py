@@ -372,6 +372,11 @@ class TestAbortValidation:
         with pytest.raises(ConfigError):
             exact_oracle(NoAttack(), check_policy=policy)
 
+    @pytest.mark.parametrize("rounds", [-5, "x", True, 1.5])
+    def test_bad_rounds_rejected_without_policy(self, rounds):
+        with pytest.raises(ConfigError):
+            exact_oracle(NoAttack(), message_rounds=rounds)
+
     @pytest.mark.parametrize("attack", [
         InterceptResend("forward"),
         InterceptResend("backward", EveBasisPolicy.X),

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import math
 import json
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdkd import _kernels_py as kernels
+from qdkd import simulate
 from qdkd.adversary import (
     ChannelLeg,
     EveBasisPolicy,
@@ -82,7 +84,7 @@ class TestHonestRuns:
         assert report.capacity_bits_per_message_round == 2.0
 
     def test_accounting_invariants(self):
-        session = run_session(SimConfig(rounds=300, seed=8, check_fraction=0.2))
+        session = run_session(SimConfig(rounds=300, seed=8, check_fraction=0.2), keep_records=True)
         report = session.report
         assert report.control_rounds + report.message_rounds == report.rounds_total
         pre = len(session.alice_pre_check)
@@ -93,7 +95,7 @@ class TestHonestRuns:
         assert report.publicly_inferable_bits == 2 * report.message_rounds
 
     def test_transcript_bell_announcements_match_message_rounds(self):
-        session = run_session(SimConfig(rounds=120, seed=3))
+        session = run_session(SimConfig(rounds=120, seed=3), keep_records=True)
         announces = [m for m in session.transcript if isinstance(m, BellAnnouncement)]
         assert len(announces) == session.report.message_rounds
         # Eve sees every public message.
@@ -158,7 +160,16 @@ class TestSessionProperties:
         assert tuple(alice_key) == session.alice_pre_check
         assert tuple(bob_key) == session.bob_pre_check
 
-        assert run_session(config).report == report
+        # Without keep_records: the same report and keys, and no raw material.
+        bare = run_session(config)
+        assert bare.report == report
+        assert (bare.alice_pre_check, bare.bob_pre_check) == (
+            session.alice_pre_check,
+            session.bob_pre_check,
+        )
+        assert (bare.alice_final, bare.bob_final) == (session.alice_final, session.bob_final)
+        assert bare.records == bare.transcript == bare.eve.observations == []
+        assert bare.eve.transcript == []
 
         controls = sum(isinstance(r.outcome, ControlOutcome) for r in records)
         assert report.control_rounds == controls
@@ -176,6 +187,39 @@ class TestSessionProperties:
         assert report.final_key_length == len(session.alice_final) == len(session.bob_final)
         checked = len(tail[0].positions) if tail else 0
         assert report.final_key_length == pre - checked
+
+    @pytest.mark.parametrize(
+        "leg, control_prob",
+        [(ChannelLeg.FORWARD, 0.0), (ChannelLeg.BACKWARD, 0.5)],
+    )
+    def test_only_kept_sessions_build_round_objects(self, monkeypatch, leg, control_prob):
+        built = Counter()
+        for name in ("EveObservation", "ControlOutcome", "MessageOutcome", "RoundRecord"):
+
+            def counted(*args, _cls=getattr(simulate, name), _name=name, **kwargs):
+                built[_name] += 1
+                return _cls(*args, **kwargs)
+
+            monkeypatch.setattr(simulate, name, counted)
+        config = SimConfig(
+            rounds=300,
+            control_prob=control_prob,
+            attack=InterceptResend(leg, EveBasisPolicy.RANDOM),
+            seed=0,
+        )
+
+        session = run_session(config)
+        assert not built
+        assert session.transcript == session.eve.observations == []
+
+        session = run_session(config, keep_records=True)
+        intercepted = (
+            session.report.rounds_total if leg is ChannelLeg.FORWARD else session.report.message_rounds
+        )
+        assert built["EveObservation"] == len(session.eve.observations) == intercepted > 0
+        assert built["RoundRecord"] == session.report.rounds_total
+        assert built["ControlOutcome"] == session.report.control_rounds
+        assert built["MessageOutcome"] == session.report.message_rounds
 
 
 class TestAttackedRuns:
@@ -203,7 +247,7 @@ class TestAttackedRuns:
         assert report.abort_cause == ABORT_KEY_CHECK
 
     def test_eve_observations_only_on_message_rounds_for_backward(self):
-        session = run_session(SimConfig(rounds=200, seed=9, attack=BACKWARD_Z))
+        session = run_session(SimConfig(rounds=200, seed=9, attack=BACKWARD_Z), keep_records=True)
         assert len(session.eve.observations) == session.report.message_rounds
         assert all(o.leg is ChannelLeg.BACKWARD for o in session.eve.observations)
 
@@ -384,6 +428,16 @@ class TestValidation:
             run_simulation(SimConfig(**kwargs))
 
 
+def _report_json(**changes) -> bytes:
+    """The JSON of a valid 0-round report with the given fields replaced."""
+    data = json.loads(serialize_report(run_simulation(SimConfig(rounds=0, seed=0))))
+    return json.dumps({**data, **changes}).encode()
+
+
+def _bad_report(**changes):
+    return pytest.param(_report_json(**changes), id=",".join(f"{k}={v!r}" for k, v in changes.items()))
+
+
 class TestSerialization:
     def test_json_roundtrip(self):
         report = run_simulation(SimConfig(rounds=200, seed=6))
@@ -402,6 +456,7 @@ class TestSerialization:
         assert data["rounds_total"] == 0
         assert data["final_key_length"] == 0
         assert data["abort_cause"] is None
+        assert parse_report(_report_json()) == report
 
     def test_unknown_format_rejected(self):
         report = run_simulation(SimConfig(rounds=0, seed=0))
@@ -410,7 +465,26 @@ class TestSerialization:
                 serialize_report(report, fmt)
 
     @pytest.mark.parametrize(
-        "data", [b"1", b"null", b"not json", b"\xff", b"[]", b'{"rounds_total": 0}']
+        "data",
+        [
+            b"1",
+            b"null",
+            b"not json",
+            b"\xff",
+            b"[]",
+            b'{"rounds_total": 0}',
+            _bad_report(rounds_total="many", aborted="no", detection_prob=[1]),
+            _bad_report(rounds_total="many"),
+            _bad_report(rounds_total=True),
+            _bad_report(final_key_length=1.0),
+            _bad_report(detection_prob=[1]),
+            _bad_report(detection_prob=0),
+            _bad_report(capacity_bits_per_message_round="4.0"),
+            _bad_report(aborted="no"),
+            _bad_report(aborted=0),
+            _bad_report(abort_cause=7),
+            _bad_report(abort_cause=False),
+        ],
     )
     def test_malformed_report_rejected(self, data):
         with pytest.raises(ConfigError):
