@@ -12,6 +12,7 @@ closed before the output is written.
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import fields
@@ -145,6 +146,27 @@ def _fraction_fields(value: Fraction | None, name: str) -> dict:
     return {name: float(value), f"{name}_exact": str(value)}
 
 
+def _scientific(value: Fraction) -> str:
+    """A non-negative fraction to 5 significant digits in the format of
+    f"{x:.4e}", rounded half to even from the exact value, so that a value
+    far below the smallest float keeps its magnitude."""
+    if not value:
+        return "0.0000e+00"
+    # The bit lengths put value within a factor 4 of 2**bits, so exp is the
+    # estimate or next to it.
+    bits = value.numerator.bit_length() - value.denominator.bit_length()
+    exp = math.floor(bits * math.log10(2))
+    while value >= Fraction(10) ** (exp + 1):
+        exp += 1
+    while value < Fraction(10) ** exp:
+        exp -= 1
+    mantissa = round(value * Fraction(10) ** (4 - exp))
+    if mantissa == 10**5:  # rounded up to the next power of ten
+        mantissa, exp = 10**4, exp + 1
+    digits = str(mantissa)
+    return f"{digits[0]}.{digits[1:]}e{exp:+03d}"
+
+
 def _cmd_oracle(args) -> int:
     result = exact_oracle(
         _build_attack(args),
@@ -152,9 +174,15 @@ def _cmd_oracle(args) -> int:
         message_rounds=args.message_rounds,
         key_mode=_build_key_mode(args),
     )
+    # An exact abort probability at 10**4 message rounds has thousands of
+    # digits, more than Python (3.10.7 and later) converts to str by default.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     out = {}
     for f in fields(OracleResult):
         out.update(_fraction_fields(getattr(result, f.name), f.name))
+    abort = result.abort_probability
+    out["acceptance_probability_sci"] = None if abort is None else _scientific(1 - abort)
     print(json.dumps(out, indent=2))
     return 0
 

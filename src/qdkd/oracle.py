@@ -2,15 +2,20 @@
 
 The per-round statistics are computed by exhaustively walking the finite
 outcome tree (unitary choices, basis choices, Eve's outcomes, measurement
-branches) with exact probability arithmetic; no sampling, no floating point.
-Amplitudes are tracked unnormalized as ints and Fractions: every amplitude in
-the protocol is real, and every probability is an exact Fraction formed as a
-ratio of squared norms, so the enumeration is exact rational arithmetic. The
-key check's abort probability is a closed-form mixture over the enumerated
-per-round error distribution: an integer polynomial power counts the erring
-key positions, and hypergeometric counts weigh each count by the chance that
-the check passes. This module deliberately does not use the float kernels:
-it is the independent oracle the Monte Carlo simulator is validated against.
+branches) with exact integer arithmetic; no sampling, no floating point.
+Amplitudes are tracked unnormalized as ints: every amplitude in the protocol
+is real, and with the X projectors scaled by 2 every step maps integer
+amplitudes to integer amplitudes. A path's probability is the product of its
+steps' squared-norm ratios, which telescopes to its final squared norm over
+its initial one, times its choice probabilities; that is an int over a power
+of two. Each statistic sums those ints over one fixed power-of-two
+denominator and builds its Fraction once. The key check's abort probability
+is a closed-form mixture over the enumerated per-round error distribution:
+an integer polynomial power counts the erring key positions, and
+hypergeometric counts, walked upward in the count by exact small-integer
+updates, weigh each count by the chance that the check passes. This module
+deliberately does not use the float kernels: it is the independent oracle
+the Monte Carlo simulator is validated against.
 """
 
 import math
@@ -47,14 +52,18 @@ _U = (
     ((0, 1), (-1, 0)),
 )
 
-# Projectors onto measurement outcomes, by basis then bit.
+# Projectors onto measurement outcomes, by basis then bit. The X projectors
+# are scaled by 2 so that every amplitude stays an integer; a branch through
+# one carries 2**_PROJ_SHIFT[X] = 4 times its true squared norm.
 _PROJ = (
     (((1, 0), (0, 0)), ((0, 0), (0, 1))),  # Z
-    (
-        ((Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 2))),
-        ((Fraction(1, 2), Fraction(-1, 2)), (Fraction(-1, 2), Fraction(1, 2))),
-    ),  # X
+    (((1, 1), (1, 1)), ((1, -1), (-1, 1))),  # 2 * X
 )
+_PROJ_SHIFT = (0, 2)
+
+# The most a leg's branch can add to a path's exponent: 1 for Eve's choice of
+# two bases, 2 for a scaled X projector.
+_LEG_SHIFT = 3
 
 
 def _apply_1q(state, qubit, m):
@@ -80,40 +89,50 @@ def _norm_sq(state):
 
 
 def _measurement_branches(state, qubit, basis):
-    """Yield (conditional probability, projected unnormalized state, bit)."""
-    n = _norm_sq(state)
+    """Yield (shift, projected unnormalized state, bit) of every possible
+    outcome; the projection's squared norm is 2**shift times the true one."""
     for bit in (0, 1):
         proj = _apply_1q(state, qubit, _PROJ[basis][bit])
-        w = Fraction(_norm_sq(proj), n)
-        if w:
-            yield w, proj, bit
+        if any(proj):
+            yield _PROJ_SHIFT[basis], proj, bit
 
 
 def _bell_branches(state):
-    """Yield (conditional probability, outcome label) of a Bell measurement."""
-    n = _norm_sq(state)
-    for k, bvec in enumerate(_BELL):
-        overlap = sum(bi * si for bi, si in zip(bvec, state))
-        w = Fraction(overlap * overlap, 2 * n)  # _BELL[k] has squared norm 2
-        if w:
-            yield w, k
+    """Yield (squared overlap, outcome label) of every possible Bell outcome.
+
+    _BELL[k] has squared norm 2, so outcome k has probability
+    overlap**2 / (2 * _norm_sq(state)).
+    """
+    s0, s1, s2, s3 = state
+    for k, (b0, b1, b2, b3) in enumerate(_BELL):
+        overlap = b0 * s0 + b1 * s1 + b2 * s2 + b3 * s3
+        if overlap:
+            yield overlap * overlap, k
 
 
 def _attack_branches(state, leg: ChannelLeg, strategy: AttackStrategy):
-    """Yield (probability, state after Eve, observation or None) on one leg."""
+    """Yield (shift, state after Eve, observation or None) on one leg; the
+    branch's probability is its state's squared norm over 2**shift times the
+    input state's."""
     bases = eve_bases(strategy, leg)
     if not bases:
-        yield Fraction(1), state, None
+        yield 0, state, None
         return
-    p_basis = Fraction(1, len(bases))
+    basis_shift = len(bases).bit_length() - 1  # one or two equally likely bases
     for basis in bases:
-        for w, proj, bit in _measurement_branches(state, QubitId.T, basis):
-            yield p_basis * w, proj, (basis, bit)
+        for shift, proj, bit in _measurement_branches(state, QubitId.T, basis):
+            yield basis_shift + shift, proj, (basis, bit)
 
 
 def _encoded_state(u_label: int):
     """Alice's encoding of u_label on the unnormalized Psi+ pair."""
     return _apply_1q(_BELL[0], QubitId.T, _U[u_label])
+
+
+# A control path's probability is 1/4 (Alice's unitary) * 1/2 (Bob's basis)
+# times the squared-norm ratio of its final and initial states, which
+# telescopes over the steps; the initial state has squared norm 2.
+_CONTROL_BITS = 4 + _LEG_SHIFT + 2 * _PROJ_SHIFT[MeasBasis.X]
 
 
 def control_detection_probability(attack: AttackStrategy) -> Fraction:
@@ -123,39 +142,44 @@ def control_detection_probability(attack: AttackStrategy) -> Fraction:
     uniformly random basis, and both parties' measurement outcomes.
     """
     validate_attack(attack)
-    total = Fraction(0)
-    quarter = Fraction(1, 4)
-    half = Fraction(1, 2)
+    total = 0  # over 2**_CONTROL_BITS
     for a in range(4):
         s0 = _encoded_state(a)
-        for w_eve, s1, _obs in _attack_branches(s0, ChannelLeg.FORWARD, attack):
+        for eve_shift, s1, _obs in _attack_branches(s0, ChannelLeg.FORWARD, attack):
             for basis in (MeasBasis.Z, MeasBasis.X):
                 expected = expected_correlation(LocalUnitary(a), basis)
-                for w_bob, s2, bob_bit in _measurement_branches(s1, QubitId.T, basis):
-                    for w_alice, _s3, alice_bit in _measurement_branches(s2, QubitId.H, basis):
+                for bob_shift, s2, bob_bit in _measurement_branches(s1, QubitId.T, basis):
+                    for alice_shift, s3, alice_bit in _measurement_branches(s2, QubitId.H, basis):
                         observed = (
                             Correlation.CORRELATED
                             if alice_bit == bob_bit
                             else Correlation.ANTICORRELATED
                         )
                         if observed is not expected:
-                            total += quarter * w_eve * half * w_bob * w_alice
-    return total
+                            shift = 4 + eve_shift + bob_shift + alice_shift
+                            total += _norm_sq(s3) << (_CONTROL_BITS - shift)
+    return Fraction(total, 1 << _CONTROL_BITS)
+
+
+# A message path's probability is 1/16 (the two unitaries) times its squared
+# Bell overlap over 2 * 2 (the overlap's norm times the initial state's); the
+# squared-norm ratios of the steps in between telescope away.
+_MESSAGE_BITS = 6 + 2 * _LEG_SHIFT
 
 
 def _message_paths(attack: AttackStrategy):
-    """Yield (probability, u_A label, u_B label, Eve's forward observation,
-    Eve's backward observation, Bell outcome label) for every branch of one
-    message round."""
+    """Yield (weight, u_A label, u_B label, Eve's forward observation, Eve's
+    backward observation, Bell outcome label) for every branch of one message
+    round; the branch's probability is weight / 2**_MESSAGE_BITS."""
     validate_attack(attack)
-    sixteenth = Fraction(1, 16)
     for a in range(4):
-        for w_f, s1, obs_f in _attack_branches(_encoded_state(a), ChannelLeg.FORWARD, attack):
+        for f_shift, s1, obs_f in _attack_branches(_encoded_state(a), ChannelLeg.FORWARD, attack):
             for b in range(4):
                 s2 = _apply_1q(s1, QubitId.T, _U[b])
-                for w_b, s3, obs_b in _attack_branches(s2, ChannelLeg.BACKWARD, attack):
-                    for w_bell, k in _bell_branches(s3):
-                        yield sixteenth * w_f * w_b * w_bell, a, b, obs_f, obs_b, k
+                for b_shift, s3, obs_b in _attack_branches(s2, ChannelLeg.BACKWARD, attack):
+                    shift = 6 + f_shift + b_shift
+                    for overlap_sq, k in _bell_branches(s3):
+                        yield overlap_sq << (_MESSAGE_BITS - shift), a, b, obs_f, obs_b, k
 
 
 def message_error_distribution(attack: AttackStrategy) -> dict[int, Fraction]:
@@ -165,10 +189,10 @@ def message_error_distribution(attack: AttackStrategy) -> dict[int, Fraction]:
     position) and bit 1 (phase position) of e are exactly the per-position
     key mismatch indicators between the parties' buffers.
     """
-    dist = {0: Fraction(0), 1: Fraction(0), 2: Fraction(0), 3: Fraction(0)}
-    for p, a, b, _, _, k in _message_paths(attack):
-        dist[k ^ a ^ b] += p
-    return dist
+    weights = [0, 0, 0, 0]  # over 2**_MESSAGE_BITS, by e
+    for w, a, b, _, _, k in _message_paths(attack):
+        weights[k ^ a ^ b] += w
+    return {e: Fraction(w, 1 << _MESSAGE_BITS) for e, w in enumerate(weights)}
 
 
 def abort_probability(
@@ -212,12 +236,30 @@ def _abort_from_distribution(
     q = (dist[0], dist[1] + dist[2], dist[3])
     denom = math.lcm(*(p.denominator for p in q))
     weights = _power(tuple(p.numerator * (denom // p.denominator) for p in q), n)
-    passing = range(min(policy.mismatch_threshold, m) + 1)  # mismatch counts the check accepts
-    accept = sum(
-        w * sum(math.comb(group * k, x) * math.comb(length - group * k, m - x) for x in passing)
-        for k, w in enumerate(weights)
-        if w
-    )
+    while not weights[-1]:  # trailing counts of probability 0 need no walk
+        weights.pop()
+    top = min(policy.mismatch_threshold, m)  # the most mismatches the check accepts
+    # With B = group * k erring key positions, the check passes with
+    # sum_x C(B, x) * C(L - B, m - x) of the C(L, m) subsets, x <= top. Walk k
+    # upward keeping only C(size, m - top) for size = L - B, lowering size one
+    # position at a time by C(N - 1, r) = C(N, r) * (N - r) / N, and step up
+    # to the other x by C(N, r + 1) = C(N, r) * (N - r) / (r + 1); both
+    # divisions are exact.
+    low = m - top
+    size, tail = length, math.comb(length, low)
+    accept = 0
+    for k, w in enumerate(weights):
+        if k:
+            for _ in range(group):
+                tail = tail * (size - low) // size
+                size -= 1
+        if w:
+            term = tail  # C(size, m - x), from x = top down to 0
+            passed = math.comb(group * k, top) * term
+            for x in range(top - 1, -1, -1):
+                term = term * (size - m + x + 1) // (m - x)
+                passed += math.comb(group * k, x) * term
+            accept += w * passed
     return 1 - Fraction(accept, denom**n * math.comb(length, m))
 
 
@@ -254,24 +296,22 @@ def eve_resolved_bits(attack: AttackStrategy, key_mode: KeyMode = KeyMode.COMBIN
     Combined mode counts all four bits (both labels), the single modes only
     the kept party's two.
     """
-    mass: dict[tuple, Fraction] = {}
+    mass: dict[tuple, int] = {}  # by view: the summed path weights
     support: dict[tuple, set[int]] = {}  # by view: the kept key bits, as one int per path
-    for p, a, b, obs_f, obs_b, k in _message_paths(attack):
+    for w, a, b, obs_f, obs_b, k in _message_paths(attack):
         view = (obs_f, obs_b, k)
-        mass[view] = mass.get(view, 0) + p
+        mass[view] = mass.get(view, 0) + w
         if key_mode is KeyMode.COMBINED:
             kept = a << 2 | b
         else:
             kept = a if key_mode is KeyMode.SINGLE_ALICE else b
         support.setdefault(view, set()).add(kept)
     width = key_mode.bits_per_round
-    return sum(
-        (
-            mass[view] * sum(len({x >> j & 1 for x in kept_bits}) == 1 for j in range(width))
-            for view, kept_bits in support.items()
-        ),
-        Fraction(0),
+    resolved = sum(
+        mass[view] * sum(len({x >> j & 1 for x in kept_bits}) == 1 for j in range(width))
+        for view, kept_bits in support.items()
     )
+    return Fraction(resolved, 1 << _MESSAGE_BITS)
 
 
 @dataclass(frozen=True)

@@ -86,7 +86,8 @@ from .protocol import (
     key_check,
     require_probability,
 )
-from .quantum import MeasBasis, QubitId, apply_local, bell_state, prob_bell
+from .oracle import _message_paths
+from .quantum import MeasBasis, QubitId
 
 
 ABORT_CONTROL = "control-round-detection"
@@ -641,19 +642,15 @@ def unitary_outcome_table() -> list[list[BellOutcome]]:
     """The 4x4 deterministic Bell outcomes of honest message rounds.
 
     Cell (i, j) composes Alice's u_i before Bob's u_j on the travel photon of
-    Psi+ and reads off the certain Bell-measurement outcome.
+    Psi+ and reads off the Bell-measurement outcome, taken from the oracle's
+    exact integer enumeration of an unattacked message round: each cell must
+    have exactly one possible outcome.
     """
-    table = []
-    for a in LocalUnitary:
-        row = []
-        for b in LocalUnitary:
-            state = apply_local(apply_local(bell_state(BellOutcome.PSI_PLUS), QubitId.T, a), QubitId.T, b)
-            probs = prob_bell(state)
-            k = max(range(4), key=probs.__getitem__)
-            if probs[k] < 1.0 - 1e-12:
-                raise AssertionError(f"honest composite not deterministic: {probs}")
-            row.append(BellOutcome(k))
-        table.append(row)
+    table = [[None] * 4 for _ in LocalUnitary]
+    for _w, a, b, _f, _b, k in _message_paths(NoAttack()):
+        if table[a][b] is not None:
+            raise AssertionError(f"honest composite u{a}, u{b} not deterministic")
+        table[a][b] = BellOutcome(k)
     return table
 
 

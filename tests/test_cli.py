@@ -4,8 +4,13 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+
+from qdkd import KeyCheckPolicy, abort_probability
+from qdkd.adversary import ChannelLeg, EveBasisPolicy, InterceptResend
+from qdkd.cli import _scientific
 
 
 def qdkd(*args):
@@ -107,6 +112,7 @@ class TestOracle:
         assert data["detection_prob_per_control_round"] == 0.25
         assert data["detection_prob_per_control_round_exact"] == "1/4"
         assert data["abort_probability"] is None
+        assert data["acceptance_probability_sci"] is None
 
     def test_backward_with_abort_context(self):
         proc = qdkd(
@@ -117,6 +123,18 @@ class TestOracle:
         assert data["key_error_rate_phase_bit"] == 0.5
         assert data["abort_probability"] > 0.95
         assert data["abort_probability_exact"].count("/") == 1
+
+    def test_acceptance_keeps_its_magnitude(self):
+        # 1 - P is ~1e-49 here, so the float abort probability reads 1.0.
+        proc = qdkd(
+            "oracle", "--attack", "backward-ir", "--eve-basis", "random",
+            "--message-rounds", "1000",
+        )
+        assert proc.returncode == 0
+        data = json.loads(proc.stdout)
+        assert data["abort_probability"] == 1.0
+        accept = 1 - Fraction(data["abort_probability_exact"])
+        assert data["acceptance_probability_sci"] == "1.2675e-49" == f"{float(accept):.4e}"
 
     @pytest.mark.parametrize("flags", [
         ("--message-rounds", "-5"),
@@ -133,6 +151,24 @@ class TestOracle:
         assert "qdkd: error:" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+
+class TestScientific:
+    @pytest.mark.parametrize("value,want", [
+        (Fraction(0), "0.0000e+00"),
+        (Fraction(1), "1.0000e+00"),
+        (Fraction(1, 10**400), "1.0000e-400"),
+        (Fraction(999995, 10**6), "1.0000e+00"),  # an exact tie rounds to even
+        (Fraction(123456, 1000), "1.2346e+02"),
+    ])
+    def test_values(self, value, want):
+        assert _scientific(value) == want
+
+    def test_matches_float_at_1000_rounds(self):
+        attack = InterceptResend(ChannelLeg.BACKWARD, EveBasisPolicy.RANDOM)
+        accept = 1 - abort_probability(attack, KeyCheckPolicy(0.1, 0), 1000)
+        assert 0 < float(accept) < 1e-40
+        assert _scientific(accept) == f"{float(accept):.4e}"
 
 
 class TestTable:

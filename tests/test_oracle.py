@@ -14,13 +14,20 @@ from qdkd import oracle
 from qdkd.adversary import ChannelLeg, EveBasisPolicy, InterceptResend, NoAttack
 from qdkd.errors import ConfigError
 from qdkd.oracle import (
+    _abort_from_distribution,
     _power,
     abort_probability,
     control_detection_probability,
     exact_oracle,
     message_error_distribution,
 )
-from qdkd.protocol import Correlation, KeyCheckPolicy, KeyMode, expected_correlation
+from qdkd.protocol import (
+    Correlation,
+    KeyCheckPolicy,
+    KeyMode,
+    checked_count,
+    expected_correlation,
+)
 from qdkd.quantum import (
     BellOutcome,
     LocalUnitary,
@@ -182,7 +189,7 @@ class TestErrorDistribution:
             assert floats[e] == pytest.approx(float(exact[e]), abs=1e-12)
 
     def test_distribution_sums_to_one(self):
-        for attack in (NoAttack(), FORWARD_Z, BACKWARD_Z, FORWARD_R):
+        for attack in ALL_ATTACKS:
             assert sum(message_error_distribution(attack).values()) == 1
 
 
@@ -285,6 +292,47 @@ class TestAbortProbability:
     def test_acceptance_scale_value_is_near_one(self):
         p = abort_probability(BACKWARD_Z, KeyCheckPolicy(0.1, 0), 100)
         assert p > Fraction(99, 100)
+
+
+def _direct_abort(dist, policy, n, key_mode):
+    """Abort probability by the direct sum over erring label counts, with
+    every binomial computed from scratch by math.comb."""
+    length = key_mode.bits_per_round * n
+    m = checked_count(policy.fraction, length)
+    group = 2 if key_mode is KeyMode.COMBINED else 1
+    q = (dist[0], dist[1] + dist[2], dist[3])
+    denom = math.lcm(*(p.denominator for p in q))
+    weights = _power(tuple(p.numerator * (denom // p.denominator) for p in q), n)
+    passing = range(min(policy.mismatch_threshold, m) + 1)
+    accept = sum(
+        w * sum(math.comb(group * k, x) * math.comb(length - group * k, m - x) for x in passing)
+        for k, w in enumerate(weights)
+        if w
+    )
+    return 1 - Fraction(accept, denom**n * math.comb(length, m))
+
+
+class TestIncrementalSum:
+    """The key check's incremental hypergeometric walk against the direct sum."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        attack=st.sampled_from(ALL_ATTACKS),
+        key_mode=st.sampled_from(list(KeyMode)),
+        rounds=st.integers(0, 300),
+        fraction=st.floats(0.0, 1.0),
+        threshold=st.integers(0, 6),
+    )
+    def test_equals_direct_sum(self, attack, key_mode, rounds, fraction, threshold):
+        dist = message_error_distribution(attack)
+        policy = KeyCheckPolicy(fraction, threshold)
+        got = _abort_from_distribution(dist, policy, rounds, key_mode)
+        assert got == _direct_abort(dist, policy, rounds, key_mode)
+
+    def test_equals_direct_sum_at_scale(self):
+        policy = KeyCheckPolicy(0.1, 3)
+        want = _direct_abort(message_error_distribution(BACKWARD_R), policy, 1000, KeyMode.COMBINED)
+        assert abort_probability(BACKWARD_R, policy, 1000) == want
 
 
 class TestAbortProperties:
