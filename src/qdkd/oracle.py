@@ -28,9 +28,11 @@ from .protocol import (
     Correlation,
     KeyCheckPolicy,
     KeyMode,
+    accumulate_key,
     checked_count,
     expected_correlation,
-    is_int,
+    require_count,
+    require_key_mode,
 )
 from .quantum import LocalUnitary, MeasBasis, QubitId
 
@@ -217,8 +219,9 @@ def abort_probability(
     and in combined mode both copies of an erring position mismatch, so B is
     that count summed over the independent rounds, times 2 in combined mode.
     """
-    policy.validate()
-    _require_message_rounds(message_rounds)
+    _require_policy(policy)
+    require_count("message_rounds", message_rounds)
+    require_key_mode(key_mode)
     return _abort_from_distribution(
         message_error_distribution(attack), policy, message_rounds, key_mode
     )
@@ -263,9 +266,10 @@ def _abort_from_distribution(
     return 1 - Fraction(accept, denom**n * math.comb(length, m))
 
 
-def _require_message_rounds(n) -> None:
-    if not is_int(n) or n < 0:
-        raise ConfigError(f"message_rounds must be a non-negative integer, got {n!r}")
+def _require_policy(policy) -> None:
+    if not isinstance(policy, KeyCheckPolicy):
+        raise ConfigError(f"check policy must be a KeyCheckPolicy, got {policy!r}")
+    policy.validate()
 
 
 def _power(poly: tuple[int, ...], n: int) -> list[int]:
@@ -296,20 +300,16 @@ def eve_resolved_bits(attack: AttackStrategy, key_mode: KeyMode = KeyMode.COMBIN
     Combined mode counts all four bits (both labels), the single modes only
     the kept party's two.
     """
+    require_key_mode(key_mode)
     mass: dict[tuple, int] = {}  # by view: the summed path weights
-    support: dict[tuple, set[int]] = {}  # by view: the kept key bits, as one int per path
+    support: dict[tuple, set[tuple]] = {}  # by view: the kept key bits of each path
     for w, a, b, obs_f, obs_b, k in _message_paths(attack):
         view = (obs_f, obs_b, k)
         mass[view] = mass.get(view, 0) + w
-        if key_mode is KeyMode.COMBINED:
-            kept = a << 2 | b
-        else:
-            kept = a if key_mode is KeyMode.SINGLE_ALICE else b
-        support.setdefault(view, set()).add(kept)
-    width = key_mode.bits_per_round
+        support.setdefault(view, set()).add(tuple(accumulate_key([], a, b, key_mode)))
     resolved = sum(
-        mass[view] * sum(len({x >> j & 1 for x in kept_bits}) == 1 for j in range(width))
-        for view, kept_bits in support.items()
+        mass[view] * sum(len(set(column)) == 1 for column in zip(*kept))
+        for view, kept in support.items()
     )
     return Fraction(resolved, 1 << _MESSAGE_BITS)
 
@@ -338,9 +338,10 @@ def exact_oracle(
     supplied; each is validated whenever it is passed.
     """
     if check_policy is not None:
-        check_policy.validate()
+        _require_policy(check_policy)
     if message_rounds is not None:
-        _require_message_rounds(message_rounds)
+        require_count("message_rounds", message_rounds)
+    require_key_mode(key_mode)
     dist = message_error_distribution(attack)
     amp = dist[2] + dist[3]
     phase = dist[1] + dist[3]

@@ -179,7 +179,11 @@ class ControlOutcome:
     basis: MeasBasis
     bob_bit: int
     alice_bit: int
-    transcript: tuple[ClassicalMessage, ...]
+
+    @property
+    def transcript(self) -> tuple[ClassicalMessage, ...]:
+        detected = self.verdict is ControlVerdict.EVE_DETECTED
+        return CONTROL_TRANSCRIPTS[detected][self.basis][self.bob_bit]
 
 
 def run_control_round(u_a: LocalUnitary, state: TwoQubitState, rng) -> ControlOutcome:
@@ -196,9 +200,7 @@ def run_control_round(u_a: LocalUnitary, state: TwoQubitState, rng) -> ControlOu
     observed = Correlation.CORRELATED if alice_bit == bob_bit else Correlation.ANTICORRELATED
     detected = observed != expected_correlation(u_a, basis)
     verdict = ControlVerdict.EVE_DETECTED if detected else ControlVerdict.PASS
-    return ControlOutcome(
-        verdict, basis, bob_bit, alice_bit, CONTROL_TRANSCRIPTS[detected][basis][bob_bit]
-    )
+    return ControlOutcome(verdict, basis, bob_bit, alice_bit)
 
 
 @dataclass(frozen=True)
@@ -207,7 +209,10 @@ class MessageOutcome:
     announced: BellOutcome
     alice_view: LocalUnitary  # Alice's decode of Bob's unitary
     bob_view: LocalUnitary  # Bob's decode of Alice's unitary
-    transcript: tuple[ClassicalMessage, ...]
+
+    @property
+    def transcript(self) -> tuple[ClassicalMessage, ...]:
+        return MESSAGE_TRANSCRIPTS[self.announced]
 
 
 def run_message_round(
@@ -223,9 +228,7 @@ def run_message_round(
     encoded = apply_local(state, QubitId.T, u_b)
     in_transit = return_channel(encoded) if return_channel is not None else encoded
     announced, _ = measure_bell(in_transit, rng.random())
-    return MessageOutcome(
-        u_b, announced, decode(u_a, announced), decode(u_b, announced), MESSAGE_TRANSCRIPTS[announced]
-    )
+    return MessageOutcome(u_b, announced, decode(u_a, announced), decode(u_b, announced))
 
 
 def decode(own_u: LocalUnitary, announced: BellOutcome) -> LocalUnitary:
@@ -241,21 +244,15 @@ def accumulate_key(key: list[int], alice_label: int, bob_label: int, mode: KeyMo
 
     Combined appends Alice's 2 bits then Bob's 2 bits; the single modes keep
     only the configured party's bits. Each label is the 2-bit label of a
-    unitary, own or decoded; within each label the even offset carries the
-    amplitude (Psi vs Phi) bit and the odd offset the phase (+ vs -) bit.
+    unitary, own or decoded, split by LocalUnitary.bits: the even offset
+    carries the amplitude (Psi vs Phi) bit and the odd offset the phase
+    (+ vs -) bit.
     """
-    if mode is KeyMode.COMBINED:
-        key.extend(_label_bits(alice_label))
-        key.extend(_label_bits(bob_label))
-    elif mode is KeyMode.SINGLE_ALICE:
-        key.extend(_label_bits(alice_label))
-    else:
-        key.extend(_label_bits(bob_label))
+    if mode is not KeyMode.SINGLE_BOB:
+        key.extend(LocalUnitary(alice_label).bits)
+    if mode is not KeyMode.SINGLE_ALICE:
+        key.extend(LocalUnitary(bob_label).bits)
     return key
-
-
-def _label_bits(label: int) -> tuple[int, int]:
-    return (label >> 1) & 1, label & 1
 
 
 def is_int(value) -> bool:
@@ -267,6 +264,18 @@ def require_probability(name: str, value) -> None:
     """Raise ConfigError unless value is a real number in [0, 1]; bools are refused."""
     if not isinstance(value, numbers.Real) or isinstance(value, bool) or not 0 <= value <= 1:
         raise ConfigError(f"{name} must lie in [0, 1], got {value!r}")
+
+
+def require_count(name: str, value) -> None:
+    """Raise ConfigError unless value is a non-negative integer; bools are refused."""
+    if not is_int(value) or value < 0:
+        raise ConfigError(f"{name} must be a non-negative integer, got {value!r}")
+
+
+def require_key_mode(value) -> None:
+    """Raise ConfigError unless value is a KeyMode."""
+    if not isinstance(value, KeyMode):
+        raise ConfigError(f"key_mode must be a KeyMode, got {value!r}")
 
 
 def checked_count(fraction: float, length: int) -> int:
@@ -284,11 +293,7 @@ class KeyCheckPolicy:
 
     def validate(self) -> "KeyCheckPolicy":
         require_probability("check_fraction", self.fraction)
-        if not is_int(self.mismatch_threshold) or self.mismatch_threshold < 0:
-            raise ConfigError(
-                "mismatch_threshold must be a non-negative integer, "
-                f"got {self.mismatch_threshold!r}"
-            )
+        require_count("mismatch_threshold", self.mismatch_threshold)
         return self
 
 

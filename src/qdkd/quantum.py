@@ -50,6 +50,7 @@ class LocalUnitary(IntEnum):
 
     @property
     def bits(self) -> tuple[int, int]:
+        """(amplitude bit, phase bit): the one split of a label into key bits."""
         return (self >> 1) & 1, self & 1
 
     def matrix(self) -> np.ndarray:
@@ -75,14 +76,6 @@ class BellOutcome(IntEnum):
     PSI_MINUS = 1
     PHI_PLUS = 2
     PHI_MINUS = 3
-
-    @property
-    def label(self) -> int:
-        return int(self)
-
-    @property
-    def bits(self) -> tuple[int, int]:
-        return (self >> 1) & 1, self & 1
 
     @property
     def symbol(self) -> str:

@@ -39,10 +39,12 @@ with numpy into three lists, one entry per word: the top 2 bits of the low
 half, the top 2 bits of the high half and the uniform. The loop then draws
 by index, keeping the next fresh word and the word whose high half is
 buffered, and decides each measurement by comparing the uniform with the
-table's thresholds in place. The build checks that no uniform in [0, 1) can
-select a branch the kernels refuse (a collapse onto a ~zero branch, or a
-Bell outcome 3 of ~zero probability) and raises DegenerateBranchError
-otherwise, so the loop needs no check of its own.
+table's thresholds in place. The build probes the kernels at the smallest
+and the largest stream uniform, 0 and 1 - 2**-53. Each decision is monotone
+in its uniform, so the probes reach every branch a draw can select, and a
+kernel that refuses one (a collapse onto a ~zero branch, or a Bell outcome 3
+of ~zero probability) raises DegenerateBranchError during the build. The
+loop needs no check of its own.
 """
 
 import csv
@@ -65,10 +67,8 @@ from .adversary import (
     eve_bases,
     validate_attack,
 )
-from .errors import ConfigError, DegenerateBranchError
+from .errors import ConfigError
 from .protocol import (
-    CONTROL_TRANSCRIPTS,
-    MESSAGE_TRANSCRIPTS,
     BellOutcome,
     CheckVerdict,
     ClassicalMessage,
@@ -84,6 +84,8 @@ from .protocol import (
     is_int,
     key_array,
     key_check,
+    require_count,
+    require_key_mode,
     require_probability,
 )
 from .oracle import _message_paths
@@ -108,11 +110,9 @@ class SimConfig:
     seed: int = 0
 
     def validate(self) -> "SimConfig":
-        if not is_int(self.rounds) or self.rounds < 0:
-            raise ConfigError(f"rounds must be a non-negative integer, got {self.rounds!r}")
+        require_count("rounds", self.rounds)
         require_probability("control_prob", self.control_prob)
-        if not isinstance(self.key_mode, KeyMode):
-            raise ConfigError(f"key_mode must be a KeyMode, got {self.key_mode!r}")
+        require_key_mode(self.key_mode)
         KeyCheckPolicy(self.check_fraction, self.mismatch_threshold).validate()
         validate_attack(self.attack)
         _require_seed("seed", self.seed)
@@ -222,6 +222,7 @@ def _error_rates(alice_key, bob_key) -> tuple[float, float, float]:
 
 _MAX_CHUNK_WORDS = 4096
 _ROUND_WORDS = 8  # no round reads more fresh words than this
+_LAST_UNIFORM = 1.0 - 2.0**-53  # the largest stream uniform
 
 
 def _decode_words(words) -> tuple[list, list, list]:
@@ -241,16 +242,16 @@ class _RoundTables:
     paths get entries:
 
     - measure[qubit][s][basis] = (p0, successor of bit 0, successor of bit 1),
-      where the successor of a branch the kernels refuse to collapse is None;
+      where the successor of a bit no stream uniform selects is None;
     - encode[s][u] = the state after u on the travel photon;
     - bell[s] = the cumulative thresholds (p0, p0 + p1, p0 + p1 + p2), summed
       as kernels.measure_bell sums them.
 
-    A stream uniform lies in [0, 1), so a refused bit 0 with p0 == 0, a
-    refused bit 1 with p0 >= 1 and a refused Bell outcome 3 with
-    p0 + p1 + p2 >= 1 are never selected. The build raises
-    DegenerateBranchError for any other refused branch, so a walk through
-    the tables never meets one.
+    The successors are the kernels' own collapses at the smallest and the
+    largest stream uniform (smallest first, which fixes the numbering), and
+    kernels.measure_bell runs at the largest. A kernel raises
+    DegenerateBranchError at a probe that selects a branch it refuses, so a
+    walk through the tables never meets one.
     """
 
     def __init__(self, forward: tuple[MeasBasis, ...], backward: tuple[MeasBasis, ...]):
@@ -291,19 +292,12 @@ class _RoundTables:
         row = self.measure[qubit][s]
         if row[basis] is None:
             amps = self.amps[s]
-            p0, _p1 = kernels.qubit_probs(amps, qubit, basis)
-            s0 = self._collapse(amps, qubit, basis, 0)
-            s1 = self._collapse(amps, qubit, basis, 1)
-            if (s0 is None and p0 > 0.0) or (s1 is None and p0 < 1.0):
-                raise DegenerateBranchError(f"a draw can select a refused branch (p0 = {p0!r})")
-            row[basis] = (p0, s0, s1)
+            bit, low = kernels.measure_qubit(amps, qubit, basis, 0.0)
+            s0 = self._intern(low) if bit == 0 else None
+            bit, high = kernels.measure_qubit(amps, qubit, basis, _LAST_UNIFORM)
+            s1 = self._intern(high) if bit == 1 else None
+            row[basis] = (kernels.qubit_probs(amps, qubit, basis)[0], s0, s1)
         return row[basis]
-
-    def _collapse(self, amps, qubit: int, basis: int, bit: int) -> int | None:
-        try:
-            return self._intern(kernels.collapse_qubit(amps, qubit, basis, bit))
-        except DegenerateBranchError:
-            return None
 
     def _leg(self, s: int, bases: tuple[MeasBasis, ...]) -> list[int]:
         """The states a leg entered in state s can end in, given Eve's bases on it."""
@@ -316,13 +310,10 @@ class _RoundTables:
     def _add_bell(self, s: int) -> None:
         if self.bell[s] is not None:
             return
-        p0, p1, p2, p3 = kernels.bell_probs(self.amps[s])
-        acc0 = p0
-        acc1 = acc0 + p1
-        acc2 = acc1 + p2
-        if p3 < 1e-12 and acc2 < 1.0:  # kernels.measure_bell's refusal of outcome 3
-            raise DegenerateBranchError(f"a draw can select a refused Bell outcome (p3 = {p3!r})")
-        self.bell[s] = (acc0, acc1, acc2)
+        amps = self.amps[s]
+        kernels.measure_bell(amps, _LAST_UNIFORM)  # the probe: raises on a refused outcome 3
+        p0, p1, p2, _p3 = kernels.bell_probs(amps)
+        self.bell[s] = (p0, p0 + p1, p0 + p1 + p2)
 
 
 @functools.cache
@@ -450,8 +441,7 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
             detected = (alice_bit == bob_bit) != _CORRELATED[u_a][basis]
             if keep_records:
                 verdict = ControlVerdict.EVE_DETECTED if detected else ControlVerdict.PASS
-                messages = CONTROL_TRANSCRIPTS[detected][basis][bob_bit]
-                outcome = ControlOutcome(verdict, _BASES[basis], bob_bit, alice_bit, messages)
+                outcome = ControlOutcome(verdict, _BASES[basis], bob_bit, alice_bit)
         else:
             message_rounds += 1
             detected = False
@@ -498,9 +488,8 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
             alice_key += key_bits[u_a][k ^ u_a]
             bob_key += key_bits[k ^ u_b][u_b]
             if keep_records:
-                messages = MESSAGE_TRANSCRIPTS[k]
                 outcome = MessageOutcome(
-                    _UNITARIES[u_b], BellOutcome(k), _UNITARIES[k ^ u_a], _UNITARIES[k ^ u_b], messages
+                    _UNITARIES[u_b], BellOutcome(k), _UNITARIES[k ^ u_a], _UNITARIES[k ^ u_b]
                 )
         if keep_records:
             records.append(RoundRecord(index, _UNITARIES[u_a], outcome))
@@ -571,16 +560,14 @@ def run_simulation(config: SimConfig) -> SimulationReport:
 def derive_seed(master_seed: int, index: int) -> int:
     """Stable per-run seed for independent trials of one experiment."""
     _require_seed("master_seed", master_seed)
-    if not is_int(index) or index < 0:
-        raise ConfigError(f"index must be a non-negative integer, got {index!r}")
+    require_count("index", index)
     return int(np.random.SeedSequence([master_seed, index]).generate_state(1, np.uint64)[0])
 
 
 def run_batch(config: SimConfig, n_runs: int) -> list[SimulationReport]:
     """Independent sessions with per-run seeds split off the config seed."""
     config.validate()
-    if not is_int(n_runs) or n_runs < 0:
-        raise ConfigError(f"n_runs must be a non-negative integer, got {n_runs!r}")
+    require_count("n_runs", n_runs)
     return [
         run_simulation(replace(config, seed=derive_seed(config.seed, i))) for i in range(n_runs)
     ]

@@ -109,6 +109,14 @@ def test_collapse_onto_zero_branch_raises(kern):
         kern.collapse_qubit(zero_zero, 1, 0, 1)
 
 
+def test_bell_fall_through_to_zero_outcome_raises(kern):
+    # Unnormalized, so the cumulative probability stops at 0.5: a uniform
+    # above it falls through to outcome 3, whose probability is 0.
+    amps = (0j, 0.5 + 0j, 0.5 + 0j, 0j)
+    with pytest.raises(DegenerateBranchError):
+        kern.measure_bell(amps, 0.9)
+
+
 def test_measure_bell_collapses_to_bell_state(kern, rng):
     for _ in range(20):
         amps = _rand_amps(rng)

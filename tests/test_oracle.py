@@ -447,6 +447,18 @@ class TestAbortValidation:
             with pytest.raises(ConfigError):
                 call()
 
+    @pytest.mark.parametrize("call", [
+        lambda: abort_probability(BACKWARD_Z, KeyCheckPolicy(0.1), 10, "combined"),
+        lambda: exact_oracle(BACKWARD_Z, KeyCheckPolicy(0.1), 10, key_mode="single"),
+        lambda: abort_probability(BACKWARD_Z, None, 10),
+        lambda: exact_oracle(BACKWARD_Z, check_policy=(0.1, 0), message_rounds=3),
+        lambda: oracle.eve_resolved_bits(BACKWARD_Z, "combined"),
+    ], ids=["abort-mode-str", "oracle-mode-str", "abort-no-policy", "oracle-tuple-policy",
+            "resolved-mode-str"])
+    def test_bad_key_mode_or_policy_rejected(self, call):
+        with pytest.raises(ConfigError):
+            call()
+
     def test_zero_rounds_never_abort(self):
         assert abort_probability(BACKWARD_Z, KeyCheckPolicy(1.0, 0), 0) == 0
 

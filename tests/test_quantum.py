@@ -46,6 +46,14 @@ class TestStates:
         with pytest.raises(QdkdError):
             TwoQubitState((complex("nan"), 0j, 0j, 1 + 0j))
 
+    def test_rejects_wrong_amplitude_count(self):
+        with pytest.raises(QdkdError):
+            TwoQubitState((1 + 0j, 0j, 0j))
+
+    def test_from_amplitudes_rejects_zero_vector(self):
+        with pytest.raises(QdkdError):
+            TwoQubitState.from_amplitudes(0, 0, 0, 0)
+
     def test_from_amplitudes_normalizes(self):
         s = TwoQubitState.from_amplitudes(3, 0, 0, 4)
         assert s.norm_sq() == pytest.approx(1.0, abs=1e-12)

@@ -318,6 +318,26 @@ class TestOracleAgreement:
             se = math.sqrt(want * (1.0 - want) / n)
             assert abs(got - want) <= 4 * se + 1e-12, (attack, got, want)
 
+    @pytest.mark.parametrize("attack", ALL_ATTACKS)
+    def test_joint_error_mask_matches_oracle(self, attack):
+        # The rate tests pin only the marginals of e = announced ^ u_A ^ u_B;
+        # the random-basis {1/2, 1/4, 1/4, 0} and {9/16, 3/16, 3/16, 1/16}
+        # share them, so count e per message round against its full law.
+        from qdkd.oracle import message_error_distribution
+
+        config = SimConfig(rounds=4_000, control_prob=0.0, attack=attack, seed=2024)
+        records = run_session(config, keep_records=True).records
+        counts = Counter(r.outcome.announced ^ r.u_a ^ r.outcome.u_b for r in records)
+        n = len(records)
+        for e, p in message_error_distribution(attack).items():
+            want = float(p)
+            if want == 0:
+                assert counts[e] == 0, (attack, e)
+            else:
+                se = math.sqrt(n * want * (1.0 - want))
+                assert abs(counts[e] - n * want) <= 5 * se, (attack, e, counts[e], n * want)
+        assert message_error_distribution(attack)[3] == 0
+
     @pytest.mark.parametrize("policy", [EveBasisPolicy.Z, EveBasisPolicy.X, EveBasisPolicy.RANDOM])
     def test_forward_detection_matches_oracle(self, policy):
         from qdkd.oracle import control_detection_probability
@@ -735,6 +755,28 @@ def _bell_rule(thresholds, r):
 
 class TestRoundTables:
     """Every table decision a stream uniform can reach equals the kernel's."""
+
+    # sha-256 of the repr of (amps, measure, encode, bell, prepared) per
+    # attack, in ALL_ATTACKS order. repr round-trips every float and keeps the
+    # sign of a zero, so a one-ulp change of a threshold or an amplitude, or a
+    # renumbered state, changes the digest even when no report does.
+    TABLE_DIGESTS = (
+        "596e7b6d4e00d7bfbb39276dca692c930b075e43e9c14d60c35b6f522882f479",
+        "72817fc752027f2839ff0e47b3f86fa7c96e1d934287fb9650b83b7bfcde82a5",
+        "b3f746ac29f7825682c151a254f0127c9675720de13e7c31c0f51fbfa66215d4",
+        "2f1b637fbfb0288663da7077423219b08627f441de1f1c25faa9e1be9c17d9c5",
+        "15df551d6fb6fe7341fcbbd8e23622a38807c9f688b4bf0e6280c87c07c5672c",
+        "361039af7bce7b69b35cbf25fb37845595bb27df7f8f9e116812c80776db27d2",
+        "935ad4c37fa565976dded215ec4e49edf0456e51a522a52a3d4f611246b2a428",
+    )
+
+    @pytest.mark.parametrize("attack, digest", zip(ALL_ATTACKS, TABLE_DIGESTS))
+    def test_tables_are_bit_identical(self, attack, digest):
+        tables = _round_tables(
+            eve_bases(attack, ChannelLeg.FORWARD), eve_bases(attack, ChannelLeg.BACKWARD)
+        )
+        text = repr((tables.amps, tables.measure, tables.encode, tables.bell, tables.prepared))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("attack", ALL_ATTACKS)
     def test_decisions_match_kernels(self, attack):
