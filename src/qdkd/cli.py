@@ -11,8 +11,8 @@ closed before the output is written.
 """
 
 import argparse
+import decimal
 import json
-import math
 import os
 import sys
 from dataclasses import fields
@@ -148,23 +148,14 @@ def _fraction_fields(value: Fraction | None, name: str) -> dict:
 
 def _scientific(value: Fraction) -> str:
     """A non-negative fraction to 5 significant digits in the format of
-    f"{x:.4e}", rounded half to even from the exact value, so that a value
-    far below the smallest float keeps its magnitude."""
-    if not value:
-        return "0.0000e+00"
-    # The bit lengths put value within a factor 4 of 2**bits, so exp is the
-    # estimate or next to it.
-    bits = value.numerator.bit_length() - value.denominator.bit_length()
-    exp = math.floor(bits * math.log10(2))
-    while value >= Fraction(10) ** (exp + 1):
-        exp += 1
-    while value < Fraction(10) ** exp:
-        exp -= 1
-    mantissa = round(value * Fraction(10) ** (4 - exp))
-    if mantissa == 10**5:  # rounded up to the next power of ten
-        mantissa, exp = 10**4, exp + 1
-    digits = str(mantissa)
-    return f"{digits[0]}.{digits[1:]}e{exp:+03d}"
+    f"{x:.4e}", correctly rounded half to even from the exact value, so that
+    a value far below the smallest float keeps its magnitude."""
+    context = decimal.Context(
+        prec=5, rounding=decimal.ROUND_HALF_EVEN, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX
+    )
+    rounded = context.divide(decimal.Decimal(value.numerator), value.denominator)
+    digits = "".join(map(str, rounded.as_tuple().digits)).ljust(5, "0")
+    return f"{digits[0]}.{digits[1:]}e{rounded.adjusted():+03d}"
 
 
 def _cmd_oracle(args) -> int:

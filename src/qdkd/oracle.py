@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .adversary import AttackStrategy, ChannelLeg, eve_bases, validate_attack
-from .errors import ConfigError
 from .protocol import (
     Correlation,
     KeyCheckPolicy,
@@ -33,8 +32,9 @@ from .protocol import (
     expected_correlation,
     require_count,
     require_key_mode,
+    require_policy,
 )
-from .quantum import LocalUnitary, MeasBasis, QubitId
+from .quantum import _U_MATRICES, LocalUnitary, MeasBasis, QubitId
 
 
 # The Bell vectors as unnormalized sign vectors of squared norm 2, in
@@ -44,14 +44,6 @@ _BELL = (
     (0, 1, -1, 0),
     (1, 0, 0, 1),
     (1, 0, 0, -1),
-)
-
-# Encoding unitaries, straight from their bra-ket definitions.
-_U = (
-    ((1, 0), (0, 1)),
-    ((1, 0), (0, -1)),
-    ((0, 1), (1, 0)),
-    ((0, 1), (-1, 0)),
 )
 
 # Projectors onto measurement outcomes, by basis then bit. The X projectors
@@ -68,22 +60,20 @@ _PROJ_SHIFT = (0, 2)
 _LEG_SHIFT = 3
 
 
+# By qubit, the amplitude index pairs (|0>, |1> of that qubit) that a
+# single-qubit matrix mixes.
+_PAIRS = (((0, 2), (1, 3)), ((0, 1), (2, 3)))
+
+
 def _apply_1q(state, qubit, m):
     """Apply a 2x2 matrix on one qubit of an unnormalized 4-amplitude state."""
-    s0, s1, s2, s3 = state
-    if qubit == QubitId.T:
-        return (
-            m[0][0] * s0 + m[0][1] * s1,
-            m[1][0] * s0 + m[1][1] * s1,
-            m[0][0] * s2 + m[0][1] * s3,
-            m[1][0] * s2 + m[1][1] * s3,
-        )
-    return (
-        m[0][0] * s0 + m[0][1] * s2,
-        m[0][0] * s1 + m[0][1] * s3,
-        m[1][0] * s0 + m[1][1] * s2,
-        m[1][0] * s1 + m[1][1] * s3,
-    )
+    (m00, m01), (m10, m11) = m
+    out = [0, 0, 0, 0]
+    for i, j in _PAIRS[qubit]:
+        x, y = state[i], state[j]
+        out[i] = m00 * x + m01 * y
+        out[j] = m10 * x + m11 * y
+    return tuple(out)
 
 
 def _norm_sq(state):
@@ -128,7 +118,7 @@ def _attack_branches(state, leg: ChannelLeg, strategy: AttackStrategy):
 
 def _encoded_state(u_label: int):
     """Alice's encoding of u_label on the unnormalized Psi+ pair."""
-    return _apply_1q(_BELL[0], QubitId.T, _U[u_label])
+    return _apply_1q(_BELL[0], QubitId.T, _U_MATRICES[u_label])
 
 
 # A control path's probability is 1/4 (Alice's unitary) * 1/2 (Bob's basis)
@@ -177,7 +167,7 @@ def _message_paths(attack: AttackStrategy):
     for a in range(4):
         for f_shift, s1, obs_f in _attack_branches(_encoded_state(a), ChannelLeg.FORWARD, attack):
             for b in range(4):
-                s2 = _apply_1q(s1, QubitId.T, _U[b])
+                s2 = _apply_1q(s1, QubitId.T, _U_MATRICES[b])
                 for b_shift, s3, obs_b in _attack_branches(s2, ChannelLeg.BACKWARD, attack):
                     shift = 6 + f_shift + b_shift
                     for overlap_sq, k in _bell_branches(s3):
@@ -219,7 +209,7 @@ def abort_probability(
     and in combined mode both copies of an erring position mismatch, so B is
     that count summed over the independent rounds, times 2 in combined mode.
     """
-    _require_policy(policy)
+    require_policy(policy)
     require_count("message_rounds", message_rounds)
     require_key_mode(key_mode)
     return _abort_from_distribution(
@@ -264,12 +254,6 @@ def _abort_from_distribution(
                 passed += math.comb(group * k, x) * term
             accept += w * passed
     return 1 - Fraction(accept, denom**n * math.comb(length, m))
-
-
-def _require_policy(policy) -> None:
-    if not isinstance(policy, KeyCheckPolicy):
-        raise ConfigError(f"check policy must be a KeyCheckPolicy, got {policy!r}")
-    policy.validate()
 
 
 def _power(poly: tuple[int, ...], n: int) -> list[int]:
@@ -338,7 +322,7 @@ def exact_oracle(
     supplied; each is validated whenever it is passed.
     """
     if check_policy is not None:
-        _require_policy(check_policy)
+        require_policy(check_policy)
     if message_rounds is not None:
         require_count("message_rounds", message_rounds)
     require_key_mode(key_mode)

@@ -297,6 +297,13 @@ class KeyCheckPolicy:
         return self
 
 
+def require_policy(policy) -> None:
+    """Raise ConfigError unless policy is a valid KeyCheckPolicy."""
+    if not isinstance(policy, KeyCheckPolicy):
+        raise ConfigError(f"check policy must be a KeyCheckPolicy, got {policy!r}")
+    policy.validate()
+
+
 @dataclass(frozen=True)
 class KeyCheckResult:
     verdict: CheckVerdict
@@ -312,8 +319,10 @@ def key_check(alice_key, bob_key, policy: KeyCheckPolicy, public_rng) -> KeyChec
 
     The sample is the prefix of a public random permutation, so a larger
     fraction always checks a superset of positions (abort monotonicity).
-    Checked positions are removed from both final keys.
+    Checked positions are removed from both final keys. A policy that is not
+    a valid KeyCheckPolicy raises ConfigError before anything is compared.
     """
+    require_policy(policy)
     if len(alice_key) != len(bob_key):
         raise ProtocolError(
             f"key length mismatch: {len(alice_key)} vs {len(bob_key)} (transcript desync)"

@@ -57,6 +57,8 @@ class LocalUnitary(IntEnum):
         return np.array(_U_MATRICES[self], dtype=complex)
 
 
+# The encoding unitaries as integer matrices, straight from their bra-ket
+# definitions; the exact oracle enumerates with these entries.
 _U_MATRICES = (
     ((1, 0), (0, 1)),
     ((1, 0), (0, -1)),

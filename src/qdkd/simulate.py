@@ -37,9 +37,9 @@ kernels' probabilities and successor states precomputed per state. It draws
 the words in chunks that double from 64 to 4096 and decodes each chunk once
 with numpy into three lists, one entry per word: the top 2 bits of the low
 half, the top 2 bits of the high half and the uniform. The loop then draws
-by index, keeping the next fresh word and the word whose high half is
-buffered, and decides each measurement by comparing the uniform with the
-table's thresholds in place. The build probes the kernels at the smallest
+by index, keeping the index of the next fresh word and the buffered high
+half's 2-bit value, and decides each measurement by comparing the uniform
+with the table's thresholds in place. The build probes the kernels at the smallest
 and the largest stream uniform, 0 and 1 - 2**-53. Each decision is monotone
 in its uniform, so the probes reach every branch a draw can select, and a
 kernel that refuses one (a collapse onto a ~zero branch, or a Bell outcome 3
@@ -244,8 +244,8 @@ class _RoundTables:
     - measure[qubit][s][basis] = (p0, successor of bit 0, successor of bit 1),
       where the successor of a bit no stream uniform selects is None;
     - encode[s][u] = the state after u on the travel photon;
-    - bell[s] = the cumulative thresholds (p0, p0 + p1, p0 + p1 + p2), summed
-      as kernels.measure_bell sums them.
+    - bell[s] = kernels.bell_thresholds(amps), the cumulative thresholds
+      kernels.measure_bell itself compares its uniform with.
 
     The successors are the kernels' own collapses at the smallest and the
     largest stream uniform (smallest first, which fixes the numbering), and
@@ -312,8 +312,7 @@ class _RoundTables:
             return
         amps = self.amps[s]
         kernels.measure_bell(amps, _LAST_UNIFORM)  # the probe: raises on a refused outcome 3
-        p0, p1, p2, _p3 = kernels.bell_probs(amps)
-        self.bell[s] = (p0, p0 + p1, p0 + p1 + p2)
+        self.bell[s] = kernels.bell_thresholds(amps)
 
 
 @functools.cache
@@ -366,44 +365,43 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
     control_rounds = message_rounds = detections = 0
     aborted = False
     abort_cause = None
-    # The decoded stream: p is the next fresh word, q the word whose high
-    # half is buffered (-1 if none). A 32-bit draw is lo2[p] (opening word p)
-    # or hi2[q]; a uniform is uni[p]; a basis is a 2-bit value >> 1.
+    # The decoded stream: p is the next fresh word, half the buffered 2-bit
+    # value of the high half of the last opened word (-1 if none). A 32-bit
+    # draw opens word p (lo2[p], buffering hi2[p]) or takes half; a uniform
+    # is uni[p]; a basis is a 2-bit value >> 1. A refill keeps the words from
+    # p on, so p restarts at 0 and half needs no index.
     lo2 = hi2 = uni = []
-    p, q = 0, -1
+    p, half = 0, -1
     refill_at = -1
     chunk = 64
 
     for index in range(config.rounds):
         if p > refill_at:
-            keep = q if q >= 0 else p
             new_lo2, new_hi2, new_uni = _decode_words(bitgen.random_raw(chunk))
-            lo2 = lo2[keep:] + new_lo2
-            hi2 = hi2[keep:] + new_hi2
-            uni = uni[keep:] + new_uni
-            p -= keep
-            if q >= 0:
-                q = 0
+            lo2 = lo2[p:] + new_lo2
+            hi2 = hi2[p:] + new_hi2
+            uni = uni[p:] + new_uni
+            p = 0
             refill_at = len(uni) - _ROUND_WORDS
             chunk = min(2 * chunk, _MAX_CHUNK_WORDS)
-        if q < 0:
+        if half < 0:
             u_a = lo2[p]
-            q = p
+            half = hi2[p]
             p += 1
         else:
-            u_a = hi2[q]
-            q = -1
+            u_a = half
+            half = -1
         s = prepared[u_a]
         if forward:
             if not forward_random:
                 basis = forward[0]
-            elif q < 0:
+            elif half < 0:
                 basis = lo2[p] >> 1
-                q = p
+                half = hi2[p]
                 p += 1
             else:
-                basis = hi2[q] >> 1
-                q = -1
+                basis = half >> 1
+                half = -1
             p0, s0, s1 = measure_t[s][basis]
             r = uni[p]
             p += 1
@@ -419,13 +417,13 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
         p += 1
         if r < control_prob:
             control_rounds += 1
-            if q < 0:
+            if half < 0:
                 basis = lo2[p] >> 1
-                q = p
+                half = hi2[p]
                 p += 1
             else:
-                basis = hi2[q] >> 1
-                q = -1
+                basis = half >> 1
+                half = -1
             p0, s0, s1 = measure_t[s][basis]
             r = uni[p]
             p += 1
@@ -445,24 +443,24 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
         else:
             message_rounds += 1
             detected = False
-            if q < 0:
+            if half < 0:
                 u_b = lo2[p]
-                q = p
+                half = hi2[p]
                 p += 1
             else:
-                u_b = hi2[q]
-                q = -1
+                u_b = half
+                half = -1
             s = encode[s][u_b]
             if backward:
                 if not backward_random:
                     basis = backward[0]
-                elif q < 0:
+                elif half < 0:
                     basis = lo2[p] >> 1
-                    q = p
+                    half = hi2[p]
                     p += 1
                 else:
-                    basis = hi2[q] >> 1
-                    q = -1
+                    basis = half >> 1
+                    half = -1
                 p0, s0, s1 = measure_t[s][basis]
                 r = uni[p]
                 p += 1

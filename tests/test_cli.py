@@ -7,6 +7,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdkd import KeyCheckPolicy, abort_probability
 from qdkd.adversary import ChannelLeg, EveBasisPolicy, InterceptResend
@@ -169,6 +171,39 @@ class TestScientific:
         accept = 1 - abort_probability(attack, KeyCheckPolicy(0.1, 0), 1000)
         assert 0 < float(accept) < 1e-40
         assert _scientific(accept) == f"{float(accept):.4e}"
+
+
+# Non-negative fractions over a wide range of magnitudes, and exact ties
+# halfway between two 5-digit mantissas.
+_FRACTIONS = st.one_of(
+    st.builds(
+        lambda num, den, exp: Fraction(num, den) * Fraction(10) ** exp,
+        st.integers(0, 10**30), st.integers(1, 10**30), st.integers(-400, 400),
+    ),
+    st.builds(
+        lambda mantissa, exp: Fraction(2 * mantissa + 1, 2) * Fraction(10) ** exp,
+        st.integers(10**4, 10**5 - 1), st.integers(-400, 400),
+    ),
+)
+
+
+class TestScientificProperties:
+    @settings(max_examples=400, deadline=None)
+    @given(value=_FRACTIONS)
+    def test_correctly_rounded_half_to_even(self, value):
+        text = _scientific(value)
+        head, exp = text.split("e")
+        mantissa = int(head.replace(".", ""))
+        assert len(head) == 6 and head[1] == "."
+        if not value:
+            assert text == "0.0000e+00"
+            return
+        assert 10**4 <= mantissa < 10**5
+        unit = Fraction(10) ** (int(exp) - 4)  # one unit of the 5th digit
+        error = abs(mantissa * unit - value)
+        assert error <= unit / 2
+        if error == unit / 2:
+            assert mantissa % 2 == 0
 
 
 class TestTable:

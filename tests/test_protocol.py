@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ScriptedRng
-from qdkd.errors import ProtocolError
+from qdkd.errors import ConfigError, ProtocolError
 from qdkd.protocol import (
     AbortNotice,
     BasisAnnouncement,
@@ -286,6 +286,24 @@ class TestKeyCheck:
         result = key_check((0, 256, True), (0, 0, 1), KeyCheckPolicy(1.0, 5), np.random.default_rng(0))
         assert result.mismatches == 1
         assert result.transcript[1].bits == (0, 256, True)
+
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            KeyCheckPolicy(2.0),  # would check every position
+            KeyCheckPolicy(-0.5),  # would check none and accept
+            KeyCheckPolicy(0.5, -1),
+            KeyCheckPolicy(0.5, 0.5),
+            KeyCheckPolicy(float("nan")),
+            None,
+            (0.5, 0),
+        ],
+        ids=["fraction-2", "fraction-negative", "threshold-negative", "threshold-float",
+             "fraction-nan", "none", "tuple"],
+    )
+    def test_bad_policy_rejected(self, policy):
+        with pytest.raises(ConfigError):
+            key_check((0, 1, 1, 0), (0, 1, 0, 0), policy, np.random.default_rng(0))
 
     def test_abort_transcript_has_notice(self):
         result = key_check((0, 0), (1, 1), KeyCheckPolicy(1.0), np.random.default_rng(0))

@@ -408,6 +408,32 @@ class TestDetectionInterval:
         assert low == pytest.approx(want_low, rel=1e-12)
         assert high == pytest.approx(want_high, rel=1e-12)
 
+    def test_session_coverage_matches_geometric_law(self):
+        # A session aborts at its first detection, so with control_prob 1 an
+        # attacked session's interval is 1 detection in K ~ Geometric(d)
+        # control rounds, or 0 in the cap R when no round detects. Its exact
+        # coverage of d is a sum over that law, not the nominal 95%.
+        from qdkd.oracle import control_detection_probability
+
+        d = control_detection_probability(FORWARD_Z)
+        rounds, n = 200, 4_000
+
+        def covers(detections, trials):
+            _p, low, high = _binomial_ci(detections, trials)
+            return low <= float(d) <= high
+
+        coverage = sum(d * (1 - d) ** (k - 1) for k in range(1, rounds + 1) if covers(1, k))
+        coverage += (1 - d) ** rounds if covers(0, rounds) else 0
+        # 1 in K covers 1/4 iff K <= 18, and 0 in R never does for R >= 12.
+        assert d == Fraction(1, 4) and coverage == 1 - (1 - d) ** 18
+        config = SimConfig(rounds=rounds, control_prob=1.0, attack=FORWARD_Z, seed=2026)
+        share = sum(
+            report.detection_ci_low <= float(d) <= report.detection_ci_high
+            for report in run_batch(config, n)
+        ) / n
+        se = math.sqrt(float(coverage) * (1.0 - float(coverage)) / n)
+        assert abs(share - float(coverage)) <= 5 * se
+
     def test_report_without_detections_has_width(self):
         config = SimConfig(rounds=500, attack=BACKWARD_Z, check_fraction=0.0, seed=3)
         report = run_simulation(config)
