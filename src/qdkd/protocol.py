@@ -256,12 +256,19 @@ def accumulate_key(key: list[int], alice_label: int, bob_label: int, mode: KeyMo
 
 
 def is_int(value) -> bool:
-    """True for integers, numpy's included, but not for bools."""
+    """True for integers, numpy's included, but not for bools.
+
+    The exact-type test comes first only to skip the ABC check for a plain int.
+    """
+    if type(value) is int:
+        return True
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def require_probability(name: str, value) -> None:
     """Raise ConfigError unless value is a real number in [0, 1]; bools are refused."""
+    if type(value) is float and 0 <= value <= 1:
+        return
     if not isinstance(value, numbers.Real) or isinstance(value, bool) or not 0 <= value <= 1:
         raise ConfigError(f"{name} must lie in [0, 1], got {value!r}")
 

@@ -52,8 +52,10 @@ import functools
 import io
 import json
 import math
+import operator
 import struct
 from dataclasses import dataclass, field, fields, replace
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -576,20 +578,51 @@ def run_batch(config: SimConfig, n_runs: int) -> list[SimulationReport]:
 
 # Field name -> annotated type: int (a count), float (a rate), bool or str | None.
 _REPORT_FIELDS = {f.name: f.type for f in fields(SimulationReport)}
+_report_values = operator.attrgetter(*_REPORT_FIELDS)
+# '  "<name>": ', the start of each field's line in the JSON object.
+_JSON_PREFIXES = tuple(f"  {encode_basestring_ascii(name)}: " for name in _REPORT_FIELDS)
 
 
 def serialize_report(report: SimulationReport, fmt: str = "json") -> bytes:
-    """Render a report as JSON (lossless round-trip) or single-row CSV."""
-    data = {name: getattr(report, name) for name in _REPORT_FIELDS}
+    """Render a report as JSON (lossless round-trip) or single-row CSV.
+
+    The JSON is written directly, one field per line, and equals
+    json.dumps(fields, indent=2) plus a trailing newline.
+    """
+    values = _report_values(report)
     if fmt == "json":
-        return (json.dumps(data, indent=2) + "\n").encode()
+        lines = [prefix + _json_value(v) for prefix, v in zip(_JSON_PREFIXES, values)]
+        return ("{\n" + ",\n".join(lines) + "\n}\n").encode()
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(data.keys())
-        writer.writerow(_csv_cell(v) for v in data.values())
+        writer.writerow(_REPORT_FIELDS)
+        writer.writerow(_csv_cell(v) for v in values)
         return buf.getvalue().encode()
     raise ConfigError(f"unknown report format {fmt!r}")
+
+
+def _json_value(value) -> str:
+    """One value as json.dumps encodes a dict value, with the same type tests in the same order."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _csv_cell(value):

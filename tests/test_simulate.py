@@ -467,11 +467,30 @@ class TestValidation:
             {"rounds": 10, "attack": "bogus"},
             {"rounds": 10, "control_prob": True},
             {"rounds": 10, "check_fraction": False},
+            {"rounds": 10, "control_prob": float("nan")},
+            {"rounds": 10, "check_fraction": float("inf")},
         ],
     )
     def test_bad_configs_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             run_simulation(SimConfig(**kwargs))
+
+    def test_numpy_scalars_accepted(self):
+        attack = InterceptResend(ChannelLeg.FORWARD, EveBasisPolicy.RANDOM)
+        builtin = SimConfig(
+            rounds=120, control_prob=0.5, mismatch_threshold=2, attack=attack, seed=2**63 + 5
+        )
+        numpy_typed = SimConfig(
+            rounds=np.int64(120),
+            control_prob=np.float32(0.5),
+            mismatch_threshold=np.int64(2),
+            attack=attack,
+            seed=np.uint64(2**63 + 5),
+        )
+        assert numpy_typed.validate() is numpy_typed
+        assert serialize_report(run_simulation(numpy_typed)) == serialize_report(
+            run_simulation(builtin)
+        )
 
 
 def _report_json(**changes) -> bytes:
@@ -484,7 +503,44 @@ def _bad_report(**changes):
     return pytest.param(_report_json(**changes), id=",".join(f"{k}={v!r}" for k, v in changes.items()))
 
 
+_WRITER_COUNTS = st.one_of(
+    st.integers(), st.integers(min_value=-(10**300), max_value=10**300), st.booleans()
+)
+_WRITER_FLOATS = st.one_of(
+    st.floats(), st.sampled_from([-0.0, 5e-324, 1e16, 1e-7, math.nan, math.inf, -math.inf])
+)
+_WRITER_CAUSES = st.one_of(
+    st.none(),
+    st.text(),
+    st.sampled_from(['"', "\\", "\x00\x1f\x7f\n", "é", "\u2028", "\U0001f600"]),
+)
+_WRITER_FIELD_VALUES = {
+    f.name: {int: _WRITER_COUNTS, float: _WRITER_FLOATS, bool: st.booleans()}.get(
+        f.type, _WRITER_CAUSES
+    )
+    for f in dataclasses.fields(SimulationReport)
+}
+
+
 class TestSerialization:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        values=st.fixed_dictionaries(_WRITER_FIELD_VALUES),
+        unencodable=st.one_of(st.none(), st.sampled_from(list(_WRITER_FIELD_VALUES))),
+    )
+    def test_json_writer_matches_json_dumps(self, values, unencodable):
+        if unencodable is not None:
+            values[unencodable] = Fraction(1, 3)
+        report = SimulationReport(**values)
+        data = {f.name: getattr(report, f.name) for f in dataclasses.fields(SimulationReport)}
+        try:
+            expected = (json.dumps(data, indent=2) + "\n").encode()
+        except TypeError:
+            with pytest.raises(TypeError):
+                serialize_report(report)
+        else:
+            assert serialize_report(report) == expected
+
     def test_json_roundtrip(self):
         report = run_simulation(SimConfig(rounds=200, seed=6))
         assert parse_report(serialize_report(report, "json")) == report
