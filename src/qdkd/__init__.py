@@ -16,13 +16,10 @@ from .adversary import (
     ChannelLeg,
     EveBasisPolicy,
     EveObservation,
-    EveRecord,
     InterceptResend,
     NoAttack,
-    RoundInference,
     apply_attack,
     eve_bases,
-    eve_inference,
 )
 from .errors import (
     ConfigError,
@@ -37,6 +34,7 @@ from .oracle import (
     eve_resolved_bits,
     exact_oracle,
     message_error_distribution,
+    unitary_outcome_table,
 )
 from .protocol import (
     CheckVerdict,
@@ -82,7 +80,6 @@ from .simulate import (
     run_session,
     run_simulation,
     serialize_report,
-    unitary_outcome_table,
 )
 
 __version__ = "0.1.0"

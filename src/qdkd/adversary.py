@@ -6,11 +6,10 @@ forwards the collapsed eigenstate. A Forward attack hits the Alice->Bob leg
 photon of message rounds, so control-round statistics never see it.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ConfigError
-from .protocol import BellAnnouncement, ClassicalMessage
 from .quantum import MeasBasis, QubitId, TwoQubitState, measure_qubit
 
 
@@ -64,15 +63,6 @@ class EveObservation:
     bit: int
 
 
-@dataclass
-class EveRecord:
-    """Everything physically available to Eve: her measurement log plus a
-    copy of every public classical message."""
-
-    observations: list[EveObservation] = field(default_factory=list)
-    transcript: list[ClassicalMessage] = field(default_factory=list)
-
-
 _POLICY_BASES = {
     EveBasisPolicy.Z: (MeasBasis.Z,),
     EveBasisPolicy.X: (MeasBasis.X,),
@@ -107,29 +97,3 @@ def apply_attack(
     bit, collapsed = measure_qubit(state, QubitId.T, basis, rng.random())
     return collapsed, EveObservation(round_index, leg, basis, bit)
 
-
-@dataclass(frozen=True)
-class RoundInference:
-    """What Eve learns about one message round's key material from the
-    public transcript.
-
-    relation is the public XOR of the parties' 2-bit labels (the announced
-    Bell outcome). Her measurements add no individually determined key bit
-    for the supported strategies; oracle.eve_resolved_bits computes that.
-    """
-
-    relation: int
-
-
-def eve_inference(transcript) -> list[RoundInference]:
-    """Per-message-round relations Eve reads off the public transcript.
-
-    Every announced Bell outcome hands the adversary the XOR relation between
-    Alice's and Bob's labels, two bits per message round, even with no attack
-    at all.
-    """
-    return [
-        RoundInference(relation=int(msg.outcome))
-        for msg in transcript
-        if isinstance(msg, BellAnnouncement)
-    ]

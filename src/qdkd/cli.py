@@ -167,14 +167,20 @@ def _cmd_oracle(args) -> int:
     )
     # An exact abort probability at 10**4 message rounds has thousands of
     # digits, more than Python (3.10.7 and later) converts to str by default.
-    if hasattr(sys, "set_int_max_str_digits"):
+    # The limit is lifted only while the output is written.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if limit is not None:
         sys.set_int_max_str_digits(0)
-    out = {}
-    for f in fields(OracleResult):
-        out.update(_fraction_fields(getattr(result, f.name), f.name))
-    abort = result.abort_probability
-    out["acceptance_probability_sci"] = None if abort is None else _scientific(1 - abort)
-    print(json.dumps(out, indent=2))
+    try:
+        out = {}
+        for f in fields(OracleResult):
+            out.update(_fraction_fields(getattr(result, f.name), f.name))
+        abort = result.abort_probability
+        out["acceptance_probability_sci"] = None if abort is None else _scientific(1 - abort)
+        print(json.dumps(out, indent=2))
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
     return 0
 
 

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .adversary import AttackStrategy, ChannelLeg, eve_bases, validate_attack
+from .adversary import AttackStrategy, ChannelLeg, NoAttack, eve_bases, validate_attack
 from .protocol import (
     Correlation,
     KeyCheckPolicy,
@@ -34,7 +34,7 @@ from .protocol import (
     require_key_mode,
     require_policy,
 )
-from .quantum import _U_MATRICES, LocalUnitary, MeasBasis, QubitId
+from .quantum import _U_MATRICES, BellOutcome, LocalUnitary, MeasBasis, QubitId
 
 
 # The Bell vectors as unnormalized sign vectors of squared norm 2, in
@@ -172,6 +172,22 @@ def _message_paths(attack: AttackStrategy):
                     shift = 6 + f_shift + b_shift
                     for overlap_sq, k in _bell_branches(s3):
                         yield overlap_sq << (_MESSAGE_BITS - shift), a, b, obs_f, obs_b, k
+
+
+def unitary_outcome_table() -> list[list[BellOutcome]]:
+    """The 4x4 deterministic Bell outcomes of honest message rounds.
+
+    Cell (i, j) composes Alice's u_i before Bob's u_j on the travel photon of
+    Psi+ and reads off the Bell-measurement outcome, taken from the exact
+    enumeration of an unattacked message round: each cell must have exactly
+    one possible outcome.
+    """
+    table = [[None] * 4 for _ in LocalUnitary]
+    for _w, a, b, _f, _b, k in _message_paths(NoAttack()):
+        if table[a][b] is not None:
+            raise AssertionError(f"honest composite u{a}, u{b} not deterministic")
+        table[a][b] = BellOutcome(k)
+    return table
 
 
 def message_error_distribution(attack: AttackStrategy) -> dict[int, Fraction]:

@@ -298,17 +298,14 @@ class KeyCheckPolicy:
     fraction: float
     mismatch_threshold: int = 0
 
-    def validate(self) -> "KeyCheckPolicy":
-        require_probability("check_fraction", self.fraction)
-        require_count("mismatch_threshold", self.mismatch_threshold)
-        return self
-
 
 def require_policy(policy) -> None:
-    """Raise ConfigError unless policy is a valid KeyCheckPolicy."""
+    """Raise ConfigError unless policy is a KeyCheckPolicy whose fraction lies
+    in [0, 1] and whose threshold is a non-negative integer."""
     if not isinstance(policy, KeyCheckPolicy):
         raise ConfigError(f"check policy must be a KeyCheckPolicy, got {policy!r}")
-    policy.validate()
+    require_probability("check_fraction", policy.fraction)
+    require_count("mismatch_threshold", policy.mismatch_threshold)
 
 
 @dataclass(frozen=True)

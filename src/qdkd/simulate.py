@@ -64,7 +64,6 @@ from .adversary import (
     AttackStrategy,
     ChannelLeg,
     EveObservation,
-    EveRecord,
     NoAttack,
     eve_bases,
     validate_attack,
@@ -88,9 +87,10 @@ from .protocol import (
     key_check,
     require_count,
     require_key_mode,
+    require_policy,
     require_probability,
 )
-from .oracle import _message_paths
+from .oracle import unitary_outcome_table
 from .quantum import MeasBasis, QubitId
 
 
@@ -115,7 +115,7 @@ class SimConfig:
         require_count("rounds", self.rounds)
         require_probability("control_prob", self.control_prob)
         require_key_mode(self.key_mode)
-        KeyCheckPolicy(self.check_fraction, self.mismatch_threshold).validate()
+        require_policy(KeyCheckPolicy(self.check_fraction, self.mismatch_threshold))
         validate_attack(self.attack)
         _require_seed("seed", self.seed)
         return self
@@ -165,15 +165,15 @@ class RoundRecord:
 class SessionResult:
     """Report and keys, plus the raw material tests and analyses need.
 
-    records, transcript and eve are filled only by run_session(...,
-    keep_records=True); otherwise they are empty. eve.transcript is
-    transcript: Eve sees every public message.
+    records, transcript and observations are filled only by run_session(...,
+    keep_records=True); otherwise they are empty. Eve's view is her
+    observations plus the transcript: she sees every public message.
     """
 
     report: SimulationReport
     records: list[RoundRecord] = field(default_factory=list)
     transcript: list[ClassicalMessage] = field(default_factory=list)
-    eve: EveRecord = field(default_factory=EveRecord)
+    observations: list[EveObservation] = field(default_factory=list)
     alice_pre_check: tuple[int, ...] = ()
     bob_pre_check: tuple[int, ...] = ()
     alice_final: tuple[int, ...] = ()
@@ -317,11 +317,7 @@ class _RoundTables:
         self.bell[s] = kernels.bell_thresholds(amps)
 
 
-@functools.cache
-def _round_tables(
-    forward: tuple[MeasBasis, ...], backward: tuple[MeasBasis, ...]
-) -> _RoundTables:
-    return _RoundTables(forward, backward)
+_round_tables = functools.cache(_RoundTables)
 
 
 # Per key mode, the bytes a message round appends: [alice label][bob label].
@@ -544,7 +540,7 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
         report=report,
         records=records,
         transcript=transcript,
-        eve=EveRecord(observations, transcript),
+        observations=observations,
         alice_pre_check=alice_pre,
         bob_pre_check=bob_pre,
         alice_final=alice_final,
@@ -654,22 +650,6 @@ def parse_report(data: bytes) -> SimulationReport:
 
 
 # --- Table rendering ---
-
-
-def unitary_outcome_table() -> list[list[BellOutcome]]:
-    """The 4x4 deterministic Bell outcomes of honest message rounds.
-
-    Cell (i, j) composes Alice's u_i before Bob's u_j on the travel photon of
-    Psi+ and reads off the Bell-measurement outcome, taken from the oracle's
-    exact integer enumeration of an unattacked message round: each cell must
-    have exactly one possible outcome.
-    """
-    table = [[None] * 4 for _ in LocalUnitary]
-    for _w, a, b, _f, _b, k in _message_paths(NoAttack()):
-        if table[a][b] is not None:
-            raise AssertionError(f"honest composite u{a}, u{b} not deterministic")
-        table[a][b] = BellOutcome(k)
-    return table
 
 
 def render_unitary_table() -> str:

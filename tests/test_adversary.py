@@ -1,4 +1,4 @@
-"""Adversary-model tests: attack mechanics, Eve's bookkeeping, inference."""
+"""Adversary-model tests: attack mechanics, Eve's bases, what her view resolves."""
 
 import math
 
@@ -11,10 +11,9 @@ from qdkd.adversary import (
     NoAttack,
     apply_attack,
     eve_bases,
-    eve_inference,
 )
 from qdkd.oracle import eve_resolved_bits
-from qdkd.protocol import BellAnnouncement, KeyMode, ModeAnnouncement, RoundMode
+from qdkd.protocol import KeyMode
 from qdkd.quantum import (
     BellOutcome,
     LocalUnitary,
@@ -109,23 +108,6 @@ class TestEveBases:
 
 
 class TestEveInference:
-    def test_relations_read_from_transcript(self):
-        transcript = [
-            ModeAnnouncement(RoundMode.MESSAGE),
-            BellAnnouncement(BellOutcome.PHI_MINUS),
-            ModeAnnouncement(RoundMode.MESSAGE),
-            BellAnnouncement(BellOutcome.PSI_MINUS),
-        ]
-        inferred = eve_inference(transcript)
-        assert [ri.relation for ri in inferred] == [0b11, 0b01]
-
-    def test_honest_run_yields_relations_only(self, rng):
-        from qdkd.simulate import SimConfig, run_session
-
-        session = run_session(SimConfig(rounds=60, seed=11), keep_records=True)
-        inferred = eve_inference(session.transcript)
-        assert len(inferred) == session.report.message_rounds
-
     @pytest.mark.parametrize(
         "attack",
         [

@@ -10,9 +10,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdkd import KeyCheckPolicy, abort_probability
+from qdkd import (
+    KeyCheckPolicy,
+    KeyMode,
+    SimConfig,
+    abort_probability,
+    cli,
+    run_simulation,
+    serialize_report,
+)
 from qdkd.adversary import ChannelLeg, EveBasisPolicy, InterceptResend
-from qdkd.cli import _scientific
+from qdkd.cli import _build_key_mode, _scientific, build_parser
+
+BACKWARD_RANDOM = InterceptResend(ChannelLeg.BACKWARD, EveBasisPolicy.RANDOM)
+SINGLE_BOB_FLAGS = ("--key-mode", "single", "--single-keep", "bob")
 
 
 def qdkd(*args):
@@ -59,6 +70,21 @@ class TestRun:
     def test_single_key_mode(self):
         proc = qdkd("run", "--rounds", "200", "--seed", "7", "--key-mode", "single")
         assert json.loads(proc.stdout)["capacity_bits_per_message_round"] == 2.0
+
+    def test_single_keep_bob_report(self):
+        args = (
+            "run", "--rounds", "300", "--seed", "4", "--attack", "backward-ir",
+            "--eve-basis", "random", "--check-fraction", "0.05", "--mismatch-threshold", "3",
+            *SINGLE_BOB_FLAGS,
+        )
+        config = SimConfig(
+            rounds=300, seed=4, attack=BACKWARD_RANDOM, check_fraction=0.05,
+            mismatch_threshold=3, key_mode=KeyMode.SINGLE_BOB,
+        )
+        assert qdkd(*args).stdout == serialize_report(run_simulation(config)).decode()
+        # Both single modes give the same report (the error mask of a round
+        # is the same XOR), so the report alone cannot tell them apart.
+        assert _build_key_mode(build_parser().parse_args(args)) is KeyMode.SINGLE_BOB
 
     def test_byte_identical_reruns(self):
         args = ("run", "--rounds", "150", "--seed", "99", "--attack", "backward-ir")
@@ -137,6 +163,27 @@ class TestOracle:
         assert data["abort_probability"] == 1.0
         accept = 1 - Fraction(data["abort_probability_exact"])
         assert data["acceptance_probability_sci"] == "1.2675e-49" == f"{float(accept):.4e}"
+
+    def test_single_keep_bob_abort_probability(self):
+        proc = qdkd(
+            "oracle", "--attack", "backward-ir", "--eve-basis", "random", *SINGLE_BOB_FLAGS,
+            "--message-rounds", "10",
+        )
+        want = abort_probability(BACKWARD_RANDOM, KeyCheckPolicy(0.1, 0), 10, KeyMode.SINGLE_BOB)
+        assert json.loads(proc.stdout)["abort_probability_exact"] == str(want)
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
+    )
+    def test_int_str_limit_restored(self, capsys):
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            assert cli.main(["oracle", "--attack", "backward-ir", "--message-rounds", "10"]) == 0
+            assert sys.get_int_max_str_digits() == 4300
+        finally:
+            sys.set_int_max_str_digits(saved)
+        assert json.loads(capsys.readouterr().out)["abort_probability"] > 0
 
     @pytest.mark.parametrize("flags", [
         ("--message-rounds", "-5"),

@@ -40,6 +40,7 @@ from qdkd.protocol import (
     run_control_round,
     run_message_round,
 )
+from qdkd.oracle import unitary_outcome_table
 from qdkd.quantum import BellOutcome, LocalUnitary
 from qdkd.simulate import (
     ABORT_CONTROL,
@@ -58,7 +59,6 @@ from qdkd.simulate import (
     run_session,
     run_simulation,
     serialize_report,
-    unitary_outcome_table,
 )
 
 BACKWARD_Z = InterceptResend(ChannelLeg.BACKWARD, EveBasisPolicy.Z)
@@ -98,8 +98,6 @@ class TestHonestRuns:
         session = run_session(SimConfig(rounds=120, seed=3), keep_records=True)
         announces = [m for m in session.transcript if isinstance(m, BellAnnouncement)]
         assert len(announces) == session.report.message_rounds
-        # Eve sees every public message.
-        assert session.eve.transcript == session.transcript
 
     def test_rounds_zero_gives_empty_report(self):
         report = run_simulation(SimConfig(rounds=0, seed=1))
@@ -168,8 +166,7 @@ class TestSessionProperties:
             session.bob_pre_check,
         )
         assert (bare.alice_final, bare.bob_final) == (session.alice_final, session.bob_final)
-        assert bare.records == bare.transcript == bare.eve.observations == []
-        assert bare.eve.transcript == []
+        assert bare.records == bare.transcript == bare.observations == []
 
         controls = sum(isinstance(r.outcome, ControlOutcome) for r in records)
         assert report.control_rounds == controls
@@ -210,13 +207,13 @@ class TestSessionProperties:
 
         session = run_session(config)
         assert not built
-        assert session.transcript == session.eve.observations == []
+        assert session.transcript == session.observations == []
 
         session = run_session(config, keep_records=True)
         intercepted = (
             session.report.rounds_total if leg is ChannelLeg.FORWARD else session.report.message_rounds
         )
-        assert built["EveObservation"] == len(session.eve.observations) == intercepted > 0
+        assert built["EveObservation"] == len(session.observations) == intercepted > 0
         assert built["RoundRecord"] == session.report.rounds_total
         assert built["ControlOutcome"] == session.report.control_rounds
         assert built["MessageOutcome"] == session.report.message_rounds
@@ -248,8 +245,8 @@ class TestAttackedRuns:
 
     def test_eve_observations_only_on_message_rounds_for_backward(self):
         session = run_session(SimConfig(rounds=200, seed=9, attack=BACKWARD_Z), keep_records=True)
-        assert len(session.eve.observations) == session.report.message_rounds
-        assert all(o.leg is ChannelLeg.BACKWARD for o in session.eve.observations)
+        assert len(session.observations) == session.report.message_rounds
+        assert all(o.leg is ChannelLeg.BACKWARD for o in session.observations)
 
 
 class TestDeterminism:
@@ -717,8 +714,7 @@ def _assert_matches_reference(config):
     session = run_session(config, keep_records=True)
     assert session.records == records
     assert session.transcript == transcript
-    assert session.eve.transcript is session.transcript
-    assert session.eve.observations == observations
+    assert session.observations == observations
     assert (session.alice_pre_check, session.bob_pre_check) == pre
     assert (session.alice_final, session.bob_final) == final
     assert serialize_report(session.report) == serialize_report(report)
