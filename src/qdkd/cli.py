@@ -20,12 +20,17 @@ from fractions import Fraction
 
 from .adversary import ChannelLeg, EveBasisPolicy, InterceptResend, NoAttack
 from .errors import ConfigError
-from .oracle import OracleResult, exact_oracle
-from .protocol import KeyCheckPolicy, KeyMode
+from .oracle import OracleResult, abort_probability, exact_oracle
+from .protocol import KeyCheckPolicy, KeyMode, require_policy
 from .simulate import SimConfig, render_unitary_table, run_simulation, serialize_report
 
 USAGE_ERROR = 1
 ABORT_EXIT = 2
+
+# The single key modes differ only in whose bits are kept, and a round's
+# mismatch mask is k ^ a ^ b from either side, so both print the same report
+# and abort probability; the CLI offers one of them.
+_KEY_MODES = {"combined": KeyMode.COMBINED, "single": KeyMode.SINGLE_ALICE}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -54,15 +59,9 @@ def _add_attack_flags(parser):
 def _add_key_flags(parser):
     parser.add_argument(
         "--key-mode",
-        choices=["combined", "single"],
+        choices=list(_KEY_MODES),
         default="combined",
         help="keep both parties' bits (combined, default) or one party's (single)",
-    )
-    parser.add_argument(
-        "--single-keep",
-        choices=["alice", "bob"],
-        default="alice",
-        help="which party's bits the single key mode keeps (default alice)",
     )
     parser.add_argument(
         "--check-fraction", type=float, default=0.1, help="key fraction compared publicly"
@@ -80,12 +79,6 @@ def _build_attack(args):
         return NoAttack()
     leg = ChannelLeg.FORWARD if args.attack == "forward-ir" else ChannelLeg.BACKWARD
     return InterceptResend(leg, EveBasisPolicy(args.eve_basis))
-
-
-def _build_key_mode(args) -> KeyMode:
-    if args.key_mode == "combined":
-        return KeyMode.COMBINED
-    return KeyMode.SINGLE_BOB if args.single_keep == "bob" else KeyMode.SINGLE_ALICE
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -121,7 +114,7 @@ def _cmd_run(args) -> int:
     config = SimConfig(
         rounds=args.rounds,
         control_prob=args.control_prob,
-        key_mode=_build_key_mode(args),
+        key_mode=_KEY_MODES[args.key_mode],
         check_fraction=args.check_fraction,
         mismatch_threshold=args.mismatch_threshold,
         attack=_build_attack(args),
@@ -159,12 +152,13 @@ def _scientific(value: Fraction) -> str:
 
 
 def _cmd_oracle(args) -> int:
-    result = exact_oracle(
-        _build_attack(args),
-        check_policy=KeyCheckPolicy(args.check_fraction, args.mismatch_threshold),
-        message_rounds=args.message_rounds,
-        key_mode=_build_key_mode(args),
-    )
+    attack = _build_attack(args)
+    policy = KeyCheckPolicy(args.check_fraction, args.mismatch_threshold)
+    require_policy(policy)  # also without --message-rounds
+    result = exact_oracle(attack)
+    abort = None
+    if args.message_rounds is not None:
+        abort = abort_probability(attack, policy, args.message_rounds, _KEY_MODES[args.key_mode])
     # An exact abort probability at 10**4 message rounds has thousands of
     # digits, more than Python (3.10.7 and later) converts to str by default.
     # The limit is lifted only while the output is written.
@@ -175,7 +169,7 @@ def _cmd_oracle(args) -> int:
         out = {}
         for f in fields(OracleResult):
             out.update(_fraction_fields(getattr(result, f.name), f.name))
-        abort = result.abort_probability
+        out.update(_fraction_fields(abort, "abort_probability"))
         out["acceptance_probability_sci"] = None if abort is None else _scientific(1 - abort)
         print(json.dumps(out, indent=2))
     finally:

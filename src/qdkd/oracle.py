@@ -228,16 +228,10 @@ def abort_probability(
     require_policy(policy)
     require_count("message_rounds", message_rounds)
     require_key_mode(key_mode)
-    return _abort_from_distribution(
-        message_error_distribution(attack), policy, message_rounds, key_mode
-    )
-
-
-def _abort_from_distribution(
-    dist: dict[int, Fraction], policy: KeyCheckPolicy, n: int, key_mode: KeyMode
-) -> Fraction:
-    """abort_probability for a per-round error distribution, a validated policy
-    and a validated message-round count."""
+    # Validation accepts numpy integers, which would overflow in the exact
+    # arithmetic below.
+    n, threshold = int(message_rounds), int(policy.mismatch_threshold)
+    dist = message_error_distribution(attack)
     length = key_mode.bits_per_round * n
     m = checked_count(policy.fraction, length)
     group = 2 if key_mode is KeyMode.COMBINED else 1  # key positions per erring label position
@@ -247,7 +241,7 @@ def _abort_from_distribution(
     weights = _power(tuple(p.numerator * (denom // p.denominator) for p in q), n)
     while not weights[-1]:  # trailing counts of probability 0 need no walk
         weights.pop()
-    top = min(policy.mismatch_threshold, m)  # the most mismatches the check accepts
+    top = min(threshold, m)  # the most mismatches the check accepts
     # With B = group * k erring key positions, the check passes with
     # sum_x C(B, x) * C(L - B, m - x) of the C(L, m) subsets, x <= top. Walk k
     # upward keeping only C(size, m - top) for size = L - B, lowering size one
@@ -322,36 +316,18 @@ class OracleResult:
     key_error_rate_overall: Fraction
     key_error_rate_amplitude_bit: Fraction
     key_error_rate_phase_bit: Fraction
-    abort_probability: Fraction | None = None
 
 
-def exact_oracle(
-    attack: AttackStrategy,
-    check_policy: KeyCheckPolicy | None = None,
-    message_rounds: int | None = None,
-    key_mode: KeyMode = KeyMode.COMBINED,
-) -> OracleResult:
-    """Ground-truth statistics by exhaustive enumeration (no sampling).
-
-    The abort probability needs a key length to be well defined, so it is
-    only computed when both a check policy and a message-round count are
-    supplied; each is validated whenever it is passed.
-    """
-    if check_policy is not None:
-        require_policy(check_policy)
-    if message_rounds is not None:
-        require_count("message_rounds", message_rounds)
-    require_key_mode(key_mode)
+def exact_oracle(attack: AttackStrategy) -> OracleResult:
+    """Ground-truth per-round statistics by exhaustive enumeration (no
+    sampling). The key check's abort probability also needs a policy and a
+    key length; abort_probability answers it."""
     dist = message_error_distribution(attack)
     amp = dist[2] + dist[3]
     phase = dist[1] + dist[3]
-    abort = None
-    if check_policy is not None and message_rounds is not None:
-        abort = _abort_from_distribution(dist, check_policy, message_rounds, key_mode)
     return OracleResult(
         detection_prob_per_control_round=control_detection_probability(attack),
         key_error_rate_overall=(amp + phase) / 2,
         key_error_rate_amplitude_bit=amp,
         key_error_rate_phase_bit=phase,
-        abort_probability=abort,
     )

@@ -136,25 +136,17 @@ MESSAGE_TRANSCRIPTS = tuple(
 )
 
 
-# The deterministic correlation an honest run exhibits, by (unitary, basis).
-# Z basis: the Psi states anticorrelate h and t, the Phi states correlate.
-# X basis: Psi+ = (|++> - |-->)/sqrt2 and Phi+ = (|++> + |-->)/sqrt2 correlate,
-# Psi- = (|-+> - |+->)/sqrt2 and Phi- = (|+-> + |-+>)/sqrt2 anticorrelate.
-_EXPECTED_CORRELATION = {
-    (LocalUnitary.U0, MeasBasis.Z): Correlation.ANTICORRELATED,
-    (LocalUnitary.U1, MeasBasis.Z): Correlation.ANTICORRELATED,
-    (LocalUnitary.U2, MeasBasis.Z): Correlation.CORRELATED,
-    (LocalUnitary.U3, MeasBasis.Z): Correlation.CORRELATED,
-    (LocalUnitary.U0, MeasBasis.X): Correlation.CORRELATED,
-    (LocalUnitary.U1, MeasBasis.X): Correlation.ANTICORRELATED,
-    (LocalUnitary.U2, MeasBasis.X): Correlation.CORRELATED,
-    (LocalUnitary.U3, MeasBasis.X): Correlation.ANTICORRELATED,
-}
-
-
 def expected_correlation(u: LocalUnitary, basis: MeasBasis) -> Correlation:
-    """The correlation Alice expects in an honest control round."""
-    return _EXPECTED_CORRELATION[(LocalUnitary(u), MeasBasis(basis))]
+    """The correlation Alice expects in an honest control round.
+
+    Z reads the amplitude bit: the Psi states anticorrelate h and t, the Phi
+    states correlate. X reads the phase bit: Psi+ = (|++> - |-->)/sqrt2 and
+    Phi+ = (|++> + |-->)/sqrt2 correlate, Psi- = (|-+> - |+->)/sqrt2 and
+    Phi- = (|+-> + |-+>)/sqrt2 anticorrelate.
+    """
+    amplitude, phase = LocalUnitary(u).bits
+    correlated = amplitude if MeasBasis(basis) is MeasBasis.Z else not phase
+    return Correlation.CORRELATED if correlated else Correlation.ANTICORRELATED
 
 
 def alice_prepare(rng) -> tuple[TwoQubitState, LocalUnitary]:

@@ -1,5 +1,7 @@
 """CLI surface tests: subcommands, report output, exit codes."""
 
+import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -10,20 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdkd import (
-    KeyCheckPolicy,
-    KeyMode,
-    SimConfig,
-    abort_probability,
-    cli,
-    run_simulation,
-    serialize_report,
-)
+from qdkd import KeyCheckPolicy, abort_probability, cli
 from qdkd.adversary import ChannelLeg, EveBasisPolicy, InterceptResend
-from qdkd.cli import _build_key_mode, _scientific, build_parser
-
-BACKWARD_RANDOM = InterceptResend(ChannelLeg.BACKWARD, EveBasisPolicy.RANDOM)
-SINGLE_BOB_FLAGS = ("--key-mode", "single", "--single-keep", "bob")
+from qdkd.cli import _scientific, build_parser
 
 
 def qdkd(*args):
@@ -70,21 +61,6 @@ class TestRun:
     def test_single_key_mode(self):
         proc = qdkd("run", "--rounds", "200", "--seed", "7", "--key-mode", "single")
         assert json.loads(proc.stdout)["capacity_bits_per_message_round"] == 2.0
-
-    def test_single_keep_bob_report(self):
-        args = (
-            "run", "--rounds", "300", "--seed", "4", "--attack", "backward-ir",
-            "--eve-basis", "random", "--check-fraction", "0.05", "--mismatch-threshold", "3",
-            *SINGLE_BOB_FLAGS,
-        )
-        config = SimConfig(
-            rounds=300, seed=4, attack=BACKWARD_RANDOM, check_fraction=0.05,
-            mismatch_threshold=3, key_mode=KeyMode.SINGLE_BOB,
-        )
-        assert qdkd(*args).stdout == serialize_report(run_simulation(config)).decode()
-        # Both single modes give the same report (the error mask of a round
-        # is the same XOR), so the report alone cannot tell them apart.
-        assert _build_key_mode(build_parser().parse_args(args)) is KeyMode.SINGLE_BOB
 
     def test_byte_identical_reruns(self):
         args = ("run", "--rounds", "150", "--seed", "99", "--attack", "backward-ir")
@@ -164,14 +140,6 @@ class TestOracle:
         accept = 1 - Fraction(data["abort_probability_exact"])
         assert data["acceptance_probability_sci"] == "1.2675e-49" == f"{float(accept):.4e}"
 
-    def test_single_keep_bob_abort_probability(self):
-        proc = qdkd(
-            "oracle", "--attack", "backward-ir", "--eve-basis", "random", *SINGLE_BOB_FLAGS,
-            "--message-rounds", "10",
-        )
-        want = abort_probability(BACKWARD_RANDOM, KeyCheckPolicy(0.1, 0), 10, KeyMode.SINGLE_BOB)
-        assert json.loads(proc.stdout)["abort_probability_exact"] == str(want)
-
     @pytest.mark.skipif(
         not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
     )
@@ -200,6 +168,95 @@ class TestOracle:
         assert "qdkd: error:" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+
+def _oracle_matrix():
+    """Every attack and Eve basis (the basis is ignored without an attack),
+    both key modes and four key lengths, then the default query and three
+    refused ones."""
+    attacks = [("none", basis) for basis in ("z", "x", "random")] + [
+        (attack, basis) for attack in ("forward-ir", "backward-ir") for basis in ("z", "x", "random")
+    ]
+    for attack, basis in attacks:
+        for key_mode in ("combined", "single"):
+            for rounds in (None, "0", "37", "400"):
+                args = ["oracle", "--attack", attack, "--eve-basis", basis, "--key-mode", key_mode]
+                yield args if rounds is None else args + ["--message-rounds", rounds]
+    yield ["oracle"]
+    yield ["oracle", "--check-fraction", "2"]
+    yield ["oracle", "--message-rounds", "-5"]
+    yield ["oracle", "--mismatch-threshold", "-1", "--message-rounds", "3"]
+
+
+class TestOracleOutput:
+    def test_matrix_digest(self, capsys):
+        # The bytes and exit codes the command printed when exact_oracle also
+        # computed the abort probability; recomposing the output keeps them.
+        digest = hashlib.sha256()
+        for args in _oracle_matrix():
+            code = cli.main(args)
+            captured = capsys.readouterr()
+            digest.update(f"{' '.join(args)}\n{code}\n{captured.out}{captured.err}".encode())
+        assert digest.hexdigest() == (
+            "d6cf97f41aaf3516f6307d3b466468631db5eacdd734ea6aaa02637a40ec7f79"
+        )
+
+
+# Per subcommand, an invocation in which every option matters. An option with
+# choices is tried at each of its other choices, any other one at the value
+# below (None: the option left out).
+_LIVE_BASE = {
+    "run": {
+        "--rounds": "300", "--control-prob": "0.2", "--attack": "backward-ir", "--seed": "3",
+    },
+    "oracle": {"--attack": "backward-ir", "--message-rounds": "10"},
+}
+_LIVE_OTHER = {
+    "--rounds": "301",
+    "--control-prob": "0.3",
+    "--check-fraction": "0.3",
+    "--mismatch-threshold": "100",
+    "--seed": "4",
+    "--out": "report.json",
+    "--message-rounds": None,
+}
+
+
+def _liveness_cases():
+    parser = build_parser()
+    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for command, base in _LIVE_BASE.items():
+        for action in subcommands.choices[command]._actions:
+            option = action.option_strings[-1]
+            if option == "--help":
+                continue
+            if action.choices:
+                others = [c for c in action.choices if c != base.get(option, action.default)]
+            else:
+                others = [_LIVE_OTHER[option]]
+            for other in others:
+                yield pytest.param(command, option, other, id=f"{command} {option} {other}")
+
+
+def _argv(command, options):
+    argv = [command]
+    for option, value in options.items():
+        if value is not None:
+            argv += [option, str(value)]
+    return argv
+
+
+class TestFlagLiveness:
+    """Every option changes what its subcommand prints."""
+
+    @pytest.mark.parametrize("command,option,other", _liveness_cases())
+    def test_option_changes_output(self, command, option, other, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        outputs = []
+        for options in (_LIVE_BASE[command], {**_LIVE_BASE[command], option: other}):
+            assert cli.main(_argv(command, options)) in (0, 2)
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] != outputs[1]
 
 
 class TestScientific:

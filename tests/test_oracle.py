@@ -6,6 +6,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +15,6 @@ from qdkd import oracle
 from qdkd.adversary import ChannelLeg, EveBasisPolicy, InterceptResend, NoAttack
 from qdkd.errors import ConfigError
 from qdkd.oracle import (
-    _abort_from_distribution,
     _power,
     abort_probability,
     control_detection_probability,
@@ -326,7 +326,7 @@ class TestIncrementalSum:
     def test_equals_direct_sum(self, attack, key_mode, rounds, fraction, threshold):
         dist = message_error_distribution(attack)
         policy = KeyCheckPolicy(fraction, threshold)
-        got = _abort_from_distribution(dist, policy, rounds, key_mode)
+        got = abort_probability(attack, policy, rounds, key_mode)
         assert got == _direct_abort(dist, policy, rounds, key_mode)
 
     def test_equals_direct_sum_at_scale(self):
@@ -390,6 +390,8 @@ class TestAbortValidation:
         (KeyCheckPolicy(0.1, 0), -5),
         (KeyCheckPolicy(0.1, 0), 2.0),
         (KeyCheckPolicy(0.1, 0), True),
+        (KeyCheckPolicy(0.1, 0), "x"),
+        (KeyCheckPolicy(2.0, -1), 10),
         (KeyCheckPolicy(2.0, 0), 10),
         (KeyCheckPolicy(-0.5, 0), 10),
         (KeyCheckPolicy(float("nan"), 0), 10),
@@ -402,28 +404,6 @@ class TestAbortValidation:
     def test_bad_queries_rejected(self, policy, rounds):
         with pytest.raises(ConfigError):
             abort_probability(BACKWARD_Z, policy, rounds)
-        with pytest.raises(ConfigError):
-            exact_oracle(BACKWARD_Z, check_policy=policy, message_rounds=rounds)
-
-    @pytest.mark.parametrize("policy", [
-        KeyCheckPolicy(2.0, -1),
-        KeyCheckPolicy(2.0, 0),
-        KeyCheckPolicy(-0.5, 0),
-        KeyCheckPolicy(float("nan"), 0),
-        KeyCheckPolicy("0.1", 0),
-        KeyCheckPolicy(0.1, -1),
-        KeyCheckPolicy(0.1, 0.5),
-        KeyCheckPolicy(0.1, False),
-        KeyCheckPolicy(True, 0),
-    ])
-    def test_bad_policy_rejected_without_rounds(self, policy):
-        with pytest.raises(ConfigError):
-            exact_oracle(NoAttack(), check_policy=policy)
-
-    @pytest.mark.parametrize("rounds", [-5, "x", True, 1.5])
-    def test_bad_rounds_rejected_without_policy(self, rounds):
-        with pytest.raises(ConfigError):
-            exact_oracle(NoAttack(), message_rounds=rounds)
 
     @pytest.mark.parametrize("attack", [
         InterceptResend("forward"),
@@ -437,7 +417,6 @@ class TestAbortValidation:
         policy = KeyCheckPolicy(0.1, 0)
         calls = [
             lambda: exact_oracle(attack),
-            lambda: exact_oracle(attack, check_policy=policy, message_rounds=10),
             lambda: abort_probability(attack, policy, 10),
             lambda: control_detection_probability(attack),
             lambda: message_error_distribution(attack),
@@ -449,39 +428,25 @@ class TestAbortValidation:
 
     @pytest.mark.parametrize("call", [
         lambda: abort_probability(BACKWARD_Z, KeyCheckPolicy(0.1), 10, "combined"),
-        lambda: exact_oracle(BACKWARD_Z, KeyCheckPolicy(0.1), 10, key_mode="single"),
         lambda: abort_probability(BACKWARD_Z, None, 10),
-        lambda: exact_oracle(BACKWARD_Z, check_policy=(0.1, 0), message_rounds=3),
+        lambda: abort_probability(BACKWARD_Z, (0.1, 0), 3),
         lambda: oracle.eve_resolved_bits(BACKWARD_Z, "combined"),
-    ], ids=["abort-mode-str", "oracle-mode-str", "abort-no-policy", "oracle-tuple-policy",
-            "resolved-mode-str"])
+    ], ids=["abort-mode-str", "abort-no-policy", "abort-tuple-policy", "resolved-mode-str"])
     def test_bad_key_mode_or_policy_rejected(self, call):
         with pytest.raises(ConfigError):
             call()
 
+    @pytest.mark.parametrize("key_mode", list(KeyMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("attack", ALL_ATTACKS, ids=ATTACK_IDS)
+    def test_numpy_integers_give_the_int_value(self, attack, key_mode):
+        # Validation accepts numpy integers; in fixed width the exact
+        # arithmetic overflows at these sizes.
+        for n in (0, 1, 17, 33, 35, 39):
+            want = abort_probability(attack, KeyCheckPolicy(0.1, 1), n, key_mode)
+            for rounds, threshold in ((np.int64(n), 1), (n, np.int64(1)), (np.int64(n), np.int64(1))):
+                got = abort_probability(attack, KeyCheckPolicy(0.1, threshold), rounds, key_mode)
+                assert type(got) is Fraction
+                assert got == want
+
     def test_zero_rounds_never_abort(self):
         assert abort_probability(BACKWARD_Z, KeyCheckPolicy(1.0, 0), 0) == 0
-
-
-class TestOracleResult:
-    def test_forward_z_summary(self):
-        r = exact_oracle(FORWARD_Z, check_policy=KeyCheckPolicy(0.1, 0), message_rounds=10)
-        assert r.detection_prob_per_control_round == Fraction(1, 4)
-        assert r.abort_probability is not None
-
-    def test_abort_omitted_without_context(self):
-        assert exact_oracle(FORWARD_Z).abort_probability is None
-
-    def test_enumerates_once_with_abort(self, monkeypatch):
-        calls = []
-        enumerate_errors = oracle.message_error_distribution
-
-        def counted(attack):
-            calls.append(attack)
-            return enumerate_errors(attack)
-
-        monkeypatch.setattr(oracle, "message_error_distribution", counted)
-        policy = KeyCheckPolicy(0.1, 0)
-        r = exact_oracle(BACKWARD_Z, check_policy=policy, message_rounds=40)
-        assert len(calls) == 1
-        assert r.abort_probability == abort_probability(BACKWARD_Z, policy, 40)

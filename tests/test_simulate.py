@@ -40,7 +40,7 @@ from qdkd.protocol import (
     run_control_round,
     run_message_round,
 )
-from qdkd.oracle import unitary_outcome_table
+from qdkd.oracle import abort_probability, unitary_outcome_table
 from qdkd.quantum import BellOutcome, LocalUnitary
 from qdkd.simulate import (
     ABORT_CONTROL,
@@ -292,6 +292,42 @@ class TestDeterminism:
             func(*args)
 
 
+class TestSingleKeyModes:
+    """Keeping Alice's or Bob's bits gives the same report: a round's mismatch
+    mask is k ^ a ^ b from either side, and the checked positions depend only
+    on the key length. This is why the CLI offers a single mode, not two."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rounds=st.integers(0, 150),
+        attack=st.sampled_from(ALL_ATTACKS),
+        control_prob=st.floats(0.0, 1.0),
+        check_fraction=st.floats(0.0, 1.0),
+        threshold=st.integers(0, 5),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_alice_and_bob_agree(
+        self, rounds, attack, control_prob, check_fraction, threshold, seed
+    ):
+        reports = [
+            run_simulation(
+                SimConfig(
+                    rounds=rounds, control_prob=control_prob, key_mode=key_mode,
+                    check_fraction=check_fraction, mismatch_threshold=threshold,
+                    attack=attack, seed=seed,
+                )
+            )
+            for key_mode in (KeyMode.SINGLE_ALICE, KeyMode.SINGLE_BOB)
+        ]
+        for fmt in ("json", "csv"):
+            assert serialize_report(reports[0], fmt) == serialize_report(reports[1], fmt)
+        policy = KeyCheckPolicy(check_fraction, threshold)
+        n = reports[0].message_rounds
+        assert abort_probability(attack, policy, n, KeyMode.SINGLE_ALICE) == abort_probability(
+            attack, policy, n, KeyMode.SINGLE_BOB
+        )
+
+
 class TestOracleAgreement:
     """Monte Carlo estimates within 4 binomial SE of the exact oracle, for
     every supported attack strategy."""
@@ -363,8 +399,6 @@ class TestOracleAgreement:
     def test_interior_abort_rate_matches_oracle(self, attack, key_mode, want):
         # control_prob 0 fixes 10 message rounds, so every session meets the
         # same exact abort probability, well inside (0, 1).
-        from qdkd.oracle import abort_probability
-
         config = SimConfig(rounds=10, control_prob=0.0, key_mode=key_mode, check_fraction=0.1,
                            mismatch_threshold=0, attack=attack, seed=4242)
         assert abort_probability(attack, KeyCheckPolicy(0.1, 0), 10, key_mode) == want
