@@ -6,9 +6,9 @@ state-vector channel, models intercept-measure-resend eavesdropping on either
 channel leg, and quantifies detection probability, key error rates, and key
 capacity against an exact enumeration oracle.
 
-The state-vector kernels are plain Python functions over tuples of four
-complex amplitudes (qdkd._kernels_py); qdkd.quantum wraps them in
-TwoQubitState values.
+Sessions walk round tables that qdkd.oracle builds in exact integer
+arithmetic; the float kernels (qdkd._kernels_py, wrapped in qdkd.quantum's
+TwoQubitState) are the physics reference the tests check them against.
 """
 
 from .adversary import (

@@ -1,10 +1,10 @@
 """Two-qubit state-vector kernels in pure Python.
 
-These are the only kernels the package uses. Seeded reports depend on their
-exact floating-point results, so keep the operation order, the constants and
-the branch selection rule when editing them; tests/test_kernels.py checks
-each kernel against a numpy matrix reference and pins every output, signed
-zeros included, by digest.
+These are the package's float physics reference: sessions and the exact
+oracle do not call them, and the tests check the session's round tables
+against them. Keep the operation order, the constants and the branch rule
+when editing them; tests/test_kernels.py checks each kernel against a numpy
+matrix reference and pins every output, signed zeros included, by digest.
 
 States are plain tuples of 4 complex amplitudes indexed by the basis label
 (h, t) in the order 00, 01, 10, 11. Qubit codes: 0 = h (home), 1 = t
@@ -15,8 +15,8 @@ Bell outcome codes follow the 2-bit labels: 0 = Psi+, 1 = Psi-, 2 = Phi+,
 Each single-qubit kernel is written once, over PAIRS: by qubit, the index
 pairs (i, j) of the amplitudes whose labels differ only in that qubit, so h
 mixes (0, 2) and (1, 3) and t mixes (0, 1) and (2, 3). bell_thresholds is
-the one cumulative sum a Bell measurement compares its uniform with;
-measure_bell and the session's round tables both read it.
+the one cumulative sum a Bell measurement compares its uniform with; only
+measure_bell reads it.
 """
 
 from math import sqrt

@@ -19,6 +19,6 @@ class DegenerateBranchError(QdkdError, RuntimeError):
     Impossible under the sampling rule (bit 0 iff r < p0); raised as an
     internal-error flag if a collapse is requested onto a branch with
     probability below 1e-12, or if a Bell measurement's uniform falls
-    through to an outcome of ~zero probability. A session meets it only
-    while its round tables are built, never in the round loop.
+    through to an outcome of ~zero probability. Only the float kernels
+    raise it; a session, whose tables are exact, never meets it.
     """

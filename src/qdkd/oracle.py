@@ -13,14 +13,18 @@ denominator and builds its Fraction once. The key check's abort probability
 is a closed-form mixture over the enumerated per-round error distribution:
 an integer polynomial power counts the erring key positions, and
 hypergeometric counts, walked upward in the count by exact small-integer
-updates, weigh each count by the chance that the check passes. This module
-deliberately does not use the float kernels: it is the independent oracle
-the Monte Carlo simulator is validated against.
+updates, weigh each count by the chance that the check passes.
+
+The simulator's round tables (_RoundTables) come from this arithmetic too,
+so checks of the simulator against the oracle test its sampling and protocol
+logic, not its physics: the physics check lives in the tests, against the
+float kernels and TwoQubitState, which this module does not use.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .adversary import AttackStrategy, ChannelLeg, NoAttack, eve_bases, validate_attack
 from .protocol import (
@@ -119,6 +123,79 @@ def _attack_branches(state, leg: ChannelLeg, strategy: AttackStrategy):
 def _encoded_state(u_label: int):
     """Alice's encoding of u_label on the unnormalized Psi+ pair."""
     return _apply_1q(_BELL[0], QubitId.T, _U_MATRICES[u_label])
+
+
+class _RoundTables:
+    """The session's round automaton under Eve's bases on each leg.
+
+    States are integer 4-tuples, interned up to scale and sign and numbered
+    in the order first met. Only states on protocol paths get entries:
+
+    - measure[qubit][s][basis] = (p0, successor of bit 0, successor of bit 1),
+      where a bit of probability 0 has successor None;
+    - encode[s][u] = the state after u on the travel photon;
+    - bell[s] = the cumulative probabilities of outcomes 0, 0-1 and 0-2.
+
+    Each p0 and Bell threshold is an exact Fraction rounded once to a float;
+    every one a session reaches is 0, 1/2 or 1.
+    """
+
+    def __init__(self, forward: tuple[MeasBasis, ...], backward: tuple[MeasBasis, ...]):
+        self.states: list[tuple] = []
+        self._ids: dict[tuple, int] = {}
+        self.measure: tuple[list, list] = ([], [])
+        self.encode: list = []
+        self.bell: list = []
+        self.prepared = tuple(self._intern(_encoded_state(u)) for u in range(4))
+        at_bob = dict.fromkeys(t for s in self.prepared for t in self._leg(s, forward))
+        at_alice = []
+        for s in at_bob:
+            for basis in MeasBasis:
+                for after_bob in self._branches(s, QubitId.T, basis)[1:]:
+                    if after_bob is not None:
+                        self._branches(after_bob, QubitId.H, basis)
+            self.encode[s] = tuple(
+                self._intern(_apply_1q(self.states[s], QubitId.T, m)) for m in _U_MATRICES
+            )
+            at_alice += (t for returned in self.encode[s] for t in self._leg(returned, backward))
+        for t in dict.fromkeys(at_alice):
+            weights = [0, 0, 0, 0]
+            for overlap_sq, k in _bell_branches(self.states[t]):
+                weights[k] = overlap_sq
+            total = sum(weights)
+            self.bell[t] = tuple(float(Fraction(w, total)) for w in accumulate(weights[:3]))
+
+    def _intern(self, state) -> int:
+        scale = math.gcd(*state) * (1 if next(x for x in state if x) > 0 else -1)
+        key = tuple(x // scale for x in state)
+        s = self._ids.get(key)
+        if s is None:
+            s = self._ids[key] = len(self.states)
+            self.states.append(key)
+            self.measure[0].append([None, None])
+            self.measure[1].append([None, None])
+            self.encode.append(None)
+            self.bell.append(None)
+        return s
+
+    def _branches(self, s: int, qubit: int, basis: int) -> tuple:
+        row = self.measure[qubit][s]
+        if row[basis] is None:
+            low, high = (_apply_1q(self.states[s], qubit, proj) for proj in _PROJ[basis])
+            n0 = _norm_sq(low)
+            row[basis] = (
+                float(Fraction(n0, n0 + _norm_sq(high))),
+                *(self._intern(t) if any(t) else None for t in (low, high)),
+            )
+        return row[basis]
+
+    def _leg(self, s: int, bases: tuple[MeasBasis, ...]) -> list[int]:
+        """The states a leg entered in state s can end in, given Eve's bases on it."""
+        if not bases:
+            return [s]
+        return [
+            t for basis in bases for t in self._branches(s, QubitId.T, basis)[1:] if t is not None
+        ]
 
 
 # A control path's probability is 1/4 (Alice's unitary) * 1/2 (Bob's basis)

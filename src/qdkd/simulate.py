@@ -20,31 +20,30 @@ The rounds read the raw 64-bit words of PCG64(first child) in order:
 - a uniform is (word >> 11) * 2**-53, taken from a fresh word.
 
 These are the values numpy's Generator returns for integers(4), integers(2)
-and random() on PCG64, so a session equals the scalar round functions of
-qdkd.protocol and qdkd.adversary driven by default_rng(first child). Each
-round draws, in order: u_A; on the forward leg, Eve's basis (random policy
-only) and her uniform; the mode uniform (a control round iff it is below
-control_prob); in a control round, Bob's basis, Bob's uniform and Alice's
-uniform; in a message round, u_B, then on the backward leg Eve's basis
-(random policy only) and her uniform, then the uniform of the Bell
-measurement. A qubit measurement gives bit 0 iff its uniform is below p0; a
-Bell measurement gives the first outcome whose cumulative probability
-exceeds its uniform.
+and random() on PCG64. Each round draws, in order: u_A; on the forward leg,
+Eve's basis (random policy only) and her uniform; the mode uniform (a
+control round iff it is below control_prob); in a control round, Bob's
+basis, Bob's uniform and Alice's uniform; in a message round, u_B, then on
+the backward leg Eve's basis (random policy only) and her uniform, then the
+uniform of the Bell measurement. A qubit measurement gives bit 0 iff its
+uniform is below the exact Born probability p0; a Bell measurement gives the
+first outcome whose exact cumulative probability exceeds its uniform. So a
+session equals the scalar round functions of qdkd.protocol and
+qdkd.adversary driven by default_rng(first child), which decide with the
+float kernels, except at the uniforms 0.5 - 2**-53, 0.5 and 0.5 + 2**-53:
+there the kernels' thresholds for an exact 1/2 are off by an ulp or two.
 
-run_session walks each round through tables of the round automaton: the
-few dozen two-qubit states a session can reach under one attack, with the
-kernels' probabilities and successor states precomputed per state. It draws
-the words in chunks that double from 64 to 4096 and decodes each chunk once
-with numpy into three lists, one entry per word: the top 2 bits of the low
-half, the top 2 bits of the high half and the uniform. The loop then draws
-by index, keeping the index of the next fresh word and the buffered high
-half's 2-bit value, and decides each measurement by comparing the uniform
-with the table's thresholds in place. The build probes the kernels at the smallest
-and the largest stream uniform, 0 and 1 - 2**-53. Each decision is monotone
-in its uniform, so the probes reach every branch a draw can select, and a
-kernel that refuses one (a collapse onto a ~zero branch, or a Bell outcome 3
-of ~zero probability) raises DegenerateBranchError during the build. The
-loop needs no check of its own.
+run_session walks each round through tables of the round automaton that
+qdkd.oracle builds in exact integer arithmetic: the 12 to 20 states a
+session can reach under one attack, with each state's probabilities and
+successors precomputed. It draws the words in chunks that double from 64 to
+4096 and decodes each chunk once with numpy into three lists, one entry per
+word: the top 2 bits of the low half, the top 2 bits of the high half and
+the uniform. The loop then draws by index, keeping the index of the next
+fresh word and the buffered high half's 2-bit value, and decides each
+measurement by comparing the uniform with the table's thresholds in place.
+A branch of probability 0 lies behind a threshold of exactly 0 or 1, which
+no uniform in [0, 1) selects, so the loop needs no check of its own.
 """
 
 import csv
@@ -53,13 +52,11 @@ import io
 import json
 import math
 import operator
-import struct
 from dataclasses import dataclass, field, fields, replace
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from . import _kernels_py as kernels
 from .adversary import (
     AttackStrategy,
     ChannelLeg,
@@ -90,7 +87,7 @@ from .protocol import (
     require_policy,
     require_probability,
 )
-from .oracle import unitary_outcome_table
+from .oracle import _RoundTables, unitary_outcome_table
 from .quantum import MeasBasis, QubitId
 
 
@@ -224,7 +221,6 @@ def _error_rates(alice_key, bob_key) -> tuple[float, float, float]:
 
 _MAX_CHUNK_WORDS = 4096
 _ROUND_WORDS = 8  # no round reads more fresh words than this
-_LAST_UNIFORM = 1.0 - 2.0**-53  # the largest stream uniform
 
 
 def _decode_words(words) -> tuple[list, list, list]:
@@ -234,87 +230,6 @@ def _decode_words(words) -> tuple[list, list, list]:
     hi2 = (words >> np.uint64(62)).tolist()
     uni = ((words >> np.uint64(11)).astype(np.float64) * 2.0**-53).tolist()
     return lo2, hi2, uni
-
-
-class _RoundTables:
-    """The round automaton under one attack, with every value from the kernels.
-
-    States are interned by the exact bytes of their amplitudes (so -0.0 and
-    0.0 differ) and numbered in the order first met. Only states on protocol
-    paths get entries:
-
-    - measure[qubit][s][basis] = (p0, successor of bit 0, successor of bit 1),
-      where the successor of a bit no stream uniform selects is None;
-    - encode[s][u] = the state after u on the travel photon;
-    - bell[s] = kernels.bell_thresholds(amps), the cumulative thresholds
-      kernels.measure_bell itself compares its uniform with.
-
-    The successors are the kernels' own collapses at the smallest and the
-    largest stream uniform (smallest first, which fixes the numbering), and
-    kernels.measure_bell runs at the largest. A kernel raises
-    DegenerateBranchError at a probe that selects a branch it refuses, so a
-    walk through the tables never meets one.
-    """
-
-    def __init__(self, forward: tuple[MeasBasis, ...], backward: tuple[MeasBasis, ...]):
-        self.amps: list[tuple] = []
-        self._ids: dict[bytes, int] = {}
-        self.measure: tuple[list, list] = ([], [])
-        self.encode: list = []
-        self.bell: list = []
-        self.prepared = tuple(
-            self._intern(kernels.apply_u(kernels.BELL_AMPS[0], QubitId.T, u)) for u in range(4)
-        )
-        at_bob = {s for prepared in self.prepared for s in self._leg(prepared, forward)}
-        for s in at_bob:
-            for basis in MeasBasis:
-                for after_bob in self._branches(s, QubitId.T, basis)[1:]:
-                    if after_bob is not None:
-                        self._branches(after_bob, QubitId.H, basis)
-            self.encode[s] = tuple(
-                self._intern(kernels.apply_u(self.amps[s], QubitId.T, u)) for u in range(4)
-            )
-            for returned in self.encode[s]:
-                for at_alice in self._leg(returned, backward):
-                    self._add_bell(at_alice)
-
-    def _intern(self, amps) -> int:
-        key = struct.pack("8d", *(x for a in amps for x in (a.real, a.imag)))
-        s = self._ids.get(key)
-        if s is None:
-            s = self._ids[key] = len(self.amps)
-            self.amps.append(amps)
-            self.measure[0].append([None, None])
-            self.measure[1].append([None, None])
-            self.encode.append(None)
-            self.bell.append(None)
-        return s
-
-    def _branches(self, s: int, qubit: int, basis: int) -> tuple:
-        row = self.measure[qubit][s]
-        if row[basis] is None:
-            amps = self.amps[s]
-            bit, low = kernels.measure_qubit(amps, qubit, basis, 0.0)
-            s0 = self._intern(low) if bit == 0 else None
-            bit, high = kernels.measure_qubit(amps, qubit, basis, _LAST_UNIFORM)
-            s1 = self._intern(high) if bit == 1 else None
-            row[basis] = (kernels.qubit_probs(amps, qubit, basis)[0], s0, s1)
-        return row[basis]
-
-    def _leg(self, s: int, bases: tuple[MeasBasis, ...]) -> list[int]:
-        """The states a leg entered in state s can end in, given Eve's bases on it."""
-        if not bases:
-            return [s]
-        return [
-            t for basis in bases for t in self._branches(s, QubitId.T, basis)[1:] if t is not None
-        ]
-
-    def _add_bell(self, s: int) -> None:
-        if self.bell[s] is not None:
-            return
-        amps = self.amps[s]
-        kernels.measure_bell(amps, _LAST_UNIFORM)  # the probe: raises on a refused outcome 3
-        self.bell[s] = kernels.bell_thresholds(amps)
 
 
 _round_tables = functools.cache(_RoundTables)
@@ -654,10 +569,8 @@ def parse_report(data: bytes) -> SimulationReport:
 
 def render_unitary_table() -> str:
     """Human-readable rendering of the outcome table."""
-    table = unitary_outcome_table()
-    header = ["", *(f"u{int(b)} ({int(b) >> 1}{int(b) & 1})" for b in LocalUnitary)]
-    lines = ["  ".join(f"{cell:>8}" for cell in header)]
-    for a, row in zip(LocalUnitary, table):
-        cells = [f"u{int(a)} ({int(a) >> 1}{int(a) & 1})", *(outcome.symbol for outcome in row)]
-        lines.append("  ".join(f"{cell:>8}" for cell in cells))
-    return "\n".join(lines)
+    labels = ["u%d (%d%d)" % (u, *u.bits) for u in LocalUnitary]
+    rows = [["", *labels]]
+    for label, row in zip(labels, unitary_outcome_table()):
+        rows.append([label, *(outcome.symbol for outcome in row)])
+    return "\n".join("  ".join(f"{cell:>8}" for cell in cells) for cells in rows)

@@ -9,9 +9,7 @@ import numpy as np
 import pytest
 
 from qdkd import _kernels_py
-from qdkd.adversary import ChannelLeg, EveBasisPolicy, InterceptResend, NoAttack, eve_bases
 from qdkd.errors import DegenerateBranchError
-from qdkd.simulate import _round_tables
 
 
 # Every test takes the kernel module as `kern`; the "python" id keeps the
@@ -137,25 +135,117 @@ def test_measure_bell_collapses_to_bell_state(kern, rng):
         assert collapsed == kern.BELL_AMPS[k]
 
 
+# The 67 distinct states of the float round tables that sessions were built
+# from before the tables came from the exact oracle, one per line as the reprs
+# of their amplitudes; repr keeps the sign of every zero.
+_TABLE_STATES = tuple(
+    tuple(complex(z) for z in line.split())
+    for line in """
+0j (0.7071067811865476+0j) (0.7071067811865476+0j) 0j
+0j (-0.7071067811865476-0j) (0.7071067811865476+0j) (-0-0j)
+(0.7071067811865476+0j) 0j 0j (0.7071067811865476+0j)
+(0.7071067811865476+0j) (-0-0j) 0j (-0.7071067811865476-0j)
+0j 0j (1+0j) 0j
+0j (1+0j) 0j 0j
+(0.5+0j) (0.5+0j) (0.5+0j) (0.5+0j)
+(-0.5+0j) (0.5-0j) (0.5+0j) (-0.5+0j)
+(-0.5+0j) (0.5+0j) (0.5-0j) (-0.5+0j)
+0j (-1+0j) 0j (-0+0j)
+0j (-1+0j) 0j 0j
+(-0.5+0j) (-0.5+0j) (0.5+0j) (0.5+0j)
+(0.5+0j) (-0.5+0j) (0.5+0j) (-0.5+0j)
+(-0.5+0j) (-0.5+0j) (0.5-0j) (0.5-0j)
+(-0.7071067811865476-0j) 0j (-0-0j) (0.7071067811865476+0j)
+(-0.7071067811865476-0j) (-0-0j) (-0-0j) (-0.7071067811865476-0j)
+(1+0j) 0j 0j 0j
+0j 0j 0j (1+0j)
+(0.5+0j) (-0.5+0j) (-0.5+0j) (0.5-0j)
+0j (-0+0j) 0j (-1+0j)
+0j 0j 0j (-1+0j)
+(0.5+0j) (0.5+0j) (-0.5+0j) (-0.5+0j)
+(-0-0j) (0.7071067811865476+0j) (-0.7071067811865476-0j) 0j
+(-0-0j) (-0.7071067811865476-0j) (-0.7071067811865476-0j) (-0-0j)
+0j 0j (0.7071067811865476+0j) (0.7071067811865476+0j)
+0j (-0+0j) (0.7071067811865476+0j) (-0.7071067811865476+0j)
+0j (-0-0j) (1+0j) (-0-0j)
+0j (-0-0j) 0j (-1-0j)
+(0.7071067811865476+0j) (0.7071067811865476+0j) 0j 0j
+(-0.7071067811865476+0j) (0.7071067811865476-0j) 0j (-0+0j)
+(-0.5+0j) (0.5+0j) (-0.5+0j) (0.5+0j)
+0j (-1-0j) 0j (-0-0j)
+(1+0j) (-0-0j) 0j (-0-0j)
+(-0.7071067811865476+0j) (-0.7071067811865476+0j) 0j 0j
+(0.7071067811865476+0j) (-0.7071067811865476+0j) 0j (-0+0j)
+(-0.5+0j) (-0.5+0j) (-0.5+0j) (-0.5+0j)
+0j (1-0j) 0j -0j
+(-1+0j) 0j (-0+0j) 0j
+(-1+0j) (-0-0j) (-0+0j) (-0-0j)
+0j (-0+0j) (-0.7071067811865476+0j) (0.7071067811865476-0j)
+0j 0j (-0.7071067811865476+0j) (-0.7071067811865476+0j)
+0j -0j 0j (1-0j)
+(-0+0j) 0j (-1+0j) 0j
+(-0+0j) (-0-0j) (-1+0j) (-0-0j)
+(0.7071067811865475+0j) 0j (0.7071067811865475+0j) 0j
+0j (0.7071067811865475+0j) 0j (0.7071067811865475+0j)
+(0.5+0j) (-0.5-0j) (0.5+0j) (-0.5-0j)
+(-0.7071067811865475+0j) 0j (0.7071067811865475+0j) 0j
+0j (0.7071067811865475-0j) 0j (-0.7071067811865475+0j)
+(-1+0j) 0j 0j 0j
+0j (1-0j) 0j 0j
+(-0.5+0j) (-0.5+0j) (0.5+0j) (0.5-0j)
+(0.5-0j) (-0.5+0j) (-0.5+0j) (0.5+0j)
+(0.5-0j) (0.5-0j) (-0.5+0j) (-0.5-0j)
+0j (-0.7071067811865475+0j) 0j (0.7071067811865475+0j)
+(-0.5+0j) (0.5-0j) (0.5+0j) (-0.5-0j)
+0j (-0.7071067811865475+0j) 0j (-0.7071067811865475+0j)
+(0.5+0j) (0.5-0j) (0.5+0j) (0.5-0j)
+(-0.5+0j) (-0.5-0j) (-0.5+0j) (-0.5-0j)
+(0.7071067811865475+0j) 0j (-0.7071067811865475+0j) 0j
+0j (-0.7071067811865475+0j) 0j (0.7071067811865475-0j)
+0j 0j (-1+0j) 0j
+0j 0j 0j (1-0j)
+(0.5+0j) (0.5-0j) (-0.5+0j) (-0.5+0j)
+(-0.5+0j) (-0.5-0j) (0.5-0j) (0.5-0j)
+0j (0.7071067811865475+0j) 0j (-0.7071067811865475+0j)
+(0.5+0j) (-0.5-0j) (-0.5+0j) (0.5-0j)
+""".strip().splitlines()
+)
+# Those tables' 247 states in their order: per attack (none, then forward and
+# backward Z, X and random), each table's states in the order first met.
+_TABLE_ORDER = (
+    0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 0,
+    1, 2, 3, 4, 5, 9, 16, 17, 19, 24, 25, 6, 13, 12, 8, 26, 27, 28, 29, 21, 30, 31, 32, 10,
+    33, 34, 35, 18, 36, 37, 38, 39, 20, 40, 41, 42, 43, 0, 1, 2, 3, 6, 7, 11, 12, 18, 21,
+    44, 45, 16, 4, 5, 17, 46, 47, 48, 49, 50, 20, 8, 51, 52, 53, 54, 10, 13, 55, 56, 57, 30,
+    58, 59, 60, 61, 62, 63, 64, 65, 66, 0, 1, 2, 3, 4, 5, 6, 7, 9, 11, 12, 16, 17, 18, 19,
+    21, 24, 25, 13, 8, 26, 27, 28, 29, 30, 31, 32, 44, 45, 46, 47, 48, 49, 50, 20, 51, 52,
+    53, 10, 33, 34, 35, 36, 37, 38, 54, 55, 56, 57, 58, 39, 59, 60, 61, 62, 63, 64, 40, 41,
+    42, 43, 65, 66, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 19, 10, 11, 12, 13, 14, 15, 37,
+    18, 20, 21, 22, 23, 42, 0, 1, 2, 3, 4, 5, 6, 7, 8, 11, 12, 18, 21, 9, 10, 13, 14, 15,
+    30, 35, 16, 17, 19, 20, 22, 23, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 16, 17, 18, 19,
+    21, 10, 13, 14, 15, 37, 30, 35, 20, 22, 23, 42,
+)
+
+
 def _digest_states():
-    """Every state of the 7 attacks' round tables, each also negated and
-    conjugated (which puts -0.0 in the parts that were +0.0), then 200
-    seeded random complex states."""
+    """The float tables' states, each also negated and conjugated (which puts
+    -0.0 in the parts that were +0.0), then 200 seeded random complex states."""
     states = []
-    for attack in [NoAttack()] + [
-        InterceptResend(leg, policy) for leg in ChannelLeg for policy in EveBasisPolicy
-    ]:
-        tables = _round_tables(
-            eve_bases(attack, ChannelLeg.FORWARD), eve_bases(attack, ChannelLeg.BACKWARD)
-        )
-        for amps in tables.amps:
-            states += [amps, tuple(-z for z in amps), tuple(z.conjugate() for z in amps)]
+    for i in _TABLE_ORDER:
+        amps = _TABLE_STATES[i]
+        states += [amps, tuple(-z for z in amps), tuple(z.conjugate() for z in amps)]
     draw = random.Random(20261018).random
     for _ in range(200):
         parts = [(2 * draw() - 1, 2 * draw() - 1) for _ in range(4)]
         s = math.sqrt(sum(x * x + y * y for x, y in parts))
         states.append(tuple(complex(x / s, y / s) for x, y in parts))
     return states
+
+
+def test_digest_inputs_are_frozen_complex_states(kern):
+    assert len(_TABLE_ORDER) == 247 and set(_TABLE_ORDER) == set(range(67))
+    assert len({repr(amps) for amps in _TABLE_STATES}) == len(_TABLE_STATES) == 67
+    assert all(type(z) is complex for amps in _digest_states() for z in amps)
 
 
 def _hash_call(digest, kernel, *args):
@@ -171,7 +261,7 @@ def _hash_call(digest, kernel, *args):
 # _digest_states(), recorded before the kernels were written over the index
 # pair table. repr round-trips every float and keeps the sign of a zero, so
 # this pins the complex arithmetic and the signed zeros off the protocol
-# paths too, which the round tables' digests do not reach.
+# paths too.
 KERNEL_DIGEST = "8e880d6c9e1743f56bfdc9ff8a8bd833dc4c0a29bc2ea9eff46db4ef6e7f1364"
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import inspect
 import math
 import json
 from collections import Counter
@@ -22,12 +23,13 @@ from qdkd.adversary import (
     apply_attack,
     eve_bases,
 )
-from qdkd.errors import ConfigError, DegenerateBranchError
+from qdkd.errors import ConfigError
 from qdkd.protocol import (
     BellAnnouncement,
     CheckVerdict,
     ControlOutcome,
     ControlVerdict,
+    Correlation,
     KeyCheckChallenge,
     KeyCheckPolicy,
     KeyMode,
@@ -36,18 +38,23 @@ from qdkd.protocol import (
     accumulate_key,
     alice_prepare,
     bob_choose_mode,
+    expected_correlation,
     key_check,
     run_control_round,
     run_message_round,
 )
-from qdkd.oracle import abort_probability, unitary_outcome_table
-from qdkd.quantum import BellOutcome, LocalUnitary
+from qdkd.oracle import (
+    abort_probability,
+    control_detection_probability,
+    message_error_distribution,
+    unitary_outcome_table,
+)
+from qdkd.quantum import BellOutcome, LocalUnitary, MeasBasis, QubitId
 from qdkd.simulate import (
     ABORT_CONTROL,
     _binomial_ci,
     _decode_words,
     _round_tables,
-    _RoundTables,
     ABORT_KEY_CHECK,
     RoundRecord,
     SimConfig,
@@ -356,7 +363,6 @@ class TestOracleAgreement:
         # The rate tests pin only the marginals of e = announced ^ u_A ^ u_B;
         # the random-basis {1/2, 1/4, 1/4, 0} and {9/16, 3/16, 3/16, 1/16}
         # share them, so count e per message round against its full law.
-        from qdkd.oracle import message_error_distribution
 
         config = SimConfig(rounds=4_000, control_prob=0.0, attack=attack, seed=2024)
         records = run_session(config, keep_records=True).records
@@ -373,7 +379,6 @@ class TestOracleAgreement:
 
     @pytest.mark.parametrize("policy", [EveBasisPolicy.Z, EveBasisPolicy.X, EveBasisPolicy.RANDOM])
     def test_forward_detection_matches_oracle(self, policy):
-        from qdkd.oracle import control_detection_probability
 
         attack = InterceptResend(ChannelLeg.FORWARD, policy)
         want = float(control_detection_probability(attack))
@@ -444,7 +449,6 @@ class TestDetectionInterval:
         # attacked session's interval is 1 detection in K ~ Geometric(d)
         # control rounds, or 0 in the cap R when no round detects. Its exact
         # coverage of d is a sum over that law, not the nominal 95%.
-        from qdkd.oracle import control_detection_probability
 
         d = control_detection_probability(FORWARD_Z)
         rounds, n = 200, 4_000
@@ -757,7 +761,8 @@ def _assert_matches_reference(config):
 
 class TestSessionStream:
     """run_session draws exactly what the scalar round functions draw from
-    numpy's Generator, so both give the same sessions."""
+    numpy's Generator, so both give the same sessions, unless a draw hits one
+    of FLOAT_OFF_UNIFORMS (probability at most 2**-52 per draw)."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -852,12 +857,13 @@ class TestSessionStream:
 
 
 def _uniforms_around(*points):
-    """Stream uniforms at and next to each point, plus a few fixed ones; all
-    in [0, 1), the range of (w >> 11) * 2**-53."""
-    values = {0.0, 0.5, 1.0 - 2.0**-53}
+    """Stream uniforms at and next to each point, plus a few fixed ones: the
+    multiples of 2**-53 in [0, 1), the values of (w >> 11) * 2**-53."""
+    steps = {0, 2**52, 2**53 - 1}
     for p in points:
-        values.update((math.nextafter(p, -1.0), p, math.nextafter(p, 2.0)))
-    return sorted(v for v in values if 0.0 <= v < 1.0)
+        m = math.floor(p * 2**53)
+        steps.update((m - 1, m, m + 1))
+    return sorted(m * 2.0**-53 for m in steps if 0 <= m < 2**53)
 
 
 def _bell_rule(thresholds, r):
@@ -865,78 +871,220 @@ def _bell_rule(thresholds, r):
     return next((k for k, acc in enumerate(thresholds) if r < acc), 3)
 
 
-class TestRoundTables:
-    """Every table decision a stream uniform can reach equals the kernel's."""
-
-    # sha-256 of the repr of (amps, measure, encode, bell, prepared) per
-    # attack, in ALL_ATTACKS order. repr round-trips every float and keeps the
-    # sign of a zero, so a one-ulp change of a threshold or an amplitude, or a
-    # renumbered state, changes the digest even when no report does.
-    TABLE_DIGESTS = (
-        "596e7b6d4e00d7bfbb39276dca692c930b075e43e9c14d60c35b6f522882f479",
-        "72817fc752027f2839ff0e47b3f86fa7c96e1d934287fb9650b83b7bfcde82a5",
-        "b3f746ac29f7825682c151a254f0127c9675720de13e7c31c0f51fbfa66215d4",
-        "2f1b637fbfb0288663da7077423219b08627f441de1f1c25faa9e1be9c17d9c5",
-        "15df551d6fb6fe7341fcbbd8e23622a38807c9f688b4bf0e6280c87c07c5672c",
-        "361039af7bce7b69b35cbf25fb37845595bb27df7f8f9e116812c80776db27d2",
-        "935ad4c37fa565976dded215ec4e49edf0456e51a522a52a3d4f611246b2a428",
+def _tables(attack):
+    return _round_tables(
+        eve_bases(attack, ChannelLeg.FORWARD), eve_bases(attack, ChannelLeg.BACKWARD)
     )
+
+
+def _same_ray(amps, state):
+    """Whether float amplitudes and an integer state agree up to scale and phase."""
+    norm = math.sqrt(sum(x * x for x in state))
+    return abs(kernels.inner(amps, [x / norm for x in state])) >= 1.0 - 1e-12
+
+
+# The only stream uniforms at which a float kernel decides otherwise than the
+# exact tables: its thresholds 0.5 - 2**-53, 0.5 + 2**-53 and 0.5 + 2**-52
+# stand for an exact 1/2.
+FLOAT_OFF_UNIFORMS = (0.5 - 2.0**-53, 0.5, 0.5 + 2.0**-53)
+
+# Single-qubit projectors by basis then bit, the X ones scaled by 2, and the
+# Bell vectors scaled by sqrt(2): integer matrices, so zero tests are exact.
+INT_PROJECTORS = (
+    (np.array([[1, 0], [0, 0]]), np.array([[0, 0], [0, 1]])),
+    (np.array([[1, 1], [1, 1]]), np.array([[1, -1], [-1, 1]])),
+)
+INT_BELL = np.array([[0, 1, 1, 0], [0, 1, -1, 0], [1, 0, 0, 1], [1, 0, 0, -1]])
+
+
+def _int_op(qubit, matrix):
+    """A single-qubit matrix on the home (0) or travel (1) qubit of |ht>."""
+    eye = np.eye(2, dtype=int)
+    return np.kron(matrix, eye) if qubit == 0 else np.kron(eye, matrix)
+
+
+def _exact_branches(tables, s, qubit, basis):
+    """(exact probability, bit, successor) of each possible outcome of a table entry."""
+    p0, s0, s1 = tables.measure[qubit][s][basis]
+    p0 = Fraction(p0)
+    return [(p, bit, t) for p, bit, t in ((p0, 0, s0), (1 - p0, 1, s1)) if p]
+
+
+class TestRoundTables:
+    """The round tables, built in exact arithmetic, against the oracle's
+    statistics and the float kernels."""
+
+    # sha-256 of the repr of (states, measure, encode, bell, prepared) per
+    # attack, in ALL_ATTACKS order. repr round-trips every float, so a one-ulp
+    # change of a threshold, or a renumbered state, changes the digest even
+    # when no report does.
+    TABLE_DIGESTS = (
+        "bbe84632a5597ca77cef4fccde81ff20a9352721f466d7da3125250ce5dfefea",
+        "86cbc05367a95b30c7c6f66bcf3d3eac3fbb21c6ef321541beb8b46063de111e",
+        "7d787483856e231d9884f8467f552e2442edfb9a6e672bb3892799117c88d9d0",
+        "a9e515fb88fdd5f642982859d4b521dd71c288ee15f2d5da01a09e23cf95d40d",
+        "e8d67be3930b5a17cbd2b849ba2805806c1ef2315bff8aee4a53310444208c15",
+        "0545d512ac8eaa232173390f0cbea0b93c2b7a68552301c205998923af2d6bac",
+        "1edbc281661b8f1b4986014c0ffca91f3c2e08d90188e9ddc19908f8c2ea0fa7",
+    )
+    STATE_COUNTS = (12, 16, 16, 20, 12, 12, 12)
 
     @pytest.mark.parametrize("attack, digest", zip(ALL_ATTACKS, TABLE_DIGESTS))
     def test_tables_are_bit_identical(self, attack, digest):
-        tables = _round_tables(
-            eve_bases(attack, ChannelLeg.FORWARD), eve_bases(attack, ChannelLeg.BACKWARD)
-        )
-        text = repr((tables.amps, tables.measure, tables.encode, tables.bell, tables.prepared))
+        tables = _tables(attack)
+        text = repr((tables.states, tables.measure, tables.encode, tables.bell, tables.prepared))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("attack, count", zip(ALL_ATTACKS, STATE_COUNTS))
+    def test_states_are_distinct_up_to_scale_and_sign(self, attack, count):
+        states = _tables(attack).states
+        assert len(states) == count
+        for i, a in enumerate(states):
+            for b in states[:i]:
+                # Parallel integer vectors meet Cauchy-Schwarz with equality.
+                assert np.dot(a, b) ** 2 != np.dot(a, a) * np.dot(b, b)
 
     @pytest.mark.parametrize("attack", ALL_ATTACKS)
     def test_decisions_match_kernels(self, attack):
-        tables = _round_tables(
-            eve_bases(attack, ChannelLeg.FORWARD), eve_bases(attack, ChannelLeg.BACKWARD)
-        )
-        checked = refused = 0
-        for s, amps in enumerate(tables.amps):
+        """The float kernels, walked alongside the tables from Alice's
+        prepared states, agree with them in bit and in collapsed state (up to
+        scale and phase) at every probed uniform but FLOAT_OFF_UNIFORMS, and
+        differ there only where a float threshold is off from the exact one."""
+        tables = _tables(attack)
+        psi_plus = kernels.BELL_AMPS[0]
+        todo = [(s, kernels.apply_u(psi_plus, 1, u)) for u, s in enumerate(tables.prepared)]
+        seen = set()
+        checked = 0
+        while todo:
+            s, amps = todo.pop()
+            if (s, amps) in seen:
+                continue
+            seen.add((s, amps))
+            assert _same_ray(amps, tables.states[s])
             for qubit in (0, 1):
                 for basis in (0, 1):
-                    entry = tables.measure[qubit][s][basis]
-                    if entry is None:
+                    if tables.measure[qubit][s][basis] is None:
                         continue
-                    p0, s0, s1 = entry
-                    refused += (s0 is None) + (s1 is None)
-                    for r in _uniforms_around(p0):
+                    p0, s0, s1 = tables.measure[qubit][s][basis]
+                    float_p0 = kernels.qubit_probs(amps, qubit, basis)[0]
+                    for r in _uniforms_around(p0, float_p0):
                         checked += 1
                         bit, t = (0, s0) if r < p0 else (1, s1)
-                        assert (bit, tables.amps[t]) == kernels.measure_qubit(amps, qubit, basis, r)
+                        float_bit, collapsed = kernels.measure_qubit(amps, qubit, basis, r)
+                        if float_bit == bit:
+                            todo.append((t, collapsed))
+                        else:
+                            assert r in FLOAT_OFF_UNIFORMS
+                            assert min(p0, float_p0) <= r < max(p0, float_p0)
             if tables.encode[s] is not None:
-                for u in range(4):
-                    assert tables.amps[tables.encode[s][u]] == kernels.apply_u(amps, 1, u)
+                for u, t in enumerate(tables.encode[s]):
+                    todo.append((t, kernels.apply_u(amps, 1, u)))
             if tables.bell[s] is not None:
-                refused += kernels.bell_probs(amps)[3] < 1e-12
-                for r in _uniforms_around(*tables.bell[s]):
+                exact, floats = tables.bell[s], kernels.bell_thresholds(amps)
+                for r in _uniforms_around(*exact, *floats):
                     checked += 1
-                    assert _bell_rule(tables.bell[s], r) == kernels.measure_bell(amps, r)[0]
-        assert checked > 0 and refused > 0
+                    if _bell_rule(exact, r) != kernels.measure_bell(amps, r)[0]:
+                        assert r in FLOAT_OFF_UNIFORMS
+                        assert any(min(e, f) <= r < max(e, f) for e, f in zip(exact, floats))
+        assert {s for s, _ in seen} == set(range(len(tables.states)))
+        assert checked > 0
 
-    @pytest.mark.parametrize(
-        "name, nudge",
-        [
-            # A certain outcome one ulp short of 1: a draw can select the refused bit 1.
-            ("qubit_probs", lambda p0, p1: (min(p0, 1.0 - 2.0**-52), p1)),
-            # ... or fall through to a refused Bell outcome 3.
-            ("bell_probs", lambda p0, p1, p2, p3: (min(p0, 1.0 - 2.0**-52), p1, p2, p3)),
-        ],
-    )
-    def test_selectable_refused_branch_fails_the_build(self, monkeypatch, name, nudge):
-        probs = getattr(kernels, name)
-        monkeypatch.setattr(kernels, name, lambda *args: nudge(*probs(*args)))
-        with pytest.raises(DegenerateBranchError):
-            _RoundTables((), ())
+    @pytest.mark.parametrize("attack", ALL_ATTACKS)
+    def test_thresholds_are_exact(self, attack):
+        """Every p0 and Bell threshold is float() of its exact Fraction, from
+        integer projections; in this protocol each is 0, 1/2 or 1."""
+        tables = _tables(attack)
+        for s, state in enumerate(tables.states):
+            for qubit in (0, 1):
+                for basis in (0, 1):
+                    if tables.measure[qubit][s][basis] is None:
+                        continue
+                    low, high = (_int_op(qubit, proj) @ state for proj in INT_PROJECTORS[basis])
+                    n0, n1 = int(low @ low), int(high @ high)
+                    p0 = tables.measure[qubit][s][basis][0]
+                    assert p0 == float(Fraction(n0, n0 + n1)) in (0.0, 0.5, 1.0)
+            if tables.bell[s] is not None:
+                weights = [int(overlap) ** 2 for overlap in INT_BELL @ state]
+                exact = [Fraction(sum(weights[: k + 1]), sum(weights)) for k in range(3)]
+                assert tables.bell[s] == tuple(map(float, exact))
+                assert set(tables.bell[s]) <= {0.0, 0.5, 1.0}
 
-    @pytest.mark.parametrize("name", ["qubit_probs", "bell_probs"])
-    def test_certain_branch_at_exactly_one_builds(self, monkeypatch, name):
-        # No uniform reaches 1.0, so the refused partner of a branch with
-        # probability exactly 1 stays unselectable.
-        probs = getattr(kernels, name)
-        monkeypatch.setattr(kernels, name, lambda *args: tuple(min(p, 1.0) for p in probs(*args)))
-        _RoundTables((), ())
+    @pytest.mark.parametrize("attack", ALL_ATTACKS)
+    def test_zero_probability_branches_are_unselectable(self, attack):
+        """A branch of probability 0 has no successor and lies behind a
+        threshold of exactly 0.0 or 1.0 (a Bell outcome: between two equal
+        thresholds), which no stream uniform in [0, 1) selects."""
+        tables = _tables(attack)
+        zeros = impossible_bell_3 = 0
+        for s, state in enumerate(tables.states):
+            for qubit in (0, 1):
+                for basis in (0, 1):
+                    if tables.measure[qubit][s][basis] is None:
+                        continue
+                    p0, s0, s1 = tables.measure[qubit][s][basis]
+                    low, high = (
+                        not (_int_op(qubit, proj) @ state).any() for proj in INT_PROJECTORS[basis]
+                    )
+                    assert (s0 is None, s1 is None) == (low, high)
+                    if low:
+                        assert p0 == 0.0
+                    if high:
+                        assert p0 == 1.0
+                    zeros += low + high
+            if tables.bell[s] is not None:
+                edges = (0.0, *tables.bell[s], 1.0)
+                for k, overlap in enumerate(INT_BELL @ state):
+                    assert (edges[k] == edges[k + 1]) == (overlap == 0)
+                    zeros += overlap == 0
+                impossible_bell_3 += tables.bell[s][2] == 1.0
+        assert zeros > 0 and impossible_bell_3 > 0
+
+    @pytest.mark.parametrize("attack", ALL_ATTACKS)
+    def test_exact_walk_reproduces_the_oracle(self, attack):
+        """Walking the tables in Fraction arithmetic, reading each threshold
+        as the exact value of its float, gives the oracle's per-round
+        statistics exactly."""
+        tables = _tables(attack)
+
+        def leg(s, bases):
+            if not bases:
+                return [(Fraction(1), s)]
+            return [
+                (p / len(bases), t)
+                for basis in bases
+                for p, _bit, t in _exact_branches(tables, s, QubitId.T, basis)
+            ]
+
+        forward = eve_bases(attack, ChannelLeg.FORWARD)
+        backward = eve_bases(attack, ChannelLeg.BACKWARD)
+        detection = Fraction(0)
+        errors = [Fraction(0)] * 4
+        for a, prepared in enumerate(tables.prepared):
+            for p_forward, s in leg(prepared, forward):
+                for basis in MeasBasis:
+                    correlated = expected_correlation(LocalUnitary(a), basis)
+                    for p_bob, bob_bit, t in _exact_branches(tables, s, QubitId.T, basis):
+                        for p_alice, alice_bit, _ in _exact_branches(tables, t, QubitId.H, basis):
+                            if (alice_bit == bob_bit) != (correlated is Correlation.CORRELATED):
+                                detection += p_forward * p_bob * p_alice / 8
+                for b, returned in enumerate(tables.encode[s]):
+                    for p_backward, t in leg(returned, backward):
+                        edges = [Fraction(x) for x in (0.0, *tables.bell[t], 1.0)]
+                        p_path = p_forward * p_backward / 16
+                        for k in range(4):
+                            errors[k ^ a ^ b] += p_path * (edges[k + 1] - edges[k])
+        assert detection == control_detection_probability(attack)
+        assert dict(enumerate(errors)) == message_error_distribution(attack)
+
+    @pytest.mark.parametrize("attack", ALL_ATTACKS)
+    def test_sessions_call_no_float_kernel(self, attack, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a session called a float kernel")
+
+        for name, value in list(vars(kernels).items()):
+            if inspect.isfunction(value):
+                monkeypatch.setattr(kernels, name, refuse)
+        _round_tables.cache_clear()
+        config = SimConfig(rounds=400, attack=attack, seed=3)
+        session = run_session(config, keep_records=True)
+        assert session.report.rounds_total > 0
