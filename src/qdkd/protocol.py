@@ -300,14 +300,32 @@ def require_policy(policy) -> None:
     require_count("mismatch_threshold", policy.mismatch_threshold)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KeyCheckResult:
+    """The outcome of a key check. The final keys and the two parties'
+    announced samples are bytes, one 0/1 byte per bit; positions is the
+    sorted, read-only array of the checked positions."""
+
     verdict: CheckVerdict
     mismatches: int
-    positions: tuple[int, ...]
-    alice_final: tuple[int, ...]
-    bob_final: tuple[int, ...]
-    transcript: tuple[ClassicalMessage, ...]
+    positions: np.ndarray
+    alice_final: bytes
+    bob_final: bytes
+    alice_sample: bytes
+    bob_sample: bytes
+
+    @property
+    def transcript(self) -> tuple[ClassicalMessage, ...]:
+        """The check's public messages, built when read: the challenge, each
+        party's response and, on abort, the notice."""
+        messages = (
+            KeyCheckChallenge(tuple(self.positions.tolist())),
+            KeyCheckResponse(tuple(self.alice_sample)),
+            KeyCheckResponse(tuple(self.bob_sample)),
+        )
+        if self.verdict is CheckVerdict.ABORT:
+            messages += (AbortNotice(f"key check found {self.mismatches} mismatching bits"),)
+        return messages
 
 
 def key_check(alice_key, bob_key, policy: KeyCheckPolicy, public_rng) -> KeyCheckResult:
@@ -315,21 +333,19 @@ def key_check(alice_key, bob_key, policy: KeyCheckPolicy, public_rng) -> KeyChec
 
     The sample is the prefix of a public random permutation, so a larger
     fraction always checks a superset of positions (abort monotonicity).
-    Checked positions are removed from both final keys. A policy that is not
-    a valid KeyCheckPolicy raises ConfigError before anything is compared.
+    The permutation is public_rng.shuffle of a uint32 arange (int64 beyond
+    2**32 positions), which is the order public_rng.permutation(length)
+    gives, in half its memory. Checked positions are removed from both final
+    keys. A policy that is not a valid KeyCheckPolicy, or a key that is not
+    a 1-D sequence of 0/1 values, raises ConfigError before anything is
+    compared.
     """
     require_policy(policy)
-    if len(alice_key) != len(bob_key):
-        raise ProtocolError(
-            f"key length mismatch: {len(alice_key)} vs {len(bob_key)} (transcript desync)"
-        )
-    length = len(alice_key)
-    alice, bob = key_array(alice_key), key_array(bob_key)
-    m = checked_count(policy.fraction, length)
-    if m > 0:
-        picked = np.sort(public_rng.permutation(length)[:m])
-    else:
-        picked = np.zeros(0, dtype=np.intp)
+    alice, bob = _key_bits("alice_key", alice_key), _key_bits("bob_key", bob_key)
+    if len(alice) != len(bob):
+        raise ProtocolError(f"key length mismatch: {len(alice)} vs {len(bob)} (transcript desync)")
+    length = len(alice)
+    picked = _checked_positions(length, checked_count(policy.fraction, length), public_rng)
     alice_sample, bob_sample = alice[picked], bob[picked]
     mismatches = int(np.count_nonzero(alice_sample != bob_sample))
     verdict = (
@@ -337,28 +353,44 @@ def key_check(alice_key, bob_key, policy: KeyCheckPolicy, public_rng) -> KeyChec
     )
     kept = np.ones(length, dtype=bool)
     kept[picked] = False
-    positions = tuple(picked.tolist())
-    alice_sample, bob_sample = tuple(alice_sample.tolist()), tuple(bob_sample.tolist())
-    transcript = [
-        KeyCheckChallenge(positions),
-        KeyCheckResponse(alice_sample),
-        KeyCheckResponse(bob_sample),
-    ]
-    if verdict is CheckVerdict.ABORT:
-        transcript.append(AbortNotice(f"key check found {mismatches} mismatching bits"))
     return KeyCheckResult(
         verdict,
         mismatches,
-        positions,
-        tuple(alice[kept].tolist()),
-        tuple(bob[kept].tolist()),
-        tuple(transcript),
+        picked,
+        alice[kept].tobytes(),
+        bob[kept].tobytes(),
+        alice_sample.tobytes(),
+        bob_sample.tobytes(),
     )
 
 
-def key_array(key) -> np.ndarray:
-    """A key as an array without copying bytes: uint8 for a bytes-like key,
-    numpy's own conversion (which keeps every value) for a sequence."""
+def _checked_positions(length: int, m: int, public_rng) -> np.ndarray:
+    """The sorted first m entries of the public permutation, read-only. The
+    full permutation is freed on return."""
+    if m > 0:
+        order = np.arange(length, dtype=np.uint32 if length <= 2**32 else np.int64)
+        public_rng.shuffle(order)
+        picked = np.sort(order[:m])
+    else:
+        picked = np.zeros(0, dtype=np.uint32)
+    picked.flags.writeable = False
+    return picked
+
+
+def _key_bits(name: str, key) -> np.ndarray:
+    """A key as a uint8 array of its bits, viewed without a copy for a
+    bytes-like key. Raises ConfigError unless key is a 1-D sequence of 0/1
+    values."""
     if isinstance(key, (bytes, bytearray)):
+        if key.translate(None, b"\x00\x01"):
+            raise ConfigError(f"{name} must hold only 0/1 values")
         return np.frombuffer(key, dtype=np.uint8)
-    return np.asarray(key)
+    try:
+        bits = np.asarray(key)
+    except ValueError:  # a ragged nesting
+        bits = None
+    if bits is None or bits.ndim != 1:
+        raise ConfigError(f"{name} must be a 1-D sequence of 0/1 values, got a {type(key).__name__}")
+    if bits.size and (bits.dtype.kind not in "biu" or ((bits != 0) & (bits != 1)).any()):
+        raise ConfigError(f"{name} must hold only 0/1 values")
+    return bits.astype(np.uint8, copy=False)

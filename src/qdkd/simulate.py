@@ -9,7 +9,9 @@ once at the end.
 
 The two streams are the children of SeedSequence(seed).spawn(2), built
 directly as SeedSequence(seed, spawn_key=(i,)); the second is built only
-when the key check runs, which draws default_rng(second child).permutation.
+when the key check runs, which shuffles a uint32 arange with
+default_rng(second child): the order default_rng(second child).permutation
+gives.
 The rounds read the raw 64-bit words of PCG64(first child) in order:
 
 - a 32-bit draw takes the low half of a fresh word, and the next 32-bit draw
@@ -80,7 +82,6 @@ from .protocol import (
     accumulate_key,
     expected_correlation,
     is_int,
-    key_array,
     key_check,
     require_count,
     require_key_mode,
@@ -162,19 +163,20 @@ class RoundRecord:
 class SessionResult:
     """Report and keys, plus the raw material tests and analyses need.
 
-    records, transcript and observations are filled only by run_session(...,
-    keep_records=True); otherwise they are empty. Eve's view is her
-    observations plus the transcript: she sees every public message.
+    The keys are bytes, one 0/1 byte per bit. records, transcript and
+    observations are filled only by run_session(..., keep_records=True);
+    otherwise they are empty. Eve's view is her observations plus the
+    transcript: she sees every public message.
     """
 
     report: SimulationReport
     records: list[RoundRecord] = field(default_factory=list)
     transcript: list[ClassicalMessage] = field(default_factory=list)
     observations: list[EveObservation] = field(default_factory=list)
-    alice_pre_check: tuple[int, ...] = ()
-    bob_pre_check: tuple[int, ...] = ()
-    alice_final: tuple[int, ...] = ()
-    bob_final: tuple[int, ...] = ()
+    alice_pre_check: bytes = b""
+    bob_pre_check: bytes = b""
+    alice_final: bytes = b""
+    bob_final: bytes = b""
 
 
 def _binomial_ci(successes: int, trials: int) -> tuple[float, float, float]:
@@ -202,11 +204,12 @@ def _wilson_low(successes: int, trials: int) -> float:
 
 
 def _error_rates(alice_key, bob_key) -> tuple[float, float, float]:
-    """(overall, amplitude-position, phase-position) mismatch frequencies."""
+    """(overall, amplitude-position, phase-position) mismatch frequencies of
+    two equal-length bytes-like keys."""
     n = len(alice_key)
     if n == 0:
         return 0.0, 0.0, 0.0
-    differs = key_array(alice_key) != key_array(bob_key)
+    differs = np.frombuffer(alice_key, dtype=np.uint8) != np.frombuffer(bob_key, dtype=np.uint8)
     amp = int(np.count_nonzero(differs[0::2]))
     phase = int(np.count_nonzero(differs[1::2]))
     half = n // 2
@@ -410,9 +413,9 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
             abort_cause = ABORT_CONTROL
             break
 
-    overall, amp_rate, phase_rate = _error_rates(alice_key, bob_key)
-    alice_pre = tuple(alice_key)
-    bob_pre = tuple(bob_key)
+    alice_pre, bob_pre = bytes(alice_key), bytes(bob_key)
+    del alice_key, bob_key  # freed before the key check, whose memory peaks
+    overall, amp_rate, phase_rate = _error_rates(alice_pre, bob_pre)
 
     checked = 0
     alice_final = alice_pre
@@ -422,7 +425,7 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
     if not aborted:
         policy = KeyCheckPolicy(config.check_fraction, config.mismatch_threshold)
         check_ss = np.random.SeedSequence(config.seed, spawn_key=(1,))
-        check = key_check(alice_key, bob_key, policy, np.random.default_rng(check_ss))
+        check = key_check(alice_pre, bob_pre, policy, np.random.default_rng(check_ss))
         if keep_records:
             transcript += check.transcript
         checked = len(check.positions)

@@ -241,8 +241,8 @@ class TestKeyCheck:
         bob = tuple(1 - b for b in alice)  # maximally wrong, still accepted
         result = key_check(alice, bob, KeyCheckPolicy(0.0), np.random.default_rng(1))
         assert result.verdict is CheckVerdict.ACCEPT
-        assert result.alice_final == alice
-        assert result.bob_final == bob
+        assert tuple(result.alice_final) == alice
+        assert tuple(result.bob_final) == bob
 
     def test_threshold_counts_mismatches(self):
         alice = (0,) * 10
@@ -254,7 +254,7 @@ class TestKeyCheck:
         assert strict.verdict is CheckVerdict.ABORT
         assert strict.mismatches == 2
         assert loose.verdict is CheckVerdict.ACCEPT
-        assert strict.alice_final == ()
+        assert tuple(strict.alice_final) == ()
 
     def test_checked_positions_removed_exactly(self, rng):
         alice = tuple(int(b) for b in rng.integers(2, size=57))
@@ -263,7 +263,7 @@ class TestKeyCheck:
         assert len(result.positions) == m
         assert len(result.alice_final) == 57 - m
         kept = [i for i in range(57) if i not in set(result.positions)]
-        assert result.alice_final == tuple(alice[i] for i in kept)
+        assert tuple(result.alice_final) == tuple(alice[i] for i in kept)
 
     def test_unequal_lengths_raise(self):
         with pytest.raises(ProtocolError):
@@ -282,10 +282,29 @@ class TestKeyCheck:
             aborted_once = aborted_once or result.verdict is CheckVerdict.ABORT
         assert aborted_once  # fraction 1.0 sees every mismatch
 
-    def test_values_compared_as_given(self):
-        result = key_check((0, 256, True), (0, 0, 1), KeyCheckPolicy(1.0, 5), np.random.default_rng(0))
-        assert result.mismatches == 1
-        assert result.transcript[1].bits == (0, 256, True)
+    @pytest.mark.parametrize(
+        "key",
+        [(0, 256, 1), (0, 2, 1), (0, -1, 1), (0, 0.5, 1), "0101", [[0, 1]], b"\x00\x01\x02",
+         bytearray(b"01"), [[0], [0, 1]], (0, None, 1)],
+        ids=["256", "2", "minus-1", "half", "str", "2-d", "bytes-2", "ascii-bytearray", "ragged",
+             "none"],
+    )
+    def test_non_bit_keys_rejected(self, key):
+        bits = (0,) * len(key)
+        for alice, bob in ((key, bits), (bits, key)):
+            with pytest.raises(ConfigError):
+                key_check(alice, bob, KeyCheckPolicy(1.0, 5), np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "key",
+        [(True, False, True, False), [1, 0, 1, 0], np.array([1, 0, 1, 0], dtype=np.uint64),
+         bytearray(b"\x01\x00\x01\x00")],
+        ids=["bools", "list", "uint64", "bytearray"],
+    )
+    def test_bit_valued_keys_accepted(self, key):
+        result = key_check(key, (0, 1, 1, 0), KeyCheckPolicy(1.0, 5), np.random.default_rng(0))
+        assert result.mismatches == 2
+        assert result.transcript[1].bits == (1, 0, 1, 0)
 
     @pytest.mark.parametrize(
         "policy",
@@ -348,11 +367,29 @@ class TestKeyCheckArrays:
         keys = (bytearray(alice), bytes(bob)) if as_bytes else (alice, bob)
         result = key_check(*keys, policy, np.random.default_rng(seed))
         assert result.mismatches == mismatches
-        assert result.positions == positions
-        assert result.alice_final == alice_final
-        assert result.bob_final == bob_final
+        assert tuple(result.positions.tolist()) == positions
+        assert tuple(result.alice_final) == alice_final
+        assert tuple(result.bob_final) == bob_final
+        assert (tuple(result.alice_sample), tuple(result.bob_sample)) == (alice_sample, bob_sample)
+        assert result.transcript[0].positions == positions
         assert result.transcript[1].bits == alice_sample
         assert result.transcript[2].bits == bob_sample
         want = CheckVerdict.ABORT if mismatches > threshold else CheckVerdict.ACCEPT
         assert result.verdict is want
-        assert all(type(b) is int for b in result.alice_final + result.positions)
+        assert all(type(key) is bytes for key in (result.alice_final, result.bob_final,
+                                                  result.alice_sample, result.bob_sample))
+        assert not result.positions.flags.writeable
+        messages = result.transcript
+        assert all(type(b) is int for b in messages[0].positions + messages[1].bits + messages[2].bits)
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 255, 256, 65535, 65536, 65537, 100003])
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    def test_uint32_shuffle_is_the_permutation(self, length, seed):
+        # key_check shuffles a uint32 arange in place of permutation(length).
+        order = np.arange(length, dtype=np.uint32)
+        np.random.default_rng(seed).shuffle(order)
+        permutation = np.random.default_rng(seed).permutation(length)
+        assert np.array_equal(order, permutation)
+        result = key_check(bytes(length), bytes(length), KeyCheckPolicy(0.3), np.random.default_rng(seed))
+        m = math.ceil(0.3 * length)
+        assert np.array_equal(result.positions, np.sort(permutation[:m]))

@@ -5,6 +5,7 @@ import hashlib
 import inspect
 import math
 import json
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -162,8 +163,10 @@ class TestSessionProperties:
             if isinstance(r.outcome, MessageOutcome):
                 accumulate_key(alice_key, r.u_a.label, r.outcome.alice_view.label, key_mode)
                 accumulate_key(bob_key, r.outcome.bob_view.label, r.outcome.u_b.label, key_mode)
-        assert tuple(alice_key) == session.alice_pre_check
-        assert tuple(bob_key) == session.bob_pre_check
+        assert tuple(session.alice_pre_check) == tuple(alice_key)
+        assert tuple(session.bob_pre_check) == tuple(bob_key)
+        keys = (session.alice_pre_check, session.bob_pre_check, session.alice_final, session.bob_final)
+        assert all(type(key) is bytes for key in keys)
 
         # Without keep_records: the same report and keys, and no raw material.
         bare = run_session(config)
@@ -224,6 +227,22 @@ class TestSessionProperties:
         assert built["RoundRecord"] == session.report.rounds_total
         assert built["ControlOutcome"] == session.report.control_rounds
         assert built["MessageOutcome"] == session.report.message_rounds
+
+    def test_report_only_memory_per_key_bit(self):
+        # Keys are bytes and the key check builds no Python object per bit,
+        # so the traced peak stays a few bytes per pre-check key bit; a
+        # tuple of the bits alone would take 8 per bit for each key.
+        config = SimConfig(rounds=200_000, control_prob=0.0, attack=BACKWARD_Z, seed=1)
+        run_simulation(dataclasses.replace(config, rounds=100))  # the round tables
+        tracemalloc.start()
+        try:
+            report = run_simulation(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        key_bits = 4 * report.message_rounds
+        assert key_bits == 800_000
+        assert peak <= 16 * key_bits
 
 
 class TestAttackedRuns:
@@ -722,7 +741,7 @@ def _reference_session(config):
         check = key_check(alice_pre, bob_pre, policy, np.random.default_rng(check_ss))
         transcript.extend(check.transcript)
         checked = len(check.positions)
-        alice_final, bob_final = check.alice_final, check.bob_final
+        alice_final, bob_final = tuple(check.alice_final), tuple(check.bob_final)
         if check.verdict is CheckVerdict.ABORT:
             aborted = True
             abort_cause = ABORT_KEY_CHECK
@@ -753,8 +772,8 @@ def _assert_matches_reference(config):
     assert session.records == records
     assert session.transcript == transcript
     assert session.observations == observations
-    assert (session.alice_pre_check, session.bob_pre_check) == pre
-    assert (session.alice_final, session.bob_final) == final
+    assert (tuple(session.alice_pre_check), tuple(session.bob_pre_check)) == pre
+    assert (tuple(session.alice_final), tuple(session.bob_final)) == final
     assert serialize_report(session.report) == serialize_report(report)
     assert serialize_report(session.report, "csv") == serialize_report(report, "csv")
 
