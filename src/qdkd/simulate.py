@@ -39,13 +39,23 @@ run_session walks each round through tables of the round automaton that
 qdkd.oracle builds in exact integer arithmetic: the 12 to 20 states a
 session can reach under one attack, with each state's probabilities and
 successors precomputed. It draws the words in chunks that double from 64 to
-4096 and decodes each chunk once with numpy into three lists, one entry per
-word: the top 2 bits of the low half, the top 2 bits of the high half and
-the uniform. The loop then draws by index, keeping the index of the next
-fresh word and the buffered high half's 2-bit value, and decides each
-measurement by comparing the uniform with the table's thresholds in place.
-A branch of probability 0 lies behind a threshold of exactly 0 or 1, which
-no uniform in [0, 1) selects, so the loop needs no check of its own.
+4096 and decodes each chunk once with numpy into four bytes objects, one
+byte per word: the top 2 bits of the low half, the top 2 bits of the high
+half, the word's rank and its control flag. The decode rests on one exact
+rule. A word's uniform is r = k * 2**-53 with k = word >> 11, and for every
+double t in [0, 1], r < t holds exactly when k < ceil(t * 2**53): both
+sides fit in 53 bits, t * 2**53 is exact, and t = 1 gives 2**53, above
+every k. The rank is the number of the sorted distinct ceilings of the
+attack's thresholds that are at or below k, so r lies below the j-th
+threshold exactly when the rank is at most j; the tables are indexed by
+rank once per attack, a measurement giving its bit and successor, a Bell
+measurement its outcome. The control flag is k < ceil(control_prob *
+2**53), exact at control_prob 0 and 1 too; a control_prob of another real
+type keeps the edge its own comparison with the uniforms draws. The loop
+then draws by index, keeping the index of the next fresh word and the
+buffered high half's 2-bit value, and makes no float comparison. A branch of probability 0 lies behind
+a threshold of exactly 0 or 1, which no uniform in [0, 1) selects, so the
+loop needs no check of its own.
 """
 
 import csv
@@ -224,18 +234,95 @@ def _error_rates(alice_key, bob_key) -> tuple[float, float, float]:
 
 _MAX_CHUNK_WORDS = 4096
 _ROUND_WORDS = 8  # no round reads more fresh words than this
+_RANK_LIMIT = 256  # a rank must fit in a byte
+# Shift and mask operands of the decode, typed so numpy 1.x keeps uint64.
+_U3, _U11, _U30, _U62 = (np.uint64(n) for n in (3, 11, 30, 62))
 
 
-def _decode_words(words) -> tuple[list, list, list]:
-    """(lo2, hi2, uni) of raw 64-bit words, one entry per word: the top 2 bits
-    of the low half, the top 2 bits of the high half and the uniform."""
-    lo2 = ((words >> np.uint64(30)) & np.uint64(3)).tolist()
-    hi2 = (words >> np.uint64(62)).tolist()
-    uni = ((words >> np.uint64(11)).astype(np.float64) * 2.0**-53).tolist()
-    return lo2, hi2, uni
+def _edge(t) -> int:
+    """The number of stream uniforms r = k * 2**-53 (0 <= k < 2**53) with
+    r < t, for t in [0, 1]: a word's uniform lies below t exactly when its k
+    lies below the edge. For a float t it is ceil(t * 2**53), which is
+    exact. Another real type decides r < t by its own rules (a numpy
+    float32 rounds r to float32 first), so its edge is found by bisection
+    over that comparison."""
+    if isinstance(t, float):
+        return math.ceil(t * 2**53)
+    low, high = 0, 2**53
+    while low < high:
+        mid = (low + high) // 2
+        if mid * 2.0**-53 < t:
+            low = mid + 1
+        else:
+            high = mid
+    return low
+
+
+def _decode_words(words, edges, control_edge) -> tuple[bytes, bytes, bytes, bytes]:
+    """(lo2, hi2, rank, control) of raw 64-bit words, one byte per word: the
+    top 2 bits of the low half, the top 2 bits of the high half, the number
+    of edges at or below k = word >> 11, and whether k < control_edge."""
+    k = words >> _U11
+    return (
+        ((words >> _U30) & _U3).astype(np.uint8).tobytes(),
+        (words >> _U62).astype(np.uint8).tobytes(),
+        edges.searchsorted(k, side="right").astype(np.uint8).tobytes(),
+        (k < control_edge).tobytes(),
+    )
 
 
 _round_tables = functools.cache(_RoundTables)
+
+
+class _RankedTables:
+    """An attack's round tables, indexed by a word's rank instead of compared
+    with its uniform.
+
+    edges holds the sorted distinct _edge of the tables' thresholds, and a
+    word's rank is the number of edges at or below its k. So the word's
+    uniform lies below a threshold t exactly when its rank is at most the
+    index of _edge(t) in edges, and by rank:
+
+    - measure[qubit][s][basis][rank] = (bit, successor);
+    - bell[s][rank] = the Bell outcome.
+
+    prepared and encode are the round tables' own; an entry the round tables
+    leave None stays None.
+    """
+
+    def __init__(self, tables: _RoundTables):
+        entries = [e for rows in tables.measure for row in rows for e in row if e is not None]
+        accs = [acc for row in tables.bell if row is not None for acc in row]
+        edges = sorted({_edge(t) for t in [p0 for p0, _, _ in entries] + accs})
+        if len(edges) >= _RANK_LIMIT:
+            raise OverflowError(f"{len(edges)} threshold edges: a rank must fit in a byte")
+        self.edges = np.array(edges, dtype=np.uint64)
+        index = {edge: j for j, edge in enumerate(edges)}
+        ranks = range(len(edges) + 1)
+
+        def measure(entry):
+            if entry is None:
+                return None
+            p0, s0, s1 = entry
+            j = index[_edge(p0)]
+            return tuple((0, s0) if rank <= j else (1, s1) for rank in ranks)
+
+        def bell(row):
+            if row is None:
+                return None
+            js = [index[_edge(acc)] for acc in row]
+            return tuple(next((k for k, j in enumerate(js) if rank <= j), 3) for rank in ranks)
+
+        self.measure = tuple(
+            [[measure(entry) for entry in row] for row in rows] for rows in tables.measure
+        )
+        self.bell = [bell(row) for row in tables.bell]
+        self.prepared, self.encode = tables.prepared, tables.encode
+
+
+@functools.cache
+def _ranked_tables(forward, backward) -> _RankedTables:
+    return _RankedTables(_round_tables(forward, backward))
 
 
 # Per key mode, the bytes a message round appends: [alice label][bob label].
@@ -269,11 +356,12 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
     forward_leg, backward_leg = ChannelLeg.FORWARD, ChannelLeg.BACKWARD
     forward_random = len(forward) == 2
     backward_random = len(backward) == 2
-    tables = _round_tables(forward, backward)
+    tables = _ranked_tables(forward, backward)
     prepared, encode, bell = tables.prepared, tables.encode, tables.bell
     measure_h, measure_t = tables.measure[QubitId.H], tables.measure[QubitId.T]
+    edges = tables.edges
+    control_edge = _edge(config.control_prob)
     key_bits = _KEY_BITS[config.key_mode]
-    control_prob = config.control_prob
     records: list[RoundRecord] = []
     observations: list[EveObservation] = []
     alice_key = bytearray()
@@ -284,21 +372,23 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
     # The decoded stream: p is the next fresh word, half the buffered 2-bit
     # value of the high half of the last opened word (-1 if none). A 32-bit
     # draw opens word p (lo2[p], buffering hi2[p]) or takes half; a uniform
-    # is uni[p]; a basis is a 2-bit value >> 1. A refill keeps the words from
-    # p on, so p restarts at 0 and half needs no index.
-    lo2 = hi2 = uni = []
+    # is read as rank[p], or as control[p] for the mode; a basis is a 2-bit
+    # value >> 1. A refill keeps the words from p on, so p restarts at 0 and
+    # half needs no index.
+    lo2 = hi2 = rank = control = b""
     p, half = 0, -1
     refill_at = -1
     chunk = 64
 
     for index in range(config.rounds):
         if p > refill_at:
-            new_lo2, new_hi2, new_uni = _decode_words(bitgen.random_raw(chunk))
-            lo2 = lo2[p:] + new_lo2
-            hi2 = hi2[p:] + new_hi2
-            uni = uni[p:] + new_uni
+            decoded = _decode_words(bitgen.random_raw(chunk), edges, control_edge)
+            lo2 = lo2[p:] + decoded[0]
+            hi2 = hi2[p:] + decoded[1]
+            rank = rank[p:] + decoded[2]
+            control = control[p:] + decoded[3]
             p = 0
-            refill_at = len(uni) - _ROUND_WORDS
+            refill_at = len(rank) - _ROUND_WORDS
             chunk = min(2 * chunk, _MAX_CHUNK_WORDS)
         if half < 0:
             u_a = lo2[p]
@@ -318,40 +408,24 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
             else:
                 basis = half >> 1
                 half = -1
-            p0, s0, s1 = measure_t[s][basis]
-            r = uni[p]
+            bit, s = measure_t[s][basis][rank[p]]
             p += 1
-            if r < p0:
-                bit = 0
-                s = s0
-            else:
-                bit = 1
-                s = s1
             if keep_records:
                 observations.append(EveObservation(index, forward_leg, _BASES[basis], bit))
-        r = uni[p]
-        p += 1
-        if r < control_prob:
+        if control[p]:
             control_rounds += 1
             if half < 0:
-                basis = lo2[p] >> 1
-                half = hi2[p]
-                p += 1
+                basis = lo2[p + 1] >> 1
+                half = hi2[p + 1]
+                p += 2
             else:
                 basis = half >> 1
                 half = -1
-            p0, s0, s1 = measure_t[s][basis]
-            r = uni[p]
-            p += 1
-            if r < p0:
-                bob_bit = 0
-                s = s0
-            else:
-                bob_bit = 1
-                s = s1
+                p += 1
+            bob_bit, s = measure_t[s][basis][rank[p]]
             # The round ends with Alice's measurement: only her bit is read.
-            alice_bit = 0 if uni[p] < measure_h[s][basis][0] else 1
-            p += 1
+            alice_bit = measure_h[s][basis][rank[p + 1]][0]
+            p += 2
             detected = (alice_bit == bob_bit) != _CORRELATED[u_a][basis]
             if keep_records:
                 verdict = ControlVerdict.EVE_DETECTED if detected else ControlVerdict.PASS
@@ -360,12 +434,13 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
             message_rounds += 1
             detected = False
             if half < 0:
-                u_b = lo2[p]
-                half = hi2[p]
-                p += 1
+                u_b = lo2[p + 1]
+                half = hi2[p + 1]
+                p += 2
             else:
                 u_b = half
                 half = -1
+                p += 1
             s = encode[s][u_b]
             if backward:
                 if not backward_random:
@@ -377,28 +452,12 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
                 else:
                     basis = half >> 1
                     half = -1
-                p0, s0, s1 = measure_t[s][basis]
-                r = uni[p]
+                bit, s = measure_t[s][basis][rank[p]]
                 p += 1
-                if r < p0:
-                    bit = 0
-                    s = s0
-                else:
-                    bit = 1
-                    s = s1
                 if keep_records:
                     observations.append(EveObservation(index, backward_leg, _BASES[basis], bit))
-            acc0, acc1, acc2 = bell[s]
-            r = uni[p]
+            k = bell[s][rank[p]]
             p += 1
-            if r < acc0:
-                k = 0
-            elif r < acc1:
-                k = 1
-            elif r < acc2:
-                k = 2
-            else:
-                k = 3
             alice_key += key_bits[u_a][k ^ u_a]
             bob_key += key_bits[k ^ u_b][u_b]
             if keep_records:

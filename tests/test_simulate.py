@@ -6,7 +6,9 @@ import inspect
 import math
 import json
 import tracemalloc
+import types
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -53,8 +55,11 @@ from qdkd.oracle import (
 from qdkd.quantum import BellOutcome, LocalUnitary, MeasBasis, QubitId
 from qdkd.simulate import (
     ABORT_CONTROL,
+    _ROUND_WORDS,
     _binomial_ci,
     _decode_words,
+    _edge,
+    _ranked_tables,
     _round_tables,
     ABORT_KEY_CHECK,
     RoundRecord,
@@ -778,6 +783,43 @@ def _assert_matches_reference(config):
     assert serialize_report(session.report, "csv") == serialize_report(report, "csv")
 
 
+# control_prob at and next to the edges of the mode decision: 0, the
+# smallest positive double, the doubles either side of 1/2, and 1.
+CONTROL_PROB_EDGES = (0.0, 5e-324, 0.5 - 2.0**-53, 0.5, 0.5 + 2.0**-53, 1.0 - 2.0**-53, 1.0)
+# No attack, and the random policies, whose odd 32-bit draws shift the
+# buffered half.
+REFILL_ATTACKS = [
+    NoAttack(),
+    InterceptResend(ChannelLeg.FORWARD, EveBasisPolicy.RANDOM),
+    InterceptResend(ChannelLeg.BACKWARD, EveBasisPolicy.RANDOM),
+]
+
+
+def _fresh_words_of_one_round(attack, control_prob, buffered):
+    """The PCG64 words one round of the scalar reference opens, from a stream
+    whose last opened word has (buffered) or has not a 32-bit half left."""
+    bitgen = np.random.PCG64(11)
+    rng = np.random.Generator(bitgen)
+    if buffered:
+        rng.integers(2)
+    start = bitgen.state
+    state, u_a = alice_prepare(rng)
+    state, _ = apply_attack(state, ChannelLeg.FORWARD, attack, rng, 0)
+    if bob_choose_mode(control_prob, rng) is RoundMode.CONTROL:
+        run_control_round(u_a, state, rng)
+    else:
+        run_message_round(
+            u_a, state, rng, lambda s: apply_attack(s, ChannelLeg.BACKWARD, attack, rng, 0)[0]
+        )
+    probe = np.random.PCG64()
+    probe.state = start
+    for words in range(4 * _ROUND_WORDS):
+        if probe.state["state"] == bitgen.state["state"]:
+            return words
+        probe.advance(1)
+    raise AssertionError("the round read more words than the probe counts")
+
+
 class TestSessionStream:
     """run_session draws exactly what the scalar round functions draw from
     numpy's Generator, so both give the same sessions, unless a draw hits one
@@ -819,28 +861,80 @@ class TestSessionStream:
 
     @pytest.mark.parametrize("seed", [0, 5, 2**64 - 1])
     def test_decoded_words_equal_generator_draws(self, seed):
+        """Every decoded byte is a Generator draw: lo2 and hi2 are integers(4)
+        and their top bits integers(2); rank and control decide random() < t
+        for every table threshold t and every control_prob in
+        CONTROL_PROB_EDGES."""
         bitgen = np.random.PCG64(np.random.SeedSequence(seed))
-        lo2, hi2, uni = [], [], []
-        for chunk in (1, 7, 64, 4096):
-            for decoded, part in zip((lo2, hi2, uni), _decode_words(bitgen.random_raw(chunk))):
-                decoded += part
+        chunks = [bitgen.random_raw(chunk) for chunk in (1, 7, 64, 4096)]
+        generator = np.random.default_rng(np.random.SeedSequence(seed))
+        uniforms = np.array([generator.random() for _ in range(sum(map(len, chunks)))])
+        for attack in ALL_ATTACKS:
+            edges = _ranked_tables(*_bases(attack)).edges
+            thresholds = _thresholds(_tables(attack))
+            assert edges.tolist() == sorted({math.ceil(Fraction(t) * 2**53) for t in thresholds})
+            for control_prob in CONTROL_PROB_EDGES:
+                lo2, hi2, rank, control = (
+                    b"".join(part)
+                    for part in zip(*(_decode_words(c, edges, _edge(control_prob)) for c in chunks))
+                )
+                rank = np.frombuffer(rank, dtype=np.uint8)
+                for t in thresholds:
+                    j = edges.tolist().index(math.ceil(Fraction(t) * 2**53))
+                    assert ((rank <= j) == (uniforms < t)).all()
+                assert list(control) == (uniforms < control_prob).tolist()
+        # lo2 and hi2 do not depend on the edges: the last decode stands for all.
         halves = [two_bits for pair in zip(lo2, hi2) for two_bits in pair]
         generator = np.random.default_rng(np.random.SeedSequence(seed))
         assert halves == [generator.integers(4) for _ in halves]
         generator = np.random.default_rng(np.random.SeedSequence(seed))
         assert [two_bits >> 1 for two_bits in halves] == [generator.integers(2) for _ in halves]
-        generator = np.random.default_rng(np.random.SeedSequence(seed))
-        assert uni == [generator.random() for _ in uni]
+
+    @pytest.mark.parametrize("control_prob", CONTROL_PROB_EDGES)
+    @pytest.mark.parametrize("attack", REFILL_ATTACKS)
+    def test_matches_scalar_rounds_at_control_prob_edges(self, attack, control_prob):
+        # floats(0, 1) rarely draws these, where a mode decision is closest
+        # to its edge.
+        for seed in range(5):
+            _assert_matches_reference(
+                SimConfig(rounds=300, control_prob=control_prob, attack=attack, seed=seed)
+            )
+
+    @pytest.mark.parametrize(
+        "value",
+        [0, 1, np.int64(1), 5e-324, 0.1, 1.0, np.float64(0.1), np.float32(0.5),
+         np.float32(0.1), np.float16(0.3), Fraction(1, 3), Decimal("0.1"),
+         Fraction(2**52 + 1, 2**53) + Fraction(1, 2**60),
+         Fraction(2**52 + 1, 2**53) - Fraction(1, 2**60), Fraction(2**53 - 1, 2**53)],
+    )
+    def test_control_edge_decides_as_the_comparison(self, value):
+        """control_prob may be any real in [0, 1]: its edge splits the stream
+        uniforms exactly where r < control_prob does, by that type's own
+        comparison, which for an exact type means at ceil(value * 2**53)."""
+        edge = _edge(value)
+        assert edge == 0 or (edge - 1) * 2.0**-53 < value
+        assert edge == 2**53 or not edge * 2.0**-53 < value
+        if isinstance(value, (int, float, Fraction, Decimal)):
+            assert edge == math.ceil(Fraction(value) * 2**53)
+        ks = [k for k in (edge - 1, edge, edge + 1) if 0 <= k < 2**53]
+        words = np.array([k << 11 for k in ks], dtype=np.uint64)
+        control = _decode_words(words, _ranked_tables((), ()).edges, edge)[3]
+        assert list(control) == [k * 2.0**-53 < value for k in ks]
+
+    def test_round_words_bounds_every_round(self):
+        """_ROUND_WORDS bounds the fresh words one round reads, as the scalar
+        reference reads them, under every attack, in both modes and with or
+        without a buffered 32-bit half."""
+        most = max(
+            _fresh_words_of_one_round(attack, control_prob, buffered)
+            for attack in ALL_ATTACKS
+            for control_prob in (0.0, 1.0)
+            for buffered in (False, True)
+        )
+        assert most == 6 <= _ROUND_WORDS
 
     @pytest.mark.parametrize("control_prob", [0.0, 0.5])
-    @pytest.mark.parametrize(
-        "attack",
-        [
-            NoAttack(),
-            InterceptResend(ChannelLeg.FORWARD, EveBasisPolicy.RANDOM),
-            InterceptResend(ChannelLeg.BACKWARD, EveBasisPolicy.RANDOM),
-        ],
-    )
+    @pytest.mark.parametrize("attack", REFILL_ATTACKS)
     def test_long_session_spans_refills(self, attack, control_prob):
         # 2,500 rounds read past the 4,096-word chunk cap; the random
         # policies' odd 32-bit draws make refills meet a buffered half.
@@ -890,10 +984,18 @@ def _bell_rule(thresholds, r):
     return next((k for k, acc in enumerate(thresholds) if r < acc), 3)
 
 
+def _bases(attack):
+    return eve_bases(attack, ChannelLeg.FORWARD), eve_bases(attack, ChannelLeg.BACKWARD)
+
+
 def _tables(attack):
-    return _round_tables(
-        eve_bases(attack, ChannelLeg.FORWARD), eve_bases(attack, ChannelLeg.BACKWARD)
-    )
+    return _round_tables(*_bases(attack))
+
+
+def _thresholds(tables):
+    """Every p0 and Bell threshold of the round tables."""
+    p0s = [e[0] for rows in tables.measure for row in rows for e in row if e is not None]
+    return p0s + [acc for row in tables.bell if row is not None for acc in row]
 
 
 def _same_ray(amps, state):
@@ -1096,6 +1198,58 @@ class TestRoundTables:
         assert dict(enumerate(errors)) == message_error_distribution(attack)
 
     @pytest.mark.parametrize("attack", ALL_ATTACKS)
+    def test_ranked_entries_decide_as_thresholds(self, attack):
+        """Each ranked entry, read at the rank _decode_words gives a word,
+        decides as the round tables' thresholds do at the word's uniform:
+        bit 0 iff r < p0, and the first Bell outcome whose threshold exceeds
+        r. Checked at and next to every threshold and at 0 and 1 - 2**-53."""
+        tables, ranked = _tables(attack), _ranked_tables(*_bases(attack))
+        uniforms = _uniforms_around(*_thresholds(tables))
+        assert uniforms[0] == 0.0 and uniforms[-1] == 1.0 - 2.0**-53
+        # The 11 low bits of a word are not part of its uniform.
+        words = np.array(
+            [int(r * 2**53) << 11 | (0x7FF if i % 2 else 0) for i, r in enumerate(uniforms)],
+            dtype=np.uint64,
+        )
+        ranks = _decode_words(words, ranked.edges, 0)[2]
+        checked = 0
+        for s in range(len(tables.states)):
+            for qubit in (0, 1):
+                for basis in (0, 1):
+                    entry = tables.measure[qubit][s][basis]
+                    by_rank = ranked.measure[qubit][s][basis]
+                    assert (by_rank is None) == (entry is None)
+                    if entry is None:
+                        continue
+                    p0, s0, s1 = entry
+                    for r, rank in zip(uniforms, ranks):
+                        checked += 1
+                        assert by_rank[rank] == ((0, s0) if r < p0 else (1, s1))
+            assert (ranked.bell[s] is None) == (tables.bell[s] is None)
+            if tables.bell[s] is not None:
+                for r, rank in zip(uniforms, ranks):
+                    checked += 1
+                    assert ranked.bell[s][rank] == _bell_rule(tables.bell[s], r)
+        assert checked > 0
+
+    @pytest.mark.parametrize("count", [255, 256])
+    def test_ranks_must_fit_in_a_byte(self, count):
+        """A rank is stored in a byte, so the ranked view refuses 256 or more
+        distinct threshold edges when it is built."""
+        thresholds = [j / 512 for j in range(count)]
+        tables = types.SimpleNamespace(
+            measure=([[(t, 0, 1), None] for t in thresholds], []),
+            bell=[None] * count,
+            prepared=(),
+            encode=[],
+        )
+        if count < 256:
+            assert len(simulate._RankedTables(tables).edges) == count
+        else:
+            with pytest.raises(OverflowError):
+                simulate._RankedTables(tables)
+
+    @pytest.mark.parametrize("attack", ALL_ATTACKS)
     def test_sessions_call_no_float_kernel(self, attack, monkeypatch):
         def refuse(*args):
             raise AssertionError("a session called a float kernel")
@@ -1104,6 +1258,7 @@ class TestRoundTables:
             if inspect.isfunction(value):
                 monkeypatch.setattr(kernels, name, refuse)
         _round_tables.cache_clear()
+        _ranked_tables.cache_clear()
         config = SimConfig(rounds=400, attack=attack, seed=3)
         session = run_session(config, keep_records=True)
         assert session.report.rounds_total > 0
