@@ -9,11 +9,12 @@ amplitudes to integer amplitudes. A path's probability is the product of its
 steps' squared-norm ratios, which telescopes to its final squared norm over
 its initial one, times its choice probabilities; that is an int over a power
 of two. Each statistic sums those ints over one fixed power-of-two
-denominator and builds its Fraction once. The key check's abort probability
-is a closed-form mixture over the enumerated per-round error distribution:
-an integer polynomial power counts the erring key positions, and
-hypergeometric counts, walked upward in the count by exact small-integer
-updates, weigh each count by the chance that the check passes.
+denominator and builds its Fraction once. An attack's round is enumerated
+once: the statistics are cached by Eve's bases on each leg, looked up after
+the attack is validated. The key check's abort probability is one
+coefficient of a power of the per-round generating function of checked
+positions and checked mismatches, taken by an exact integer recurrence that
+stops at the checked count.
 
 The simulator's round tables (_RoundTables) come from this arithmetic too,
 so checks of the simulator against the oracle test its sampling and protocol
@@ -21,12 +22,14 @@ logic, not its physics: the physics check lives in the tests, against the
 float kernels and TwoQubitState, which this module does not use.
 """
 
+import functools
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from .adversary import AttackStrategy, ChannelLeg, NoAttack, eve_bases, validate_attack
+from .adversary import AttackStrategy, ChannelLeg, eve_bases, validate_attack
 from .protocol import (
     Correlation,
     KeyCheckPolicy,
@@ -106,11 +109,11 @@ def _bell_branches(state):
             yield overlap * overlap, k
 
 
-def _attack_branches(state, leg: ChannelLeg, strategy: AttackStrategy):
-    """Yield (shift, state after Eve, observation or None) on one leg; the
+def _attack_branches(state, bases: tuple[MeasBasis, ...]):
+    """Yield (shift, state after Eve, observation or None) on a leg where
+    Eve measures in one of bases, each equally likely (none: no attack); the
     branch's probability is its state's squared norm over 2**shift times the
     input state's."""
-    bases = eve_bases(strategy, leg)
     if not bases:
         yield 0, state, None
         return
@@ -198,23 +201,28 @@ class _RoundTables:
         ]
 
 
+def _bases(attack) -> tuple[tuple[MeasBasis, ...], tuple[MeasBasis, ...]]:
+    """Eve's bases on the forward and on the backward leg of a valid attack,
+    which is all the enumeration depends on."""
+    validate_attack(attack)
+    return eve_bases(attack, ChannelLeg.FORWARD), eve_bases(attack, ChannelLeg.BACKWARD)
+
+
 # A control path's probability is 1/4 (Alice's unitary) * 1/2 (Bob's basis)
 # times the squared-norm ratio of its final and initial states, which
 # telescopes over the steps; the initial state has squared norm 2.
 _CONTROL_BITS = 4 + _LEG_SHIFT + 2 * _PROJ_SHIFT[MeasBasis.X]
 
 
-def control_detection_probability(attack: AttackStrategy) -> Fraction:
-    """Exact probability that one control round flags Eve.
+def _control_detections(forward: tuple[MeasBasis, ...]) -> int:
+    """The probability that one control round flags Eve, over 2**_CONTROL_BITS.
 
     Enumerates Alice's unitary, Eve's branches on the forward leg, Bob's
     uniformly random basis, and both parties' measurement outcomes.
     """
-    validate_attack(attack)
-    total = 0  # over 2**_CONTROL_BITS
+    total = 0
     for a in range(4):
-        s0 = _encoded_state(a)
-        for eve_shift, s1, _obs in _attack_branches(s0, ChannelLeg.FORWARD, attack):
+        for eve_shift, s1, _obs in _attack_branches(_encoded_state(a), forward):
             for basis in (MeasBasis.Z, MeasBasis.X):
                 expected = expected_correlation(LocalUnitary(a), basis)
                 for bob_shift, s2, bob_bit in _measurement_branches(s1, QubitId.T, basis):
@@ -227,7 +235,7 @@ def control_detection_probability(attack: AttackStrategy) -> Fraction:
                         if observed is not expected:
                             shift = 4 + eve_shift + bob_shift + alice_shift
                             total += _norm_sq(s3) << (_CONTROL_BITS - shift)
-    return Fraction(total, 1 << _CONTROL_BITS)
+    return total
 
 
 # A message path's probability is 1/16 (the two unitaries) times its squared
@@ -236,19 +244,37 @@ def control_detection_probability(attack: AttackStrategy) -> Fraction:
 _MESSAGE_BITS = 6 + 2 * _LEG_SHIFT
 
 
-def _message_paths(attack: AttackStrategy):
+def _message_paths(forward: tuple[MeasBasis, ...], backward: tuple[MeasBasis, ...]):
     """Yield (weight, u_A label, u_B label, Eve's forward observation, Eve's
     backward observation, Bell outcome label) for every branch of one message
-    round; the branch's probability is weight / 2**_MESSAGE_BITS."""
-    validate_attack(attack)
+    round under Eve's bases on each leg; the branch's probability is weight
+    / 2**_MESSAGE_BITS."""
     for a in range(4):
-        for f_shift, s1, obs_f in _attack_branches(_encoded_state(a), ChannelLeg.FORWARD, attack):
+        for f_shift, s1, obs_f in _attack_branches(_encoded_state(a), forward):
             for b in range(4):
                 s2 = _apply_1q(s1, QubitId.T, _U_MATRICES[b])
-                for b_shift, s3, obs_b in _attack_branches(s2, ChannelLeg.BACKWARD, attack):
+                for b_shift, s3, obs_b in _attack_branches(s2, backward):
                     shift = 6 + f_shift + b_shift
                     for overlap_sq, k in _bell_branches(s3):
                         yield overlap_sq << (_MESSAGE_BITS - shift), a, b, obs_f, obs_b, k
+
+
+@functools.cache
+def _round_statistics(forward, backward) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """(control detection probability, the error mask's probabilities by e)
+    under Eve's bases on each leg, enumerated once per attack."""
+    weights = [0, 0, 0, 0]  # over 2**_MESSAGE_BITS, by e
+    for w, a, b, _, _, k in _message_paths(forward, backward):
+        weights[k ^ a ^ b] += w
+    return (
+        Fraction(_control_detections(forward), 1 << _CONTROL_BITS),
+        tuple(Fraction(w, 1 << _MESSAGE_BITS) for w in weights),
+    )
+
+
+def control_detection_probability(attack: AttackStrategy) -> Fraction:
+    """Exact probability that one control round flags Eve."""
+    return _round_statistics(*_bases(attack))[0]
 
 
 def unitary_outcome_table() -> list[list[BellOutcome]]:
@@ -260,7 +286,7 @@ def unitary_outcome_table() -> list[list[BellOutcome]]:
     one possible outcome.
     """
     table = [[None] * 4 for _ in LocalUnitary]
-    for _w, a, b, _f, _b, k in _message_paths(NoAttack()):
+    for _w, a, b, _f, _b, k in _message_paths((), ()):
         if table[a][b] is not None:
             raise AssertionError(f"honest composite u{a}, u{b} not deterministic")
         table[a][b] = BellOutcome(k)
@@ -274,10 +300,7 @@ def message_error_distribution(attack: AttackStrategy) -> dict[int, Fraction]:
     position) and bit 1 (phase position) of e are exactly the per-position
     key mismatch indicators between the parties' buffers.
     """
-    weights = [0, 0, 0, 0]  # over 2**_MESSAGE_BITS, by e
-    for w, a, b, _, _, k in _message_paths(attack):
-        weights[k ^ a ^ b] += w
-    return {e: Fraction(w, 1 << _MESSAGE_BITS) for e, w in enumerate(weights)}
+    return dict(enumerate(_round_statistics(*_bases(attack))[1]))
 
 
 def abort_probability(
@@ -289,18 +312,22 @@ def abort_probability(
     """Exact probability that the public key check aborts.
 
     The check compares m = ceil(fraction * L) positions drawn uniformly
-    without replacement from the L-bit pre-check key of a run with the given
-    number of message rounds; the run aborts when mismatches exceed the
-    threshold. The subset is uniform and drawn independently of the error
-    pattern, so given B mismatching key positions, wherever they sit, the
-    mismatch count in the subset is Hypergeometric(L, B, m). Hence
+    without replacement from the L-bit pre-check key of n message rounds and
+    aborts when more than threshold of them mismatch. A round has 0, 1 or 2
+    erring label positions (see message_error_distribution) with
+    probabilities q0, q1, q2 over denom, and each label position fills g key
+    positions: 2 in combined mode, where both copies of an erring position
+    mismatch, 1 in single mode. The subset is drawn independently of the
+    errors, so with y marking a checked position and z a checked mismatch,
 
-        P(abort) = 1 - sum_B P(B) * HypergeomCDF(threshold; L, B, m).
+        R(y, z) = q0 (1 + y)^2g + q1 (1 + y)^g (1 + zy)^g + q2 (1 + zy)^2g,
+        P(abort) = 1 - sum_(x <= threshold) [z^x y^m] R^n / (denom^n C(L, m)).
 
-    Each round adds 0, 1 or 2 erring label positions (none, one of the
-    amplitude and phase positions, or both; see message_error_distribution),
-    and in combined mode both copies of an erring position mismatch, so B is
-    that count summed over the independent rounds, times 2 in combined mode.
+    As R(0, z) = denom, [y^k] R^n = denom^(n - k) s_k for integer polynomials
+    s_k in z, and comparing coefficients in R (R^n)' = n R' R^n gives
+    k s_k = sum_(j = 1..2g) ((n + 1) j - k) denom^(j - 1) [y^j] R s_(k - j).
+    The recurrence stops at s_m and truncates each s_k at z^min(threshold,
+    m); every division is exact.
     """
     require_policy(policy)
     require_count("message_rounds", message_rounds)
@@ -311,55 +338,27 @@ def abort_probability(
     dist = message_error_distribution(attack)
     length = key_mode.bits_per_round * n
     m = checked_count(policy.fraction, length)
-    group = 2 if key_mode is KeyMode.COMBINED else 1  # key positions per erring label position
-    # P(0, 1, 2 erring label positions in a round) as integers over denom.
+    top = min(threshold, m)  # the most mismatches the check accepts
+    g = 2 if key_mode is KeyMode.COMBINED else 1
     q = (dist[0], dist[1] + dist[2], dist[3])
     denom = math.lcm(*(p.denominator for p in q))
-    weights = _power(tuple(p.numerator * (denom // p.denominator) for p in q), n)
-    while not weights[-1]:  # trailing counts of probability 0 need no walk
-        weights.pop()
-    top = min(threshold, m)  # the most mismatches the check accepts
-    # With B = group * k erring key positions, the check passes with
-    # sum_x C(B, x) * C(L - B, m - x) of the C(L, m) subsets, x <= top. Walk k
-    # upward keeping only C(size, m - top) for size = L - B, lowering size one
-    # position at a time by C(N - 1, r) = C(N, r) * (N - r) / N, and step up
-    # to the other x by C(N, r + 1) = C(N, r) * (N - r) / (r + 1); both
-    # divisions are exact.
-    low = m - top
-    size, tail = length, math.comb(length, low)
-    accept = 0
-    for k, w in enumerate(weights):
-        if k:
-            for _ in range(group):
-                tail = tail * (size - low) // size
-                size -= 1
-        if w:
-            term = tail  # C(size, m - x), from x = top down to 0
-            passed = math.comb(group * k, top) * term
-            for x in range(top - 1, -1, -1):
-                term = term * (size - m + x + 1) // (m - x)
-                passed += math.comb(group * k, x) * term
-            accept += w * passed
-    return 1 - Fraction(accept, denom**n * math.comb(length, m))
-
-
-def _power(poly: tuple[int, ...], n: int) -> list[int]:
-    """Integer coefficients of poly(x)**n, lowest degree first.
-
-    After factoring out the lowest power of x, the coefficients p_k of
-    c(x)**n with c_0 != 0 obey k * c_0 * p_k = sum_j ((n + 1) * j - k) * c_j
-    * p_(k-j), which follows from comparing coefficients in
-    c(x) * (c(x)**n)' = n * c'(x) * c(x)**n; every division is exact.
-    """
-    shift = next(i for i, c in enumerate(poly) if c)
-    c = poly[shift:]
-    p = [c[0] ** n]
-    for k in range(1, (len(c) - 1) * n + 1):
-        total = sum(
-            ((n + 1) * j - k) * c[j] * p[k - j] for j in range(1, min(k, len(c) - 1) + 1)
-        )
-        p.append(total // (k * c[0]))
-    return [0] * (shift * n) + p
+    q0, q1, q2 = (p.numerator * (denom // p.denominator) for p in q)
+    # r[j][t] = denom^(j - 1) [y^j z^t] R for 1 <= j <= 2g and t <= min(j, top).
+    r = {j: [] for j in range(1, 2 * g + 1)}
+    for j, row in r.items():
+        for t in range(min(j, top) + 1):
+            uniform = (q0 * (t == 0) + q2 * (t == j)) * math.comb(2 * g, j)
+            row.append(denom ** (j - 1) * (uniform + q1 * math.comb(g, t) * math.comb(g, j - t)))
+    recent = deque([[1] + [0] * top], maxlen=2 * g)  # s_(k - 2g), ..., s_(k - 1)
+    for k in range(1, m + 1):
+        s = [0] * (top + 1)
+        for j in range(1, min(k, 2 * g) + 1):
+            c, prev = (n + 1) * j - k, recent[-j]
+            for t, a in enumerate(r[j]):
+                for u in range(top + 1 - t):
+                    s[t + u] += c * a * prev[u]
+        recent.append([v // k for v in s])
+    return 1 - Fraction(sum(recent[-1]), denom**m * math.comb(length, m))
 
 
 def eve_resolved_bits(attack: AttackStrategy, key_mode: KeyMode = KeyMode.COMBINED) -> Fraction:
@@ -374,7 +373,7 @@ def eve_resolved_bits(attack: AttackStrategy, key_mode: KeyMode = KeyMode.COMBIN
     require_key_mode(key_mode)
     mass: dict[tuple, int] = {}  # by view: the summed path weights
     support: dict[tuple, set[tuple]] = {}  # by view: the kept key bits of each path
-    for w, a, b, obs_f, obs_b, k in _message_paths(attack):
+    for w, a, b, obs_f, obs_b, k in _message_paths(*_bases(attack)):
         view = (obs_f, obs_b, k)
         mass[view] = mass.get(view, 0) + w
         support.setdefault(view, set()).add(tuple(accumulate_key([], a, b, key_mode)))

@@ -161,8 +161,9 @@ def alice_prepare(rng) -> tuple[TwoQubitState, LocalUnitary]:
 
 
 def bob_choose_mode(control_prob: float, rng) -> RoundMode:
-    """Bob picks control mode with probability control_prob."""
-    return RoundMode.CONTROL if rng.random() < control_prob else RoundMode.MESSAGE
+    """Bob picks control mode with probability control_prob, compared as its
+    exact value (see exact_real)."""
+    return RoundMode.CONTROL if rng.random() < exact_real(control_prob) else RoundMode.MESSAGE
 
 
 @dataclass(frozen=True)
@@ -263,6 +264,16 @@ def require_probability(name: str, value) -> None:
         return
     if not isinstance(value, numbers.Real) or isinstance(value, bool) or not 0 <= value <= 1:
         raise ConfigError(f"{name} must lie in [0, 1], got {value!r}")
+
+
+def exact_real(value):
+    """value, with a numpy float16 or float32 replaced by its float, which is exact.
+
+    Compared with a double as it is, such a value rounds the double to its
+    own precision first under numpy 2 (NEP 50) but not under numpy 1.x; its
+    float decides every comparison as the exact value does, on both.
+    """
+    return float(value) if isinstance(value, (np.float16, np.float32)) else value
 
 
 def require_count(name: str, value) -> None:

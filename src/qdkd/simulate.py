@@ -51,7 +51,8 @@ threshold exactly when the rank is at most j; the tables are indexed by
 rank once per attack, a measurement giving its bit and successor, a Bell
 measurement its outcome. The control flag is k < ceil(control_prob *
 2**53), exact at control_prob 0 and 1 too; a control_prob of another real
-type keeps the edge its own comparison with the uniforms draws. The loop
+type keeps the edge its own comparison with the uniforms draws, except that
+a numpy float16 or float32 is compared as its exact value. The loop
 then draws by index, keeping the index of the next fresh word and the
 buffered high half's 2-bit value, and makes no float comparison. A branch of probability 0 lies behind
 a threshold of exactly 0 or 1, which no uniform in [0, 1) selects, so the
@@ -90,6 +91,7 @@ from .protocol import (
     LocalUnitary,
     MessageOutcome,
     accumulate_key,
+    exact_real,
     expected_correlation,
     is_int,
     key_check,
@@ -242,10 +244,11 @@ _U3, _U11, _U30, _U62 = (np.uint64(n) for n in (3, 11, 30, 62))
 def _edge(t) -> int:
     """The number of stream uniforms r = k * 2**-53 (0 <= k < 2**53) with
     r < t, for t in [0, 1]: a word's uniform lies below t exactly when its k
-    lies below the edge. For a float t it is ceil(t * 2**53), which is
-    exact. Another real type decides r < t by its own rules (a numpy
-    float32 rounds r to float32 first), so its edge is found by bisection
-    over that comparison."""
+    lies below the edge. For a float t (a numpy float16 or float32 counts
+    as its float, see exact_real) it is ceil(t * 2**53), which is exact.
+    Another real type decides r < t by its own rules, so its edge is found
+    by bisection over that comparison."""
+    t = exact_real(t)
     if isinstance(t, float):
         return math.ceil(t * 2**53)
     low, high = 0, 2**53

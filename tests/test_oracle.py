@@ -15,7 +15,6 @@ from qdkd import oracle
 from qdkd.adversary import ChannelLeg, EveBasisPolicy, InterceptResend, NoAttack
 from qdkd.errors import ConfigError
 from qdkd.oracle import (
-    _power,
     abort_probability,
     control_detection_probability,
     exact_oracle,
@@ -294,9 +293,29 @@ class TestAbortProbability:
         assert p > Fraction(99, 100)
 
 
+def _power(poly: tuple[int, ...], n: int) -> list[int]:
+    """Integer coefficients of poly(x)**n, lowest degree first.
+
+    After factoring out the lowest power of x, the coefficients p_k of
+    c(x)**n with c_0 != 0 obey k * c_0 * p_k = sum_j ((n + 1) * j - k) * c_j
+    * p_(k-j), which follows from comparing coefficients in
+    c(x) * (c(x)**n)' = n * c'(x) * c(x)**n; every division is exact.
+    """
+    shift = next(i for i, c in enumerate(poly) if c)
+    c = poly[shift:]
+    p = [c[0] ** n]
+    for k in range(1, (len(c) - 1) * n + 1):
+        total = sum(
+            ((n + 1) * j - k) * c[j] * p[k - j] for j in range(1, min(k, len(c) - 1) + 1)
+        )
+        p.append(total // (k * c[0]))
+    return [0] * (shift * n) + p
+
+
 def _direct_abort(dist, policy, n, key_mode):
-    """Abort probability by the direct sum over erring label counts, with
-    every binomial computed from scratch by math.comb."""
+    """Abort probability by the direct sum over erring label counts: the
+    count's distribution is a power of the per-round polynomial in x, and
+    every hypergeometric count is computed from scratch by math.comb."""
     length = key_mode.bits_per_round * n
     m = checked_count(policy.fraction, length)
     group = 2 if key_mode is KeyMode.COMBINED else 1
@@ -312,8 +331,9 @@ def _direct_abort(dist, policy, n, key_mode):
     return 1 - Fraction(accept, denom**n * math.comb(length, m))
 
 
-class TestIncrementalSum:
-    """The key check's incremental hypergeometric walk against the direct sum."""
+class TestTruncatedPower:
+    """The key check's truncated generating-function power against the
+    direct sum over erring label counts."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -333,6 +353,73 @@ class TestIncrementalSum:
         policy = KeyCheckPolicy(0.1, 3)
         want = _direct_abort(message_error_distribution(BACKWARD_R), policy, 1000, KeyMode.COMBINED)
         assert abort_probability(BACKWARD_R, policy, 1000) == want
+
+    @pytest.mark.parametrize("attack,key_mode,rounds,fraction,threshold,want", [
+        pytest.param(BACKWARD_R, KeyMode.COMBINED, 0, 0.5, 0, 0, id="no-rounds"),
+        pytest.param(BACKWARD_R, KeyMode.COMBINED, 50, 1.0, 0, None, id="full-check"),
+        pytest.param(BACKWARD_X, KeyMode.SINGLE_BOB, 3, 1.0, 1, Fraction(1, 2), id="full-check-thr1"),
+        pytest.param(BACKWARD_Z, KeyMode.SINGLE_ALICE, 40, 0.1, 8, 0, id="threshold-is-m"),
+        pytest.param(BACKWARD_R, KeyMode.COMBINED, 40, 0.1, 50, 0, id="threshold-above-m"),
+        pytest.param(NoAttack(), KeyMode.COMBINED, 60, 0.3, 0, 0, id="no-attack"),
+        pytest.param(NoAttack(), KeyMode.SINGLE_ALICE, 60, 1.0, 2, 0, id="no-attack-full-check"),
+    ])
+    def test_edges_equal_direct_sum(self, attack, key_mode, rounds, fraction, threshold, want):
+        """n = 0, a full check (m = L), a threshold at or above m and an
+        attack-free round (q1 = q2 = 0) each leave the recurrence nothing or
+        everything to truncate."""
+        dist = message_error_distribution(attack)
+        policy = KeyCheckPolicy(fraction, threshold)
+        got = abort_probability(attack, policy, rounds, key_mode)
+        assert got == _direct_abort(dist, policy, rounds, key_mode)
+        if threshold == 0 and fraction == 1.0:  # any erring round aborts
+            assert got == 1 - dist[0] ** rounds
+        else:
+            assert got == want
+
+
+class TestRoundStatisticsCache:
+    """Each attack's round is enumerated once, cached by Eve's bases."""
+
+    def test_distribution_is_a_fresh_dict(self):
+        policy = KeyCheckPolicy(0.1, 0)
+        want_dist = message_error_distribution(BACKWARD_Z)
+        want_abort = abort_probability(BACKWARD_Z, policy, 20)
+        got = message_error_distribution(BACKWARD_Z)
+        got[0], got[2] = Fraction(0), Fraction(1)
+        got.pop(3)
+        assert message_error_distribution(BACKWARD_Z) == want_dist
+        assert abort_probability(BACKWARD_Z, policy, 20) == want_abort
+        assert exact_oracle(BACKWARD_Z).key_error_rate_phase_bit == Fraction(1, 2)
+
+    @pytest.mark.parametrize("bad", [
+        InterceptResend("backward", EveBasisPolicy.X),
+        InterceptResend(ChannelLeg.FORWARD, "z"),
+        "bogus",
+    ], ids=["leg-str", "policy-str", "not-an-attack"])
+    def test_bad_attack_after_good_still_rejected(self, bad):
+        # A string leg matches neither leg, so its bases are those of NoAttack.
+        for good in (NoAttack(), FORWARD_Z):
+            exact_oracle(good)
+            abort_probability(good, KeyCheckPolicy(0.1, 0), 10)
+        for call in (
+            exact_oracle,
+            control_detection_probability,
+            message_error_distribution,
+            oracle.eve_resolved_bits,
+            lambda attack: abort_probability(attack, KeyCheckPolicy(0.1, 0), 10),
+        ):
+            with pytest.raises(ConfigError):
+                call(bad)
+
+    def test_equal_attacks_share_one_entry(self):
+        oracle._round_statistics.cache_clear()
+        exact_oracle(InterceptResend(ChannelLeg.BACKWARD, EveBasisPolicy.Z))
+        abort_probability(InterceptResend(ChannelLeg.BACKWARD), KeyCheckPolicy(0.1, 0), 10)
+        message_error_distribution(InterceptResend(ChannelLeg.BACKWARD, EveBasisPolicy.Z))
+        control_detection_probability(InterceptResend(ChannelLeg.BACKWARD))
+        info = oracle._round_statistics.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+        assert info.hits >= 4
 
 
 class TestAbortProperties:

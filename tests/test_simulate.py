@@ -551,6 +551,22 @@ class TestValidation:
             run_simulation(builtin)
         )
 
+    def test_narrow_numpy_control_prob_decides_as_its_exact_value(self):
+        """np.float32(0.5) and np.float16(0.5) give the report bytes of 0.5.
+        This session has a mode uniform in [0.5 - 2**-26, 0.5), which numpy 2
+        would round to the float32 0.5 before comparing: a control_prob at
+        the foot of that window decides it otherwise."""
+
+        def report(control_prob):
+            config = SimConfig(rounds=400, control_prob=control_prob, seed=352974)
+            return serialize_report(run_simulation(config))
+
+        want = report(0.5)
+        assert report(np.float32(0.5)) == report(np.float16(0.5)) == want
+        assert report(0.5 - 2**-26) != want
+        # bob_choose_mode, the scalar reference, compares the same way.
+        _assert_matches_reference(SimConfig(rounds=400, control_prob=np.float32(0.5), seed=352974))
+
 
 def _report_json(**changes) -> bytes:
     """The JSON of a valid 0-round report with the given fields replaced."""
@@ -910,16 +926,19 @@ class TestSessionStream:
     def test_control_edge_decides_as_the_comparison(self, value):
         """control_prob may be any real in [0, 1]: its edge splits the stream
         uniforms exactly where r < control_prob does, by that type's own
-        comparison, which for an exact type means at ceil(value * 2**53)."""
+        comparison, which for an exact type means at ceil(value * 2**53). A
+        numpy float16 or float32 is compared as its float, which is its
+        exact value, on every numpy version."""
+        exact = float(value) if isinstance(value, (np.float16, np.float32)) else value
         edge = _edge(value)
-        assert edge == 0 or (edge - 1) * 2.0**-53 < value
-        assert edge == 2**53 or not edge * 2.0**-53 < value
-        if isinstance(value, (int, float, Fraction, Decimal)):
-            assert edge == math.ceil(Fraction(value) * 2**53)
+        assert edge == 0 or (edge - 1) * 2.0**-53 < exact
+        assert edge == 2**53 or not edge * 2.0**-53 < exact
+        if isinstance(value, (int, float, Fraction, Decimal, np.float16, np.float32)):
+            assert edge == math.ceil(Fraction(exact) * 2**53)
         ks = [k for k in (edge - 1, edge, edge + 1) if 0 <= k < 2**53]
         words = np.array([k << 11 for k in ks], dtype=np.uint64)
         control = _decode_words(words, _ranked_tables((), ()).edges, edge)[3]
-        assert list(control) == [k * 2.0**-53 < value for k in ks]
+        assert list(control) == [k * 2.0**-53 < exact for k in ks]
 
     def test_round_words_bounds_every_round(self):
         """_ROUND_WORDS bounds the fresh words one round reads, as the scalar
