@@ -1,23 +1,23 @@
 """Exact enumeration ground truth for the protocol's attack statistics.
 
-The per-round statistics are computed by exhaustively walking the finite
-outcome tree (unitary choices, basis choices, Eve's outcomes, measurement
-branches) with exact integer arithmetic; no sampling, no floating point.
-Amplitudes are tracked unnormalized as ints: every amplitude in the protocol
-is real, and with the X projectors scaled by 2 every step maps integer
-amplitudes to integer amplitudes. A path's probability is the product of its
-steps' squared-norm ratios, which telescopes to its final squared norm over
-its initial one, times its choice probabilities; that is an int over a power
-of two. Each statistic sums those ints over one fixed power-of-two
-denominator and builds its Fraction once. An attack's round is enumerated
-once: the statistics are cached by Eve's bases on each leg, looked up after
-the attack is validated. The key check's abort probability is one
-coefficient of a power of the per-round generating function of checked
-positions and checked mismatches, taken by an exact integer recurrence that
-stops at the checked count.
+One automaton, _RoundTables, enumerates a round under Eve's bases on each
+leg: Alice's unitary on the travel photon of Psi+, Eve's measurement on a
+leg she attacks, Bob's and Alice's control measurements, Bob's unitary and
+the Bell measurement. Its states are unnormalized integer amplitude
+vectors: every amplitude in the protocol is real, and with the X projectors
+scaled by 2 every step maps integer amplitudes to integer amplitudes. Each
+branch's probability is an exact Fraction of squared norms, and every
+statistic here is a sum over the automaton's paths of products of those
+Fractions and the uniform choice probabilities; no sampling, no floating
+point. An attack's automaton is built and walked once: the tables and the
+statistics are cached by Eve's bases on each leg, looked up after the
+attack is validated. The key check's abort probability is one coefficient
+of a power of the per-round generating function of checked positions and
+checked mismatches, taken by an exact integer recurrence that stops at the
+checked count.
 
-The simulator's round tables (_RoundTables) come from this arithmetic too,
-so checks of the simulator against the oracle test its sampling and protocol
+The simulator's sessions run on the same cached tables (_round_tables), so
+checks of the simulator against the oracle test its sampling and protocol
 logic, not its physics: the physics check lives in the tests, against the
 float kernels and TwoQubitState, which this module does not use.
 """
@@ -54,17 +54,12 @@ _BELL = (
 )
 
 # Projectors onto measurement outcomes, by basis then bit. The X projectors
-# are scaled by 2 so that every amplitude stays an integer; a branch through
-# one carries 2**_PROJ_SHIFT[X] = 4 times its true squared norm.
+# are scaled by 2 so that every amplitude stays an integer; a probability is
+# a ratio of squared norms, which the scale leaves unchanged.
 _PROJ = (
     (((1, 0), (0, 0)), ((0, 0), (0, 1))),  # Z
     (((1, 1), (1, 1)), ((1, -1), (-1, 1))),  # 2 * X
 )
-_PROJ_SHIFT = (0, 2)
-
-# The most a leg's branch can add to a path's exponent: 1 for Eve's choice of
-# two bases, 2 for a scaled X projector.
-_LEG_SHIFT = 3
 
 
 # By qubit, the amplitude index pairs (|0>, |1> of that qubit) that a
@@ -87,49 +82,8 @@ def _norm_sq(state):
     return sum(s * s for s in state)
 
 
-def _measurement_branches(state, qubit, basis):
-    """Yield (shift, projected unnormalized state, bit) of every possible
-    outcome; the projection's squared norm is 2**shift times the true one."""
-    for bit in (0, 1):
-        proj = _apply_1q(state, qubit, _PROJ[basis][bit])
-        if any(proj):
-            yield _PROJ_SHIFT[basis], proj, bit
-
-
-def _bell_branches(state):
-    """Yield (squared overlap, outcome label) of every possible Bell outcome.
-
-    _BELL[k] has squared norm 2, so outcome k has probability
-    overlap**2 / (2 * _norm_sq(state)).
-    """
-    s0, s1, s2, s3 = state
-    for k, (b0, b1, b2, b3) in enumerate(_BELL):
-        overlap = b0 * s0 + b1 * s1 + b2 * s2 + b3 * s3
-        if overlap:
-            yield overlap * overlap, k
-
-
-def _attack_branches(state, bases: tuple[MeasBasis, ...]):
-    """Yield (shift, state after Eve, observation or None) on a leg where
-    Eve measures in one of bases, each equally likely (none: no attack); the
-    branch's probability is its state's squared norm over 2**shift times the
-    input state's."""
-    if not bases:
-        yield 0, state, None
-        return
-    basis_shift = len(bases).bit_length() - 1  # one or two equally likely bases
-    for basis in bases:
-        for shift, proj, bit in _measurement_branches(state, QubitId.T, basis):
-            yield basis_shift + shift, proj, (basis, bit)
-
-
-def _encoded_state(u_label: int):
-    """Alice's encoding of u_label on the unnormalized Psi+ pair."""
-    return _apply_1q(_BELL[0], QubitId.T, _U_MATRICES[u_label])
-
-
 class _RoundTables:
-    """The session's round automaton under Eve's bases on each leg.
+    """The round automaton under Eve's bases on each leg.
 
     States are integer 4-tuples, interned up to scale and sign and numbered
     in the order first met. Only states on protocol paths get entries:
@@ -139,8 +93,9 @@ class _RoundTables:
     - encode[s][u] = the state after u on the travel photon;
     - bell[s] = the cumulative probabilities of outcomes 0, 0-1 and 0-2.
 
-    Each p0 and Bell threshold is an exact Fraction rounded once to a float;
-    every one a session reaches is 0, 1/2 or 1.
+    Each p0 and Bell threshold is the exact Fraction of two squared norms;
+    every one a session reaches is 0, 1/2 or 1. outcomes and leg walk the
+    automaton with each branch's exact probability.
     """
 
     def __init__(self, forward: tuple[MeasBasis, ...], backward: tuple[MeasBasis, ...]):
@@ -149,24 +104,21 @@ class _RoundTables:
         self.measure: tuple[list, list] = ([], [])
         self.encode: list = []
         self.bell: list = []
-        self.prepared = tuple(self._intern(_encoded_state(u)) for u in range(4))
-        at_bob = dict.fromkeys(t for s in self.prepared for t in self._leg(s, forward))
+        self.prepared = tuple(self._intern(_apply_1q(_BELL[0], QubitId.T, m)) for m in _U_MATRICES)
+        at_bob = dict.fromkeys(t for s in self.prepared for _, _, t in self.leg(s, forward))
         at_alice = []
         for s in at_bob:
             for basis in MeasBasis:
-                for after_bob in self._branches(s, QubitId.T, basis)[1:]:
-                    if after_bob is not None:
-                        self._branches(after_bob, QubitId.H, basis)
+                for _, _, after_bob in self.outcomes(s, QubitId.T, basis):
+                    self.outcomes(after_bob, QubitId.H, basis)
             self.encode[s] = tuple(
                 self._intern(_apply_1q(self.states[s], QubitId.T, m)) for m in _U_MATRICES
             )
-            at_alice += (t for returned in self.encode[s] for t in self._leg(returned, backward))
+            at_alice += (t for u in self.encode[s] for _, _, t in self.leg(u, backward))
         for t in dict.fromkeys(at_alice):
-            weights = [0, 0, 0, 0]
-            for overlap_sq, k in _bell_branches(self.states[t]):
-                weights[k] = overlap_sq
+            weights = [sum(b * x for b, x in zip(vector, self.states[t])) ** 2 for vector in _BELL]
             total = sum(weights)
-            self.bell[t] = tuple(float(Fraction(w, total)) for w in accumulate(weights[:3]))
+            self.bell[t] = tuple(Fraction(w, total) for w in accumulate(weights[:3]))
 
     def _intern(self, state) -> int:
         scale = math.gcd(*state) * (1 if next(x for x in state if x) > 0 else -1)
@@ -181,24 +133,35 @@ class _RoundTables:
             self.bell.append(None)
         return s
 
-    def _branches(self, s: int, qubit: int, basis: int) -> tuple:
+    def outcomes(self, s: int, qubit: int, basis: int) -> list[tuple]:
+        """(probability, bit, successor) of each possible outcome of measuring
+        qubit of state s in basis; the entry is built on first use."""
         row = self.measure[qubit][s]
         if row[basis] is None:
             low, high = (_apply_1q(self.states[s], qubit, proj) for proj in _PROJ[basis])
             n0 = _norm_sq(low)
             row[basis] = (
-                float(Fraction(n0, n0 + _norm_sq(high))),
+                Fraction(n0, n0 + _norm_sq(high)),
                 *(self._intern(t) if any(t) else None for t in (low, high)),
             )
-        return row[basis]
+        p0, s0, s1 = row[basis]
+        return [(p, bit, t) for p, bit, t in ((p0, 0, s0), (1 - p0, 1, s1)) if t is not None]
 
-    def _leg(self, s: int, bases: tuple[MeasBasis, ...]) -> list[int]:
-        """The states a leg entered in state s can end in, given Eve's bases on it."""
+    def leg(self, s: int, bases: tuple[MeasBasis, ...]) -> list[tuple]:
+        """(probability, Eve's observation, state) of each way a leg entered
+        in state s can end, Eve measuring the travel photon in one of bases,
+        each equally likely; with no bases she does not attack the leg and
+        observes None."""
         if not bases:
-            return [s]
+            return [(Fraction(1), None, s)]
         return [
-            t for basis in bases for t in self._branches(s, QubitId.T, basis)[1:] if t is not None
+            (p / len(bases), (basis, bit), t)
+            for basis in bases
+            for p, bit, t in self.outcomes(s, QubitId.T, basis)
         ]
+
+
+_round_tables = functools.cache(_RoundTables)
 
 
 def _bases(attack) -> tuple[tuple[MeasBasis, ...], tuple[MeasBasis, ...]]:
@@ -208,68 +171,50 @@ def _bases(attack) -> tuple[tuple[MeasBasis, ...], tuple[MeasBasis, ...]]:
     return eve_bases(attack, ChannelLeg.FORWARD), eve_bases(attack, ChannelLeg.BACKWARD)
 
 
-# A control path's probability is 1/4 (Alice's unitary) * 1/2 (Bob's basis)
-# times the squared-norm ratio of its final and initial states, which
-# telescopes over the steps; the initial state has squared norm 2.
-_CONTROL_BITS = 4 + _LEG_SHIFT + 2 * _PROJ_SHIFT[MeasBasis.X]
+def _message_paths(forward: tuple[MeasBasis, ...], backward: tuple[MeasBasis, ...]):
+    """Yield (probability, u_A label, u_B label, Eve's forward observation,
+    Eve's backward observation, Bell outcome label) for every possible
+    branch of one message round under Eve's bases on each leg."""
+    tables = _round_tables(forward, backward)
+    for a, prepared in enumerate(tables.prepared):
+        for p_forward, obs_f, s in tables.leg(prepared, forward):
+            for b, returned in enumerate(tables.encode[s]):
+                for p_backward, obs_b, t in tables.leg(returned, backward):
+                    edges = (0, *tables.bell[t], 1)
+                    for k in range(4):
+                        if edges[k + 1] != edges[k]:
+                            p = p_forward * p_backward * (edges[k + 1] - edges[k]) / 16
+                            yield p, a, b, obs_f, obs_b, k
 
 
-def _control_detections(forward: tuple[MeasBasis, ...]) -> int:
-    """The probability that one control round flags Eve, over 2**_CONTROL_BITS.
+@functools.cache
+def _round_statistics(forward, backward) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """(control detection probability, the error mask's probabilities by e)
+    under Eve's bases on each leg, walked once per attack.
 
-    Enumerates Alice's unitary, Eve's branches on the forward leg, Bob's
-    uniformly random basis, and both parties' measurement outcomes.
+    A control round flags Eve when the parties' bits disagree with the
+    correlation Alice's unitary and Bob's basis predict; both are uniform,
+    so each path also has probability 1/4 * 1/2 of its choices.
     """
-    total = 0
-    for a in range(4):
-        for eve_shift, s1, _obs in _attack_branches(_encoded_state(a), forward):
-            for basis in (MeasBasis.Z, MeasBasis.X):
+    tables = _round_tables(forward, backward)
+    detection = Fraction(0)
+    for a, prepared in enumerate(tables.prepared):
+        for p_forward, _, s in tables.leg(prepared, forward):
+            for basis in MeasBasis:
                 expected = expected_correlation(LocalUnitary(a), basis)
-                for bob_shift, s2, bob_bit in _measurement_branches(s1, QubitId.T, basis):
-                    for alice_shift, s3, alice_bit in _measurement_branches(s2, QubitId.H, basis):
+                for p_bob, bob_bit, t in tables.outcomes(s, QubitId.T, basis):
+                    for p_alice, alice_bit, _ in tables.outcomes(t, QubitId.H, basis):
                         observed = (
                             Correlation.CORRELATED
                             if alice_bit == bob_bit
                             else Correlation.ANTICORRELATED
                         )
                         if observed is not expected:
-                            shift = 4 + eve_shift + bob_shift + alice_shift
-                            total += _norm_sq(s3) << (_CONTROL_BITS - shift)
-    return total
-
-
-# A message path's probability is 1/16 (the two unitaries) times its squared
-# Bell overlap over 2 * 2 (the overlap's norm times the initial state's); the
-# squared-norm ratios of the steps in between telescope away.
-_MESSAGE_BITS = 6 + 2 * _LEG_SHIFT
-
-
-def _message_paths(forward: tuple[MeasBasis, ...], backward: tuple[MeasBasis, ...]):
-    """Yield (weight, u_A label, u_B label, Eve's forward observation, Eve's
-    backward observation, Bell outcome label) for every branch of one message
-    round under Eve's bases on each leg; the branch's probability is weight
-    / 2**_MESSAGE_BITS."""
-    for a in range(4):
-        for f_shift, s1, obs_f in _attack_branches(_encoded_state(a), forward):
-            for b in range(4):
-                s2 = _apply_1q(s1, QubitId.T, _U_MATRICES[b])
-                for b_shift, s3, obs_b in _attack_branches(s2, backward):
-                    shift = 6 + f_shift + b_shift
-                    for overlap_sq, k in _bell_branches(s3):
-                        yield overlap_sq << (_MESSAGE_BITS - shift), a, b, obs_f, obs_b, k
-
-
-@functools.cache
-def _round_statistics(forward, backward) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """(control detection probability, the error mask's probabilities by e)
-    under Eve's bases on each leg, enumerated once per attack."""
-    weights = [0, 0, 0, 0]  # over 2**_MESSAGE_BITS, by e
-    for w, a, b, _, _, k in _message_paths(forward, backward):
-        weights[k ^ a ^ b] += w
-    return (
-        Fraction(_control_detections(forward), 1 << _CONTROL_BITS),
-        tuple(Fraction(w, 1 << _MESSAGE_BITS) for w in weights),
-    )
+                            detection += p_forward * p_bob * p_alice
+    errors = [Fraction(0)] * 4
+    for p, a, b, _, _, k in _message_paths(forward, backward):
+        errors[k ^ a ^ b] += p
+    return detection / 8, tuple(errors)
 
 
 def control_detection_probability(attack: AttackStrategy) -> Fraction:
@@ -286,7 +231,7 @@ def unitary_outcome_table() -> list[list[BellOutcome]]:
     one possible outcome.
     """
     table = [[None] * 4 for _ in LocalUnitary]
-    for _w, a, b, _f, _b, k in _message_paths((), ()):
+    for _p, a, b, _f, _b, k in _message_paths((), ()):
         if table[a][b] is not None:
             raise AssertionError(f"honest composite u{a}, u{b} not deterministic")
         table[a][b] = BellOutcome(k)
@@ -371,17 +316,19 @@ def eve_resolved_bits(attack: AttackStrategy, key_mode: KeyMode = KeyMode.COMBIN
     the kept party's two.
     """
     require_key_mode(key_mode)
-    mass: dict[tuple, int] = {}  # by view: the summed path weights
+    mass: dict[tuple, Fraction] = {}  # by view: the summed path probabilities
     support: dict[tuple, set[tuple]] = {}  # by view: the kept key bits of each path
-    for w, a, b, obs_f, obs_b, k in _message_paths(*_bases(attack)):
+    for p, a, b, obs_f, obs_b, k in _message_paths(*_bases(attack)):
         view = (obs_f, obs_b, k)
-        mass[view] = mass.get(view, 0) + w
+        mass[view] = mass.get(view, 0) + p
         support.setdefault(view, set()).add(tuple(accumulate_key([], a, b, key_mode)))
-    resolved = sum(
-        mass[view] * sum(len(set(column)) == 1 for column in zip(*kept))
-        for view, kept in support.items()
+    return sum(
+        (
+            mass[view] * sum(len(set(column)) == 1 for column in zip(*kept))
+            for view, kept in support.items()
+        ),
+        Fraction(0),
     )
-    return Fraction(resolved, 1 << _MESSAGE_BITS)
 
 
 @dataclass(frozen=True)

@@ -43,10 +43,10 @@ successors precomputed. It draws the words in chunks that double from 64 to
 byte per word: the top 2 bits of the low half, the top 2 bits of the high
 half, the word's rank and its control flag. The decode rests on one exact
 rule. A word's uniform is r = k * 2**-53 with k = word >> 11, and for every
-double t in [0, 1], r < t holds exactly when k < ceil(t * 2**53): both
-sides fit in 53 bits, t * 2**53 is exact, and t = 1 gives 2**53, above
-every k. The rank is the number of the sorted distinct ceilings of the
-attack's thresholds that are at or below k, so r lies below the j-th
+double or Fraction t in [0, 1], r < t holds exactly when
+k < ceil(t * 2**53): k is an integer, t * 2**53 is exact, and t = 1 gives
+2**53, above every k. The rank is the number of the sorted distinct ceilings of the
+attack's exact thresholds that are at or below k, so r lies below the j-th
 threshold exactly when the rank is at most j; the tables are indexed by
 rank once per attack, a measurement giving its bit and successor, a Bell
 measurement its outcome. The control flag is k < ceil(control_prob *
@@ -66,6 +66,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field, fields, replace
+from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -100,7 +101,7 @@ from .protocol import (
     require_policy,
     require_probability,
 )
-from .oracle import _RoundTables, unitary_outcome_table
+from .oracle import _round_tables, _RoundTables, unitary_outcome_table
 from .quantum import MeasBasis, QubitId
 
 
@@ -245,11 +246,12 @@ def _edge(t) -> int:
     """The number of stream uniforms r = k * 2**-53 (0 <= k < 2**53) with
     r < t, for t in [0, 1]: a word's uniform lies below t exactly when its k
     lies below the edge. For a float t (a numpy float16 or float32 counts
-    as its float, see exact_real) it is ceil(t * 2**53), which is exact.
-    Another real type decides r < t by its own rules, so its edge is found
-    by bisection over that comparison."""
+    as its float, see exact_real) or a Fraction t, such as a round table's
+    threshold, it is ceil(t * 2**53), which is exact. Another real type
+    decides r < t by its own rules, so its edge is found by bisection over
+    that comparison."""
     t = exact_real(t)
-    if isinstance(t, float):
+    if isinstance(t, (float, Fraction)):
         return math.ceil(t * 2**53)
     low, high = 0, 2**53
     while low < high:
@@ -272,9 +274,6 @@ def _decode_words(words, edges, control_edge) -> tuple[bytes, bytes, bytes, byte
         edges.searchsorted(k, side="right").astype(np.uint8).tobytes(),
         (k < control_edge).tobytes(),
     )
-
-
-_round_tables = functools.cache(_RoundTables)
 
 
 class _RankedTables:

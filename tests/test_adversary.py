@@ -1,6 +1,7 @@
 """Adversary-model tests: attack mechanics, Eve's bases, what her view resolves."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -124,4 +125,6 @@ class TestEveInference:
         # Eve's view never pins down a single key bit for any strategy, in
         # any key mode; she only ever learns XOR relations.
         for key_mode in KeyMode:
-            assert eve_resolved_bits(attack, key_mode) == 0
+            resolved = eve_resolved_bits(attack, key_mode)
+            assert type(resolved) is Fraction
+            assert resolved == 0

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdkd import _kernels_py as kernels
-from qdkd import simulate
+from qdkd import oracle, simulate
 from qdkd.adversary import (
     ChannelLeg,
     EveBasisPolicy,
@@ -49,6 +49,8 @@ from qdkd.protocol import (
 from qdkd.oracle import (
     abort_probability,
     control_detection_probability,
+    eve_resolved_bits,
+    exact_oracle,
     message_error_distribution,
     unitary_outcome_table,
 )
@@ -365,9 +367,7 @@ class TestOracleAgreement:
 
     @pytest.mark.parametrize("attack", ALL_ATTACKS)
     def test_key_error_rates_match_oracle(self, attack):
-        from qdkd.oracle import exact_oracle
-
-        oracle = exact_oracle(attack)
+        exact = exact_oracle(attack)
         # control_prob 0: pure message rounds, so forward attacks cannot
         # abort the run and error statistics accumulate freely.
         config = SimConfig(rounds=20_000, control_prob=0.0, check_fraction=0.0,
@@ -375,8 +375,8 @@ class TestOracleAgreement:
         report = run_simulation(config)
         n = report.message_rounds  # positions within a round are correlated
         pairs = [
-            (report.key_error_rate_amplitude_bit, float(oracle.key_error_rate_amplitude_bit)),
-            (report.key_error_rate_phase_bit, float(oracle.key_error_rate_phase_bit)),
+            (report.key_error_rate_amplitude_bit, float(exact.key_error_rate_amplitude_bit)),
+            (report.key_error_rate_phase_bit, float(exact.key_error_rate_phase_bit)),
         ]
         for got, want in pairs:
             se = math.sqrt(want * (1.0 - want) / n)
@@ -888,7 +888,7 @@ class TestSessionStream:
         for attack in ALL_ATTACKS:
             edges = _ranked_tables(*_bases(attack)).edges
             thresholds = _thresholds(_tables(attack))
-            assert edges.tolist() == sorted({math.ceil(Fraction(t) * 2**53) for t in thresholds})
+            assert edges.tolist() == sorted({math.ceil(t * 2**53) for t in thresholds})
             for control_prob in CONTROL_PROB_EDGES:
                 lo2, hi2, rank, control = (
                     b"".join(part)
@@ -896,8 +896,10 @@ class TestSessionStream:
                 )
                 rank = np.frombuffer(rank, dtype=np.uint8)
                 for t in thresholds:
-                    j = edges.tolist().index(math.ceil(Fraction(t) * 2**53))
-                    assert ((rank <= j) == (uniforms < t)).all()
+                    j = edges.tolist().index(math.ceil(t * 2**53))
+                    # t equals its float, so the fast float comparison is exact.
+                    assert t == float(t)
+                    assert ((rank <= j) == (uniforms < float(t))).all()
                 assert list(control) == (uniforms < control_prob).tolist()
         # lo2 and hi2 do not depend on the edges: the last decode stands for all.
         halves = [two_bits for pair in zip(lo2, hi2) for two_bits in pair]
@@ -1046,7 +1048,6 @@ def _int_op(qubit, matrix):
 def _exact_branches(tables, s, qubit, basis):
     """(exact probability, bit, successor) of each possible outcome of a table entry."""
     p0, s0, s1 = tables.measure[qubit][s][basis]
-    p0 = Fraction(p0)
     return [(p, bit, t) for p, bit, t in ((p0, 0, s0), (1 - p0, 1, s1)) if p]
 
 
@@ -1055,9 +1056,10 @@ class TestRoundTables:
     statistics and the float kernels."""
 
     # sha-256 of the repr of (states, measure, encode, bell, prepared) per
-    # attack, in ALL_ATTACKS order. repr round-trips every float, so a one-ulp
-    # change of a threshold, or a renumbered state, changes the digest even
-    # when no report does.
+    # attack, in ALL_ATTACKS order, with every threshold written as its
+    # float, which equals it. repr round-trips every float, so a changed
+    # threshold, or a renumbered state, changes the digest even when no
+    # report does.
     TABLE_DIGESTS = (
         "bbe84632a5597ca77cef4fccde81ff20a9352721f466d7da3125250ce5dfefea",
         "86cbc05367a95b30c7c6f66bcf3d3eac3fbb21c6ef321541beb8b46063de111e",
@@ -1072,7 +1074,12 @@ class TestRoundTables:
     @pytest.mark.parametrize("attack, digest", zip(ALL_ATTACKS, TABLE_DIGESTS))
     def test_tables_are_bit_identical(self, attack, digest):
         tables = _tables(attack)
-        text = repr((tables.states, tables.measure, tables.encode, tables.bell, tables.prepared))
+        assert all(type(t) is Fraction and t == float(t) for t in _thresholds(tables))
+        measure = tuple(
+            [[e and (float(e[0]), *e[1:]) for e in row] for row in rows] for rows in tables.measure
+        )
+        bell = [row and tuple(map(float, row)) for row in tables.bell]
+        text = repr((tables.states, measure, tables.encode, bell, tables.prepared))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("attack, count", zip(ALL_ATTACKS, STATE_COUNTS))
@@ -1131,8 +1138,8 @@ class TestRoundTables:
 
     @pytest.mark.parametrize("attack", ALL_ATTACKS)
     def test_thresholds_are_exact(self, attack):
-        """Every p0 and Bell threshold is float() of its exact Fraction, from
-        integer projections; in this protocol each is 0, 1/2 or 1."""
+        """Every p0 and Bell threshold is the exact Fraction of squared norms
+        of integer projections; in this protocol each is 0, 1/2 or 1."""
         tables = _tables(attack)
         for s, state in enumerate(tables.states):
             for qubit in (0, 1):
@@ -1142,12 +1149,14 @@ class TestRoundTables:
                     low, high = (_int_op(qubit, proj) @ state for proj in INT_PROJECTORS[basis])
                     n0, n1 = int(low @ low), int(high @ high)
                     p0 = tables.measure[qubit][s][basis][0]
-                    assert p0 == float(Fraction(n0, n0 + n1)) in (0.0, 0.5, 1.0)
+                    assert type(p0) is Fraction
+                    assert p0 == Fraction(n0, n0 + n1) in (0, Fraction(1, 2), 1)
             if tables.bell[s] is not None:
                 weights = [int(overlap) ** 2 for overlap in INT_BELL @ state]
                 exact = [Fraction(sum(weights[: k + 1]), sum(weights)) for k in range(3)]
-                assert tables.bell[s] == tuple(map(float, exact))
-                assert set(tables.bell[s]) <= {0.0, 0.5, 1.0}
+                assert all(type(acc) is Fraction for acc in tables.bell[s])
+                assert tables.bell[s] == tuple(exact)
+                assert set(tables.bell[s]) <= {0, Fraction(1, 2), 1}
 
     @pytest.mark.parametrize("attack", ALL_ATTACKS)
     def test_zero_probability_branches_are_unselectable(self, attack):
@@ -1181,9 +1190,8 @@ class TestRoundTables:
 
     @pytest.mark.parametrize("attack", ALL_ATTACKS)
     def test_exact_walk_reproduces_the_oracle(self, attack):
-        """Walking the tables in Fraction arithmetic, reading each threshold
-        as the exact value of its float, gives the oracle's per-round
-        statistics exactly."""
+        """Walking the tables' raw entries in Fraction arithmetic, apart
+        from the oracle's own walk, gives its per-round statistics exactly."""
         tables = _tables(attack)
 
         def leg(s, bases):
@@ -1209,7 +1217,7 @@ class TestRoundTables:
                                 detection += p_forward * p_bob * p_alice / 8
                 for b, returned in enumerate(tables.encode[s]):
                     for p_backward, t in leg(returned, backward):
-                        edges = [Fraction(x) for x in (0.0, *tables.bell[t], 1.0)]
+                        edges = (0, *tables.bell[t], 1)
                         p_path = p_forward * p_backward / 16
                         for k in range(4):
                             errors[k ^ a ^ b] += p_path * (edges[k + 1] - edges[k])
@@ -1268,16 +1276,32 @@ class TestRoundTables:
             with pytest.raises(OverflowError):
                 simulate._RankedTables(tables)
 
-    @pytest.mark.parametrize("attack", ALL_ATTACKS)
-    def test_sessions_call_no_float_kernel(self, attack, monkeypatch):
+    @staticmethod
+    def _refuse_float_kernels(monkeypatch):
+        """Make every float kernel raise, and empty the caches built from
+        the round tables so that they are built again."""
+
         def refuse(*args):
-            raise AssertionError("a session called a float kernel")
+            raise AssertionError("a float kernel was called")
 
         for name, value in list(vars(kernels).items()):
             if inspect.isfunction(value):
                 monkeypatch.setattr(kernels, name, refuse)
         _round_tables.cache_clear()
         _ranked_tables.cache_clear()
+        oracle._round_statistics.cache_clear()
+
+    @pytest.mark.parametrize("attack", ALL_ATTACKS)
+    def test_sessions_call_no_float_kernel(self, attack, monkeypatch):
+        self._refuse_float_kernels(monkeypatch)
         config = SimConfig(rounds=400, attack=attack, seed=3)
         session = run_session(config, keep_records=True)
         assert session.report.rounds_total > 0
+
+    @pytest.mark.parametrize("attack", ALL_ATTACKS)
+    def test_oracle_calls_no_float_kernel(self, attack, monkeypatch):
+        self._refuse_float_kernels(monkeypatch)
+        assert exact_oracle(attack).detection_prob_per_control_round >= 0
+        assert 0 <= abort_probability(attack, KeyCheckPolicy(0.5, 1), 20) <= 1
+        assert eve_resolved_bits(attack, KeyMode.SINGLE_ALICE) == 0
+        assert len(unitary_outcome_table()) == 4
