@@ -267,13 +267,14 @@ def require_probability(name: str, value) -> None:
 
 
 def exact_real(value):
-    """value, with a numpy float16 or float32 replaced by its float, which is exact.
+    """value, with a numpy float16, float32 or integer replaced by its Python
+    float or int, which is exact.
 
-    Compared with a double as it is, such a value rounds the double to its
-    own precision first under numpy 2 (NEP 50) but not under numpy 1.x; its
-    float decides every comparison as the exact value does, on both.
+    In a comparison with a double or a product with an int, such a value
+    computes in its own type under numpy 2 (NEP 50), where it rounds or
+    overflows; its Python value decides as the exact value does.
     """
-    return float(value) if isinstance(value, (np.float16, np.float32)) else value
+    return value.item() if isinstance(value, (np.float16, np.float32, np.integer)) else value
 
 
 def require_count(name: str, value) -> None:
@@ -289,8 +290,8 @@ def require_key_mode(value) -> None:
 
 
 def checked_count(fraction: float, length: int) -> int:
-    """Number of key positions publicly compared: ceil(fraction * length)."""
-    return math.ceil(fraction * length)
+    """Number of key positions publicly compared: ceil(exact_real(fraction) * length)."""
+    return math.ceil(exact_real(fraction) * length)
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,7 @@ rank once per attack, a measurement giving its bit and successor, a Bell
 measurement its outcome. The control flag is k < ceil(control_prob *
 2**53), exact at control_prob 0 and 1 too; a control_prob of another real
 type keeps the edge its own comparison with the uniforms draws, except that
-a numpy float16 or float32 is compared as its exact value. The loop
+a numpy float16, float32 or integer is compared as its exact value. The loop
 then draws by index, keeping the index of the next fresh word and the
 buffered high half's 2-bit value, and makes no float comparison. A branch of probability 0 lies behind
 a threshold of exactly 0 or 1, which no uniform in [0, 1) selects, so the
@@ -64,10 +64,9 @@ import functools
 import io
 import json
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field, fields, replace
-from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -245,13 +244,13 @@ _U3, _U11, _U30, _U62 = (np.uint64(n) for n in (3, 11, 30, 62))
 def _edge(t) -> int:
     """The number of stream uniforms r = k * 2**-53 (0 <= k < 2**53) with
     r < t, for t in [0, 1]: a word's uniform lies below t exactly when its k
-    lies below the edge. For a float t (a numpy float16 or float32 counts
-    as its float, see exact_real) or a Fraction t, such as a round table's
-    threshold, it is ceil(t * 2**53), which is exact. Another real type
-    decides r < t by its own rules, so its edge is found by bisection over
-    that comparison."""
+    lies below the edge. For a float or rational t (a numpy float16,
+    float32 or integer counts as its Python value, see exact_real), such as
+    a round table's Fraction threshold, it is ceil(t * 2**53), which is
+    exact. Another real type decides r < t by its own rules, so its edge is
+    found by bisection over that comparison."""
     t = exact_real(t)
-    if isinstance(t, (float, Fraction)):
+    if isinstance(t, (float, numbers.Rational)):
         return math.ceil(t * 2**53)
     low, high = 0, 2**53
     while low < high:
@@ -554,58 +553,29 @@ def run_batch(config: SimConfig, n_runs: int) -> list[SimulationReport]:
 # Field name -> annotated type: int (a count), float (a rate), bool or str | None.
 _REPORT_FIELDS = {f.name: f.type for f in fields(SimulationReport)}
 _report_values = operator.attrgetter(*_REPORT_FIELDS)
-# '  "<name>": ', the start of each field's line in the JSON object.
-_JSON_PREFIXES = tuple(f"  {encode_basestring_ascii(name)}: " for name in _REPORT_FIELDS)
+# indent=2 selects json's pure-Python encoder; with no indent the C one runs,
+# and these separators lay a flat object out as indent=2 does.
+_JSON_ENCODER = json.JSONEncoder(separators=(",\n  ", ": "))
 
 
 def serialize_report(report: SimulationReport, fmt: str = "json") -> bytes:
     """Render a report as JSON (lossless round-trip) or single-row CSV.
 
-    The JSON is written directly, one field per line, and equals
-    json.dumps(fields, indent=2) plus a trailing newline.
+    The JSON equals json.dumps(fields, indent=2) plus a trailing newline.
+    The CSV is a header and one row, as csv.writer writes them, with None
+    empty, a float as its repr and the booleans as true and false.
     """
     values = _report_values(report)
     if fmt == "json":
-        lines = [prefix + _json_value(v) for prefix, v in zip(_JSON_PREFIXES, values)]
-        return ("{\n" + ",\n".join(lines) + "\n}\n").encode()
+        body = _JSON_ENCODER.encode(dict(zip(_REPORT_FIELDS, values)))
+        return ("{\n  " + body[1:-1] + "\n}\n").encode()
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(_REPORT_FIELDS)
-        writer.writerow(_csv_cell(v) for v in values)
+        writer.writerow("true" if v is True else "false" if v is False else v for v in values)
         return buf.getvalue().encode()
     raise ConfigError(f"unknown report format {fmt!r}")
-
-
-def _json_value(value) -> str:
-    """One value as json.dumps encodes a dict value, with the same type tests in the same order."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value == math.inf:
-            return "Infinity"
-        if value == -math.inf:
-            return "-Infinity"
-        return float.__repr__(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _csv_cell(value):
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return repr(value) if isinstance(value, float) else value
 
 
 def parse_report(data: bytes) -> SimulationReport:

@@ -23,48 +23,60 @@ def qdkd(*args):
     )
 
 
+def run_main(capsys, *args):
+    """cli.main(args) in this process: its exit code and what it printed."""
+    code = cli.main(list(args))
+    return code, capsys.readouterr().out
+
+
 class TestRun:
-    def test_honest_run_json(self):
-        proc = qdkd("run", "--rounds", "200", "--seed", "7")
-        assert proc.returncode == 0
-        report = json.loads(proc.stdout)
+    """`qdkd run` in this process; tests/test_console.py runs it in a fresh one."""
+
+    def test_honest_run_json(self, capsys):
+        code, out = run_main(capsys, "run", "--rounds", "200", "--seed", "7")
+        assert code == 0
+        report = json.loads(out)
         assert report["rounds_total"] == 200
         assert report["aborted"] is False
 
-    def test_forward_attack_exits_2(self):
-        proc = qdkd("run", "--rounds", "300", "--seed", "7", "--attack", "forward-ir")
-        assert proc.returncode == 2
-        assert json.loads(proc.stdout)["aborted"] is True
+    def test_forward_attack_exits_2(self, capsys):
+        code, out = run_main(
+            capsys, "run", "--rounds", "300", "--seed", "7", "--attack", "forward-ir"
+        )
+        assert code == 2
+        assert json.loads(out)["aborted"] is True
 
-    def test_backward_attack_with_check_exits_2(self):
-        proc = qdkd(
-            "run", "--rounds", "300", "--seed", "7", "--attack", "backward-ir",
+    def test_backward_attack_with_check_exits_2(self, capsys):
+        code, out = run_main(
+            capsys, "run", "--rounds", "300", "--seed", "7", "--attack", "backward-ir",
             "--check-fraction", "0.1",
         )
-        assert proc.returncode == 2
-        assert json.loads(proc.stdout)["abort_cause"] == "key-check-mismatch"
+        assert code == 2
+        assert json.loads(out)["abort_cause"] == "key-check-mismatch"
 
-    def test_csv_format(self):
-        proc = qdkd("run", "--rounds", "50", "--seed", "1", "--format", "csv")
-        assert proc.returncode == 0
-        header, row = proc.stdout.splitlines()
+    def test_csv_format(self, capsys):
+        code, out = run_main(capsys, "run", "--rounds", "50", "--seed", "1", "--format", "csv")
+        assert code == 0
+        header, row = out.splitlines()
         assert header.startswith("rounds_total,")
         assert len(row.split(",")) == len(header.split(","))
 
-    def test_out_file(self, tmp_path):
+    def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "report.json"
-        proc = qdkd("run", "--rounds", "50", "--seed", "1", "--out", str(path))
-        assert proc.returncode == 0
-        assert proc.stdout == ""
+        code, out = run_main(capsys, "run", "--rounds", "50", "--seed", "1", "--out", str(path))
+        assert code == 0
+        assert out == ""
         assert json.loads(path.read_text())["rounds_total"] == 50
 
-    def test_single_key_mode(self):
-        proc = qdkd("run", "--rounds", "200", "--seed", "7", "--key-mode", "single")
-        assert json.loads(proc.stdout)["capacity_bits_per_message_round"] == 2.0
+    def test_single_key_mode(self, capsys):
+        code, out = run_main(
+            capsys, "run", "--rounds", "200", "--seed", "7", "--key-mode", "single"
+        )
+        assert json.loads(out)["capacity_bits_per_message_round"] == 2.0
 
-    def test_byte_identical_reruns(self):
+    def test_byte_identical_reruns(self, capsys):
         args = ("run", "--rounds", "150", "--seed", "99", "--attack", "backward-ir")
-        assert qdkd(*args).stdout == qdkd(*args).stdout
+        assert run_main(capsys, *args)[1] == run_main(capsys, *args)[1]
 
 
 class TestUsageErrors:

@@ -1,7 +1,9 @@
 """Harness tests: determinism, accounting, serialization, table rendering."""
 
+import csv
 import dataclasses
 import hashlib
+import io
 import inspect
 import math
 import json
@@ -567,6 +569,25 @@ class TestValidation:
         # bob_choose_mode, the scalar reference, compares the same way.
         _assert_matches_reference(SimConfig(rounds=400, control_prob=np.float32(0.5), seed=352974))
 
+    def test_narrow_numpy_check_fraction_counts_as_its_exact_value(self):
+        """A numpy float16, float32 or small integer check_fraction checks
+        ceil(value * length) of its exact value. Computed in its own type, a
+        float16 overflows past 65504 key bits, np.float32(0.1) * 1600 rounds
+        down to 160, and a uint8 overflows past 255."""
+
+        def report(rounds, check_fraction):
+            config = SimConfig(rounds=rounds, control_prob=0.0, check_fraction=check_fraction)
+            return serialize_report(run_simulation(config))
+
+        assert report(40000, np.float16(0.5)) == report(40000, float(np.float16(0.5)))
+        assert report(400, np.float32(0.1)) == report(400, float(np.float32(0.1)))
+        assert json.loads(report(400, np.float32(0.1)))["final_key_length"] == 1600 - 161
+        assert report(400, np.uint8(1)) == report(400, 1)
+        narrow, exact = (KeyCheckPolicy(f) for f in (np.float16(0.001), float(np.float16(0.001))))
+        assert abort_probability(BACKWARD_Z, narrow, 20000) == abort_probability(
+            BACKWARD_Z, exact, 20000
+        )
+
 
 def _report_json(**changes) -> bytes:
     """The JSON of a valid 0-round report with the given fields replaced."""
@@ -587,7 +608,7 @@ _WRITER_FLOATS = st.one_of(
 _WRITER_CAUSES = st.one_of(
     st.none(),
     st.text(),
-    st.sampled_from(['"', "\\", "\x00\x1f\x7f\n", "é", "\u2028", "\U0001f600"]),
+    st.sampled_from(['"', "\\", "\x00\x1f\x7f\n", "é", "\u2028", "\U0001f600", "a,b", "\r\n"]),
 )
 _WRITER_FIELD_VALUES = {
     f.name: {int: _WRITER_COUNTS, float: _WRITER_FLOATS, bool: st.booleans()}.get(
@@ -615,6 +636,42 @@ class TestSerialization:
                 serialize_report(report)
         else:
             assert serialize_report(report) == expected
+
+    @settings(max_examples=400, deadline=None)
+    @given(values=st.fixed_dictionaries(_WRITER_FIELD_VALUES))
+    def test_csv_writer_bytes(self, values):
+        """The header, then one row whose cells are written as csv writes
+        strings: None as empty, a bool as true or false, a float as its repr
+        and any other value as its str."""
+
+        def cell(value):
+            if value is None:
+                return ""
+            if isinstance(value, bool):
+                return "true" if value else "false"
+            return repr(value) if isinstance(value, float) else str(value)
+
+        names = list(_WRITER_FIELD_VALUES)  # the schema order
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow(cell(values[name]) for name in names)
+        expected = ",".join(names) + "\n" + buf.getvalue()
+        assert serialize_report(SimulationReport(**values), "csv") == expected.encode()
+
+    def test_json_bytes_without_the_c_encoder(self, monkeypatch):
+        """A Python without the json module's C accelerator (PyPy, say) writes
+        the same bytes through the pure-Python encoder."""
+        reports = [
+            run_simulation(SimConfig(rounds=200, seed=6, attack=BACKWARD_Z)),
+            SimulationReport(**{
+                name: {int: -(10**30), float: math.nan, bool: True}.get(kind, 'é"\r\n,\U0001f600')
+                for name, kind in simulate._REPORT_FIELDS.items()
+            }),
+        ]
+        accelerated = [serialize_report(report) for report in reports]
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+        assert [serialize_report(report) for report in reports] == accelerated
+        for report, data in zip(reports, accelerated):
+            assert data == (json.dumps(dataclasses.asdict(report), indent=2) + "\n").encode()
 
     def test_json_roundtrip(self):
         report = run_simulation(SimConfig(rounds=200, seed=6))
@@ -920,8 +977,8 @@ class TestSessionStream:
 
     @pytest.mark.parametrize(
         "value",
-        [0, 1, np.int64(1), 5e-324, 0.1, 1.0, np.float64(0.1), np.float32(0.5),
-         np.float32(0.1), np.float16(0.3), Fraction(1, 3), Decimal("0.1"),
+        [0, 1, np.int64(1), np.int8(1), np.uint8(0), 5e-324, 0.1, 1.0, np.float64(0.1),
+         np.float32(0.5), np.float32(0.1), np.float16(0.3), Fraction(1, 3), Decimal("0.1"),
          Fraction(2**52 + 1, 2**53) + Fraction(1, 2**60),
          Fraction(2**52 + 1, 2**53) - Fraction(1, 2**60), Fraction(2**53 - 1, 2**53)],
     )
@@ -929,13 +986,14 @@ class TestSessionStream:
         """control_prob may be any real in [0, 1]: its edge splits the stream
         uniforms exactly where r < control_prob does, by that type's own
         comparison, which for an exact type means at ceil(value * 2**53). A
-        numpy float16 or float32 is compared as its float, which is its
-        exact value, on every numpy version."""
-        exact = float(value) if isinstance(value, (np.float16, np.float32)) else value
+        numpy float16, float32 or integer is compared as its Python value,
+        which is its exact value, on every numpy version."""
+        narrow = (np.integer, np.float16, np.float32)
+        exact = value.item() if isinstance(value, narrow) else value
         edge = _edge(value)
         assert edge == 0 or (edge - 1) * 2.0**-53 < exact
         assert edge == 2**53 or not edge * 2.0**-53 < exact
-        if isinstance(value, (int, float, Fraction, Decimal, np.float16, np.float32)):
+        if isinstance(value, (int, float, Fraction, Decimal, *narrow)):
             assert edge == math.ceil(Fraction(exact) * 2**53)
         ks = [k for k in (edge - 1, edge, edge + 1) if 0 <= k < 2**53]
         words = np.array([k << 11 for k in ks], dtype=np.uint64)
