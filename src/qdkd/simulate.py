@@ -35,28 +35,35 @@ qdkd.adversary driven by default_rng(first child), which decide with the
 float kernels, except at the uniforms 0.5 - 2**-53, 0.5 and 0.5 + 2**-53:
 there the kernels' thresholds for an exact 1/2 are off by an ulp or two.
 
-run_session walks each round through tables of the round automaton that
-qdkd.oracle builds in exact integer arithmetic: the 12 to 20 states a
-session can reach under one attack, with each state's probabilities and
-successors precomputed. It draws the words in chunks that double from 64 to
-4096 and decodes each chunk once with numpy into four bytes objects, one
-byte per word: the top 2 bits of the low half, the top 2 bits of the high
-half, the word's rank and its control flag. The decode rests on one exact
-rule. A word's uniform is r = k * 2**-53 with k = word >> 11, and for every
-double or Fraction t in [0, 1], r < t holds exactly when
-k < ceil(t * 2**53): k is an integer, t * 2**53 is exact, and t = 1 gives
-2**53, above every k. The rank is the number of the sorted distinct ceilings of the
-attack's exact thresholds that are at or below k, so r lies below the j-th
-threshold exactly when the rank is at most j; the tables are indexed by
-rank once per attack, a measurement giving its bit and successor, a Bell
-measurement its outcome. The control flag is k < ceil(control_prob *
-2**53), exact at control_prob 0 and 1 too; a control_prob of another real
-type keeps the edge its own comparison with the uniforms draws, except that
-a numpy float16, float32 or integer is compared as its exact value. The loop
-then draws by index, keeping the index of the next fresh word and the
-buffered high half's 2-bit value, and makes no float comparison. A branch of probability 0 lies behind
-a threshold of exactly 0 or 1, which no uniform in [0, 1) selects, so the
-loop needs no check of its own.
+The rounds decide from tables of the round automaton that qdkd.oracle builds
+in exact integer arithmetic: the 12 to 20 states a session can reach under
+one attack, with each state's probabilities and successors precomputed.
+run_session draws the words in chunks that double from 64 to 4096 and
+decodes each chunk once with numpy into four bytes objects, one byte per
+word: the top 2 bits of the low half, the top 2 bits of the high half, the
+word's rank and its control flag. The decode rests on one exact rule. A
+word's uniform is r = k * 2**-53 with k = word >> 11, and for every double
+or Fraction t in [0, 1], r < t holds exactly when k < ceil(t * 2**53): k is
+an integer, t * 2**53 is exact, and t = 1 gives 2**53, above every k. The
+rank is the number of the sorted distinct ceilings of the attack's exact
+thresholds that are at or below k, so r lies below the j-th threshold
+exactly when the rank is at most j. The control flag is
+k < ceil(control_prob * 2**53), exact at control_prob 0 and 1 too; a
+control_prob of another real type keeps the edge its own comparison with
+the uniforms draws, except that a numpy float16, float32 or integer is
+compared as its exact value.
+
+Once a round's words are read, its outcome depends only on its draws. So
+the automaton is unrolled once per attack and key mode into nested tables
+indexed by the draws in stream order (_round_lookup): u_A, Eve's forward
+basis and rank, then for a control round Bob's basis and the two ranks,
+which give the detection and both bits, and for a message round u_B, Eve's
+backward basis and rank and the Bell rank, which give both parties' key
+bytes. The loop then makes one lookup per leg, keeping the index of the
+next fresh word and the buffered high half's 2-bit value, and makes no
+float comparison. A branch of probability 0 lies behind a threshold of
+exactly 0 or 1, which no uniform in [0, 1) selects: its entries sit at a
+rank no word has and hold None, so the loop needs no check of its own.
 """
 
 import csv
@@ -91,6 +98,7 @@ from .protocol import (
     LocalUnitary,
     MessageOutcome,
     accumulate_key,
+    decode,
     exact_real,
     expected_correlation,
     is_int,
@@ -336,19 +344,100 @@ _CORRELATED = tuple(
     tuple(expected_correlation(u, basis) is Correlation.CORRELATED for basis in MeasBasis)
     for u in LocalUnitary
 )
+# [u_A][u_B][k]: the fields of a message round's MessageOutcome.
+_MESSAGE_FIELDS = tuple(
+    tuple(
+        tuple((u_b, k, decode(u_a, k), decode(u_b, k)) for k in BellOutcome)
+        for u_b in LocalUnitary
+    )
+    for u_a in LocalUnitary
+)
 _UNITARIES = tuple(LocalUnitary)
 _BASES = tuple(MeasBasis)
+
+
+@functools.cache
+def _round_lookup(forward, backward, key_mode: KeyMode) -> tuple[np.ndarray, tuple, type]:
+    """(edges, root, key dtype): an attack's rounds in one key mode as
+    nested tables, indexed by the round's draws in stream order.
+
+    - root[u_A] is the round's node; with Eve on the forward leg it is
+      [basis][rank] -> (Eve's bit, node).
+    - A node is (control, message) of u_A and the state that reached Bob:
+      control[basis][rank_Bob][rank_Alice] = (detected, bob_bit, alice_bit),
+      and message[u_B] is a leaf row; with Eve on the backward leg it is
+      [basis][rank] -> (Eve's bit, leaf row).
+    - leaf_row[rank] = (Alice's key bytes + Bob's key bytes, Bell outcome k).
+
+    Each rank indexes the _RankedTables entry of the same rank. A rank no
+    word has, below an edge 0 or at an edge 2**53 (behind a threshold of
+    exactly 0 or 1), holds None, as does a basis Eve never uses. Nodes are
+    shared by (u_A, state) and leaf rows by (u_A, u_B, state), so the size
+    grows as states times ranks. The key dtype holds one party's key bytes
+    of a round, so a view of the joint keys in it alternates Alice's and
+    Bob's.
+    """
+    tables = _ranked_tables(forward, backward)
+    measure_h, measure_t = tables.measure[QubitId.H], tables.measure[QubitId.T]
+    key_bits = _KEY_BITS[key_mode]
+    edges = tables.edges.tolist()
+    reached = [low < high for low, high in zip([0, *edges], [*edges, 2**53])]
+
+    def by_rank(row, entry):
+        """entry(row[rank]) at each rank a word can have, None at the others."""
+        return tuple(entry(e) if ok else None for e, ok in zip(row, reached))
+
+    def leg(s, bases, then):
+        """then(s) when Eve leaves the leg alone; otherwise [basis][rank] ->
+        (Eve's bit, then(the state after her measurement))."""
+        if not bases:
+            return then(s)
+        return tuple(
+            by_rank(measure_t[s][basis], lambda e: (e[0], then(e[1]))) if basis in bases else None
+            for basis in MeasBasis
+        )
+
+    @functools.cache
+    def leaf_row(u_a, u_b, t):
+        def entry(k):
+            return key_bits[u_a][k ^ u_a] + key_bits[k ^ u_b][u_b], k
+
+        return by_rank(tables.bell[t], entry)
+
+    def control_row(u_a, basis, bob_bit, t):
+        correlated = _CORRELATED[u_a][basis]
+        return by_rank(
+            measure_h[t][basis], lambda e: ((e[0] == bob_bit) != correlated, bob_bit, e[0])
+        )
+
+    @functools.cache
+    def node(u_a, s):
+        control = tuple(
+            by_rank(measure_t[s][basis], lambda e: control_row(u_a, basis, *e))
+            for basis in MeasBasis
+        )
+        message = tuple(
+            leg(t, backward, functools.partial(leaf_row, u_a, u_b))
+            for u_b, t in enumerate(tables.encode[s])
+        )
+        return control, message
+
+    root = tuple(
+        leg(s, forward, functools.partial(node, u_a)) for u_a, s in enumerate(tables.prepared)
+    )
+    return tables.edges, root, np.uint16 if key_mode.bits_per_round == 2 else np.uint32
 
 
 def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
     """Execute one protocol session and return its report, keys and raw material.
 
     Rounds draw from the protocol stream described in the module docstring
-    and step through the attack's round tables. keep_records is the one
-    switch for the raw material: only with it does the session build its
-    RoundRecords, Eve's observations and the public transcript (the
-    records' transcripts followed by the key check's). Without it those
-    stay empty; the report and keys are the same either way.
+    and read their outcome from the attack's nested round tables, one
+    lookup per leg. keep_records is the one switch for the raw material:
+    only with it does the session build its RoundRecords, Eve's
+    observations and the public transcript (the records' transcripts
+    followed by the key check's). Without it those stay empty; the report
+    and keys are the same either way.
     """
     config.validate()
     bitgen = np.random.PCG64(np.random.SeedSequence(config.seed, spawn_key=(0,)))
@@ -357,16 +446,12 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
     forward_leg, backward_leg = ChannelLeg.FORWARD, ChannelLeg.BACKWARD
     forward_random = len(forward) == 2
     backward_random = len(backward) == 2
-    tables = _ranked_tables(forward, backward)
-    prepared, encode, bell = tables.prepared, tables.encode, tables.bell
-    measure_h, measure_t = tables.measure[QubitId.H], tables.measure[QubitId.T]
-    edges = tables.edges
+    edges, root, key_dtype = _round_lookup(forward, backward, config.key_mode)
     control_edge = _edge(config.control_prob)
-    key_bits = _KEY_BITS[config.key_mode]
     records: list[RoundRecord] = []
     observations: list[EveObservation] = []
-    alice_key = bytearray()
-    bob_key = bytearray()
+    # Each message round appends Alice's key bytes, then Bob's.
+    joint = bytearray()
     control_rounds = message_rounds = detections = 0
     aborted = False
     abort_cause = None
@@ -398,7 +483,7 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
         else:
             u_a = half
             half = -1
-        s = prepared[u_a]
+        node = root[u_a]
         if forward:
             if not forward_random:
                 basis = forward[0]
@@ -409,7 +494,7 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
             else:
                 basis = half >> 1
                 half = -1
-            bit, s = measure_t[s][basis][rank[p]]
+            bit, node = node[basis][rank[p]]
             p += 1
             if keep_records:
                 observations.append(EveObservation(index, forward_leg, _BASES[basis], bit))
@@ -423,11 +508,8 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
                 basis = half >> 1
                 half = -1
                 p += 1
-            bob_bit, s = measure_t[s][basis][rank[p]]
-            # The round ends with Alice's measurement: only her bit is read.
-            alice_bit = measure_h[s][basis][rank[p + 1]][0]
+            detected, bob_bit, alice_bit = node[0][basis][rank[p]][rank[p + 1]]
             p += 2
-            detected = (alice_bit == bob_bit) != _CORRELATED[u_a][basis]
             if keep_records:
                 verdict = ControlVerdict.EVE_DETECTED if detected else ControlVerdict.PASS
                 outcome = ControlOutcome(verdict, _BASES[basis], bob_bit, alice_bit)
@@ -442,7 +524,7 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
                 u_b = half
                 half = -1
                 p += 1
-            s = encode[s][u_b]
+            leaf = node[1][u_b]
             if backward:
                 if not backward_random:
                     basis = backward[0]
@@ -453,18 +535,15 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
                 else:
                     basis = half >> 1
                     half = -1
-                bit, s = measure_t[s][basis][rank[p]]
+                bit, leaf = leaf[basis][rank[p]]
                 p += 1
                 if keep_records:
                     observations.append(EveObservation(index, backward_leg, _BASES[basis], bit))
-            k = bell[s][rank[p]]
+            keys, k = leaf[rank[p]]
             p += 1
-            alice_key += key_bits[u_a][k ^ u_a]
-            bob_key += key_bits[k ^ u_b][u_b]
+            joint += keys
             if keep_records:
-                outcome = MessageOutcome(
-                    _UNITARIES[u_b], BellOutcome(k), _UNITARIES[k ^ u_a], _UNITARIES[k ^ u_b]
-                )
+                outcome = MessageOutcome(*_MESSAGE_FIELDS[u_a][u_b][k])
         if keep_records:
             records.append(RoundRecord(index, _UNITARIES[u_a], outcome))
         if detected:
@@ -473,8 +552,10 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
             abort_cause = ABORT_CONTROL
             break
 
-    alice_pre, bob_pre = bytes(alice_key), bytes(bob_key)
-    del alice_key, bob_key  # freed before the key check, whose memory peaks
+    # One item of key_dtype per party and round, Alice's first.
+    pairs = np.frombuffer(joint, key_dtype).reshape(-1, 2)
+    alice_pre, bob_pre = pairs[:, 0].tobytes(), pairs[:, 1].tobytes()
+    del joint, pairs  # freed before the key check, whose memory peaks
     overall, amp_rate, phase_rate = _error_rates(alice_pre, bob_pre)
 
     checked = 0

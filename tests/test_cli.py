@@ -17,16 +17,17 @@ from qdkd.adversary import ChannelLeg, EveBasisPolicy, InterceptResend
 from qdkd.cli import _scientific, build_parser
 
 
-def qdkd(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "qdkd", *args], capture_output=True, text=True
-    )
-
-
 def run_main(capsys, *args):
     """cli.main(args) in this process: its exit code and what it printed."""
     code = cli.main(list(args))
     return code, capsys.readouterr().out
+
+
+def run_main_err(capsys, *args):
+    """cli.main(args) in this process: its exit code, stdout and stderr."""
+    code = cli.main(list(args))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 class TestRun:
@@ -80,23 +81,31 @@ class TestRun:
 
 
 class TestUsageErrors:
-    def test_bad_flag_value_exits_1(self):
-        proc = qdkd("run", "--rounds", "notanumber")
-        assert proc.returncode == 1
+    """In this process; tests/test_console.py checks a usage error in a fresh one."""
 
-    def test_unknown_subcommand_exits_1(self):
-        proc = qdkd("frobnicate")
-        assert proc.returncode == 1
+    def test_bad_flag_value_exits_1(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--rounds", "notanumber"])
+        assert exc.value.code == 1
+        assert "qdkd run: error: argument --rounds" in capsys.readouterr().err
 
-    def test_config_error_exits_1(self):
-        proc = qdkd("run", "--rounds", "10", "--control-prob", "1.5")
-        assert proc.returncode == 1
-        assert "error" in proc.stderr
+    def test_unknown_subcommand_exits_1(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["frobnicate"])
+        assert exc.value.code == 1
+        assert "qdkd: error: argument command: invalid choice" in capsys.readouterr().err
 
-    def test_unwritable_out_path_exits_1(self, tmp_path):
-        proc = qdkd("run", "--rounds", "5", "--out", str(tmp_path / "no" / "dir" / "r.json"))
-        assert proc.returncode == 1
-        assert "cannot write report" in proc.stderr
+    def test_config_error_exits_1(self, capsys):
+        code, _, err = run_main_err(capsys, "run", "--rounds", "10", "--control-prob", "1.5")
+        assert code == 1
+        assert "error" in err
+
+    def test_unwritable_out_path_exits_1(self, capsys, tmp_path):
+        code, _, err = run_main_err(
+            capsys, "run", "--rounds", "5", "--out", str(tmp_path / "no" / "dir" / "r.json")
+        )
+        assert code == 1
+        assert "cannot write report" in err
 
 
 class TestClosedStdout:
@@ -121,33 +130,33 @@ class TestClosedStdout:
 
 
 class TestOracle:
-    def test_forward_detection_value(self):
-        proc = qdkd("oracle", "--attack", "forward-ir")
-        assert proc.returncode == 0
-        data = json.loads(proc.stdout)
+    def test_forward_detection_value(self, capsys):
+        code, out = run_main(capsys, "oracle", "--attack", "forward-ir")
+        assert code == 0
+        data = json.loads(out)
         assert data["detection_prob_per_control_round"] == 0.25
         assert data["detection_prob_per_control_round_exact"] == "1/4"
         assert data["abort_probability"] is None
         assert data["acceptance_probability_sci"] is None
 
-    def test_backward_with_abort_context(self):
-        proc = qdkd(
-            "oracle", "--attack", "backward-ir", "--check-fraction", "0.1",
+    def test_backward_with_abort_context(self, capsys):
+        _, out = run_main(
+            capsys, "oracle", "--attack", "backward-ir", "--check-fraction", "0.1",
             "--message-rounds", "40",
         )
-        data = json.loads(proc.stdout)
+        data = json.loads(out)
         assert data["key_error_rate_phase_bit"] == 0.5
         assert data["abort_probability"] > 0.95
         assert data["abort_probability_exact"].count("/") == 1
 
-    def test_acceptance_keeps_its_magnitude(self):
+    def test_acceptance_keeps_its_magnitude(self, capsys):
         # 1 - P is ~1e-49 here, so the float abort probability reads 1.0.
-        proc = qdkd(
-            "oracle", "--attack", "backward-ir", "--eve-basis", "random",
+        code, out = run_main(
+            capsys, "oracle", "--attack", "backward-ir", "--eve-basis", "random",
             "--message-rounds", "1000",
         )
-        assert proc.returncode == 0
-        data = json.loads(proc.stdout)
+        assert code == 0
+        data = json.loads(out)
         assert data["abort_probability"] == 1.0
         accept = 1 - Fraction(data["abort_probability_exact"])
         assert data["acceptance_probability_sci"] == "1.2675e-49" == f"{float(accept):.4e}"
@@ -174,12 +183,12 @@ class TestOracle:
         ("--check-fraction", "2"),
         ("--mismatch-threshold", "-1"),
     ])
-    def test_bad_abort_query_exits_1(self, flags):
-        proc = qdkd("oracle", "--attack", "backward-ir", *flags)
-        assert proc.returncode == 1
-        assert "qdkd: error:" in proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert proc.stdout == ""
+    def test_bad_abort_query_exits_1(self, flags, capsys):
+        code, out, err = run_main_err(capsys, "oracle", "--attack", "backward-ir", *flags)
+        assert code == 1
+        assert "qdkd: error:" in err
+        assert "Traceback" not in err
+        assert out == ""
 
 
 def _oracle_matrix():
@@ -323,9 +332,9 @@ class TestScientificProperties:
 
 
 class TestTable:
-    def test_table_prints_grid(self):
-        proc = qdkd("table")
-        assert proc.returncode == 0
-        lines = proc.stdout.splitlines()
+    def test_table_prints_grid(self, capsys):
+        code, out = run_main(capsys, "table")
+        assert code == 0
+        lines = out.splitlines()
         assert len(lines) == 5
         assert lines[1].split()[-4:] == ["Ψ+", "Ψ−", "Φ+", "Φ−"]

@@ -43,6 +43,7 @@ from qdkd.protocol import (
     accumulate_key,
     alice_prepare,
     bob_choose_mode,
+    decode,
     expected_correlation,
     key_check,
     run_control_round,
@@ -64,6 +65,7 @@ from qdkd.simulate import (
     _decode_words,
     _edge,
     _ranked_tables,
+    _round_lookup,
     _round_tables,
     ABORT_KEY_CHECK,
     RoundRecord,
@@ -83,6 +85,17 @@ FORWARD_Z = InterceptResend(ChannelLeg.FORWARD, EveBasisPolicy.Z)
 ALL_ATTACKS = [NoAttack()] + [
     InterceptResend(leg, policy) for leg in ChannelLeg for policy in EveBasisPolicy
 ]
+
+
+def _keys_from_records(records, key_mode):
+    """The parties' pre-check keys as lists of bits, rebuilt from the
+    message rounds' records with accumulate_key."""
+    alice_key, bob_key = [], []
+    for r in records:
+        if isinstance(r.outcome, MessageOutcome):
+            accumulate_key(alice_key, r.u_a.label, r.outcome.alice_view.label, key_mode)
+            accumulate_key(bob_key, r.outcome.bob_view.label, r.outcome.u_b.label, key_mode)
+    return alice_key, bob_key
 
 
 class TestHonestRuns:
@@ -167,11 +180,7 @@ class TestSessionProperties:
             assert isinstance(tail[0], KeyCheckChallenge)
             assert len(tail) == (4 if report.aborted else 3)
 
-        alice_key, bob_key = [], []
-        for r in records:
-            if isinstance(r.outcome, MessageOutcome):
-                accumulate_key(alice_key, r.u_a.label, r.outcome.alice_view.label, key_mode)
-                accumulate_key(bob_key, r.outcome.bob_view.label, r.outcome.u_b.label, key_mode)
+        alice_key, bob_key = _keys_from_records(records, key_mode)
         assert tuple(session.alice_pre_check) == tuple(alice_key)
         assert tuple(session.bob_pre_check) == tuple(bob_key)
         keys = (session.alice_pre_check, session.bob_pre_check, session.alice_final, session.bob_final)
@@ -203,6 +212,34 @@ class TestSessionProperties:
         assert report.final_key_length == len(session.alice_final) == len(session.bob_final)
         checked = len(tail[0].positions) if tail else 0
         assert report.final_key_length == pre - checked
+
+    @pytest.mark.parametrize(
+        "config, rounds_total, message_rounds",
+        [
+            pytest.param(SimConfig(rounds=0, attack=BACKWARD_Z), 0, 0, id="no-rounds"),
+            pytest.param(SimConfig(rounds=50, control_prob=1.0, seed=3), 50, 0, id="all-control"),
+            # Forward-Z sessions that Eve's detection ends in their first
+            # round, and in their second after one message round.
+            pytest.param(SimConfig(rounds=60, attack=FORWARD_Z, seed=14), 1, 0, id="detected-1st"),
+            pytest.param(SimConfig(rounds=60, attack=FORWARD_Z, seed=11), 2, 1, id="detected-2nd"),
+        ],
+    )
+    @pytest.mark.parametrize("key_mode", list(KeyMode))
+    def test_keys_split_at_their_edges(self, key_mode, config, rounds_total, message_rounds):
+        """The joint key buffer splits into empty keys, or into the keys the
+        records rebuild, when no message round or a single one ran."""
+        config = dataclasses.replace(config, key_mode=key_mode)
+        session = run_session(config, keep_records=True)
+        report = session.report
+        assert (report.rounds_total, report.message_rounds) == (rounds_total, message_rounds)
+        assert (report.abort_cause == ABORT_CONTROL) == (config.attack == FORWARD_Z)
+        keys = (session.alice_pre_check, session.bob_pre_check)
+        assert all(type(key) is bytes for key in keys)
+        assert keys == tuple(map(bytes, _keys_from_records(session.records, key_mode)))
+        assert len(keys[0]) == key_mode.bits_per_round * message_rounds
+        bare = run_session(config)
+        assert bare.report == report
+        assert (bare.alice_pre_check, bare.bob_pre_check) == keys
 
     @pytest.mark.parametrize(
         "leg, control_prob",
@@ -1077,6 +1114,15 @@ def _thresholds(tables):
     return p0s + [acc for row in tables.bell if row is not None for acc in row]
 
 
+def _reached_ranks(edges):
+    """The ranks _decode_words gives some word: a rank is constant between
+    edges, so the words at k = 0, 2**53 - 1 and next to each edge reach
+    every one."""
+    ks = {0, 2**53 - 1} | {k for e in edges.tolist() for k in (e - 1, e)}
+    words = np.array([k << 11 for k in sorted(ks) if 0 <= k < 2**53], dtype=np.uint64)
+    return set(_decode_words(words, edges, 0)[2])
+
+
 def _same_ray(amps, state):
     """Whether float amplitudes and an integer state agree up to scale and phase."""
     norm = math.sqrt(sum(x * x for x in state))
@@ -1334,6 +1380,79 @@ class TestRoundTables:
             with pytest.raises(OverflowError):
                 simulate._RankedTables(tables)
 
+    @pytest.mark.parametrize("key_mode", list(KeyMode))
+    @pytest.mark.parametrize("attack", ALL_ATTACKS)
+    def test_lookup_entries_equal_the_state_walk(self, attack, key_mode):
+        """Every entry of the nested round lookup that a word can reach
+        equals the walk through the ranked tables from Alice's prepared
+        state, decided as the protocol decides; None sits at exactly the
+        ranks no word has and at the bases Eve does not use. One node
+        stands for each (u_A, state at Bob) and one leaf row for each (u_A,
+        u_B, state at Alice), so the lookup holds at most 4 and 16 of them
+        per state, however many draws lead there."""
+        forward, backward = _bases(attack)
+        ranked = _ranked_tables(forward, backward)
+        measure_h, measure_t = ranked.measure[QubitId.H], ranked.measure[QubitId.T]
+        edges, root, key_dtype = _round_lookup(forward, backward, key_mode)
+        assert edges is ranked.edges
+        assert np.dtype(key_dtype).itemsize == key_mode.bits_per_round
+        reached = _reached_ranks(edges)
+        # Every attack has a branch of probability 0, so some rank holds None.
+        assert reached and len(reached) < len(edges) + 1
+        entries = 0
+
+        def by_rank(row):
+            """(rank, entry) at each reached rank, once None is found at
+            exactly the others."""
+            nonlocal entries
+            assert len(row) == len(edges) + 1
+            assert {r for r, e in enumerate(row) if e is None} == set(range(len(row))) - reached
+            entries += len(reached)
+            return [(r, row[r]) for r in sorted(reached)]
+
+        def leg(entry, s, bases):
+            """(entry, state) after Eve's measurement, for each of her
+            bases and ranks; (entry, s) when she leaves the leg alone."""
+            if not bases:
+                return [(entry, s)]
+            walked = []
+            for basis in MeasBasis:
+                if basis not in bases:
+                    assert entry[basis] is None
+                    continue
+                for rank, (bit, after) in by_rank(entry[basis]):
+                    want_bit, t = measure_t[s][basis][rank]
+                    assert bit == want_bit
+                    walked.append((after, t))
+            return walked
+
+        nodes, leaf_rows = {}, {}
+        for u_a, prepared in zip(LocalUnitary, ranked.prepared):
+            for node, s in leg(root[u_a], prepared, forward):
+                nodes.setdefault((u_a, s), set()).add(id(node))
+                control, message = node
+                for basis in MeasBasis:
+                    correlated = expected_correlation(u_a, basis) is Correlation.CORRELATED
+                    for rank_bob, row in by_rank(control[basis]):
+                        bob_bit, t = measure_t[s][basis][rank_bob]
+                        for rank_alice, entry in by_rank(row):
+                            alice_bit = measure_h[t][basis][rank_alice][0]
+                            detected = (alice_bit == bob_bit) != correlated
+                            assert entry == (detected, bob_bit, alice_bit)
+                for u_b, returned in zip(LocalUnitary, ranked.encode[s]):
+                    for leaf_row, t in leg(message[u_b], returned, backward):
+                        leaf_rows.setdefault((u_a, u_b, t), set()).add(id(leaf_row))
+                        for rank, (keys, k) in by_rank(leaf_row):
+                            assert k == ranked.bell[t][rank]
+                            k = BellOutcome(k)
+                            alice = accumulate_key([], u_a, decode(u_a, k), key_mode)
+                            bob = accumulate_key([], decode(u_b, k), u_b, key_mode)
+                            assert keys == bytes(alice + bob)
+        assert entries > 0
+        assert all(len(ids) == 1 for ids in [*nodes.values(), *leaf_rows.values()])
+        states = len(_tables(attack).states)
+        assert len(nodes) <= 4 * states and len(leaf_rows) <= 16 * states
+
     @staticmethod
     def _refuse_float_kernels(monkeypatch):
         """Make every float kernel raise, and empty the caches built from
@@ -1347,6 +1466,7 @@ class TestRoundTables:
                 monkeypatch.setattr(kernels, name, refuse)
         _round_tables.cache_clear()
         _ranked_tables.cache_clear()
+        _round_lookup.cache_clear()
         oracle._round_statistics.cache_clear()
 
     @pytest.mark.parametrize("attack", ALL_ATTACKS)
