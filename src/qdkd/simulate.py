@@ -45,17 +45,17 @@ word's rank and its control flag. The decode rests on one exact rule. A
 word's uniform is r = k * 2**-53 with k = word >> 11, and for every double
 or Fraction t in [0, 1], r < t holds exactly when k < ceil(t * 2**53): k is
 an integer, t * 2**53 is exact, and t = 1 gives 2**53, above every k. The
-rank is the number of the sorted distinct ceilings of the attack's exact
-thresholds that are at or below k, so r lies below the j-th threshold
-exactly when the rank is at most j. The control flag is
-k < ceil(control_prob * 2**53), exact at control_prob 0 and 1 too; a
-control_prob of another real type keeps the edge its own comparison with
-the uniforms draws, except that a numpy float16, float32 or integer is
-compared as its exact value.
+rank is the number of the sorted distinct ceilings (the edges) of the
+attack's exact thresholds that are at or below k, so r lies below a
+threshold exactly when the rank is at most the index of its edge. The
+control flag is k < ceil(control_prob * 2**53), exact at control_prob 0 and
+1 too; a control_prob of another real type keeps the edge its own
+comparison with the uniforms draws, except that a numpy float16, float32 or
+integer is compared as its exact value.
 
 Once a round's words are read, its outcome depends only on its draws. So
-the automaton is unrolled once per attack and key mode into nested tables
-indexed by the draws in stream order (_round_lookup): u_A, Eve's forward
+_round_lookup unrolls the automaton's tables once per attack and key mode
+into nested tables indexed by the draws in stream order: u_A, Eve's forward
 basis and rank, then for a control round Bob's basis and the two ranks,
 which give the detection and both bits, and for a message round u_B, Eve's
 backward basis and rank and the Bell rank, which give both parties' key
@@ -108,7 +108,7 @@ from .protocol import (
     require_policy,
     require_probability,
 )
-from .oracle import _round_tables, _RoundTables, unitary_outcome_table
+from .oracle import _round_tables, unitary_outcome_table
 from .quantum import MeasBasis, QubitId
 
 
@@ -283,67 +283,6 @@ def _decode_words(words, edges, control_edge) -> tuple[bytes, bytes, bytes, byte
     )
 
 
-class _RankedTables:
-    """An attack's round tables, indexed by a word's rank instead of compared
-    with its uniform.
-
-    edges holds the sorted distinct _edge of the tables' thresholds, and a
-    word's rank is the number of edges at or below its k. So the word's
-    uniform lies below a threshold t exactly when its rank is at most the
-    index of _edge(t) in edges, and by rank:
-
-    - measure[qubit][s][basis][rank] = (bit, successor);
-    - bell[s][rank] = the Bell outcome.
-
-    prepared and encode are the round tables' own; an entry the round tables
-    leave None stays None.
-    """
-
-    def __init__(self, tables: _RoundTables):
-        entries = [e for rows in tables.measure for row in rows for e in row if e is not None]
-        accs = [acc for row in tables.bell if row is not None for acc in row]
-        edges = sorted({_edge(t) for t in [p0 for p0, _, _ in entries] + accs})
-        if len(edges) >= _RANK_LIMIT:
-            raise OverflowError(f"{len(edges)} threshold edges: a rank must fit in a byte")
-        self.edges = np.array(edges, dtype=np.uint64)
-        index = {edge: j for j, edge in enumerate(edges)}
-        ranks = range(len(edges) + 1)
-
-        def measure(entry):
-            if entry is None:
-                return None
-            p0, s0, s1 = entry
-            j = index[_edge(p0)]
-            return tuple((0, s0) if rank <= j else (1, s1) for rank in ranks)
-
-        def bell(row):
-            if row is None:
-                return None
-            js = [index[_edge(acc)] for acc in row]
-            return tuple(next((k for k, j in enumerate(js) if rank <= j), 3) for rank in ranks)
-
-        self.measure = tuple(
-            [[measure(entry) for entry in row] for row in rows] for rows in tables.measure
-        )
-        self.bell = [bell(row) for row in tables.bell]
-        self.prepared, self.encode = tables.prepared, tables.encode
-
-
-@functools.cache
-def _ranked_tables(forward, backward) -> _RankedTables:
-    return _RankedTables(_round_tables(forward, backward))
-
-
-# Per key mode, the bytes a message round appends: [alice label][bob label].
-_KEY_BITS = {
-    mode: tuple(tuple(bytes(accumulate_key([], a, b, mode)) for b in range(4)) for a in range(4))
-    for mode in KeyMode
-}
-# [u_A][basis]: whether an honest control round shows correlated bits.
-_CORRELATED = tuple(
-    tuple(expected_correlation(u, basis) is Correlation.CORRELATED for basis in MeasBasis)
-    for u in LocalUnitary
-)
 # [u_A][u_B][k]: the fields of a message round's MessageOutcome.
 _MESSAGE_FIELDS = tuple(
     tuple(
@@ -359,7 +298,8 @@ _BASES = tuple(MeasBasis)
 @functools.cache
 def _round_lookup(forward, backward, key_mode: KeyMode) -> tuple[np.ndarray, tuple, type]:
     """(edges, root, key dtype): an attack's rounds in one key mode as
-    nested tables, indexed by the round's draws in stream order.
+    nested tables, built from its round tables and indexed by the round's
+    draws in stream order.
 
     - root[u_A] is the round's node; with Eve on the forward leg it is
       [basis][rank] -> (Eve's bit, node).
@@ -369,23 +309,49 @@ def _round_lookup(forward, backward, key_mode: KeyMode) -> tuple[np.ndarray, tup
       [basis][rank] -> (Eve's bit, leaf row).
     - leaf_row[rank] = (Alice's key bytes + Bob's key bytes, Bell outcome k).
 
-    Each rank indexes the _RankedTables entry of the same rank. A rank no
-    word has, below an edge 0 or at an edge 2**53 (behind a threshold of
-    exactly 0 or 1), holds None, as does a basis Eve never uses. Nodes are
-    shared by (u_A, state) and leaf rows by (u_A, u_B, state), so the size
-    grows as states times ranks. The key dtype holds one party's key bytes
-    of a round, so a view of the joint keys in it alternates Alice's and
-    Bob's.
+    edges holds the sorted distinct _edge of the round tables' thresholds
+    (each p0 and Bell threshold), and a word's rank is the number of edges
+    at or below its k. The rank rule: a word's uniform lies below a
+    threshold t exactly when its rank is at most the index of _edge(t) in
+    edges. Each table entry's outcome at each rank is decided once per
+    build. A rank no word has, below an edge 0 or at an edge 2**53 (behind
+    a threshold of exactly 0 or 1), holds None, as does a basis Eve never
+    uses. Nodes are shared by (u_A, state) and leaf rows by (u_A, u_B,
+    state), so the size grows as states times ranks. The key dtype holds
+    one party's key bytes of a round, so a view of the joint keys in it
+    alternates Alice's and Bob's.
     """
-    tables = _ranked_tables(forward, backward)
-    measure_h, measure_t = tables.measure[QubitId.H], tables.measure[QubitId.T]
-    key_bits = _KEY_BITS[key_mode]
-    edges = tables.edges.tolist()
+    tables = _round_tables(forward, backward)
+    p0s = [e[0] for rows in tables.measure for row in rows for e in row if e is not None]
+    edge = {t: _edge(t) for t in {*p0s, *(acc for row in tables.bell if row for acc in row)}}
+    edges = sorted(set(edge.values()))
+    if len(edges) >= _RANK_LIMIT:
+        raise OverflowError(f"{len(edges)} threshold edges: a rank must fit in a byte")
+    index = {t: edges.index(e) for t, e in edge.items()}
     reached = [low < high for low, high in zip([0, *edges], [*edges, 2**53])]
+
+    def rank_row(thresholds, outcomes):
+        """At each rank a word can have, the first of outcomes whose
+        threshold the word's uniform lies below, else the last; None at the
+        other ranks."""
+        js = [index[t] for t in thresholds]
+        return tuple(
+            next((o for j, o in zip(js, outcomes) if rank <= j), outcomes[-1]) if ok else None
+            for rank, ok in enumerate(reached)
+        )
 
     def by_rank(row, entry):
         """entry(row[rank]) at each rank a word can have, None at the others."""
         return tuple(entry(e) if ok else None for e, ok in zip(row, reached))
+
+    # A None entry or Bell row, one the round tables never fill, stays None.
+    measure_h, measure_t = (
+        [[e and rank_row(e[:1], ((0, e[1]), (1, e[2]))) for e in row] for row in rows]
+        for rows in (tables.measure[QubitId.H], tables.measure[QubitId.T])
+    )
+    bell = [row and rank_row(row, range(4)) for row in tables.bell]
+    # [alice label][bob label]: the bytes a message round appends to a key.
+    key_bits = [[bytes(accumulate_key([], a, b, key_mode)) for b in range(4)] for a in range(4)]
 
     def leg(s, bases, then):
         """then(s) when Eve leaves the leg alone; otherwise [basis][rank] ->
@@ -399,13 +365,10 @@ def _round_lookup(forward, backward, key_mode: KeyMode) -> tuple[np.ndarray, tup
 
     @functools.cache
     def leaf_row(u_a, u_b, t):
-        def entry(k):
-            return key_bits[u_a][k ^ u_a] + key_bits[k ^ u_b][u_b], k
-
-        return by_rank(tables.bell[t], entry)
+        return by_rank(bell[t], lambda k: (key_bits[u_a][k ^ u_a] + key_bits[k ^ u_b][u_b], k))
 
     def control_row(u_a, basis, bob_bit, t):
-        correlated = _CORRELATED[u_a][basis]
+        correlated = expected_correlation(u_a, basis) is Correlation.CORRELATED
         return by_rank(
             measure_h[t][basis], lambda e: ((e[0] == bob_bit) != correlated, bob_bit, e[0])
         )
@@ -425,7 +388,8 @@ def _round_lookup(forward, backward, key_mode: KeyMode) -> tuple[np.ndarray, tup
     root = tuple(
         leg(s, forward, functools.partial(node, u_a)) for u_a, s in enumerate(tables.prepared)
     )
-    return tables.edges, root, np.uint16 if key_mode.bits_per_round == 2 else np.uint32
+    key_dtype = np.uint16 if key_mode.bits_per_round == 2 else np.uint32
+    return np.array(edges, dtype=np.uint64), root, key_dtype
 
 
 def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import functools
 import hashlib
 import io
 import inspect
@@ -64,7 +65,6 @@ from qdkd.simulate import (
     _binomial_ci,
     _decode_words,
     _edge,
-    _ranked_tables,
     _round_lookup,
     _round_tables,
     ABORT_KEY_CHECK,
@@ -980,7 +980,7 @@ class TestSessionStream:
         generator = np.random.default_rng(np.random.SeedSequence(seed))
         uniforms = np.array([generator.random() for _ in range(sum(map(len, chunks)))])
         for attack in ALL_ATTACKS:
-            edges = _ranked_tables(*_bases(attack)).edges
+            edges = _round_lookup(*_bases(attack), KeyMode.COMBINED)[0]
             thresholds = _thresholds(_tables(attack))
             assert edges.tolist() == sorted({math.ceil(t * 2**53) for t in thresholds})
             for control_prob in CONTROL_PROB_EDGES:
@@ -1017,24 +1017,26 @@ class TestSessionStream:
         [0, 1, np.int64(1), np.int8(1), np.uint8(0), 5e-324, 0.1, 1.0, np.float64(0.1),
          np.float32(0.5), np.float32(0.1), np.float16(0.3), Fraction(1, 3), Decimal("0.1"),
          Fraction(2**52 + 1, 2**53) + Fraction(1, 2**60),
-         Fraction(2**52 + 1, 2**53) - Fraction(1, 2**60), Fraction(2**53 - 1, 2**53)],
+         Fraction(2**52 + 1, 2**53) - Fraction(1, 2**60), Fraction(2**53 - 1, 2**53),
+         np.longdouble(1) / 3, np.nextafter(np.longdouble(0.5), np.longdouble(0))],
     )
     def test_control_edge_decides_as_the_comparison(self, value):
         """control_prob may be any real in [0, 1]: its edge splits the stream
         uniforms exactly where r < control_prob does, by that type's own
         comparison, which for an exact type means at ceil(value * 2**53). A
         numpy float16, float32 or integer is compared as its Python value,
-        which is its exact value, on every numpy version."""
+        which is its exact value, on every numpy version. A numpy longdouble
+        keeps its own type, so its edge is found by bisection."""
         narrow = (np.integer, np.float16, np.float32)
         exact = value.item() if isinstance(value, narrow) else value
         edge = _edge(value)
         assert edge == 0 or (edge - 1) * 2.0**-53 < exact
         assert edge == 2**53 or not edge * 2.0**-53 < exact
-        if isinstance(value, (int, float, Fraction, Decimal, *narrow)):
-            assert edge == math.ceil(Fraction(exact) * 2**53)
+        if isinstance(value, (int, float, Fraction, Decimal, np.longdouble, *narrow)):
+            assert edge == math.ceil(Fraction(*exact.as_integer_ratio()) * 2**53)
         ks = [k for k in (edge - 1, edge, edge + 1) if 0 <= k < 2**53]
         words = np.array([k << 11 for k in ks], dtype=np.uint64)
-        control = _decode_words(words, _ranked_tables((), ()).edges, edge)[3]
+        control = _decode_words(words, _round_lookup((), (), KeyMode.COMBINED)[0], edge)[3]
         assert list(control) == [k * 2.0**-53 < exact for k in ks]
 
     def test_round_words_bounds_every_round(self):
@@ -1114,13 +1116,13 @@ def _thresholds(tables):
     return p0s + [acc for row in tables.bell if row is not None for acc in row]
 
 
-def _reached_ranks(edges):
-    """The ranks _decode_words gives some word: a rank is constant between
-    edges, so the words at k = 0, 2**53 - 1 and next to each edge reach
-    every one."""
-    ks = {0, 2**53 - 1} | {k for e in edges.tolist() for k in (e - 1, e)}
-    words = np.array([k << 11 for k in sorted(ks) if 0 <= k < 2**53], dtype=np.uint64)
-    return set(_decode_words(words, edges, 0)[2])
+def _rank_spans(edges):
+    """{rank: (first k, last k)} of each rank a word can have: rank j holds
+    the k = word >> 11 from the j-th bound to below the next, the bounds
+    being 0, the edges and 2**53; a rank between equal bounds has no word."""
+    bounds = [0, *edges.tolist(), 2**53]
+    spans = enumerate(zip(bounds, bounds[1:]))
+    return {j: (low, high - 1) for j, (low, high) in spans if low < high}
 
 
 def _same_ray(amps, state):
@@ -1330,11 +1332,16 @@ class TestRoundTables:
 
     @pytest.mark.parametrize("attack", ALL_ATTACKS)
     def test_ranked_entries_decide_as_thresholds(self, attack):
-        """Each ranked entry, read at the rank _decode_words gives a word,
-        decides as the round tables' thresholds do at the word's uniform:
-        bit 0 iff r < p0, and the first Bell outcome whose threshold exceeds
-        r. Checked at and next to every threshold and at 0 and 1 - 2**-53."""
-        tables, ranked = _tables(attack), _ranked_tables(*_bases(attack))
+        """Each entry of the round lookup, read at the rank _decode_words
+        gives a word, decides as the round tables' thresholds do at the
+        word's uniform: bit 0 iff r < p0, and the first Bell outcome whose
+        threshold exceeds r. Checked along every path of the lookup whose
+        draws all share one uniform r, for r at and next to every threshold
+        and at 0 and 1 - 2**-53."""
+        tables = _tables(attack)
+        forward, backward = _bases(attack)
+        measure_h, measure_t = tables.measure[QubitId.H], tables.measure[QubitId.T]
+        edges, root, _ = _round_lookup(forward, backward, KeyMode.COMBINED)
         uniforms = _uniforms_around(*_thresholds(tables))
         assert uniforms[0] == 0.0 and uniforms[-1] == 1.0 - 2.0**-53
         # The 11 low bits of a word are not part of its uniform.
@@ -1342,31 +1349,49 @@ class TestRoundTables:
             [int(r * 2**53) << 11 | (0x7FF if i % 2 else 0) for i, r in enumerate(uniforms)],
             dtype=np.uint64,
         )
-        ranks = _decode_words(words, ranked.edges, 0)[2]
+        ranks = _decode_words(words, edges, 0)[2]
         checked = 0
-        for s in range(len(tables.states)):
-            for qubit in (0, 1):
-                for basis in (0, 1):
-                    entry = tables.measure[qubit][s][basis]
-                    by_rank = ranked.measure[qubit][s][basis]
-                    assert (by_rank is None) == (entry is None)
-                    if entry is None:
-                        continue
-                    p0, s0, s1 = entry
-                    for r, rank in zip(uniforms, ranks):
+
+        def measured(entry, r):
+            """(bit, successor) of a table entry at uniform r."""
+            p0, s0, s1 = entry
+            return (0, s0) if r < p0 else (1, s1)
+
+        def eve(cell, s, bases, r, rank):
+            """(subtree, state) after Eve's measurement on a leg, for each of
+            her bases; the cell itself when she leaves the leg alone."""
+            nonlocal checked
+            if not bases:
+                return [(cell, s)]
+            walked = []
+            for basis in bases:
+                bit, subtree = cell[basis][rank]
+                want_bit, t = measured(measure_t[s][basis], r)
+                checked += 1
+                assert bit == want_bit
+                walked.append((subtree, t))
+            return walked
+
+        for r, rank in zip(uniforms, ranks):
+            for u_a, prepared in zip(LocalUnitary, tables.prepared):
+                for (control, message), s in eve(root[u_a], prepared, forward, r, rank):
+                    for basis in MeasBasis:
+                        correlated = expected_correlation(u_a, basis) is Correlation.CORRELATED
+                        bob_bit, t = measured(measure_t[s][basis], r)
+                        alice_bit, _ = measured(measure_h[t][basis], r)
+                        detected = (alice_bit == bob_bit) != correlated
                         checked += 1
-                        assert by_rank[rank] == ((0, s0) if r < p0 else (1, s1))
-            assert (ranked.bell[s] is None) == (tables.bell[s] is None)
-            if tables.bell[s] is not None:
-                for r, rank in zip(uniforms, ranks):
-                    checked += 1
-                    assert ranked.bell[s][rank] == _bell_rule(tables.bell[s], r)
+                        assert control[basis][rank][rank] == (detected, bob_bit, alice_bit)
+                    for u_b, returned in zip(LocalUnitary, tables.encode[s]):
+                        for leaf_row, t in eve(message[u_b], returned, backward, r, rank):
+                            checked += 1
+                            assert leaf_row[rank][1] == _bell_rule(tables.bell[t], r)
         assert checked > 0
 
     @pytest.mark.parametrize("count", [255, 256])
-    def test_ranks_must_fit_in_a_byte(self, count):
-        """A rank is stored in a byte, so the ranked view refuses 256 or more
-        distinct threshold edges when it is built."""
+    def test_ranks_must_fit_in_a_byte(self, count, monkeypatch):
+        """A rank is stored in a byte, so the round lookup refuses 256 or
+        more distinct threshold edges when it is built."""
         thresholds = [j / 512 for j in range(count)]
         tables = types.SimpleNamespace(
             measure=([[(t, 0, 1), None] for t in thresholds], []),
@@ -1374,41 +1399,67 @@ class TestRoundTables:
             prepared=(),
             encode=[],
         )
-        if count < 256:
-            assert len(simulate._RankedTables(tables).edges) == count
-        else:
-            with pytest.raises(OverflowError):
-                simulate._RankedTables(tables)
+        monkeypatch.setattr(simulate, "_round_tables", lambda forward, backward: tables)
+        _round_lookup.cache_clear()
+        try:
+            if count < 256:
+                assert len(_round_lookup((), (), KeyMode.COMBINED)[0]) == count
+            else:
+                with pytest.raises(OverflowError):
+                    _round_lookup((), (), KeyMode.COMBINED)
+        finally:
+            _round_lookup.cache_clear()
 
     @pytest.mark.parametrize("key_mode", list(KeyMode))
     @pytest.mark.parametrize("attack", ALL_ATTACKS)
     def test_lookup_entries_equal_the_state_walk(self, attack, key_mode):
         """Every entry of the nested round lookup that a word can reach
-        equals the walk through the ranked tables from Alice's prepared
-        state, decided as the protocol decides; None sits at exactly the
-        ranks no word has and at the bases Eve does not use. One node
-        stands for each (u_A, state at Bob) and one leaf row for each (u_A,
-        u_B, state at Alice), so the lookup holds at most 4 and 16 of them
-        per state, however many draws lead there."""
+        equals the walk through the round tables from Alice's prepared
+        state, decided at the word's uniform r as the protocol decides: bit
+        0 iff r < p0, the first Bell outcome whose threshold exceeds r, a
+        detection iff the bits' correlation differs from the expected one,
+        and the key bytes of accumulate_key. Each entry is checked at the
+        first and the last uniform of its rank, which lie next to the
+        thresholds, and _decode_words gives that rank to a word of either
+        uniform, whatever its 11 low bits. None sits at exactly the ranks no
+        word has and at the bases Eve does not use. One node stands for each
+        (u_A, state at Bob) and one leaf row for each (u_A, u_B, state at
+        Alice), so the lookup holds at most 4 and 16 of them per state,
+        however many draws lead there."""
         forward, backward = _bases(attack)
-        ranked = _ranked_tables(forward, backward)
-        measure_h, measure_t = ranked.measure[QubitId.H], ranked.measure[QubitId.T]
+        tables = _tables(attack)
+        measure_h, measure_t = tables.measure[QubitId.H], tables.measure[QubitId.T]
         edges, root, key_dtype = _round_lookup(forward, backward, key_mode)
-        assert edges is ranked.edges
         assert np.dtype(key_dtype).itemsize == key_mode.bits_per_round
-        reached = _reached_ranks(edges)
+        spans = _rank_spans(edges)
         # Every attack has a branch of probability 0, so some rank holds None.
-        assert reached and len(reached) < len(edges) + 1
+        assert spans and len(spans) < len(edges) + 1
+        for rank, span in spans.items():
+            # The 11 low bits of a word are not part of its uniform.
+            words = np.array([k << 11 | low for k in span for low in (0, 0x7FF)], dtype=np.uint64)
+            assert set(_decode_words(words, edges, 0)[2]) == {rank}
         entries = 0
 
-        def by_rank(row):
-            """(rank, entry) at each reached rank, once None is found at
-            exactly the others."""
+        def by_rank(row, rule):
+            """(row[rank], rule(r)) at each reached rank, rule(r) being the
+            same at the rank's first and last uniform r, once None is found
+            at exactly the other ranks."""
             nonlocal entries
             assert len(row) == len(edges) + 1
-            assert {r for r, e in enumerate(row) if e is None} == set(range(len(row))) - reached
-            entries += len(reached)
-            return [(r, row[r]) for r in sorted(reached)]
+            assert {r for r, e in enumerate(row) if e is None} == set(range(len(row))) - set(spans)
+            entries += len(spans)
+            pairs = []
+            for rank, span in spans.items():
+                first, last = (rule(Fraction(k, 2**53)) for k in span)
+                assert first == last
+                pairs.append((row[rank], first))
+            return pairs
+
+        def measured(entry):
+            """A table entry's measurement at uniform r: (bit, successor),
+            bit 0 iff r < p0."""
+            p0, s0, s1 = entry
+            return lambda r: (0, s0) if r < p0 else (1, s1)
 
         def leg(entry, s, bases):
             """(entry, state) after Eve's measurement, for each of her
@@ -1420,37 +1471,37 @@ class TestRoundTables:
                 if basis not in bases:
                     assert entry[basis] is None
                     continue
-                for rank, (bit, after) in by_rank(entry[basis]):
-                    want_bit, t = measure_t[s][basis][rank]
+                eve = measured(measure_t[s][basis])
+                for (bit, after), (want_bit, t) in by_rank(entry[basis], eve):
                     assert bit == want_bit
                     walked.append((after, t))
             return walked
 
         nodes, leaf_rows = {}, {}
-        for u_a, prepared in zip(LocalUnitary, ranked.prepared):
+        for u_a, prepared in zip(LocalUnitary, tables.prepared):
             for node, s in leg(root[u_a], prepared, forward):
                 nodes.setdefault((u_a, s), set()).add(id(node))
                 control, message = node
                 for basis in MeasBasis:
                     correlated = expected_correlation(u_a, basis) is Correlation.CORRELATED
-                    for rank_bob, row in by_rank(control[basis]):
-                        bob_bit, t = measure_t[s][basis][rank_bob]
-                        for rank_alice, entry in by_rank(row):
-                            alice_bit = measure_h[t][basis][rank_alice][0]
+                    bob = measured(measure_t[s][basis])
+                    for row, (bob_bit, t) in by_rank(control[basis], bob):
+                        for entry, (alice_bit, _) in by_rank(row, measured(measure_h[t][basis])):
                             detected = (alice_bit == bob_bit) != correlated
                             assert entry == (detected, bob_bit, alice_bit)
-                for u_b, returned in zip(LocalUnitary, ranked.encode[s]):
+                for u_b, returned in zip(LocalUnitary, tables.encode[s]):
                     for leaf_row, t in leg(message[u_b], returned, backward):
                         leaf_rows.setdefault((u_a, u_b, t), set()).add(id(leaf_row))
-                        for rank, (keys, k) in by_rank(leaf_row):
-                            assert k == ranked.bell[t][rank]
+                        bell = functools.partial(_bell_rule, tables.bell[t])
+                        for (keys, k), want_k in by_rank(leaf_row, bell):
+                            assert k == want_k
                             k = BellOutcome(k)
                             alice = accumulate_key([], u_a, decode(u_a, k), key_mode)
                             bob = accumulate_key([], decode(u_b, k), u_b, key_mode)
                             assert keys == bytes(alice + bob)
         assert entries > 0
         assert all(len(ids) == 1 for ids in [*nodes.values(), *leaf_rows.values()])
-        states = len(_tables(attack).states)
+        states = len(tables.states)
         assert len(nodes) <= 4 * states and len(leaf_rows) <= 16 * states
 
     @staticmethod
@@ -1465,7 +1516,6 @@ class TestRoundTables:
             if inspect.isfunction(value):
                 monkeypatch.setattr(kernels, name, refuse)
         _round_tables.cache_clear()
-        _ranked_tables.cache_clear()
         _round_lookup.cache_clear()
         oracle._round_statistics.cache_clear()
 
