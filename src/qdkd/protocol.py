@@ -12,6 +12,7 @@ All protocol state machines here are single-threaded per session; randomness
 enters only through injected generators.
 """
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -116,26 +117,6 @@ ClassicalMessage = (
     | AbortNotice
 )
 
-# The messages are immutable, so every round shares these transcripts.
-# CONTROL_TRANSCRIPTS[detected][basis][bob_bit] is a control round's,
-# MESSAGE_TRANSCRIPTS[announced] a message round's.
-_CONTROL_NOTICES = ((), (AbortNotice("control-round correlation mismatch"),))
-CONTROL_TRANSCRIPTS = tuple(
-    tuple(
-        tuple(
-            (ModeAnnouncement(RoundMode.CONTROL), BasisAnnouncement(basis), ResultAnnouncement(bit))
-            + notice
-            for bit in (0, 1)
-        )
-        for basis in MeasBasis
-    )
-    for notice in _CONTROL_NOTICES
-)
-MESSAGE_TRANSCRIPTS = tuple(
-    (ModeAnnouncement(RoundMode.MESSAGE), BellAnnouncement(outcome)) for outcome in BellOutcome
-)
-
-
 def expected_correlation(u: LocalUnitary, basis: MeasBasis) -> Correlation:
     """The correlation Alice expects in an honest control round.
 
@@ -173,10 +154,17 @@ class ControlOutcome:
     bob_bit: int
     alice_bit: int
 
-    @property
+    @functools.cached_property
     def transcript(self) -> tuple[ClassicalMessage, ...]:
-        detected = self.verdict is ControlVerdict.EVE_DETECTED
-        return CONTROL_TRANSCRIPTS[detected][self.basis][self.bob_bit]
+        """The round's public messages, built on the first read."""
+        messages = (
+            ModeAnnouncement(RoundMode.CONTROL),
+            BasisAnnouncement(self.basis),
+            ResultAnnouncement(self.bob_bit),
+        )
+        if self.verdict is ControlVerdict.EVE_DETECTED:
+            messages += (AbortNotice("control-round correlation mismatch"),)
+        return messages
 
 
 def run_control_round(u_a: LocalUnitary, state: TwoQubitState, rng) -> ControlOutcome:
@@ -203,9 +191,10 @@ class MessageOutcome:
     alice_view: LocalUnitary  # Alice's decode of Bob's unitary
     bob_view: LocalUnitary  # Bob's decode of Alice's unitary
 
-    @property
+    @functools.cached_property
     def transcript(self) -> tuple[ClassicalMessage, ...]:
-        return MESSAGE_TRANSCRIPTS[self.announced]
+        """The round's public messages, built on the first read."""
+        return ModeAnnouncement(RoundMode.MESSAGE), BellAnnouncement(self.announced)
 
 
 def run_message_round(

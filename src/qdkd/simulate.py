@@ -57,13 +57,14 @@ Once a round's words are read, its outcome depends only on its draws. So
 _round_lookup unrolls the automaton's tables once per attack and key mode
 into nested tables indexed by the draws in stream order: u_A, Eve's forward
 basis and rank, then for a control round Bob's basis and the two ranks,
-which give the detection and both bits, and for a message round u_B, Eve's
-backward basis and rank and the Bell rank, which give both parties' key
-bytes. The loop then makes one lookup per leg, keeping the index of the
-next fresh word and the buffered high half's 2-bit value, and makes no
-float comparison. A branch of probability 0 lies behind a threshold of
-exactly 0 or 1, which no uniform in [0, 1) selects: its entries sit at a
-rank no word has and hold None, so the loop needs no check of its own.
+which give the detection and the round's ControlOutcome, and for a message
+round u_B, Eve's backward basis and rank and the Bell rank, which give both
+parties' key bytes and the round's MessageOutcome. The loop then makes one
+lookup per leg, keeping the index of the next fresh word and the buffered
+high half's 2-bit value, and makes no float comparison. A branch of
+probability 0 lies behind a threshold of exactly 0 or 1, which no uniform
+in [0, 1) selects: its entries sit at a rank no word has and hold None, so
+the loop needs no check of its own.
 """
 
 import csv
@@ -283,14 +284,6 @@ def _decode_words(words, edges, control_edge) -> tuple[bytes, bytes, bytes, byte
     )
 
 
-# [u_A][u_B][k]: the fields of a message round's MessageOutcome.
-_MESSAGE_FIELDS = tuple(
-    tuple(
-        tuple((u_b, k, decode(u_a, k), decode(u_b, k)) for k in BellOutcome)
-        for u_b in LocalUnitary
-    )
-    for u_a in LocalUnitary
-)
 _UNITARIES = tuple(LocalUnitary)
 _BASES = tuple(MeasBasis)
 
@@ -304,22 +297,22 @@ def _round_lookup(forward, backward, key_mode: KeyMode) -> tuple[np.ndarray, tup
     - root[u_A] is the round's node; with Eve on the forward leg it is
       [basis][rank] -> (Eve's bit, node).
     - A node is (control, message) of u_A and the state that reached Bob:
-      control[basis][rank_Bob][rank_Alice] = (detected, bob_bit, alice_bit),
-      and message[u_B] is a leaf row; with Eve on the backward leg it is
+      control[basis][rank_Bob][rank_Alice] = (detected, ControlOutcome), and
+      message[u_B] is a leaf row; with Eve on the backward leg it is
       [basis][rank] -> (Eve's bit, leaf row).
-    - leaf_row[rank] = (Alice's key bytes + Bob's key bytes, Bell outcome k).
+    - leaf_row[rank] = (Alice's key bytes + Bob's key bytes, MessageOutcome).
 
     edges holds the sorted distinct _edge of the round tables' thresholds
     (each p0 and Bell threshold), and a word's rank is the number of edges
     at or below its k. The rank rule: a word's uniform lies below a
     threshold t exactly when its rank is at most the index of _edge(t) in
-    edges. Each table entry's outcome at each rank is decided once per
-    build. A rank no word has, below an edge 0 or at an edge 2**53 (behind
-    a threshold of exactly 0 or 1), holds None, as does a basis Eve never
-    uses. Nodes are shared by (u_A, state) and leaf rows by (u_A, u_B,
-    state), so the size grows as states times ranks. The key dtype holds
-    one party's key bytes of a round, so a view of the joint keys in it
-    alternates Alice's and Bob's.
+    edges. Each table entry at each rank, its outcome object included, is
+    made once per build. A rank no word has, below an edge 0 or at an
+    edge 2**53 (behind a threshold of exactly 0 or 1), holds None, as does
+    a basis Eve never uses. Nodes are shared by (u_A, state) and leaf rows
+    by (u_A, u_B, state), so the size grows as states times ranks. The key
+    dtype holds one party's key bytes of a round, so a view of the joint
+    keys in it alternates Alice's and Bob's.
     """
     tables = _round_tables(forward, backward)
     p0s = [e[0] for rows in tables.measure for row in rows for e in row if e is not None]
@@ -349,7 +342,7 @@ def _round_lookup(forward, backward, key_mode: KeyMode) -> tuple[np.ndarray, tup
         [[e and rank_row(e[:1], ((0, e[1]), (1, e[2]))) for e in row] for row in rows]
         for rows in (tables.measure[QubitId.H], tables.measure[QubitId.T])
     )
-    bell = [row and rank_row(row, range(4)) for row in tables.bell]
+    bell = [row and rank_row(row, tuple(BellOutcome)) for row in tables.bell]
     # [alice label][bob label]: the bytes a message round appends to a key.
     key_bits = [[bytes(accumulate_key([], a, b, key_mode)) for b in range(4)] for a in range(4)]
 
@@ -365,13 +358,23 @@ def _round_lookup(forward, backward, key_mode: KeyMode) -> tuple[np.ndarray, tup
 
     @functools.cache
     def leaf_row(u_a, u_b, t):
-        return by_rank(bell[t], lambda k: (key_bits[u_a][k ^ u_a] + key_bits[k ^ u_b][u_b], k))
+        def entry(k):
+            alice_view, bob_view = decode(u_a, k), decode(u_b, k)
+            keys = key_bits[u_a][alice_view] + key_bits[bob_view][u_b]
+            return keys, MessageOutcome(u_b, k, alice_view, bob_view)
+
+        return by_rank(bell[t], entry)
 
     def control_row(u_a, basis, bob_bit, t):
         correlated = expected_correlation(u_a, basis) is Correlation.CORRELATED
-        return by_rank(
-            measure_h[t][basis], lambda e: ((e[0] == bob_bit) != correlated, bob_bit, e[0])
-        )
+
+        def entry(measured):
+            alice_bit = measured[0]
+            detected = (alice_bit == bob_bit) != correlated
+            verdict = ControlVerdict.EVE_DETECTED if detected else ControlVerdict.PASS
+            return detected, ControlOutcome(verdict, basis, bob_bit, alice_bit)
+
+        return by_rank(measure_h[t][basis], entry)
 
     @functools.cache
     def node(u_a, s):
@@ -381,7 +384,7 @@ def _round_lookup(forward, backward, key_mode: KeyMode) -> tuple[np.ndarray, tup
         )
         message = tuple(
             leg(t, backward, functools.partial(leaf_row, u_a, u_b))
-            for u_b, t in enumerate(tables.encode[s])
+            for u_b, t in zip(LocalUnitary, tables.encode[s])
         )
         return control, message
 
@@ -397,11 +400,12 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
 
     Rounds draw from the protocol stream described in the module docstring
     and read their outcome from the attack's nested round tables, one
-    lookup per leg. keep_records is the one switch for the raw material:
-    only with it does the session build its RoundRecords, Eve's
-    observations and the public transcript (the records' transcripts
-    followed by the key check's). Without it those stay empty; the report
-    and keys are the same either way.
+    lookup per leg; a round builds no outcome of its own. keep_records is
+    the one switch for the raw material: only with it does the session
+    build its RoundRecords, which hold the lookup's outcomes, and Eve's
+    observations, and list the public transcript (the outcomes'
+    transcripts followed by the key check's). Without it those stay empty;
+    the report and keys are the same either way.
     """
     config.validate()
     bitgen = np.random.PCG64(np.random.SeedSequence(config.seed, spawn_key=(0,)))
@@ -462,33 +466,24 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
             p += 1
             if keep_records:
                 observations.append(EveObservation(index, forward_leg, _BASES[basis], bit))
-        if control[p]:
-            control_rounds += 1
-            if half < 0:
-                basis = lo2[p + 1] >> 1
-                half = hi2[p + 1]
-                p += 2
-            else:
-                basis = half >> 1
-                half = -1
-                p += 1
-            detected, bob_bit, alice_bit = node[0][basis][rank[p]][rank[p + 1]]
+        # The 32-bit draw after the mode uniform: Bob's basis (top bit) or u_B.
+        is_control = control[p]
+        if half < 0:
+            drawn = lo2[p + 1]
+            half = hi2[p + 1]
             p += 2
-            if keep_records:
-                verdict = ControlVerdict.EVE_DETECTED if detected else ControlVerdict.PASS
-                outcome = ControlOutcome(verdict, _BASES[basis], bob_bit, alice_bit)
+        else:
+            drawn = half
+            half = -1
+            p += 1
+        if is_control:
+            control_rounds += 1
+            detected, outcome = node[0][drawn >> 1][rank[p]][rank[p + 1]]
+            p += 2
         else:
             message_rounds += 1
             detected = False
-            if half < 0:
-                u_b = lo2[p + 1]
-                half = hi2[p + 1]
-                p += 2
-            else:
-                u_b = half
-                half = -1
-                p += 1
-            leaf = node[1][u_b]
+            leaf = node[1][drawn]
             if backward:
                 if not backward_random:
                     basis = backward[0]
@@ -503,11 +498,9 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
                 p += 1
                 if keep_records:
                     observations.append(EveObservation(index, backward_leg, _BASES[basis], bit))
-            keys, k = leaf[rank[p]]
+            keys, outcome = leaf[rank[p]]
             p += 1
             joint += keys
-            if keep_records:
-                outcome = MessageOutcome(*_MESSAGE_FIELDS[u_a][u_b][k])
         if keep_records:
             records.append(RoundRecord(index, _UNITARIES[u_a], outcome))
         if detected:

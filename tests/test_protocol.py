@@ -14,10 +14,12 @@ from qdkd.protocol import (
     BasisAnnouncement,
     BellAnnouncement,
     CheckVerdict,
+    ControlOutcome,
     ControlVerdict,
     Correlation,
     KeyCheckPolicy,
     KeyMode,
+    MessageOutcome,
     ModeAnnouncement,
     ResultAnnouncement,
     RoundMode,
@@ -134,6 +136,23 @@ class TestControlRound:
         assert kinds[:3] == [ModeAnnouncement, BasisAnnouncement, ResultAnnouncement]
         assert outcome.transcript[0].mode is RoundMode.CONTROL
 
+    @pytest.mark.parametrize("bob_bit", [0, 1])
+    @pytest.mark.parametrize("basis", list(MeasBasis))
+    @pytest.mark.parametrize("verdict", list(ControlVerdict))
+    def test_transcript_pins_every_outcome(self, verdict, basis, bob_bit):
+        """The announced mode, basis and result, then Alice's notice after a
+        detection; one tuple, built on the first read and kept."""
+        outcome = ControlOutcome(verdict, basis, bob_bit, 1 - bob_bit)
+        expected = (
+            ModeAnnouncement(RoundMode.CONTROL),
+            BasisAnnouncement(basis),
+            ResultAnnouncement(bob_bit),
+        )
+        if verdict is ControlVerdict.EVE_DETECTED:
+            expected += (AbortNotice("control-round correlation mismatch"),)
+        assert outcome.transcript == expected
+        assert outcome.transcript is outcome.transcript
+
 
 class TestMessageRound:
     def test_known_table_entry_u1_u2(self):
@@ -193,6 +212,16 @@ class TestMessageRound:
         )
         assert [type(m) for m in outcome.transcript] == [ModeAnnouncement, BellAnnouncement]
         assert outcome.transcript[0].mode is RoundMode.MESSAGE
+
+    @pytest.mark.parametrize("announced", list(BellOutcome))
+    def test_transcript_pins_every_outcome(self, announced):
+        """The announced mode and Bell outcome; one tuple, built on the
+        first read and kept."""
+        u_a = LocalUnitary(announced)
+        outcome = MessageOutcome(LocalUnitary.U0, announced, LocalUnitary.U0, u_a)
+        expected = (ModeAnnouncement(RoundMode.MESSAGE), BellAnnouncement(announced))
+        assert outcome.transcript == expected
+        assert outcome.transcript is outcome.transcript
 
 
 class TestDecode:

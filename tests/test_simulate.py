@@ -246,6 +246,10 @@ class TestSessionProperties:
         [(ChannelLeg.FORWARD, 0.0), (ChannelLeg.BACKWARD, 0.5)],
     )
     def test_only_kept_sessions_build_round_objects(self, monkeypatch, leg, control_prob):
+        """The round outcomes are built with the round lookup, as many at
+        300 rounds as at 3,000, and no session builds one; keep_records
+        builds only the records and Eve's observations, and each record
+        holds an outcome of the lookup."""
         built = Counter()
         for name in ("EveObservation", "ControlOutcome", "MessageOutcome", "RoundRecord"):
 
@@ -260,7 +264,15 @@ class TestSessionProperties:
             attack=InterceptResend(leg, EveBasisPolicy.RANDOM),
             seed=0,
         )
+        per_build = []
+        for rounds in (300, 3000):
+            _round_lookup.cache_clear()
+            built.clear()
+            run_session(dataclasses.replace(config, rounds=rounds))
+            per_build.append((built["ControlOutcome"], built["MessageOutcome"]))
+        assert per_build[0] == per_build[1] and min(per_build[0]) > 0
 
+        built.clear()
         session = run_session(config)
         assert not built
         assert session.transcript == session.observations == []
@@ -271,8 +283,10 @@ class TestSessionProperties:
         )
         assert built["EveObservation"] == len(session.observations) == intercepted > 0
         assert built["RoundRecord"] == session.report.rounds_total
-        assert built["ControlOutcome"] == session.report.control_rounds
-        assert built["MessageOutcome"] == session.report.message_rounds
+        assert built["ControlOutcome"] == built["MessageOutcome"] == 0
+        root = _round_lookup(*_bases(config.attack), config.key_mode)[1]
+        held = {id(outcome) for outcome in _lookup_outcomes(root)}
+        assert all(id(record.outcome) in held for record in session.records)
 
     def test_report_only_memory_per_key_bit(self):
         # Keys are bytes and the key check builds no Python object per bit,
@@ -1102,6 +1116,26 @@ def _bell_rule(thresholds, r):
     return next((k for k, acc in enumerate(thresholds) if r < acc), 3)
 
 
+def _control_entry(detected, basis, bob_bit, alice_bit):
+    """A control round's lookup entry: the detection and the outcome."""
+    verdict = ControlVerdict.EVE_DETECTED if detected else ControlVerdict.PASS
+    return detected, ControlOutcome(verdict, basis, bob_bit, alice_bit)
+
+
+def _message_outcome(u_a, u_b, k):
+    """A message round's outcome when Alice announces Bell outcome k."""
+    return MessageOutcome(u_b, k, decode(u_a, k), decode(u_b, k))
+
+
+def _lookup_outcomes(table):
+    """Every ControlOutcome and MessageOutcome held in a nested round lookup."""
+    if isinstance(table, (ControlOutcome, MessageOutcome)):
+        yield table
+    elif isinstance(table, tuple):
+        for entry in table:
+            yield from _lookup_outcomes(entry)
+
+
 def _bases(attack):
     return eve_bases(attack, ChannelLeg.FORWARD), eve_bases(attack, ChannelLeg.BACKWARD)
 
@@ -1381,11 +1415,14 @@ class TestRoundTables:
                         alice_bit, _ = measured(measure_h[t][basis], r)
                         detected = (alice_bit == bob_bit) != correlated
                         checked += 1
-                        assert control[basis][rank][rank] == (detected, bob_bit, alice_bit)
+                        assert control[basis][rank][rank] == _control_entry(
+                            detected, basis, bob_bit, alice_bit
+                        )
                     for u_b, returned in zip(LocalUnitary, tables.encode[s]):
                         for leaf_row, t in eve(message[u_b], returned, backward, r, rank):
                             checked += 1
-                            assert leaf_row[rank][1] == _bell_rule(tables.bell[t], r)
+                            k = BellOutcome(_bell_rule(tables.bell[t], r))
+                            assert leaf_row[rank][1] == _message_outcome(u_a, u_b, k)
         assert checked > 0
 
     @pytest.mark.parametrize("count", [255, 256])
@@ -1418,7 +1455,9 @@ class TestRoundTables:
         state, decided at the word's uniform r as the protocol decides: bit
         0 iff r < p0, the first Bell outcome whose threshold exceeds r, a
         detection iff the bits' correlation differs from the expected one,
-        and the key bytes of accumulate_key. Each entry is checked at the
+        the round's ControlOutcome or MessageOutcome, and the key bytes of
+        accumulate_key. The reprs agree too, so an outcome holds enum
+        members where the protocol's do. Each entry is checked at the
         first and the last uniform of its rank, which lie next to the
         thresholds, and _decode_words gives that rank to a word of either
         uniform, whatever its 11 low bits. None sits at exactly the ranks no
@@ -1488,14 +1527,18 @@ class TestRoundTables:
                     for row, (bob_bit, t) in by_rank(control[basis], bob):
                         for entry, (alice_bit, _) in by_rank(row, measured(measure_h[t][basis])):
                             detected = (alice_bit == bob_bit) != correlated
-                            assert entry == (detected, bob_bit, alice_bit)
+                            want = _control_entry(detected, basis, bob_bit, alice_bit)
+                            assert entry == want
+                            assert repr(entry) == repr(want)
                 for u_b, returned in zip(LocalUnitary, tables.encode[s]):
                     for leaf_row, t in leg(message[u_b], returned, backward):
                         leaf_rows.setdefault((u_a, u_b, t), set()).add(id(leaf_row))
                         bell = functools.partial(_bell_rule, tables.bell[t])
-                        for (keys, k), want_k in by_rank(leaf_row, bell):
-                            assert k == want_k
+                        for (keys, outcome), k in by_rank(leaf_row, bell):
                             k = BellOutcome(k)
+                            want = _message_outcome(u_a, u_b, k)
+                            assert outcome == want
+                            assert repr(outcome) == repr(want)
                             alice = accumulate_key([], u_a, decode(u_a, k), key_mode)
                             bob = accumulate_key([], decode(u_b, k), u_b, key_mode)
                             assert keys == bytes(alice + bob)
