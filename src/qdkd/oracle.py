@@ -14,7 +14,10 @@ statistics are cached by Eve's bases on each leg, looked up after the
 attack is validated. The key check's abort probability is one coefficient
 of a power of the per-round generating function of checked positions and
 checked mismatches, taken by an exact integer recurrence that stops at the
-checked count.
+checked count. The recurrence's integer weights are cached with the
+attack's statistics, as rows by power of y; a query truncates them at its
+threshold, and the recurrence starts from a zero history, so each checked
+position is one flat pass over each row.
 
 The simulator's sessions run on the same cached tables (_round_tables), so
 checks of the simulator against the oracle test its sampling and protocol
@@ -188,13 +191,19 @@ def _message_paths(forward: tuple[MeasBasis, ...], backward: tuple[MeasBasis, ..
 
 
 @functools.cache
-def _round_statistics(forward, backward) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """(control detection probability, the error mask's probabilities by e)
-    under Eve's bases on each leg, walked once per attack.
+def _round_statistics(forward, backward) -> tuple[Fraction, tuple[Fraction, ...], tuple]:
+    """(control detection probability, the error mask's probabilities by e,
+    the key check's weights) under Eve's bases on each leg, walked once per
+    attack.
 
     A control round flags Eve when the parties' bits disagree with the
     correlation Alice's unitary and Bob's basis predict; both are uniform,
     so each path also has probability 1/4 * 1/2 of its choices.
+
+    The weights are (denom, rows), where q0, q1, q2 over denom are the
+    probabilities of 0, 1 and 2 erring label positions and rows[g - 1][j - 1]
+    lists the nonzero (t, denom^(j - 1) [y^j z^t] R) of abort_probability's
+    R for g key positions per label position, 1 <= j <= 2g.
     """
     tables = _round_tables(forward, backward)
     detection = Fraction(0)
@@ -214,7 +223,22 @@ def _round_statistics(forward, backward) -> tuple[Fraction, tuple[Fraction, ...]
     errors = [Fraction(0)] * 4
     for p, a, b, _, _, k in _message_paths(forward, backward):
         errors[k ^ a ^ b] += p
-    return detection / 8, tuple(errors)
+    q = (errors[0], errors[1] + errors[2], errors[3])
+    denom = math.lcm(*(p.denominator for p in q))
+    q0, q1, q2 = (p.numerator * (denom // p.denominator) for p in q)
+
+    def weight(g, j, t):  # denom^(j - 1) [y^j z^t] R
+        uniform = (q0 * (t == 0) + q2 * (t == j)) * math.comb(2 * g, j)
+        return denom ** (j - 1) * (uniform + q1 * math.comb(g, t) * math.comb(g, j - t))
+
+    rows = tuple(
+        tuple(
+            tuple((t, w) for t in range(j + 1) if (w := weight(g, j, t)))
+            for j in range(1, 2 * g + 1)
+        )
+        for g in (1, 2)
+    )
+    return detection / 8, tuple(errors), (denom, rows)
 
 
 def control_detection_probability(attack: AttackStrategy) -> Fraction:
@@ -270,40 +294,41 @@ def abort_probability(
 
     As R(0, z) = denom, [y^k] R^n = denom^(n - k) s_k for integer polynomials
     s_k in z, and comparing coefficients in R (R^n)' = n R' R^n gives
-    k s_k = sum_(j = 1..2g) ((n + 1) j - k) denom^(j - 1) [y^j] R s_(k - j).
-    The recurrence stops at s_m and truncates each s_k at z^min(threshold,
-    m); every division is exact.
+    k s_k = sum_(j = 1..2g) ((n + 1) j - k) denom^(j - 1) [y^j] R s_(k - j),
+    with s_0 = 1 and s_(1 - 2g) = ... = s_(-1) = 0. The recurrence stops at
+    s_m and truncates each s_k at z^min(threshold, m); every division is
+    exact. The weights denom^(j - 1) [y^j z^t] R are cached with the
+    attack's enumeration; a query flattens them, truncated, into one row of
+    (t + u, u, weight) per j, so each step is one pass over each row.
     """
     require_policy(policy)
     require_count("message_rounds", message_rounds)
     require_key_mode(key_mode)
+    denom, rows = _round_statistics(*_bases(attack))[2]
     # Validation accepts numpy integers, which would overflow in the exact
     # arithmetic below.
     n, threshold = int(message_rounds), int(policy.mismatch_threshold)
-    dist = message_error_distribution(attack)
     length = key_mode.bits_per_round * n
     m = checked_count(policy.fraction, length)
     top = min(threshold, m)  # the most mismatches the check accepts
     g = 2 if key_mode is KeyMode.COMBINED else 1
-    q = (dist[0], dist[1] + dist[2], dist[3])
-    denom = math.lcm(*(p.denominator for p in q))
-    q0, q1, q2 = (p.numerator * (denom // p.denominator) for p in q)
-    # r[j][t] = denom^(j - 1) [y^j z^t] R for 1 <= j <= 2g and t <= min(j, top).
-    r = {j: [] for j in range(1, 2 * g + 1)}
-    for j, row in r.items():
-        for t in range(min(j, top) + 1):
-            uniform = (q0 * (t == 0) + q2 * (t == j)) * math.comb(2 * g, j)
-            row.append(denom ** (j - 1) * (uniform + q1 * math.comb(g, t) * math.comb(g, j - t)))
-    recent = deque([[1] + [0] * top], maxlen=2 * g)  # s_(k - 2g), ..., s_(k - 1)
+    # By j = 1..2g: ((n + 1) j, -j, the terms adding w * s_(k - j)[u] to s_k[t + u]).
+    steps = [
+        ((n + 1) * j, -j, [(t + u, u, w) for t, w in row if t <= top for u in range(top + 1 - t)])
+        for j, row in enumerate(rows[g - 1], 1)
+    ]
+    zero = [0] * (top + 1)
+    # s_(k - 2g), ..., s_(k - 1), starting from the zero history before s_0 = 1.
+    recent = deque([zero] * (2 * g - 1) + [[1] + zero[1:]], maxlen=2 * g)
     for k in range(1, m + 1):
-        s = [0] * (top + 1)
-        for j in range(1, min(k, 2 * g) + 1):
-            c, prev = (n + 1) * j - k, recent[-j]
-            for t, a in enumerate(r[j]):
-                for u in range(top + 1 - t):
-                    s[t + u] += c * a * prev[u]
+        s = zero.copy()
+        for base, back, terms in steps:
+            c, prev = base - k, recent[back]
+            for v, u, w in terms:
+                s[v] += c * w * prev[u]
         recent.append([v // k for v in s])
-    return 1 - Fraction(sum(recent[-1]), denom**m * math.comb(length, m))
+    total = denom**m * math.comb(length, m)
+    return Fraction(total - sum(recent[-1]), total)
 
 
 def eve_resolved_bits(attack: AttackStrategy, key_mode: KeyMode = KeyMode.COMBINED) -> Fraction:

@@ -251,7 +251,9 @@ def require_probability(name: str, value) -> None:
     """Raise ConfigError unless value is a real number in [0, 1]; bools are refused."""
     if type(value) is float and 0 <= value <= 1:
         return
-    if not isinstance(value, numbers.Real) or isinstance(value, bool) or not 0 <= value <= 1:
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be a real number (not a bool), got {value!r}")
+    if not 0 <= value <= 1:
         raise ConfigError(f"{name} must lie in [0, 1], got {value!r}")
 
 

@@ -4,6 +4,7 @@ probability."""
 
 import itertools
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -362,11 +363,28 @@ class TestTruncatedPower:
         pytest.param(BACKWARD_R, KeyMode.COMBINED, 40, 0.1, 50, 0, id="threshold-above-m"),
         pytest.param(NoAttack(), KeyMode.COMBINED, 60, 0.3, 0, 0, id="no-attack"),
         pytest.param(NoAttack(), KeyMode.SINGLE_ALICE, 60, 1.0, 2, 0, id="no-attack-full-check"),
+        pytest.param(
+            BACKWARD_R, KeyMode.COMBINED, 30, 0.5, 9,
+            Fraction(
+                48995214020592882494711845231019811953753, 52156595497157083376271819573034269802496
+            ),
+            id="threshold-above-2g-combined",
+        ),
+        pytest.param(
+            BACKWARD_R, KeyMode.SINGLE_ALICE, 50, 0.3, 5,
+            Fraction(119689141239467236275799, 147546577927984650387456),
+            id="threshold-above-2g-single",
+        ),
+        # One round, 2 of its 4 positions checked: it errs with probability
+        # 1/2, in 2 positions, and then both checked ones match in 1 of 6 pairs.
+        pytest.param(BACKWARD_R, KeyMode.COMBINED, 1, 0.5, 0, Fraction(5, 12), id="m-below-2g"),
     ])
     def test_edges_equal_direct_sum(self, attack, key_mode, rounds, fraction, threshold, want):
         """n = 0, a full check (m = L), a threshold at or above m and an
         attack-free round (q1 = q2 = 0) each leave the recurrence nothing or
-        everything to truncate."""
+        everything to truncate; a threshold above 2g, with m above it, keeps
+        every weight and truncates only the products, at z^threshold, and
+        m < 2g reads the zero history before s_0."""
         dist = message_error_distribution(attack)
         policy = KeyCheckPolicy(fraction, threshold)
         got = abort_probability(attack, policy, rounds, key_mode)
@@ -415,6 +433,11 @@ class TestRoundStatisticsCache:
         oracle._round_statistics.cache_clear()
         exact_oracle(InterceptResend(ChannelLeg.BACKWARD, EveBasisPolicy.Z))
         abort_probability(InterceptResend(ChannelLeg.BACKWARD), KeyCheckPolicy(0.1, 0), 10)
+        # The key check's weights come from the same entry in every key mode.
+        for key_mode in KeyMode:
+            for threshold in (0, 3):
+                policy = KeyCheckPolicy(0.1, threshold)
+                abort_probability(InterceptResend(ChannelLeg.BACKWARD), policy, 10, key_mode)
         message_error_distribution(InterceptResend(ChannelLeg.BACKWARD, EveBasisPolicy.Z))
         control_detection_probability(InterceptResend(ChannelLeg.BACKWARD))
         info = oracle._round_statistics.cache_info()
@@ -487,10 +510,15 @@ class TestAbortValidation:
         (KeyCheckPolicy(0.1, 0.5), 10),
         (KeyCheckPolicy(0.1, False), 10),
         (KeyCheckPolicy(True, 0), 10),
+        (KeyCheckPolicy(Decimal("0.1"), 0), 10),
+        (KeyCheckPolicy(np.True_, 0), 10),
     ])
     def test_bad_queries_rejected(self, policy, rounds):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError) as raised:
             abort_probability(BACKWARD_Z, policy, rounds)
+        if isinstance(policy.fraction, (Decimal, np.bool_)):
+            # Refused for its type, which lies in [0, 1].
+            assert "check_fraction must be a real number (not a bool)" in str(raised.value)
 
     @pytest.mark.parametrize("attack", [
         InterceptResend("forward"),

@@ -581,11 +581,18 @@ class TestValidation:
             {"rounds": 10, "check_fraction": False},
             {"rounds": 10, "control_prob": float("nan")},
             {"rounds": 10, "check_fraction": float("inf")},
+            {"rounds": 10, "control_prob": Decimal("0.1")},
+            {"rounds": 10, "check_fraction": Decimal("0.1")},
+            {"rounds": 10, "control_prob": np.True_},
+            {"rounds": 10, "check_fraction": np.True_},
         ],
     )
     def test_bad_configs_rejected(self, kwargs):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError) as raised:
             run_simulation(SimConfig(**kwargs))
+        if any(isinstance(value, (Decimal, np.bool_)) for value in kwargs.values()):
+            # Refused for its type, which lies in [0, 1].
+            assert "must be a real number (not a bool)" in str(raised.value)
 
     def test_numpy_scalars_accepted(self):
         attack = InterceptResend(ChannelLeg.FORWARD, EveBasisPolicy.RANDOM)
