@@ -7,8 +7,9 @@ channel leg, and quantifies detection probability, key error rates, and key
 capacity against an exact enumeration oracle.
 
 Sessions walk round tables that qdkd.oracle builds in exact integer
-arithmetic; the float kernels (qdkd._kernels_py, wrapped in qdkd.quantum's
-TwoQubitState) are the physics reference the tests check them against.
+arithmetic. The names below are the README's API list, which a test pins.
+The float physics reference the tests check the tables against
+(qdkd._kernels_py, TwoQubitState, the scalar rounds) stays in its modules.
 """
 
 from .adversary import (
@@ -18,15 +19,9 @@ from .adversary import (
     EveObservation,
     InterceptResend,
     NoAttack,
-    apply_attack,
     eve_bases,
 )
-from .errors import (
-    ConfigError,
-    DegenerateBranchError,
-    ProtocolError,
-    QdkdError,
-)
+from .errors import ConfigError, ProtocolError, QdkdError
 from .oracle import (
     OracleResult,
     abort_probability,
@@ -46,28 +41,11 @@ from .protocol import (
     KeyMode,
     RoundMode,
     accumulate_key,
-    alice_prepare,
-    bob_choose_mode,
     decode,
     expected_correlation,
     key_check,
-    run_control_round,
-    run_message_round,
 )
-from .quantum import (
-    BellOutcome,
-    LocalUnitary,
-    MeasBasis,
-    QubitId,
-    TwoQubitState,
-    apply_local,
-    bell_state,
-    measure_bell,
-    measure_qubit,
-    prob_bell,
-    prob_qubit,
-    states_equal_up_to_phase,
-)
+from .quantum import BellOutcome, LocalUnitary, MeasBasis
 from .simulate import (
     RoundRecord,
     SessionResult,
@@ -75,7 +53,6 @@ from .simulate import (
     SimulationReport,
     derive_seed,
     parse_report,
-    render_unitary_table,
     run_batch,
     run_session,
     run_simulation,

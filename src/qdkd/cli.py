@@ -31,6 +31,8 @@ ABORT_EXIT = 2
 # mismatch mask is k ^ a ^ b from either side, so both print the same report
 # and abort probability; the CLI offers one of them.
 _KEY_MODES = {"combined": KeyMode.COMBINED, "single": KeyMode.SINGLE_ALICE}
+# The library's defaults, which the flags' defaults are read from.
+_DEFAULTS = {f.name: f.default for cls in (SimConfig, InterceptResend) for f in fields(cls)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -51,8 +53,8 @@ def _add_attack_flags(parser):
     parser.add_argument(
         "--eve-basis",
         choices=["z", "x", "random"],
-        default="z",
-        help="basis policy of the intercept-resend measurement (default z)",
+        default=_DEFAULTS["basis_policy"].value,
+        help="basis policy of the intercept-resend measurement (default %(default)s)",
     )
 
 
@@ -64,13 +66,16 @@ def _add_key_flags(parser):
         help="keep both parties' bits (combined, default) or one party's (single)",
     )
     parser.add_argument(
-        "--check-fraction", type=float, default=0.1, help="key fraction compared publicly"
+        "--check-fraction",
+        type=float,
+        default=_DEFAULTS["check_fraction"],
+        help="key fraction compared publicly (default %(default)s)",
     )
     parser.add_argument(
         "--mismatch-threshold",
         type=int,
-        default=0,
-        help="mismatches the key check tolerates before aborting (default 0)",
+        default=_DEFAULTS["mismatch_threshold"],
+        help="mismatches the key check tolerates before aborting (default %(default)s)",
     )
 
 
@@ -88,11 +93,16 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run a seeded protocol session")
     run.add_argument("--rounds", type=int, default=1000, help="protocol rounds (default 1000)")
     run.add_argument(
-        "--control-prob", type=float, default=0.5, help="per-round control-mode probability"
+        "--control-prob",
+        type=float,
+        default=_DEFAULTS["control_prob"],
+        help="per-round control-mode probability (default %(default)s)",
     )
     _add_key_flags(run)
     _add_attack_flags(run)
-    run.add_argument("--seed", type=int, default=0)
+    run.add_argument(
+        "--seed", type=int, default=_DEFAULTS["seed"], help="session seed (default %(default)s)"
+    )
     run.add_argument("--format", choices=["json", "csv"], default="json")
     run.add_argument("--out", metavar="PATH", default=None, help="write the report to a file")
 

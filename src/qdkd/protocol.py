@@ -17,6 +17,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 
 import numpy as np
 
@@ -248,24 +249,28 @@ def is_int(value) -> bool:
 
 
 def require_probability(name: str, value) -> None:
-    """Raise ConfigError unless value is a real number in [0, 1]; bools are refused."""
+    """Raise ConfigError unless value is a real in [0, 1] with an exact value, not a bool."""
     if type(value) is float and 0 <= value <= 1:
         return
     if not isinstance(value, numbers.Real) or isinstance(value, bool):
         raise ConfigError(f"{name} must be a real number (not a bool), got {value!r}")
     if not 0 <= value <= 1:
         raise ConfigError(f"{name} must lie in [0, 1], got {value!r}")
+    try:
+        exact_real(value)
+    except (AttributeError, TypeError, ValueError):
+        raise ConfigError(f"{name} must have an exact value, got {value!r}") from None
 
 
 def exact_real(value):
-    """value, with a numpy float16, float32 or integer replaced by its Python
-    float or int, which is exact.
-
-    In a comparison with a double or a product with an int, such a value
-    computes in its own type under numpy 2 (NEP 50), where it rounds or
-    overflows; its Python value decides as the exact value does.
-    """
-    return value.item() if isinstance(value, (np.float16, np.float32, np.integer)) else value
+    """The exact value of a real number: an int, float or Fraction as it is,
+    a numpy integer as an int, and any other real (a numpy float32 or
+    longdouble, say) as the Fraction of its as_integer_ratio(). A numpy
+    scalar's own product with a key length rounds or overflows, and under
+    numpy 2 (NEP 50) so does a float32's comparison with a double."""
+    if isinstance(value, (int, float, Fraction)):
+        return value
+    return int(value) if isinstance(value, np.integer) else Fraction(*value.as_integer_ratio())
 
 
 def require_count(name: str, value) -> None:

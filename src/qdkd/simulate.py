@@ -49,9 +49,8 @@ rank is the number of the sorted distinct ceilings (the edges) of the
 attack's exact thresholds that are at or below k, so r lies below a
 threshold exactly when the rank is at most the index of its edge. The
 control flag is k < ceil(control_prob * 2**53), exact at control_prob 0 and
-1 too; a control_prob of another real type keeps the edge its own
-comparison with the uniforms draws, except that a numpy float16, float32 or
-integer is compared as its exact value.
+1 too; a control_prob of any real type, numpy's included, is compared as
+its exact value.
 
 Once a round's words are read, its outcome depends only on its draws. So
 _round_lookup unrolls the automaton's tables once per attack and key mode
@@ -72,7 +71,6 @@ import functools
 import io
 import json
 import math
-import numbers
 import operator
 from dataclasses import dataclass, field, fields, replace
 
@@ -252,23 +250,10 @@ _U3, _U11, _U30, _U62 = (np.uint64(n) for n in (3, 11, 30, 62))
 
 def _edge(t) -> int:
     """The number of stream uniforms r = k * 2**-53 (0 <= k < 2**53) with
-    r < t, for t in [0, 1]: a word's uniform lies below t exactly when its k
-    lies below the edge. For a float or rational t (a numpy float16,
-    float32 or integer counts as its Python value, see exact_real), such as
-    a round table's Fraction threshold, it is ceil(t * 2**53), which is
-    exact. Another real type decides r < t by its own rules, so its edge is
-    found by bisection over that comparison."""
-    t = exact_real(t)
-    if isinstance(t, (float, numbers.Rational)):
-        return math.ceil(t * 2**53)
-    low, high = 0, 2**53
-    while low < high:
-        mid = (low + high) // 2
-        if mid * 2.0**-53 < t:
-            low = mid + 1
-        else:
-            high = mid
-    return low
+    r < t, for a real t in [0, 1] (a round table's threshold or control_prob):
+    a word's uniform lies below t exactly when its k lies below the edge,
+    ceil(t * 2**53) for t's exact value (see exact_real)."""
+    return math.ceil(exact_real(t) * 2**53)
 
 
 def _decode_words(words, edges, control_edge) -> tuple[bytes, bytes, bytes, bytes]:
@@ -619,10 +604,12 @@ def serialize_report(report: SimulationReport, fmt: str = "json") -> bytes:
 def parse_report(data: bytes) -> SimulationReport:
     """Inverse of serialize_report for the JSON format.
 
-    Every field must be present and hold its annotated type: a count is an
-    int (not a bool), a rate a float, aborted a bool and abort_cause None or
-    a str.
+    data is bytes or a bytearray. Every field must be present and hold its
+    annotated type: a count is an int (not a bool), a rate a float, aborted a
+    bool and abort_cause None or a str.
     """
+    if not isinstance(data, (bytes, bytearray)):
+        raise ConfigError(f"report must be bytes, got {type(data).__name__}")
     try:
         raw = json.loads(data.decode())
     except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError are ValueErrors

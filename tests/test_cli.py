@@ -12,7 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdkd import KeyCheckPolicy, abort_probability, cli
+from qdkd import (
+    KeyCheckPolicy,
+    SimConfig,
+    abort_probability,
+    cli,
+    run_simulation,
+    serialize_report,
+)
 from qdkd.adversary import ChannelLeg, EveBasisPolicy, InterceptResend
 from qdkd.cli import _scientific, build_parser
 
@@ -54,6 +61,15 @@ class TestRun:
         )
         assert code == 2
         assert json.loads(out)["abort_cause"] == "key-check-mismatch"
+
+    @pytest.mark.parametrize("attack,config", [
+        ([], SimConfig(rounds=300)),
+        (["--attack", "backward-ir"], SimConfig(300, attack=InterceptResend(ChannelLeg.BACKWARD))),
+    ])
+    def test_defaults_are_the_library_defaults(self, attack, config, capsys):
+        """Every flag left out takes SimConfig's or InterceptResend's default."""
+        code, out = run_main(capsys, "run", "--rounds", "300", *attack)
+        assert out.encode() == serialize_report(run_simulation(config))
 
     def test_csv_format(self, capsys):
         code, out = run_main(capsys, "run", "--rounds", "50", "--seed", "1", "--format", "csv")

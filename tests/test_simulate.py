@@ -8,6 +8,7 @@ import io
 import inspect
 import math
 import json
+import numbers
 import tracemalloc
 import types
 from collections import Counter
@@ -85,6 +86,18 @@ FORWARD_Z = InterceptResend(ChannelLeg.FORWARD, EveBasisPolicy.Z)
 ALL_ATTACKS = [NoAttack()] + [
     InterceptResend(leg, policy) for leg in ChannelLeg for policy in EveBasisPolicy
 ]
+
+
+@numbers.Real.register
+class _NoExactValue:
+    """A real number in [0, 1], by registration, with no as_integer_ratio()
+    and so no exact value to compute with."""
+
+    def __ge__(self, other):
+        return 0.5 >= other
+
+    def __le__(self, other):
+        return 0.5 <= other
 
 
 def _keys_from_records(records, key_mode):
@@ -585,6 +598,7 @@ class TestValidation:
             {"rounds": 10, "check_fraction": Decimal("0.1")},
             {"rounds": 10, "control_prob": np.True_},
             {"rounds": 10, "check_fraction": np.True_},
+            {"rounds": 10, "control_prob": _NoExactValue()},
         ],
     )
     def test_bad_configs_rejected(self, kwargs):
@@ -644,6 +658,14 @@ class TestValidation:
         narrow, exact = (KeyCheckPolicy(f) for f in (np.float16(0.001), float(np.float16(0.001))))
         assert abort_probability(BACKWARD_Z, narrow, 20000) == abort_probability(
             BACKWARD_Z, exact, 20000
+        )
+        # 1/3 as a longdouble lies above 1/3, so 12 key bits check 5; the
+        # longdouble product with 12 rounds to 4.0.
+        third = np.longdouble(1) / 3
+        exact_third = Fraction(*third.as_integer_ratio())
+        assert report(3, third) == report(3, exact_third)
+        assert abort_probability(BACKWARD_Z, KeyCheckPolicy(third), 3) == abort_probability(
+            BACKWARD_Z, KeyCheckPolicy(exact_third), 3
         )
 
 
@@ -734,6 +756,7 @@ class TestSerialization:
     def test_json_roundtrip(self):
         report = run_simulation(SimConfig(rounds=200, seed=6))
         assert parse_report(serialize_report(report, "json")) == report
+        assert parse_report(bytearray(serialize_report(report, "json"))) == report
 
     def test_csv_columns_match_json_keys(self):
         report = run_simulation(SimConfig(rounds=50, seed=6))
@@ -776,6 +799,8 @@ class TestSerialization:
             _bad_report(aborted=0),
             _bad_report(abort_cause=7),
             _bad_report(abort_cause=False),
+            "{}",
+            None,
         ],
     )
     def test_malformed_report_rejected(self, data):
@@ -1047,7 +1072,7 @@ class TestSessionStream:
         comparison, which for an exact type means at ceil(value * 2**53). A
         numpy float16, float32 or integer is compared as its Python value,
         which is its exact value, on every numpy version. A numpy longdouble
-        keeps its own type, so its edge is found by bisection."""
+        is compared as the Fraction of its as_integer_ratio()."""
         narrow = (np.integer, np.float16, np.float32)
         exact = value.item() if isinstance(value, narrow) else value
         edge = _edge(value)
