@@ -286,7 +286,13 @@ def require_key_mode(value) -> None:
 
 
 def checked_count(fraction: float, length: int) -> int:
-    """Number of key positions publicly compared: ceil(exact_real(fraction) * length)."""
+    """Number of key positions publicly compared: ceil(exact_real(fraction) * length).
+
+    A float, numpy's float64 included, multiplies as a double, so the product
+    is rounded before the ceiling: 0.1 checks 160 of 1600 positions. Any
+    other real multiplies as its exact value: Fraction(1, 10) checks 160,
+    but Fraction(0.1) and np.float32(0.1), a little above 1/10, check 161.
+    """
     return math.ceil(exact_real(fraction) * length)
 
 
@@ -341,17 +347,22 @@ def key_check(alice_key, bob_key, policy: KeyCheckPolicy, public_rng) -> KeyChec
 
     The sample is the prefix of a public random permutation, so a larger
     fraction always checks a superset of positions (abort monotonicity).
-    The permutation is public_rng.shuffle of a uint32 arange (int64 beyond
-    2**32 positions), which is the order public_rng.permutation(length)
-    gives, in half its memory. Checked positions are removed from both final
-    keys. A policy that is not a valid KeyCheckPolicy, or a key that is not
-    a 1-D sequence of 0/1 values, raises ConfigError before anything is
-    compared.
+    The permutation is public_rng.permutation(length), which takes 8 bytes
+    per key bit while the check runs. Checked positions are removed from
+    both final keys. A policy that is not a valid KeyCheckPolicy, or a key
+    that is not a 1-D sequence of 0/1 values, raises ConfigError before
+    anything is compared.
     """
     require_policy(policy)
     alice, bob = _key_bits("alice_key", alice_key), _key_bits("bob_key", bob_key)
     if len(alice) != len(bob):
         raise ProtocolError(f"key length mismatch: {len(alice)} vs {len(bob)} (transcript desync)")
+    return _check_keys(alice, bob, policy, public_rng)
+
+
+def _check_keys(alice, bob, policy: KeyCheckPolicy, public_rng) -> KeyCheckResult:
+    """key_check of two equal-length uint8 arrays of 0/1 bits under a valid
+    policy, none of which it checks again."""
     length = len(alice)
     picked = _checked_positions(length, checked_count(policy.fraction, length), public_rng)
     alice_sample, bob_sample = alice[picked], bob[picked]
@@ -373,14 +384,13 @@ def key_check(alice_key, bob_key, policy: KeyCheckPolicy, public_rng) -> KeyChec
 
 
 def _checked_positions(length: int, m: int, public_rng) -> np.ndarray:
-    """The sorted first m entries of the public permutation, read-only. The
-    full permutation is freed on return."""
+    """The sorted first m entries of public_rng.permutation(length),
+    read-only. The full permutation, 8 bytes per position, is freed on
+    return."""
     if m > 0:
-        order = np.arange(length, dtype=np.uint32 if length <= 2**32 else np.int64)
-        public_rng.shuffle(order)
-        picked = np.sort(order[:m])
+        picked = np.sort(public_rng.permutation(length)[:m])
     else:
-        picked = np.zeros(0, dtype=np.uint32)
+        picked = np.zeros(0, dtype=np.int64)
     picked.flags.writeable = False
     return picked
 

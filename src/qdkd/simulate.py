@@ -9,9 +9,9 @@ once at the end.
 
 The two streams are the children of SeedSequence(seed).spawn(2), built
 directly as SeedSequence(seed, spawn_key=(i,)); the second is built only
-when the key check runs, which shuffles a uint32 arange with
-default_rng(second child): the order default_rng(second child).permutation
-gives.
+when the key check runs, which checks a prefix of
+default_rng(second child).permutation(length), 8 bytes per key bit while
+the check runs.
 The rounds read the raw 64-bit words of PCG64(first child) in order:
 
 - a 32-bit draw takes the low half of a fresh word, and the next 32-bit draw
@@ -96,12 +96,12 @@ from .protocol import (
     KeyMode,
     LocalUnitary,
     MessageOutcome,
+    _check_keys,
     accumulate_key,
     decode,
     exact_real,
     expected_correlation,
     is_int,
-    key_check,
     require_count,
     require_key_mode,
     require_policy,
@@ -405,9 +405,7 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
     observations: list[EveObservation] = []
     # Each message round appends Alice's key bytes, then Bob's.
     joint = bytearray()
-    control_rounds = message_rounds = detections = 0
     aborted = False
-    abort_cause = None
     # The decoded stream: p is the next fresh word, half the buffered 2-bit
     # value of the high half of the last opened word (-1 if none). A 32-bit
     # draw opens word p (lo2[p], buffering hi2[p]) or takes half; a uniform
@@ -462,12 +460,14 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
             half = -1
             p += 1
         if is_control:
-            control_rounds += 1
             detected, outcome = node[0][drawn >> 1][rank[p]][rank[p + 1]]
             p += 2
+            if detected:
+                aborted = True
+                if keep_records:
+                    records.append(RoundRecord(index, _UNITARIES[u_a], outcome))
+                break
         else:
-            message_rounds += 1
-            detected = False
             leaf = node[1][drawn]
             if backward:
                 if not backward_random:
@@ -488,14 +488,14 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
             joint += keys
         if keep_records:
             records.append(RoundRecord(index, _UNITARIES[u_a], outcome))
-        if detected:
-            detections += 1
-            aborted = True
-            abort_cause = ABORT_CONTROL
-            break
 
-    # One item of key_dtype per party and round, Alice's first.
+    # A detection ends the session at round index; it is the only one.
+    detections = int(aborted)
+    abort_cause = ABORT_CONTROL if aborted else None
+    # One item of key_dtype per party and message round, Alice's first.
     pairs = np.frombuffer(joint, key_dtype).reshape(-1, 2)
+    message_rounds = len(pairs)
+    control_rounds = (index + 1 if aborted else config.rounds) - message_rounds
     alice_pre, bob_pre = pairs[:, 0].tobytes(), pairs[:, 1].tobytes()
     del joint, pairs  # freed before the key check, whose memory peaks
     overall, amp_rate, phase_rate = _error_rates(alice_pre, bob_pre)
@@ -508,7 +508,8 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
     if not aborted:
         policy = KeyCheckPolicy(config.check_fraction, config.mismatch_threshold)
         check_ss = np.random.SeedSequence(config.seed, spawn_key=(1,))
-        check = key_check(alice_pre, bob_pre, policy, np.random.default_rng(check_ss))
+        alice_bits, bob_bits = (np.frombuffer(key, np.uint8) for key in (alice_pre, bob_pre))
+        check = _check_keys(alice_bits, bob_bits, policy, np.random.default_rng(check_ss))
         if keep_records:
             transcript += check.transcript
         checked = len(check.positions)

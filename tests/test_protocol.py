@@ -1,6 +1,7 @@
 """Protocol-layer tests: correlation table, round flows, key material."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from qdkd.protocol import (
     accumulate_key,
     alice_prepare,
     bob_choose_mode,
+    checked_count,
     decode,
     expected_correlation,
     key_check,
@@ -413,12 +415,26 @@ class TestKeyCheckArrays:
 
     @pytest.mark.parametrize("length", [1, 2, 3, 255, 256, 65535, 65536, 65537, 100003])
     @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
-    def test_uint32_shuffle_is_the_permutation(self, length, seed):
-        # key_check shuffles a uint32 arange in place of permutation(length).
-        order = np.arange(length, dtype=np.uint32)
-        np.random.default_rng(seed).shuffle(order)
-        permutation = np.random.default_rng(seed).permutation(length)
-        assert np.array_equal(order, permutation)
+    def test_positions_are_the_permutation_prefix(self, length, seed):
         result = key_check(bytes(length), bytes(length), KeyCheckPolicy(0.3), np.random.default_rng(seed))
         m = math.ceil(0.3 * length)
+        permutation = np.random.default_rng(seed).permutation(length)
         assert np.array_equal(result.positions, np.sort(permutation[:m]))
+
+
+@pytest.mark.parametrize(
+    "fraction, count",
+    [
+        (0.1, 160),
+        (np.float64(0.1), 160),
+        (Fraction(1, 10), 160),
+        (Fraction(0.1), 161),
+        (np.float32(0.1), 161),
+    ],
+    ids=["float", "float64", "Fraction-1/10", "Fraction-of-float", "float32"],
+)
+def test_checked_count_rounds_a_float_product_and_no_other(fraction, count):
+    # A float's product with the length is a rounded double; any other real's is exact.
+    assert checked_count(fraction, 1600) == count
+    result = key_check(bytes(1600), bytes(1600), KeyCheckPolicy(fraction), np.random.default_rng(0))
+    assert len(result.positions) == count
