@@ -20,9 +20,10 @@ from fractions import Fraction
 
 from .adversary import ChannelLeg, EveBasisPolicy, InterceptResend, NoAttack
 from .errors import ConfigError
-from .oracle import OracleResult, abort_probability, exact_oracle
+from .oracle import OracleResult, abort_probability, exact_oracle, unitary_outcome_table
 from .protocol import KeyCheckPolicy, KeyMode, require_policy
-from .simulate import SimConfig, render_unitary_table, run_simulation, serialize_report
+from .quantum import LocalUnitary
+from .simulate import SimConfig, run_simulation, serialize_report
 
 USAGE_ERROR = 1
 ABORT_EXIT = 2
@@ -186,6 +187,15 @@ def _cmd_oracle(args) -> int:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
     return 0
+
+
+def render_unitary_table() -> str:
+    """Human-readable rendering of the outcome table."""
+    labels = ["u%d (%d%d)" % (u, *u.bits) for u in LocalUnitary]
+    rows = [["", *labels]]
+    for label, row in zip(labels, unitary_outcome_table()):
+        rows.append([label, *(outcome.symbol for outcome in row)])
+    return "\n".join("  ".join(f"{cell:>8}" for cell in cells) for cells in rows)
 
 
 def main(argv=None) -> int:

@@ -45,10 +45,6 @@ class LocalUnitary(IntEnum):
     U3 = 3
 
     @property
-    def label(self) -> int:
-        return int(self)
-
-    @property
     def bits(self) -> tuple[int, int]:
         """(amplitude bit, phase bit): the one split of a label into key bits."""
         return (self >> 1) & 1, self & 1

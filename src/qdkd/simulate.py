@@ -5,7 +5,8 @@ A session is fully determined by its SimConfig (including the seed): the
 protocol stream and the public key-check stream are both derived from it, so
 identical configs produce byte-identical serialized reports. A control-round
 detection aborts the session immediately; otherwise the public key check runs
-once at the end.
+once at the end. This docstring is the specification of the protocol stream;
+README "Reproducibility" states what it guarantees a user.
 
 The two streams are the children of SeedSequence(seed).spawn(2), built
 directly as SeedSequence(seed, spawn_key=(i,)); the second is built only
@@ -33,14 +34,17 @@ first outcome whose exact cumulative probability exceeds its uniform. So a
 session equals the scalar round functions of qdkd.protocol and
 qdkd.adversary driven by default_rng(first child), which decide with the
 float kernels, except at the uniforms 0.5 - 2**-53, 0.5 and 0.5 + 2**-53:
-there the kernels' thresholds for an exact 1/2 are off by an ulp or two.
+there the kernels' thresholds for an exact 1/2 are 0.4999999999999999,
+0.5000000000000001 or 0.5000000000000002, so a draw decides differently
+with probability at most 2**-52.
 
 The rounds decide from tables of the round automaton that qdkd.oracle builds
-in exact integer arithmetic: the 12 to 20 states a session can reach under
-one attack, with each state's probabilities and successors precomputed.
+in exact integer arithmetic, and whose statistics the oracle walks too: the
+12 to 20 states a session can reach under one attack, interned up to scale
+and sign, with each state's probabilities and successors precomputed.
 run_session draws the words in chunks that double from 64 to 4096 and
 decodes each chunk once with numpy into four bytes objects, one byte per
-word: the top 2 bits of the low half, the top 2 bits of the high half, the
+word: lo2 and hi2, the top 2 bits of the low and of the high half, the
 word's rank and its control flag. The decode rests on one exact rule. A
 word's uniform is r = k * 2**-53 with k = word >> 11, and for every double
 or Fraction t in [0, 1], r < t holds exactly when k < ceil(t * 2**53): k is
@@ -50,20 +54,11 @@ attack's exact thresholds that are at or below k, so r lies below a
 threshold exactly when the rank is at most the index of its edge. The
 control flag is k < ceil(control_prob * 2**53), exact at control_prob 0 and
 1 too; a control_prob of any real type, numpy's included, is compared as
-its exact value.
+its exact value, so it decides the same on numpy 1.x and 2.
 
-Once a round's words are read, its outcome depends only on its draws. So
-_round_lookup unrolls the automaton's tables once per attack and key mode
-into nested tables indexed by the draws in stream order: u_A, Eve's forward
-basis and rank, then for a control round Bob's basis and the two ranks,
-which give the detection and the round's ControlOutcome, and for a message
-round u_B, Eve's backward basis and rank and the Bell rank, which give both
-parties' key bytes and the round's MessageOutcome. The loop then makes one
-lookup per leg, keeping the index of the next fresh word and the buffered
-high half's 2-bit value, and makes no float comparison. A branch of
-probability 0 lies behind a threshold of exactly 0 or 1, which no uniform
-in [0, 1) selects: its entries sit at a rank no word has and hold None, so
-the loop needs no check of its own.
+Once a round's words are read, its outcome depends only on its draws, so
+the loop reads each round from the nested tables of _round_lookup, one
+lookup per leg, and makes no float comparison.
 """
 
 import csv
@@ -107,7 +102,7 @@ from .protocol import (
     require_policy,
     require_probability,
 )
-from .oracle import _round_tables, unitary_outcome_table
+from .oracle import _round_tables
 from .quantum import MeasBasis, QubitId
 
 
@@ -222,21 +217,18 @@ def _wilson_low(successes: int, trials: int) -> float:
     return (successes + z2 / 2 - spread) / (trials + z2)
 
 
-def _error_rates(alice_key, bob_key) -> tuple[float, float, float]:
+def _error_rates(alice_bits, bob_bits) -> tuple[float, float, float]:
     """(overall, amplitude-position, phase-position) mismatch frequencies of
-    two equal-length bytes-like keys."""
-    n = len(alice_key)
+    two equal-length uint8 keys. A key holds 2 or 4 bits per message round,
+    so a non-empty key has both positions."""
+    n = len(alice_bits)
     if n == 0:
         return 0.0, 0.0, 0.0
-    differs = np.frombuffer(alice_key, dtype=np.uint8) != np.frombuffer(bob_key, dtype=np.uint8)
+    differs = alice_bits != bob_bits
     amp = int(np.count_nonzero(differs[0::2]))
     phase = int(np.count_nonzero(differs[1::2]))
     half = n // 2
-    return (
-        (amp + phase) / n,
-        amp / half if half else 0.0,
-        phase / half if half else 0.0,
-    )
+    return (amp + phase) / n, amp / half, phase / half
 
 
 # --- The protocol stream and the round automaton ---
@@ -257,9 +249,9 @@ def _edge(t) -> int:
 
 
 def _decode_words(words, edges, control_edge) -> tuple[bytes, bytes, bytes, bytes]:
-    """(lo2, hi2, rank, control) of raw 64-bit words, one byte per word: the
-    top 2 bits of the low half, the top 2 bits of the high half, the number
-    of edges at or below k = word >> 11, and whether k < control_edge."""
+    """The decode of raw 64-bit words that the module docstring describes:
+    (lo2, hi2, rank, control), one byte per word, against the given edges
+    and control edge."""
     k = words >> _U11
     return (
         ((words >> _U30) & _U3).astype(np.uint8).tobytes(),
@@ -288,16 +280,15 @@ def _round_lookup(forward, backward, key_mode: KeyMode) -> tuple[np.ndarray, tup
     - leaf_row[rank] = (Alice's key bytes + Bob's key bytes, MessageOutcome).
 
     edges holds the sorted distinct _edge of the round tables' thresholds
-    (each p0 and Bell threshold), and a word's rank is the number of edges
-    at or below its k. The rank rule: a word's uniform lies below a
-    threshold t exactly when its rank is at most the index of _edge(t) in
-    edges. Each table entry at each rank, its outcome object included, is
-    made once per build. A rank no word has, below an edge 0 or at an
-    edge 2**53 (behind a threshold of exactly 0 or 1), holds None, as does
-    a basis Eve never uses. Nodes are shared by (u_A, state) and leaf rows
-    by (u_A, u_B, state), so the size grows as states times ranks. The key
-    dtype holds one party's key bytes of a round, so a view of the joint
-    keys in it alternates Alice's and Bob's.
+    (each p0 and Bell threshold), the edges a word's rank counts (see the
+    module docstring). Each table entry at each rank, its outcome object
+    included, is made once per build. A rank no word has, below an edge 0
+    or at an edge 2**53 (behind a threshold of exactly 0 or 1), holds None,
+    as does a basis Eve never uses, so a branch of probability 0 needs no
+    check in the loop. Nodes are shared by (u_A, state) and leaf rows by
+    (u_A, u_B, state), so the size grows as states times ranks. The key dtype holds
+    one party's key bytes of a round, so a view of the joint keys in it
+    alternates Alice's and Bob's.
     """
     tables = _round_tables(forward, backward)
     p0s = [e[0] for rows in tables.measure for row in rows for e in row if e is not None]
@@ -384,13 +375,13 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
     """Execute one protocol session and return its report, keys and raw material.
 
     Rounds draw from the protocol stream described in the module docstring
-    and read their outcome from the attack's nested round tables, one
-    lookup per leg; a round builds no outcome of its own. keep_records is
-    the one switch for the raw material: only with it does the session
-    build its RoundRecords, which hold the lookup's outcomes, and Eve's
-    observations, and list the public transcript (the outcomes'
-    transcripts followed by the key check's). Without it those stay empty;
-    the report and keys are the same either way.
+    and read their outcome from _round_lookup's tables; a round builds no
+    outcome of its own. keep_records is the one switch for the raw
+    material: only with it does the session build its RoundRecords, which
+    hold the lookup's outcomes, and Eve's observations, and list the public
+    transcript (the outcomes' transcripts followed by the key check's).
+    Without it those stay empty; the report and keys are the same either
+    way.
     """
     config.validate()
     bitgen = np.random.PCG64(np.random.SeedSequence(config.seed, spawn_key=(0,)))
@@ -498,7 +489,8 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
     control_rounds = (index + 1 if aborted else config.rounds) - message_rounds
     alice_pre, bob_pre = pairs[:, 0].tobytes(), pairs[:, 1].tobytes()
     del joint, pairs  # freed before the key check, whose memory peaks
-    overall, amp_rate, phase_rate = _error_rates(alice_pre, bob_pre)
+    alice_bits, bob_bits = (np.frombuffer(key, np.uint8) for key in (alice_pre, bob_pre))
+    overall, amp_rate, phase_rate = _error_rates(alice_bits, bob_bits)
 
     checked = 0
     alice_final = alice_pre
@@ -508,7 +500,6 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
     if not aborted:
         policy = KeyCheckPolicy(config.check_fraction, config.mismatch_threshold)
         check_ss = np.random.SeedSequence(config.seed, spawn_key=(1,))
-        alice_bits, bob_bits = (np.frombuffer(key, np.uint8) for key in (alice_pre, bob_pre))
         check = _check_keys(alice_bits, bob_bits, policy, np.random.default_rng(check_ss))
         if keep_records:
             transcript += check.transcript
@@ -623,14 +614,3 @@ def parse_report(data: bytes) -> SimulationReport:
             raise ConfigError(f"report field {name} has the wrong type: {value!r}")
     return SimulationReport(**raw)
 
-
-# --- Table rendering ---
-
-
-def render_unitary_table() -> str:
-    """Human-readable rendering of the outcome table."""
-    labels = ["u%d (%d%d)" % (u, *u.bits) for u in LocalUnitary]
-    rows = [["", *labels]]
-    for label, row in zip(labels, unitary_outcome_table()):
-        rows.append([label, *(outcome.symbol for outcome in row)])
-    return "\n".join("  ".join(f"{cell:>8}" for cell in cells) for cells in rows)

@@ -1,7 +1,19 @@
 import numpy as np
 import pytest
 
+from qdkd.adversary import ChannelLeg, EveBasisPolicy, InterceptResend, NoAttack
 from qdkd.quantum import TwoQubitState
+
+FORWARD_Z = InterceptResend(ChannelLeg.FORWARD, EveBasisPolicy.Z)
+FORWARD_X = InterceptResend(ChannelLeg.FORWARD, EveBasisPolicy.X)
+FORWARD_R = InterceptResend(ChannelLeg.FORWARD, EveBasisPolicy.RANDOM)
+BACKWARD_Z = InterceptResend(ChannelLeg.BACKWARD, EveBasisPolicy.Z)
+BACKWARD_X = InterceptResend(ChannelLeg.BACKWARD, EveBasisPolicy.X)
+BACKWARD_R = InterceptResend(ChannelLeg.BACKWARD, EveBasisPolicy.RANDOM)
+# Every supported attack, in the order that the tests' per-attack values
+# (round-table digests and state counts, exact error distributions) follow.
+ALL_ATTACKS = (NoAttack(), FORWARD_Z, FORWARD_X, FORWARD_R, BACKWARD_Z, BACKWARD_X, BACKWARD_R)
+ATTACK_IDS = ("none", "fwd-z", "fwd-x", "fwd-random", "bwd-z", "bwd-x", "bwd-random")
 
 
 @pytest.fixture

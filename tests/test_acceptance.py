@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from qdkd.adversary import ChannelLeg, EveBasisPolicy, InterceptResend
+from conftest import BACKWARD_Z, FORWARD_Z
 from qdkd.oracle import abort_probability, control_detection_probability, exact_oracle
 from qdkd.protocol import KeyCheckPolicy, KeyMode
 from qdkd.quantum import (
@@ -35,9 +35,6 @@ from qdkd.simulate import (
     run_simulation,
     serialize_report,
 )
-
-BACKWARD_Z = InterceptResend(ChannelLeg.BACKWARD, EveBasisPolicy.Z)
-FORWARD_Z = InterceptResend(ChannelLeg.FORWARD, EveBasisPolicy.Z)
 
 # The published outcome grid: rows are Alice's unitary, columns Bob's.
 OUTCOME_GRID = [

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import ALL_ATTACKS
 from qdkd.adversary import (
     ChannelLeg,
     EveBasisPolicy,
@@ -109,18 +110,7 @@ class TestEveBases:
 
 
 class TestEveInference:
-    @pytest.mark.parametrize(
-        "attack",
-        [
-            NoAttack(),
-            InterceptResend(ChannelLeg.BACKWARD, EveBasisPolicy.Z),
-            InterceptResend(ChannelLeg.FORWARD, EveBasisPolicy.Z),
-            InterceptResend(ChannelLeg.BACKWARD, EveBasisPolicy.RANDOM),
-            InterceptResend(ChannelLeg.FORWARD, EveBasisPolicy.X),
-            InterceptResend(ChannelLeg.FORWARD, EveBasisPolicy.RANDOM),
-            InterceptResend(ChannelLeg.BACKWARD, EveBasisPolicy.X),
-        ],
-    )
+    @pytest.mark.parametrize("attack", ALL_ATTACKS)
     def test_no_individually_resolved_bits(self, attack):
         # Eve's view never pins down a single key bit for any strategy, in
         # any key mode; she only ever learns XOR relations.

@@ -348,9 +348,16 @@ class TestScientificProperties:
 
 
 class TestTable:
+    # The whole text of `qdkd table`: rows are Alice's unitary, columns Bob's.
+    TEXT = (
+        "           u0 (00)   u1 (01)   u2 (10)   u3 (11)\n"
+        " u0 (00)        Ψ+        Ψ−        Φ+        Φ−\n"
+        " u1 (01)        Ψ−        Ψ+        Φ−        Φ+\n"
+        " u2 (10)        Φ+        Φ−        Ψ+        Ψ−\n"
+        " u3 (11)        Φ−        Φ+        Ψ−        Ψ+\n"
+    )
+
     def test_table_prints_grid(self, capsys):
         code, out = run_main(capsys, "table")
         assert code == 0
-        lines = out.splitlines()
-        assert len(lines) == 5
-        assert lines[1].split()[-4:] == ["Ψ+", "Ψ−", "Φ+", "Φ−"]
+        assert out == self.TEXT

@@ -1,11 +1,13 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package or of its tests imports is used in
+that module."""
 
 import ast
 import pathlib
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "qdkd"
+TESTS = pathlib.Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "qdkd"
 
 
 def _unused_imports(source: str) -> set[str]:
@@ -27,8 +29,10 @@ def test_detects_an_unused_import():
     }
 
 
-# The package root's imports are its re-exports, which tests/test_readme.py pins.
+# The package root's imports are its re-exports, which tests/test_readme.py
+# pins. No test module shares a name with a package module.
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES += sorted(TESTS.glob("*.py"))
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -8,13 +8,8 @@ import random
 import numpy as np
 import pytest
 
-from qdkd import _kernels_py
+from qdkd import _kernels_py as kern
 from qdkd.errors import DegenerateBranchError
-
-
-# Every test takes the kernel module as `kern`; the "python" id keeps the
-# test ids stable.
-pytestmark = pytest.mark.parametrize("kern", [_kernels_py], ids=["python"])
 
 
 # Independent numpy reference built from matrices and kron, not index tricks.
@@ -54,7 +49,7 @@ def _rand_amps(rng):
     return tuple(complex(x) for x in v)
 
 
-def test_bell_amps_values(kern):
+def test_bell_amps_values():
     inv = math.sqrt(0.5)  # the correctly rounded double for 1/sqrt(2)
     assert kern.BELL_AMPS[0] == (0, inv, inv, 0)
     assert kern.BELL_AMPS[1] == (0, inv, -inv, 0)
@@ -64,7 +59,7 @@ def test_bell_amps_values(kern):
 
 @pytest.mark.parametrize("qubit", [0, 1])
 @pytest.mark.parametrize("u", [0, 1, 2, 3])
-def test_apply_u_matches_matrix_reference(kern, qubit, u, rng):
+def test_apply_u_matches_matrix_reference(qubit, u, rng):
     for _ in range(25):
         amps = _rand_amps(rng)
         got = np.array(kern.apply_u(amps, qubit, u))
@@ -74,7 +69,7 @@ def test_apply_u_matches_matrix_reference(kern, qubit, u, rng):
 
 @pytest.mark.parametrize("qubit", [0, 1])
 @pytest.mark.parametrize("basis", [0, 1])
-def test_qubit_probs_match_projector_reference(kern, qubit, basis, rng):
+def test_qubit_probs_match_projector_reference(qubit, basis, rng):
     for _ in range(25):
         amps = _rand_amps(rng)
         p0, p1 = kern.qubit_probs(amps, qubit, basis)
@@ -86,7 +81,7 @@ def test_qubit_probs_match_projector_reference(kern, qubit, basis, rng):
         assert p0 + p1 == pytest.approx(1.0, abs=1e-12)
 
 
-def test_bell_probs_match_reference(kern, rng):
+def test_bell_probs_match_reference(rng):
     for _ in range(25):
         amps = _rand_amps(rng)
         got = kern.bell_probs(amps)
@@ -97,7 +92,7 @@ def test_bell_probs_match_reference(kern, rng):
 
 @pytest.mark.parametrize("qubit", [0, 1])
 @pytest.mark.parametrize("basis", [0, 1])
-def test_collapse_is_normalized_eigenstate(kern, qubit, basis, rng):
+def test_collapse_is_normalized_eigenstate(qubit, basis, rng):
     for _ in range(20):
         amps = _rand_amps(rng)
         bit, collapsed = kern.measure_qubit(amps, qubit, basis, rng.random())
@@ -106,13 +101,13 @@ def test_collapse_is_normalized_eigenstate(kern, qubit, basis, rng):
         assert probs[bit] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_collapse_onto_zero_branch_raises(kern):
+def test_collapse_onto_zero_branch_raises():
     zero_zero = (1 + 0j, 0j, 0j, 0j)
     with pytest.raises(DegenerateBranchError):
         kern.collapse_qubit(zero_zero, 1, 0, 1)
 
 
-def test_bell_fall_through_to_zero_outcome_raises(kern):
+def test_bell_fall_through_to_zero_outcome_raises():
     # Unnormalized, so the cumulative probability stops at 0.5: a uniform
     # above it falls through to outcome 3, whose probability is 0.
     amps = (0j, 0.5 + 0j, 0.5 + 0j, 0j)
@@ -120,7 +115,7 @@ def test_bell_fall_through_to_zero_outcome_raises(kern):
         kern.measure_bell(amps, 0.9)
 
 
-def test_bell_thresholds_sum_left_to_right(kern):
+def test_bell_thresholds_sum_left_to_right():
     # Seeded reports depend on the order of the float sums, not just their
     # values; on the random states other orders round differently.
     for amps in _digest_states():
@@ -128,7 +123,7 @@ def test_bell_thresholds_sum_left_to_right(kern):
         assert kern.bell_thresholds(amps) == (p0, p0 + p1, p0 + p1 + p2)
 
 
-def test_measure_bell_collapses_to_bell_state(kern, rng):
+def test_measure_bell_collapses_to_bell_state(rng):
     for _ in range(20):
         amps = _rand_amps(rng)
         k, collapsed = kern.measure_bell(amps, rng.random())
@@ -242,7 +237,7 @@ def _digest_states():
     return states
 
 
-def test_digest_inputs_are_frozen_complex_states(kern):
+def test_digest_inputs_are_frozen_complex_states():
     assert len(_TABLE_ORDER) == 247 and set(_TABLE_ORDER) == set(range(67))
     assert len({repr(amps) for amps in _TABLE_STATES}) == len(_TABLE_STATES) == 67
     assert all(type(z) is complex for amps in _digest_states() for z in amps)
@@ -265,7 +260,7 @@ def _hash_call(digest, kernel, *args):
 KERNEL_DIGEST = "8e880d6c9e1743f56bfdc9ff8a8bd833dc4c0a29bc2ea9eff46db4ef6e7f1364"
 
 
-def test_kernel_outputs_are_bit_identical(kern):
+def test_kernel_outputs_are_bit_identical():
     digest = hashlib.sha256()
     for amps in _digest_states():
         for qubit in (0, 1):

@@ -12,6 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import (
+    ALL_ATTACKS,
+    ATTACK_IDS,
+    BACKWARD_R,
+    BACKWARD_X,
+    BACKWARD_Z,
+    FORWARD_R,
+    FORWARD_X,
+    FORWARD_Z,
+)
 from qdkd import oracle
 from qdkd.adversary import ChannelLeg, EveBasisPolicy, InterceptResend, NoAttack
 from qdkd.errors import ConfigError
@@ -38,15 +48,6 @@ from qdkd.quantum import (
     prob_bell,
     prob_qubit,
 )
-
-FORWARD_Z = InterceptResend(ChannelLeg.FORWARD, EveBasisPolicy.Z)
-FORWARD_X = InterceptResend(ChannelLeg.FORWARD, EveBasisPolicy.X)
-FORWARD_R = InterceptResend(ChannelLeg.FORWARD, EveBasisPolicy.RANDOM)
-BACKWARD_Z = InterceptResend(ChannelLeg.BACKWARD, EveBasisPolicy.Z)
-BACKWARD_X = InterceptResend(ChannelLeg.BACKWARD, EveBasisPolicy.X)
-BACKWARD_R = InterceptResend(ChannelLeg.BACKWARD, EveBasisPolicy.RANDOM)
-ALL_ATTACKS = (NoAttack(), FORWARD_Z, FORWARD_X, FORWARD_R, BACKWARD_Z, BACKWARD_X, BACKWARD_R)
-ATTACK_IDS = ("none", "fwd-z", "fwd-x", "fwd-random", "bwd-z", "bwd-x", "bwd-random")
 
 
 class TestDetectionProbability:
@@ -179,9 +180,7 @@ class TestErrorDistribution:
         clean = exact_oracle(NoAttack())
         assert clean.key_error_rate_overall == 0
 
-    @pytest.mark.parametrize(
-        "attack", [NoAttack(), FORWARD_Z, BACKWARD_Z, BACKWARD_X, FORWARD_R, FORWARD_X, BACKWARD_R]
-    )
+    @pytest.mark.parametrize("attack", ALL_ATTACKS)
     def test_agrees_with_float_enumeration(self, attack):
         exact = message_error_distribution(attack)
         floats = _float_error_distribution(attack)
@@ -256,10 +255,9 @@ class TestAbortProbability:
 
     def test_brute_force_also_matches_for_random_policy_attack(self):
         policy = KeyCheckPolicy(0.4, 0)
-        attack = InterceptResend(ChannelLeg.BACKWARD, EveBasisPolicy.RANDOM)
-        dist = message_error_distribution(attack)
+        dist = message_error_distribution(BACKWARD_R)
         want = _brute_force_abort(dist, 2, policy, KeyMode.COMBINED)
-        assert abort_probability(attack, policy, 2) == want
+        assert abort_probability(BACKWARD_R, policy, 2) == want
 
     @pytest.mark.parametrize("key_mode", list(KeyMode), ids=lambda m: m.value)
     @pytest.mark.parametrize("attack", ALL_ATTACKS, ids=ATTACK_IDS)

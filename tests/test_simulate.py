@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import ALL_ATTACKS, BACKWARD_R, BACKWARD_Z, FORWARD_R, FORWARD_Z
 from qdkd import _kernels_py as kernels
 from qdkd import oracle, simulate
 from qdkd.adversary import (
@@ -30,6 +31,7 @@ from qdkd.adversary import (
     apply_attack,
     eve_bases,
 )
+from qdkd.cli import render_unitary_table
 from qdkd.errors import ConfigError
 from qdkd.protocol import (
     BellAnnouncement,
@@ -74,18 +76,11 @@ from qdkd.simulate import (
     SimulationReport,
     derive_seed,
     parse_report,
-    render_unitary_table,
     run_batch,
     run_session,
     run_simulation,
     serialize_report,
 )
-
-BACKWARD_Z = InterceptResend(ChannelLeg.BACKWARD, EveBasisPolicy.Z)
-FORWARD_Z = InterceptResend(ChannelLeg.FORWARD, EveBasisPolicy.Z)
-ALL_ATTACKS = [NoAttack()] + [
-    InterceptResend(leg, policy) for leg in ChannelLeg for policy in EveBasisPolicy
-]
 
 
 @numbers.Real.register
@@ -106,8 +101,8 @@ def _keys_from_records(records, key_mode):
     alice_key, bob_key = [], []
     for r in records:
         if isinstance(r.outcome, MessageOutcome):
-            accumulate_key(alice_key, r.u_a.label, r.outcome.alice_view.label, key_mode)
-            accumulate_key(bob_key, r.outcome.bob_view.label, r.outcome.u_b.label, key_mode)
+            accumulate_key(alice_key, r.u_a, r.outcome.alice_view, key_mode)
+            accumulate_key(bob_key, r.outcome.bob_view, r.outcome.u_b, key_mode)
     return alice_key, bob_key
 
 
@@ -488,8 +483,7 @@ class TestOracleAgreement:
         "attack, key_mode, want",
         [
             (BACKWARD_Z, KeyMode.COMBINED, Fraction(49555, 73112)),
-            (InterceptResend(ChannelLeg.BACKWARD, EveBasisPolicy.RANDOM), KeyMode.SINGLE_ALICE,
-             Fraction(67, 152)),
+            (BACKWARD_R, KeyMode.SINGLE_ALICE, Fraction(67, 152)),
         ],
     )
     def test_interior_abort_rate_matches_oracle(self, attack, key_mode, want):
@@ -610,15 +604,14 @@ class TestValidation:
             assert "must be a real number (not a bool)" in str(raised.value)
 
     def test_numpy_scalars_accepted(self):
-        attack = InterceptResend(ChannelLeg.FORWARD, EveBasisPolicy.RANDOM)
         builtin = SimConfig(
-            rounds=120, control_prob=0.5, mismatch_threshold=2, attack=attack, seed=2**63 + 5
+            rounds=120, control_prob=0.5, mismatch_threshold=2, attack=FORWARD_R, seed=2**63 + 5
         )
         numpy_typed = SimConfig(
             rounds=np.int64(120),
             control_prob=np.float32(0.5),
             mismatch_threshold=np.int64(2),
-            attack=attack,
+            attack=FORWARD_R,
             seed=np.uint64(2**63 + 5),
         )
         assert numpy_typed.validate() is numpy_typed
@@ -853,48 +846,53 @@ def _reference_error_rates(alice_key, bob_key):
     )
 
 
+def _reference_round(attack, control_prob, rng, index, observations):
+    """One round by the public scalar round functions, drawing from rng:
+    alice_prepare, Eve on the forward leg, bob_choose_mode, then
+    run_control_round, or run_message_round with Eve on the backward leg.
+    Appends Eve's observations to observations; returns the RoundRecord."""
+
+    def channel(state, leg):
+        state, obs = apply_attack(state, leg, attack, rng, index)
+        if obs is not None:
+            observations.append(obs)
+        return state
+
+    state, u_a = alice_prepare(rng)
+    state = channel(state, ChannelLeg.FORWARD)
+    if bob_choose_mode(control_prob, rng) is RoundMode.CONTROL:
+        outcome = run_control_round(u_a, state, rng)
+    else:
+        outcome = run_message_round(u_a, state, rng, lambda s: channel(s, ChannelLeg.BACKWARD))
+    return RoundRecord(index, u_a, outcome)
+
+
 def _reference_session(config):
-    """One session by the public scalar round functions, drawing from
-    default_rng of the protocol seed sequence: the session loop as it was
-    before the round tables. Returns (report, records, transcript,
-    observations, pre-check keys, final keys)."""
+    """One session of _reference_rounds, drawing from default_rng of the
+    protocol seed sequence: the session loop as it was before the round
+    tables. Returns (report, records, transcript, observations, pre-check
+    keys, final keys)."""
     proto_ss, check_ss = np.random.SeedSequence(config.seed).spawn(2)
     rng = np.random.default_rng(proto_ss)
     transcript, observations, records = [], [], []
-    alice_key, bob_key = [], []
-    control_rounds = message_rounds = detections = 0
+    detections = 0
     aborted = False
     abort_cause = None
 
-    def return_channel(s):
-        s2, obs2 = apply_attack(s, ChannelLeg.BACKWARD, config.attack, rng, index)
-        if obs2 is not None:
-            observations.append(obs2)
-        return s2
-
     for index in range(config.rounds):
-        state, u_a = alice_prepare(rng)
-        state, obs = apply_attack(state, ChannelLeg.FORWARD, config.attack, rng, index)
-        if obs is not None:
-            observations.append(obs)
-        mode = bob_choose_mode(config.control_prob, rng)
-        if mode is RoundMode.CONTROL:
-            control_rounds += 1
-            outcome = run_control_round(u_a, state, rng)
-        else:
-            message_rounds += 1
-            outcome = run_message_round(u_a, state, rng, return_channel)
-            accumulate_key(alice_key, u_a.label, outcome.alice_view.label, config.key_mode)
-            accumulate_key(bob_key, outcome.bob_view.label, outcome.u_b.label, config.key_mode)
+        record = _reference_round(config.attack, config.control_prob, rng, index, observations)
+        records.append(record)
+        outcome = record.outcome
         transcript.extend(outcome.transcript)
-        records.append(RoundRecord(index, u_a, outcome))
-        if mode is RoundMode.CONTROL and outcome.verdict is ControlVerdict.EVE_DETECTED:
+        if isinstance(outcome, ControlOutcome) and outcome.verdict is ControlVerdict.EVE_DETECTED:
             detections += 1
             aborted = True
             abort_cause = ABORT_CONTROL
             break
 
-    alice_pre, bob_pre = tuple(alice_key), tuple(bob_key)
+    control_rounds = sum(isinstance(r.outcome, ControlOutcome) for r in records)
+    message_rounds = len(records) - control_rounds
+    alice_pre, bob_pre = map(tuple, _keys_from_records(records, config.key_mode))
     overall, amp_rate, phase_rate = _reference_error_rates(alice_pre, bob_pre)
     checked = 0
     alice_final, bob_final = alice_pre, bob_pre
@@ -945,11 +943,7 @@ def _assert_matches_reference(config):
 CONTROL_PROB_EDGES = (0.0, 5e-324, 0.5 - 2.0**-53, 0.5, 0.5 + 2.0**-53, 1.0 - 2.0**-53, 1.0)
 # No attack, and the random policies, whose odd 32-bit draws shift the
 # buffered half.
-REFILL_ATTACKS = [
-    NoAttack(),
-    InterceptResend(ChannelLeg.FORWARD, EveBasisPolicy.RANDOM),
-    InterceptResend(ChannelLeg.BACKWARD, EveBasisPolicy.RANDOM),
-]
+REFILL_ATTACKS = [NoAttack(), FORWARD_R, BACKWARD_R]
 
 
 def _fresh_words_of_one_round(attack, control_prob, buffered):
@@ -960,14 +954,7 @@ def _fresh_words_of_one_round(attack, control_prob, buffered):
     if buffered:
         rng.integers(2)
     start = bitgen.state
-    state, u_a = alice_prepare(rng)
-    state, _ = apply_attack(state, ChannelLeg.FORWARD, attack, rng, 0)
-    if bob_choose_mode(control_prob, rng) is RoundMode.CONTROL:
-        run_control_round(u_a, state, rng)
-    else:
-        run_message_round(
-            u_a, state, rng, lambda s: apply_attack(s, ChannelLeg.BACKWARD, attack, rng, 0)[0]
-        )
+    _reference_round(attack, control_prob, rng, 0, [])
     probe = np.random.PCG64()
     probe.state = start
     for words in range(4 * _ROUND_WORDS):
