@@ -49,12 +49,16 @@ word's rank and its control flag. The decode rests on one exact rule. A
 word's uniform is r = k * 2**-53 with k = word >> 11, and for every double
 or Fraction t in [0, 1], r < t holds exactly when k < ceil(t * 2**53): k is
 an integer, t * 2**53 is exact, and t = 1 gives 2**53, above every k. The
-rank is the number of the sorted distinct ceilings (the edges) of the
-attack's exact thresholds that are at or below k, so r lies below a
-threshold exactly when the rank is at most the index of its edge. The
-control flag is k < ceil(control_prob * 2**53), exact at control_prob 0 and
-1 too; a control_prob of any real type, numpy's included, is compared as
-its exact value, so it decides the same on numpy 1.x and 2.
+edges are the sorted distinct ceilings of the attack's exact thresholds
+that split the words, those strictly between 0 and 2**53, and the rank is
+the number of edges at or below k. So r lies below a threshold exactly
+when the rank is at most the threshold's index: the index of its ceiling
+among the edges, -1 for a ceiling of 0, which no word lies below, and the
+number of edges for a ceiling of 2**53, which every word lies below. Every
+rank from 0 to the number of edges is some word's. The control flag is
+k < ceil(control_prob * 2**53), exact at control_prob 0 and 1 too; a
+control_prob of any real type, numpy's included, is compared as its exact
+value, so it decides the same on numpy 1.x and 2.
 
 Once a round's words are read, its outcome depends only on its draws, so
 the loop reads each round from the nested tables of _round_lookup, one
@@ -238,6 +242,7 @@ _ROUND_WORDS = 8  # no round reads more fresh words than this
 _RANK_LIMIT = 256  # a rank must fit in a byte
 # Shift and mask operands of the decode, typed so numpy 1.x keeps uint64.
 _U3, _U11, _U30, _U62 = (np.uint64(n) for n in (3, 11, 30, 62))
+_K_END = 2**53  # above every k = word >> 11
 
 
 def _edge(t) -> int:
@@ -251,67 +256,81 @@ def _edge(t) -> int:
 def _decode_words(words, edges, control_edge) -> tuple[bytes, bytes, bytes, bytes]:
     """The decode of raw 64-bit words that the module docstring describes:
     (lo2, hi2, rank, control), one byte per word, against the given edges
-    and control edge."""
+    (a tuple of np.uint64, so that numpy 1.x compares in uint64) and control
+    edge. The rank is one k >= edge pass per edge, summed in uint8 because
+    numpy adds two bool arrays as a logical or; one pass needs no sum, as a
+    bool's byte is 0 or 1."""
     k = words >> _U11
+    first, *rest = edges or (np.uint64(_K_END),)  # no word's k reaches 2**53
+    rank = k >= first
+    for edge in rest:
+        rank = np.add(rank, k >= edge, dtype=np.uint8)
     return (
         ((words >> _U30) & _U3).astype(np.uint8).tobytes(),
         (words >> _U62).astype(np.uint8).tobytes(),
-        edges.searchsorted(k, side="right").astype(np.uint8).tobytes(),
+        rank.tobytes(),
         (k < control_edge).tobytes(),
     )
 
 
 _UNITARIES = tuple(LocalUnitary)
-_BASES = tuple(MeasBasis)
+
+
+def _by_draw(z_row, x_row) -> tuple:
+    """A row per basis indexed by a raw 2-bit draw, whose top bit is the
+    basis: draws 0 and 1 share the Z row, 2 and 3 the X row."""
+    return z_row, z_row, x_row, x_row
 
 
 @functools.cache
-def _round_lookup(forward, backward, key_mode: KeyMode) -> tuple[np.ndarray, tuple, type]:
+def _round_lookup(forward, backward, key_mode: KeyMode) -> tuple[tuple, tuple, type]:
     """(edges, root, key dtype): an attack's rounds in one key mode as
     nested tables, built from its round tables and indexed by the round's
-    draws in stream order.
+    draws in stream order, a basis by its raw 2-bit draw.
 
-    - root[u_A] is the round's node; with Eve on the forward leg it is
-      [basis][rank] -> (Eve's bit, node).
+    - root[u_A] is the round's node, behind Eve's leg when she attacks the
+      forward leg.
+    - Eve's leg is [rank] -> ((basis, Eve's bit), what follows) for a fixed
+      basis, and [2-bit draw][rank] the same for the random policy.
     - A node is (control, message) of u_A and the state that reached Bob:
-      control[basis][rank_Bob][rank_Alice] = (detected, ControlOutcome), and
-      message[u_B] is a leaf row; with Eve on the backward leg it is
-      [basis][rank] -> (Eve's bit, leaf row).
+      control[Bob's 2-bit draw][rank_Bob][rank_Alice] = (detected,
+      ControlOutcome), and message[u_B] is a leaf row, behind Eve's leg
+      when she attacks the backward leg.
     - leaf_row[rank] = (Alice's key bytes + Bob's key bytes, MessageOutcome).
 
-    edges holds the sorted distinct _edge of the round tables' thresholds
-    (each p0 and Bell threshold), the edges a word's rank counts (see the
-    module docstring). Each table entry at each rank, its outcome object
-    included, is made once per build. A rank no word has, below an edge 0
-    or at an edge 2**53 (behind a threshold of exactly 0 or 1), holds None,
-    as does a basis Eve never uses, so a branch of probability 0 needs no
-    check in the loop. Nodes are shared by (u_A, state) and leaf rows by
-    (u_A, u_B, state), so the size grows as states times ranks. The key dtype holds
+    The rows of a [2-bit draw] index are the two basis rows, each twice
+    (_by_draw). edges holds the sorted distinct _edge of the round tables'
+    thresholds (each p0 and Bell threshold) that split the words, those
+    strictly between 0 and 2**53, as np.uint64: the edges a word's rank
+    counts (see the module docstring). Every rank 0 to len(edges) is some
+    word's, so a rank row holds no None, and a branch of probability 0,
+    behind a threshold of exactly 0 or 1, is at no rank and needs no check
+    in the loop. Each table
+    entry at each rank, its outcome object included, is made once per
+    build. Nodes are shared by (u_A, state) and leaf rows by (u_A, u_B,
+    state), so the size grows as states times ranks. The key dtype holds
     one party's key bytes of a round, so a view of the joint keys in it
     alternates Alice's and Bob's.
     """
     tables = _round_tables(forward, backward)
     p0s = [e[0] for rows in tables.measure for row in rows for e in row if e is not None]
     edge = {t: _edge(t) for t in {*p0s, *(acc for row in tables.bell if row for acc in row)}}
-    edges = sorted(set(edge.values()))
+    edges = sorted({e for e in edge.values() if 0 < e < _K_END})
     if len(edges) >= _RANK_LIMIT:
-        raise OverflowError(f"{len(edges)} threshold edges: a rank must fit in a byte")
-    index = {t: edges.index(e) for t, e in edge.items()}
-    reached = [low < high for low, high in zip([0, *edges], [*edges, 2**53])]
+        raise OverflowError(f"{len(edges)} splitting edges: a rank must fit in a byte")
+    # r < t exactly when the rank is at most index[t] (see the module docstring).
+    index = {
+        t: -1 if e == 0 else len(edges) if e == _K_END else edges.index(e) for t, e in edge.items()
+    }
+    ranks = range(len(edges) + 1)
 
     def rank_row(thresholds, outcomes):
-        """At each rank a word can have, the first of outcomes whose
-        threshold the word's uniform lies below, else the last; None at the
-        other ranks."""
+        """At each rank, the first of outcomes whose threshold the word's
+        uniform lies below, else the last."""
         js = [index[t] for t in thresholds]
         return tuple(
-            next((o for j, o in zip(js, outcomes) if rank <= j), outcomes[-1]) if ok else None
-            for rank, ok in enumerate(reached)
+            next((o for j, o in zip(js, outcomes) if rank <= j), outcomes[-1]) for rank in ranks
         )
-
-    def by_rank(row, entry):
-        """entry(row[rank]) at each rank a word can have, None at the others."""
-        return tuple(entry(e) if ok else None for e, ok in zip(row, reached))
 
     # A None entry or Bell row, one the round tables never fill, stays None.
     measure_h, measure_t = (
@@ -323,14 +342,13 @@ def _round_lookup(forward, backward, key_mode: KeyMode) -> tuple[np.ndarray, tup
     key_bits = [[bytes(accumulate_key([], a, b, key_mode)) for b in range(4)] for a in range(4)]
 
     def leg(s, bases, then):
-        """then(s) when Eve leaves the leg alone; otherwise [basis][rank] ->
-        (Eve's bit, then(the state after her measurement))."""
+        """then(s) when Eve leaves the leg alone; otherwise [rank] ->
+        ((basis, Eve's bit), then(the state after her measurement)), behind
+        a [2-bit draw] index for the random policy."""
         if not bases:
             return then(s)
-        return tuple(
-            by_rank(measure_t[s][basis], lambda e: (e[0], then(e[1]))) if basis in bases else None
-            for basis in MeasBasis
-        )
+        rows = [tuple(((basis, bit), then(t)) for bit, t in measure_t[s][basis]) for basis in bases]
+        return _by_draw(*rows) if len(rows) == 2 else rows[0]
 
     @functools.cache
     def leaf_row(u_a, u_b, t):
@@ -339,7 +357,7 @@ def _round_lookup(forward, backward, key_mode: KeyMode) -> tuple[np.ndarray, tup
             keys = key_bits[u_a][alice_view] + key_bits[bob_view][u_b]
             return keys, MessageOutcome(u_b, k, alice_view, bob_view)
 
-        return by_rank(bell[t], entry)
+        return tuple(map(entry, bell[t]))
 
     def control_row(u_a, basis, bob_bit, t):
         correlated = expected_correlation(u_a, basis) is Correlation.CORRELATED
@@ -350,13 +368,15 @@ def _round_lookup(forward, backward, key_mode: KeyMode) -> tuple[np.ndarray, tup
             verdict = ControlVerdict.EVE_DETECTED if detected else ControlVerdict.PASS
             return detected, ControlOutcome(verdict, basis, bob_bit, alice_bit)
 
-        return by_rank(measure_h[t][basis], entry)
+        return tuple(map(entry, measure_h[t][basis]))
 
     @functools.cache
     def node(u_a, s):
-        control = tuple(
-            by_rank(measure_t[s][basis], lambda e: control_row(u_a, basis, *e))
-            for basis in MeasBasis
+        control = _by_draw(
+            *(
+                tuple(control_row(u_a, basis, bit, t) for bit, t in measure_t[s][basis])
+                for basis in MeasBasis
+            )
         )
         message = tuple(
             leg(t, backward, functools.partial(leaf_row, u_a, u_b))
@@ -368,7 +388,7 @@ def _round_lookup(forward, backward, key_mode: KeyMode) -> tuple[np.ndarray, tup
         leg(s, forward, functools.partial(node, u_a)) for u_a, s in enumerate(tables.prepared)
     )
     key_dtype = np.uint16 if key_mode.bits_per_round == 2 else np.uint32
-    return np.array(edges, dtype=np.uint64), root, key_dtype
+    return tuple(map(np.uint64, edges)), root, key_dtype
 
 
 def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
@@ -400,9 +420,9 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
     # The decoded stream: p is the next fresh word, half the buffered 2-bit
     # value of the high half of the last opened word (-1 if none). A 32-bit
     # draw opens word p (lo2[p], buffering hi2[p]) or takes half; a uniform
-    # is read as rank[p], or as control[p] for the mode; a basis is a 2-bit
-    # value >> 1. A refill keeps the words from p on, so p restarts at 0 and
-    # half needs no index.
+    # is read as rank[p], or as control[p] for the mode. The lookup indexes
+    # a basis by its 2-bit value. A refill keeps the words from p on, so p
+    # restarts at 0 and half needs no index.
     lo2 = hi2 = rank = control = b""
     p, half = 0, -1
     refill_at = -1
@@ -427,19 +447,18 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
             half = -1
         node = root[u_a]
         if forward:
-            if not forward_random:
-                basis = forward[0]
-            elif half < 0:
-                basis = lo2[p] >> 1
-                half = hi2[p]
-                p += 1
-            else:
-                basis = half >> 1
-                half = -1
-            bit, node = node[basis][rank[p]]
+            if forward_random:
+                if half < 0:
+                    node = node[lo2[p]]
+                    half = hi2[p]
+                    p += 1
+                else:
+                    node = node[half]
+                    half = -1
+            seen, node = node[rank[p]]
             p += 1
             if keep_records:
-                observations.append(EveObservation(index, forward_leg, _BASES[basis], bit))
+                observations.append(EveObservation(index, forward_leg, *seen))
         # The 32-bit draw after the mode uniform: Bob's basis (top bit) or u_B.
         is_control = control[p]
         if half < 0:
@@ -451,7 +470,7 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
             half = -1
             p += 1
         if is_control:
-            detected, outcome = node[0][drawn >> 1][rank[p]][rank[p + 1]]
+            detected, outcome = node[0][drawn][rank[p]][rank[p + 1]]
             p += 2
             if detected:
                 aborted = True
@@ -461,19 +480,18 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
         else:
             leaf = node[1][drawn]
             if backward:
-                if not backward_random:
-                    basis = backward[0]
-                elif half < 0:
-                    basis = lo2[p] >> 1
-                    half = hi2[p]
-                    p += 1
-                else:
-                    basis = half >> 1
-                    half = -1
-                bit, leaf = leaf[basis][rank[p]]
+                if backward_random:
+                    if half < 0:
+                        leaf = leaf[lo2[p]]
+                        half = hi2[p]
+                        p += 1
+                    else:
+                        leaf = leaf[half]
+                        half = -1
+                seen, leaf = leaf[rank[p]]
                 p += 1
                 if keep_records:
-                    observations.append(EveObservation(index, backward_leg, _BASES[basis], bit))
+                    observations.append(EveObservation(index, backward_leg, *seen))
             keys, outcome = leaf[rank[p]]
             p += 1
             joint += keys

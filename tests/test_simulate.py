@@ -1,5 +1,6 @@
 """Harness tests: determinism, accounting, serialization, table rendering."""
 
+import bisect
 import csv
 import dataclasses
 import functools
@@ -1008,15 +1009,20 @@ class TestSessionStream:
         """Every decoded byte is a Generator draw: lo2 and hi2 are integers(4)
         and their top bits integers(2); rank and control decide random() < t
         for every table threshold t and every control_prob in
-        CONTROL_PROB_EDGES."""
+        CONTROL_PROB_EDGES. The edges are the thresholds' ceilings that split
+        the words, and rank <= _rank_bound(t) decides r < t, thresholds of
+        exactly 0 and 1 included."""
         bitgen = np.random.PCG64(np.random.SeedSequence(seed))
         chunks = [bitgen.random_raw(chunk) for chunk in (1, 7, 64, 4096)]
         generator = np.random.default_rng(np.random.SeedSequence(seed))
         uniforms = np.array([generator.random() for _ in range(sum(map(len, chunks)))])
+        kinds = set()
         for attack in ALL_ATTACKS:
             edges = _round_lookup(*_bases(attack), KeyMode.COMBINED)[0]
             thresholds = _thresholds(_tables(attack))
-            assert edges.tolist() == sorted({math.ceil(t * 2**53) for t in thresholds})
+            ceilings = {math.ceil(t * 2**53) for t in thresholds}
+            assert all(type(e) is np.uint64 for e in edges)
+            assert list(map(int, edges)) == sorted(c for c in ceilings if 0 < c < 2**53)
             for control_prob in CONTROL_PROB_EDGES:
                 lo2, hi2, rank, control = (
                     b"".join(part)
@@ -1024,17 +1030,49 @@ class TestSessionStream:
                 )
                 rank = np.frombuffer(rank, dtype=np.uint8)
                 for t in thresholds:
-                    j = edges.tolist().index(math.ceil(t * 2**53))
+                    j = _rank_bound(edges, t)
+                    kinds.add({-1: "below none", len(edges): "below all"}.get(j, "edge"))
                     # t equals its float, so the fast float comparison is exact.
                     assert t == float(t)
                     assert ((rank <= j) == (uniforms < float(t))).all()
                 assert list(control) == (uniforms < control_prob).tolist()
+        assert kinds == {"below none", "edge", "below all"}
         # lo2 and hi2 do not depend on the edges: the last decode stands for all.
         halves = [two_bits for pair in zip(lo2, hi2) for two_bits in pair]
         generator = np.random.default_rng(np.random.SeedSequence(seed))
         assert halves == [generator.integers(4) for _ in halves]
         generator = np.random.default_rng(np.random.SeedSequence(seed))
         assert [two_bits >> 1 for two_bits in halves] == [generator.integers(2) for _ in halves]
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            (),
+            (1, 2**40 + 7, 2**40 + 8, 2**52 + 3, 2**53 - 1),
+            (*range(1, 255), 2**53 - 1),
+        ],
+        ids=["no-edges", "adjacent-pair", "255-edges"],
+    )
+    def test_rank_sums_every_edge(self, edges):
+        """The rank is the number of edges at or below k, summed over all of
+        them in uint8 as bisect_right counts them, in every chunk size the
+        loop decodes; a logical or of the passes would stop at 1. Real
+        attacks have a single splitting edge, so these are synthetic: none,
+        as thresholds of only 0 and 1 give, an adjacent pair e, e + 1, the
+        extreme edges 1 and 2**53 - 1, and 255 edges, whose top rank fills
+        the byte."""
+        ks = sorted({0, 2**53 - 1, *(k + d for k in edges for d in (-1, 0, 1) if k + d < 2**53)})
+        # The 11 low bits of a word are not part of its uniform.
+        words = [k << 11 | low for k in ks for low in (0, 0x7FF)]
+        rng = np.random.default_rng(7)
+        decoded_edges = tuple(map(np.uint64, edges))
+        for size in (1, 7, 64, 4096):
+            chunk = [words[i] for i in rng.integers(len(words), size=size)]
+            if size >= len(words):
+                chunk[: len(words)] = words
+            rank = _decode_words(np.array(chunk, np.uint64), decoded_edges, 0)[2]
+            assert list(rank) == [bisect.bisect_right(edges, w >> 11) for w in chunk]
+        assert max(rank) == len(edges)
 
     @pytest.mark.parametrize("control_prob", CONTROL_PROB_EDGES)
     @pytest.mark.parametrize("attack", REFILL_ATTACKS)
@@ -1171,12 +1209,31 @@ def _thresholds(tables):
 
 
 def _rank_spans(edges):
-    """{rank: (first k, last k)} of each rank a word can have: rank j holds
-    the k = word >> 11 from the j-th bound to below the next, the bounds
-    being 0, the edges and 2**53; a rank between equal bounds has no word."""
-    bounds = [0, *edges.tolist(), 2**53]
-    spans = enumerate(zip(bounds, bounds[1:]))
-    return {j: (low, high - 1) for j, (low, high) in spans if low < high}
+    """{rank: (first k, last k)} of each rank: rank j holds the k = word >>
+    11 from the j-th bound to below the next, the bounds being 0, the edges
+    and 2**53."""
+    bounds = [0, *map(int, edges), 2**53]
+    return {j: (low, high - 1) for j, (low, high) in enumerate(zip(bounds, bounds[1:]))}
+
+
+def _rank_bound(edges, t):
+    """The largest rank whose words' uniforms lie below threshold t: the
+    index of t's ceiling among the edges, -1 for a ceiling of 0, which no
+    word lies below, and len(edges) for 2**53, which every word lies below."""
+    ceiling = math.ceil(t * 2**53)
+    if ceiling in (0, 2**53):
+        return -1 if ceiling == 0 else len(edges)
+    return list(map(int, edges)).index(ceiling)
+
+
+def _leg_rows(cell, bases):
+    """(basis, rank row) of a lookup leg of Eve at each draw: the one row of
+    a fixed basis, else the row at each 2-bit draw, whose top bit is the
+    basis."""
+    if len(bases) == 1:
+        return [(bases[0], cell)]
+    assert len(cell) == 4
+    return [(MeasBasis(draw >> 1), cell[draw]) for draw in range(4)]
 
 
 def _same_ray(amps, state):
@@ -1391,7 +1448,8 @@ class TestRoundTables:
         word's uniform: bit 0 iff r < p0, and the first Bell outcome whose
         threshold exceeds r. Checked along every path of the lookup whose
         draws all share one uniform r, for r at and next to every threshold
-        and at 0 and 1 - 2**-53."""
+        and at 0 and 1 - 2**-53, with Eve's legs and Bob's control rows read
+        at each 2-bit draw, whose top bit is the basis."""
         tables = _tables(attack)
         forward, backward = _bases(attack)
         measure_h, measure_t = tables.measure[QubitId.H], tables.measure[QubitId.T]
@@ -1418,24 +1476,25 @@ class TestRoundTables:
             if not bases:
                 return [(cell, s)]
             walked = []
-            for basis in bases:
-                bit, subtree = cell[basis][rank]
+            for basis, row in _leg_rows(cell, bases):
+                (seen, bit), subtree = row[rank]
                 want_bit, t = measured(measure_t[s][basis], r)
                 checked += 1
-                assert bit == want_bit
+                assert (seen, bit) == (basis, want_bit)
                 walked.append((subtree, t))
             return walked
 
         for r, rank in zip(uniforms, ranks):
             for u_a, prepared in zip(LocalUnitary, tables.prepared):
                 for (control, message), s in eve(root[u_a], prepared, forward, r, rank):
-                    for basis in MeasBasis:
+                    for draw in range(4):
+                        basis = MeasBasis(draw >> 1)
                         correlated = expected_correlation(u_a, basis) is Correlation.CORRELATED
                         bob_bit, t = measured(measure_t[s][basis], r)
                         alice_bit, _ = measured(measure_h[t][basis], r)
                         detected = (alice_bit == bob_bit) != correlated
                         checked += 1
-                        assert control[basis][rank][rank] == _control_entry(
+                        assert control[draw][rank][rank] == _control_entry(
                             detected, basis, bob_bit, alice_bit
                         )
                     for u_b, returned in zip(LocalUnitary, tables.encode[s]):
@@ -1448,11 +1507,12 @@ class TestRoundTables:
     @pytest.mark.parametrize("count", [255, 256])
     def test_ranks_must_fit_in_a_byte(self, count, monkeypatch):
         """A rank is stored in a byte, so the round lookup refuses 256 or
-        more distinct threshold edges when it is built."""
-        thresholds = [j / 512 for j in range(count)]
+        more splitting edges when it is built. Thresholds of exactly 0 and 1
+        split no words and do not count."""
+        thresholds = [0, 1] + [j / 512 for j in range(1, count + 1)]
         tables = types.SimpleNamespace(
             measure=([[(t, 0, 1), None] for t in thresholds], []),
-            bell=[None] * count,
+            bell=[None] * len(thresholds),
             prepared=(),
             encode=[],
         )
@@ -1480,8 +1540,9 @@ class TestRoundTables:
         members where the protocol's do. Each entry is checked at the
         first and the last uniform of its rank, which lie next to the
         thresholds, and _decode_words gives that rank to a word of either
-        uniform, whatever its 11 low bits. None sits at exactly the ranks no
-        word has and at the bases Eve does not use. One node stands for each
+        uniform, whatever its 11 low bits. Every rank is some word's, and no
+        rank row holds None. Eve's legs and Bob's control rows are read at
+        each 2-bit draw, whose top bit is the basis. One node stands for each
         (u_A, state at Bob) and one leaf row for each (u_A, u_B, state at
         Alice), so the lookup holds at most 4 and 16 of them per state,
         however many draws lead there."""
@@ -1491,8 +1552,8 @@ class TestRoundTables:
         edges, root, key_dtype = _round_lookup(forward, backward, key_mode)
         assert np.dtype(key_dtype).itemsize == key_mode.bits_per_round
         spans = _rank_spans(edges)
-        # Every attack has a branch of probability 0, so some rank holds None.
-        assert spans and len(spans) < len(edges) + 1
+        assert all(first <= last for first, last in spans.values())
+        assert len(spans) == len(edges) + 1
         for rank, span in spans.items():
             # The 11 low bits of a word are not part of its uniform.
             words = np.array([k << 11 | low for k in span for low in (0, 0x7FF)], dtype=np.uint64)
@@ -1500,12 +1561,12 @@ class TestRoundTables:
         entries = 0
 
         def by_rank(row, rule):
-            """(row[rank], rule(r)) at each reached rank, rule(r) being the
-            same at the rank's first and last uniform r, once None is found
-            at exactly the other ranks."""
+            """(row[rank], rule(r)) at each rank, rule(r) being the same at
+            the rank's first and last uniform r, once the row is found to
+            hold no None."""
             nonlocal entries
             assert len(row) == len(edges) + 1
-            assert {r for r, e in enumerate(row) if e is None} == set(range(len(row))) - set(spans)
+            assert all(e is not None for e in row)
             entries += len(spans)
             pairs = []
             for rank, span in spans.items():
@@ -1526,13 +1587,11 @@ class TestRoundTables:
             if not bases:
                 return [(entry, s)]
             walked = []
-            for basis in MeasBasis:
-                if basis not in bases:
-                    assert entry[basis] is None
-                    continue
+            for basis, row in _leg_rows(entry, bases):
                 eve = measured(measure_t[s][basis])
-                for (bit, after), (want_bit, t) in by_rank(entry[basis], eve):
-                    assert bit == want_bit
+                for (seen, after), (want_bit, t) in by_rank(row, eve):
+                    assert seen == (basis, want_bit)
+                    assert type(seen[0]) is MeasBasis
                     walked.append((after, t))
             return walked
 
@@ -1541,10 +1600,12 @@ class TestRoundTables:
             for node, s in leg(root[u_a], prepared, forward):
                 nodes.setdefault((u_a, s), set()).add(id(node))
                 control, message = node
-                for basis in MeasBasis:
+                assert len(control) == 4
+                for draw in range(4):
+                    basis = MeasBasis(draw >> 1)
                     correlated = expected_correlation(u_a, basis) is Correlation.CORRELATED
                     bob = measured(measure_t[s][basis])
-                    for row, (bob_bit, t) in by_rank(control[basis], bob):
+                    for row, (bob_bit, t) in by_rank(control[draw], bob):
                         for entry, (alice_bit, _) in by_rank(row, measured(measure_h[t][basis])):
                             detected = (alice_bit == bob_bit) != correlated
                             want = _control_entry(detected, basis, bob_bit, alice_bit)
@@ -1566,6 +1627,37 @@ class TestRoundTables:
         assert all(len(ids) == 1 for ids in [*nodes.values(), *leaf_rows.values()])
         states = len(tables.states)
         assert len(nodes) <= 4 * states and len(leaf_rows) <= 16 * states
+
+    @pytest.mark.parametrize("attack", ALL_ATTACKS)
+    def test_draw_indexing_adds_no_rows(self, attack):
+        """A [2-bit draw] index holds each basis row twice, as the same
+        object: a random-basis leg's draws 0 and 1 share its Z row and 2 and
+        3 its X row, and so do each node's control rows. So the lookup holds
+        no more nodes and leaf rows than one per (u_A, state) and per (u_A,
+        u_B, state): at most 4 and 16 per state."""
+        forward, backward = _bases(attack)
+        root = _round_lookup(forward, backward, KeyMode.COMBINED)[1]
+
+        def by_draw(cell):
+            """The two basis rows of a [2-bit draw] index."""
+            assert len(cell) == 4
+            assert cell[0] is cell[1] and cell[2] is cell[3] and cell[0] is not cell[2]
+            return cell[::2]
+
+        def after(cell, bases):
+            """What follows Eve's leg, at each of her rows and ranks."""
+            if not bases:
+                return [cell]
+            rows = by_draw(cell) if len(bases) == 2 else [cell]
+            return [then for row in rows for _, then in row]
+
+        nodes = {id(node): node for cell in root for node in after(cell, forward)}
+        leaf_rows = set()
+        for control, message in nodes.values():
+            by_draw(control)
+            leaf_rows.update(id(row) for cell in message for row in after(cell, backward))
+        states = len(_tables(attack).states)
+        assert 0 < len(nodes) <= 4 * states and 0 < len(leaf_rows) <= 16 * states
 
     @staticmethod
     def _refuse_float_kernels(monkeypatch):
