@@ -16,6 +16,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
+from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 
@@ -286,13 +287,18 @@ def require_key_mode(value) -> None:
 
 
 def checked_count(fraction: float, length: int) -> int:
-    """Number of key positions publicly compared: ceil(exact_real(fraction) * length).
+    """Number of key positions publicly compared: ceil(v * length) for the
+    fraction v as written.
 
-    A float, numpy's float64 included, multiplies as a double, so the product
-    is rounded before the ceiling: 0.1 checks 160 of 1600 positions. Any
-    other real multiplies as its exact value: Fraction(1, 10) checks 160,
-    but Fraction(0.1) and np.float32(0.1), a little above 1/10, check 161.
+    A float, numpy's float64 included, counts as its shortest decimal, the
+    digits repr prints: 0.035 checks 7 of 200 positions, although the
+    double product 0.035 * 200 is 7.000000000000001. Any other real counts
+    as its exact value: Fraction(1, 10) checks 160 of 1600, but Fraction(0.1)
+    and np.float32(0.1), a little above 1/10, check 161.
     """
+    if isinstance(fraction, float):
+        n, d = Decimal(float.__repr__(fraction)).as_integer_ratio()
+        return -(-n * length // d)
     return math.ceil(exact_real(fraction) * length)
 
 
@@ -345,13 +351,15 @@ class KeyCheckResult:
 def key_check(alice_key, bob_key, policy: KeyCheckPolicy, public_rng) -> KeyCheckResult:
     """Publicly compare a seed-derived sample of key positions.
 
-    The sample is the prefix of a public random permutation, so a larger
-    fraction always checks a superset of positions (abort monotonicity).
-    The permutation is public_rng.permutation(length), which takes 8 bytes
-    per key bit while the check runs. Checked positions are removed from
-    both final keys. A policy that is not a valid KeyCheckPolicy, or a key
-    that is not a 1-D sequence of 0/1 values, raises ConfigError before
-    anything is compared.
+    The sample is a uniform m-subset of the positions, m = checked_count:
+    public_rng.choice(length, m, replace=False, shuffle=False), sorted. It
+    is not nested in fraction: with the same public_rng, a larger fraction
+    checks a different sample, not a superset, though the probability of an
+    abort still grows with it. The draw holds at most 8 bytes per key bit
+    while the check runs. Checked positions are removed from both final
+    keys. A policy that is not a valid KeyCheckPolicy, or a key that is not
+    a 1-D sequence of 0/1 values, raises ConfigError before anything is
+    compared.
     """
     require_policy(policy)
     alice, bob = _key_bits("alice_key", alice_key), _key_bits("bob_key", bob_key)
@@ -384,11 +392,13 @@ def _check_keys(alice, bob, policy: KeyCheckPolicy, public_rng) -> KeyCheckResul
 
 
 def _checked_positions(length: int, m: int, public_rng) -> np.ndarray:
-    """The sorted first m entries of public_rng.permutation(length),
-    read-only. The full permutation, 8 bytes per position, is freed on
-    return."""
+    """The sorted positions of public_rng.choice(length, m, replace=False,
+    shuffle=False), read-only. numpy draws them by Floyd's algorithm in
+    O(m), or, for length above 10,000 and m above length / 20, by shuffling
+    the tail of arange(length), 8 bytes per position, freed on return."""
     if m > 0:
-        picked = np.sort(public_rng.permutation(length)[:m])
+        picked = public_rng.choice(length, m, replace=False, shuffle=False)
+        picked.sort()
     else:
         picked = np.zeros(0, dtype=np.int64)
     picked.flags.writeable = False

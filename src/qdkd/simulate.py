@@ -1,19 +1,22 @@
 """Monte Carlo harness: runs seeded protocol sessions, aggregates statistics,
 and serializes reports.
 
-A session is fully determined by its SimConfig (including the seed): the
-protocol stream and the public key-check stream are both derived from it, so
-identical configs produce byte-identical serialized reports. A control-round
-detection aborts the session immediately; otherwise the public key check runs
-once at the end. This docstring is the specification of the protocol stream;
-README "Reproducibility" states what it guarantees a user.
+A session is fully determined by its SimConfig (including the seed): its
+one random stream is derived from it, so identical configs produce
+byte-identical serialized reports. A control-round detection aborts the
+session immediately; otherwise the public key check runs once at the end.
+This docstring is the specification of the stream, whose version is
+STREAM_VERSION; README "Reproducibility" states what it guarantees a user.
 
-The two streams are the children of SeedSequence(seed).spawn(2), built
-directly as SeedSequence(seed, spawn_key=(i,)); the second is built only
-when the key check runs, which checks a prefix of
-default_rng(second child).permutation(length), 8 bytes per key bit while
-the check runs.
-The rounds read the raw 64-bit words of PCG64(first child) in order:
+The stream is PCG64(SeedSequence(seed, spawn_key=(0,))), the first child of
+SeedSequence(seed).spawn(2). The rounds read its raw 64-bit words in order
+from word 0; the key check reads from word 2**100 on, far past any
+session's rounds, through Generator(the same PCG64 advanced to word
+2**100). It checks ceil(v * length) positions for the check_fraction v as
+written (see qdkd.protocol.checked_count), drawn as
+choice(length, m, replace=False, shuffle=False) and sorted: a uniform
+m-subset, not nested in v, drawn with at most 8 bytes per key bit.
+The rounds' words are read in order:
 
 - a 32-bit draw takes the low half of a fresh word, and the next 32-bit draw
   takes the high half of that word; uniforms drawn in between leave the
@@ -109,6 +112,13 @@ from .protocol import (
 from .oracle import _round_tables
 from .quantum import MeasBasis, QubitId
 
+
+# The version of the stream the module docstring specifies. The float
+# tables' stream is 0; then came exact thresholds (1), an exact narrow numpy
+# control_prob (2), an exact narrow numpy check_fraction (3), an exact numpy
+# longdouble check_fraction (4), and the key check's choice draw from word
+# 2**100 of the rounds' PCG64, counting a float fraction as written (5).
+STREAM_VERSION = 5
 
 ABORT_CONTROL = "control-round-detection"
 ABORT_KEY_CHECK = "key-check-mismatch"
@@ -427,6 +437,7 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
     p, half = 0, -1
     refill_at = -1
     chunk = 64
+    words_read = 0
 
     for index in range(config.rounds):
         if p > refill_at:
@@ -437,6 +448,7 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
             control = control[p:] + decoded[3]
             p = 0
             refill_at = len(rank) - _ROUND_WORDS
+            words_read += chunk
             chunk = min(2 * chunk, _MAX_CHUNK_WORDS)
         if half < 0:
             u_a = lo2[p]
@@ -517,8 +529,10 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
     transcript = [message for record in records for message in record.outcome.transcript]
     if not aborted:
         policy = KeyCheckPolicy(config.check_fraction, config.mismatch_threshold)
-        check_ss = np.random.SeedSequence(config.seed, spawn_key=(1,))
-        check = _check_keys(alice_bits, bob_bits, policy, np.random.default_rng(check_ss))
+        # The check reads from word 2**100 of the stream, however many words
+        # the rounds read.
+        check_rng = np.random.Generator(bitgen.advance(2**100 - words_read))
+        check = _check_keys(alice_bits, bob_bits, policy, check_rng)
         if keep_records:
             transcript += check.transcript
         checked = len(check.positions)

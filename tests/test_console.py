@@ -3,8 +3,8 @@
 Each test runs `python -m qdkd` and, when shutil.which finds one, the
 installed `qdkd` script of [project.scripts] too. The checks cover the
 exact oracle's 20 s limits at large n, the peak RSS of a 10^6-round run,
-exit codes, and report bytes that equal json.dumps's and do not depend on
-the string hash seed.
+exit codes, a check fraction counted as written, and report bytes that
+equal json.dumps's and do not depend on the string hash seed.
 """
 
 import json
@@ -91,6 +91,15 @@ def test_report_bytes_are_json_dumps_under_any_hash_seed(qdkd, args):
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
     assert outputs[0] == (json.dumps(json.loads(outputs[0]), indent=2) + "\n").encode()
+
+
+def test_check_fraction_counts_as_written(qdkd):
+    # 50 message rounds give 200 key bits. 0.035 of them is 7, though the
+    # double product 0.035 * 200 lies above 7.
+    args = ("run", "--rounds", "50", "--control-prob", "0", "--check-fraction", "0.035")
+    proc = run(qdkd, *args)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["final_key_length"] == 193
 
 
 def test_forward_attack_exits_2(qdkd):

@@ -1,5 +1,6 @@
 """Protocol-layer tests: correlation table, round flows, key material."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -300,18 +301,38 @@ class TestKeyCheck:
         with pytest.raises(ProtocolError):
             key_check((0, 1), (0, 1, 1), KeyCheckPolicy(0.5), np.random.default_rng(0))
 
-    def test_abort_monotone_in_fraction(self, rng):
-        # Same public seed: a larger fraction checks a superset of positions.
+    def test_abort_law_over_fractions(self, rng):
+        # The check compares a uniform m-subset of the L positions, so with e
+        # mismatches and threshold 0 it aborts with probability
+        # 1 - C(L - e, m) / C(L, m), which grows with m. The samples of two
+        # fractions under one public seed are not nested, so only the law,
+        # not each seed's verdict, is monotone in the fraction.
         alice = tuple(int(b) for b in rng.integers(2, size=200))
         noise = rng.random(200) < 0.05
         bob = tuple(b ^ int(n) for b, n in zip(alice, noise))
-        aborted_once = False
-        for fraction in (0.02, 0.05, 0.1, 0.2, 0.4, 0.8, 1.0):
-            result = key_check(alice, bob, KeyCheckPolicy(fraction), np.random.default_rng(77))
-            if aborted_once:
-                assert result.verdict is CheckVerdict.ABORT
-            aborted_once = aborted_once or result.verdict is CheckVerdict.ABORT
-        assert aborted_once  # fraction 1.0 sees every mismatch
+        length, errors = len(alice), sum(noise)
+        assert 0 < errors < length
+        alice, bob = bytes(alice), bytes(bob)
+        fractions = (0.02, 0.05, 0.1, 0.2, 0.4, 0.8, 1.0)
+        laws = []
+        for fraction in fractions:
+            m = checked_count(fraction, length)
+            laws.append(1 - Fraction(math.comb(length - errors, m), math.comb(length, m)))
+        assert laws == sorted(laws)
+        assert laws[-1] == 1
+        # Each fraction's abort count over N public seeds lies in its
+        # binomial acceptance interval, which a correct check leaves with
+        # probability at most 1e-6 per fraction, 7e-6 in all.
+        seeds = 2000
+        for fraction, law in zip(fractions, laws):
+            policy = KeyCheckPolicy(fraction)
+            aborts = sum(
+                key_check(alice, bob, policy, np.random.default_rng(seed)).verdict
+                is CheckVerdict.ABORT
+                for seed in range(seeds)
+            )
+            low, high = _binomial_interval(seeds, float(law), 1e-6)
+            assert low <= aborts <= high, (fraction, float(law), aborts / seeds)
 
     @pytest.mark.parametrize(
         "key",
@@ -360,11 +381,39 @@ class TestKeyCheck:
         assert isinstance(result.transcript[-1], AbortNotice)
 
 
+def _binomial_interval(trials, p, alpha):
+    """The count interval [low, high] that a Binomial(trials, p) count
+    leaves with probability at most alpha: at most alpha / 2 below low and
+    at most alpha / 2 above high."""
+    if p in (0.0, 1.0):
+        return (trials, trials) if p else (0, 0)
+    log_pmf = [
+        math.lgamma(trials + 1) - math.lgamma(k + 1) - math.lgamma(trials - k + 1)
+        + k * math.log(p) + (trials - k) * math.log1p(-p)
+        for k in range(trials + 1)
+    ]
+    pmf = [math.exp(v) for v in log_pmf]
+    low, tail = 0, pmf[0]
+    while tail <= alpha / 2:
+        low += 1
+        tail += pmf[low]
+    high, tail = trials, pmf[trials]
+    while tail <= alpha / 2:
+        high -= 1
+        tail += pmf[high]
+    return low, high
+
+
 def _reference_key_check(alice_key, bob_key, policy, public_rng):
-    """key_check over Python tuples, position by position."""
+    """key_check over Python tuples, position by position. A float fraction
+    counts as the decimal its repr prints."""
     length = len(alice_key)
-    m = math.ceil(policy.fraction * length)
-    positions = tuple(sorted(int(i) for i in public_rng.permutation(length)[:m])) if m else ()
+    m = math.ceil(Fraction(repr(policy.fraction)) * length)
+    positions = (
+        tuple(sorted(int(i) for i in public_rng.choice(length, m, replace=False, shuffle=False)))
+        if m
+        else ()
+    )
     alice_sample = tuple(alice_key[i] for i in positions)
     bob_sample = tuple(bob_key[i] for i in positions)
     mismatches = sum(a != b for a, b in zip(alice_sample, bob_sample))
@@ -415,11 +464,31 @@ class TestKeyCheckArrays:
 
     @pytest.mark.parametrize("length", [1, 2, 3, 255, 256, 65535, 65536, 65537, 100003])
     @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
-    def test_positions_are_the_permutation_prefix(self, length, seed):
+    def test_positions_are_the_sorted_choice(self, length, seed):
         result = key_check(bytes(length), bytes(length), KeyCheckPolicy(0.3), np.random.default_rng(seed))
         m = math.ceil(0.3 * length)
-        permutation = np.random.default_rng(seed).permutation(length)
-        assert np.array_equal(result.positions, np.sort(permutation[:m]))
+        picked = np.random.default_rng(seed).choice(length, m, replace=False, shuffle=False)
+        assert np.array_equal(result.positions, np.sort(picked))
+
+    # sha-256 of the sorted positions, as little-endian int64, that
+    # default_rng(7) checks among L: numpy draws them by Floyd's algorithm at
+    # (200, 20) and (30,000, 300), and by a tail shuffle of arange(L) at
+    # (30,000, 3,000), where m > L / 20. They pin the key-check stream on
+    # every numpy version the package supports.
+    @pytest.mark.parametrize(
+        "length, m, digest",
+        [
+            (200, 20, "1353fc82fbcaf2f23402a57b3618bdcbdbafbe42f2c2934c4340d104657ce2e6"),
+            (30_000, 300, "f7cdf455a5efd5431365f784090fd2a79715d426b1c58aba35ed8b821651de38"),
+            (30_000, 3_000, "7a5cde4fb34aa7c0f3134e3cb4d321c07fff05186e3793606267000606864784"),
+        ],
+        ids=["floyd-200", "floyd-30000", "tail-30000"],
+    )
+    def test_positions_are_pinned(self, length, m, digest):
+        policy = KeyCheckPolicy(Fraction(m, length))
+        result = key_check(bytes(length), bytes(length), policy, np.random.default_rng(7))
+        assert len(result.positions) == m
+        assert hashlib.sha256(result.positions.astype("<i8").tobytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(
@@ -438,3 +507,12 @@ def test_checked_count_rounds_a_float_product_and_no_other(fraction, count):
     assert checked_count(fraction, 1600) == count
     result = key_check(bytes(1600), bytes(1600), KeyCheckPolicy(fraction), np.random.default_rng(0))
     assert len(result.positions) == count
+
+
+@pytest.mark.parametrize("fraction", [0.035, np.float64(0.035)], ids=["float", "float64"])
+def test_checked_count_counts_a_float_as_written(fraction):
+    # The double product 0.035 * 200 is 7.000000000000001; 0.035 of 200 is 7.
+    assert 0.035 * 200 > 7
+    assert checked_count(fraction, 200) == 7
+    result = key_check(bytes(200), bytes(200), KeyCheckPolicy(fraction), np.random.default_rng(0))
+    assert len(result.positions) == 7

@@ -300,8 +300,8 @@ class TestSessionProperties:
     def test_report_only_memory_per_key_bit(self):
         # Keys are bytes and the key check builds no Python object per bit,
         # so the traced peak stays near 11 bytes per pre-check key bit, 8 of
-        # them the check's permutation; a tuple of the bits alone would take
-        # 8 per bit for each key.
+        # them the arange(length) that numpy's choice shuffles the tail of;
+        # a tuple of the bits alone would take 8 per bit for each key.
         config = SimConfig(rounds=200_000, control_prob=0.0, attack=BACKWARD_Z, seed=1)
         run_simulation(dataclasses.replace(config, rounds=100))  # the round tables
         tracemalloc.start()
@@ -871,9 +871,10 @@ def _reference_round(attack, control_prob, rng, index, observations):
 def _reference_session(config):
     """One session of _reference_rounds, drawing from default_rng of the
     protocol seed sequence: the session loop as it was before the round
-    tables. Returns (report, records, transcript, observations, pre-check
-    keys, final keys)."""
-    proto_ss, check_ss = np.random.SeedSequence(config.seed).spawn(2)
+    tables. The key check draws from a second PCG64 of that seed sequence,
+    advanced 2**100 words. Returns (report, records, transcript,
+    observations, pre-check keys, final keys)."""
+    proto_ss = np.random.SeedSequence(config.seed).spawn(2)[0]
     rng = np.random.default_rng(proto_ss)
     transcript, observations, records = [], [], []
     detections = 0
@@ -899,7 +900,8 @@ def _reference_session(config):
     alice_final, bob_final = alice_pre, bob_pre
     if not aborted:
         policy = KeyCheckPolicy(config.check_fraction, config.mismatch_threshold)
-        check = key_check(alice_pre, bob_pre, policy, np.random.default_rng(check_ss))
+        check_rng = np.random.Generator(np.random.PCG64(proto_ss).advance(2**100))
+        check = key_check(alice_pre, bob_pre, policy, check_rng)
         transcript.extend(check.transcript)
         checked = len(check.positions)
         alice_final, bob_final = tuple(check.alice_final), tuple(check.bob_final)
@@ -1142,6 +1144,15 @@ class TestSessionStream:
                 np.random.PCG64(direct).random_raw(8).tolist()
                 == np.random.PCG64(child).random_raw(8).tolist()
             )
+
+    def test_check_stream_words_are_pinned(self):
+        # The key check of seed 7 reads these words first: word 2**100 on of
+        # the rounds' PCG64. A numpy whose advance differs fails here.
+        assert simulate.STREAM_VERSION == 5
+        bitgen = np.random.PCG64(np.random.SeedSequence(7, spawn_key=(0,))).advance(2**100)
+        assert bitgen.random_raw(4).tolist() == [
+            2816532671443691509, 8716957038360912089, 6645707004508324354, 9362925531012223768
+        ]
 
     # sha-256 of the concatenated JSON reports of the 400-round matrix below,
     # recorded from the scalar session loop before the round tables.
