@@ -355,8 +355,9 @@ def key_check(alice_key, bob_key, policy: KeyCheckPolicy, public_rng) -> KeyChec
     public_rng.choice(length, m, replace=False, shuffle=False), sorted. It
     is not nested in fraction: with the same public_rng, a larger fraction
     checks a different sample, not a superset, though the probability of an
-    abort still grows with it. The draw holds at most 8 bytes per key bit
-    while the check runs. Checked positions are removed from both final
+    abort still grows with it. The draw, and then the int64 index of the
+    unchecked positions, each hold at most 8 bytes per key bit while the
+    check runs. Checked positions are removed from both final
     keys. A policy that is not a valid KeyCheckPolicy, or a key that is not
     a 1-D sequence of 0/1 values, raises ConfigError before anything is
     compared.
@@ -378,14 +379,17 @@ def _check_keys(alice, bob, policy: KeyCheckPolicy, public_rng) -> KeyCheckResul
     verdict = (
         CheckVerdict.ABORT if mismatches > policy.mismatch_threshold else CheckVerdict.ACCEPT
     )
+    # The unchecked positions, found once for both keys: a take at an index
+    # is faster than a gather by a boolean mask.
     kept = np.ones(length, dtype=bool)
     kept[picked] = False
+    kept = np.flatnonzero(kept)
     return KeyCheckResult(
         verdict,
         mismatches,
         picked,
-        alice[kept].tobytes(),
-        bob[kept].tobytes(),
+        alice.take(kept).tobytes(),
+        bob.take(kept).tobytes(),
         alice_sample.tobytes(),
         bob_sample.tobytes(),
     )

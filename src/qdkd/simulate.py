@@ -9,34 +9,36 @@ This docstring is the specification of the stream, whose version is
 STREAM_VERSION; README "Reproducibility" states what it guarantees a user.
 
 The stream is PCG64(SeedSequence(seed, spawn_key=(0,))), the first child of
-SeedSequence(seed).spawn(2). The rounds read its raw 64-bit words in order
-from word 0; the key check reads from word 2**100 on, far past any
+SeedSequence(seed).spawn(2). Round i reads its raw 64-bit words 4i to
+4i + 3, w0 to w3; the key check reads from word 2**100 on, far past any
 session's rounds, through Generator(the same PCG64 advanced to word
 2**100). It checks ceil(v * length) positions for the check_fraction v as
 written (see qdkd.protocol.checked_count), drawn as
 choice(length, m, replace=False, shuffle=False) and sorted: a uniform
 m-subset, not nested in v, drawn with at most 8 bytes per key bit.
-The rounds' words are read in order:
+A word's uniform is r = (w >> 11) * 2**-53, the value Generator.random()
+returns for it on PCG64. A 2-bit draw is a field of the word's low bits,
+which no uniform uses: a unitary (u_A, u_B) is the field, a basis its top
+bit. Each round's slots are:
 
-- a 32-bit draw takes the low half of a fresh word, and the next 32-bit draw
-  takes the high half of that word; uniforms drawn in between leave the
-  buffered half in place;
-- a unitary (u_A, u_B) is the top 2 bits of a 32-bit draw, a basis its top
-  bit;
-- a uniform is (word >> 11) * 2**-53, taken from a fresh word.
+- w0: u_A in bits 0-1, Eve's forward basis draw in bits 2-3, and the
+  uniform of Eve's forward-leg measurement;
+- w1: Bob's draw in bits 0-1 (u_B in a message round, his basis in a
+  control round), Eve's backward basis draw in bits 2-3, and the mode
+  uniform: a control round iff it is below control_prob;
+- w2: the uniform of Bob's measurement in a control round, of Eve's
+  backward-leg measurement in a message round;
+- w3: the uniform of Alice's measurement in a control round, of the Bell
+  measurement in a message round.
 
-These are the values numpy's Generator returns for integers(4), integers(2)
-and random() on PCG64. Each round draws, in order: u_A; on the forward leg,
-Eve's basis (random policy only) and her uniform; the mode uniform (a
-control round iff it is below control_prob); in a control round, Bob's
-basis, Bob's uniform and Alice's uniform; in a message round, u_B, then on
-the backward leg Eve's basis (random policy only) and her uniform, then the
-uniform of the Bell measurement. A qubit measurement gives bit 0 iff its
-uniform is below the exact Born probability p0; a Bell measurement gives the
-first outcome whose exact cumulative probability exceeds its uniform. So a
-session equals the scalar round functions of qdkd.protocol and
-qdkd.adversary driven by default_rng(first child), which decide with the
-float kernels, except at the uniforms 0.5 - 2**-53, 0.5 and 0.5 + 2**-53:
+Eve's basis draws are read only under the random policy. A slot that a
+round does not use is skipped; it never shifts a later draw. A qubit
+measurement gives bit 0 iff its uniform is below the exact Born
+probability p0; a Bell measurement gives the first outcome whose exact
+cumulative probability exceeds its uniform. So a session equals the scalar
+round functions of qdkd.protocol and qdkd.adversary, which decide with the
+float kernels, when each of their integers() and random() calls is served
+from its slot, except at the uniforms 0.5 - 2**-53, 0.5 and 0.5 + 2**-53:
 there the kernels' thresholds for an exact 1/2 are 0.4999999999999999,
 0.5000000000000001 or 0.5000000000000002, so a draw decides differently
 with probability at most 2**-52.
@@ -45,10 +47,10 @@ The rounds decide from tables of the round automaton that qdkd.oracle builds
 in exact integer arithmetic, and whose statistics the oracle walks too: the
 12 to 20 states a session can reach under one attack, interned up to scale
 and sign, with each state's probabilities and successors precomputed.
-run_session draws the words in chunks that double from 64 to 4096 and
-decodes each chunk once with numpy into four bytes objects, one byte per
-word: lo2 and hi2, the top 2 bits of the low and of the high half, the
-word's rank and its control flag. The decode rests on one exact rule. A
+run_session draws the words in chunks of 16 rounds that double to 1024
+and decodes each chunk once with numpy into six bytes objects, one byte
+per round: the low 4 bits of w0 and of w1, w1's control flag and the
+ranks of w0, w2 and w3. The decode rests on one exact rule. A
 word's uniform is r = k * 2**-53 with k = word >> 11, and for every double
 or Fraction t in [0, 1], r < t holds exactly when k < ceil(t * 2**53): k is
 an integer, t * 2**53 is exact, and t = 1 gives 2**53, above every k. The
@@ -116,9 +118,10 @@ from .quantum import MeasBasis, QubitId
 # The version of the stream the module docstring specifies. The float
 # tables' stream is 0; then came exact thresholds (1), an exact narrow numpy
 # control_prob (2), an exact narrow numpy check_fraction (3), an exact numpy
-# longdouble check_fraction (4), and the key check's choice draw from word
-# 2**100 of the rounds' PCG64, counting a float fraction as written (5).
-STREAM_VERSION = 5
+# longdouble check_fraction (4), the key check's choice draw from word
+# 2**100 of the rounds' PCG64, counting a float fraction as written (5), and
+# four words per round, each draw in a fixed slot (6).
+STREAM_VERSION = 6
 
 ABORT_CONTROL = "control-round-detection"
 ABORT_KEY_CHECK = "key-check-mismatch"
@@ -247,11 +250,10 @@ def _error_rates(alice_bits, bob_bits) -> tuple[float, float, float]:
 
 # --- The protocol stream and the round automaton ---
 
-_MAX_CHUNK_WORDS = 4096
-_ROUND_WORDS = 8  # no round reads more fresh words than this
+_FIRST_CHUNK, _MAX_CHUNK = 16, 1024  # rounds decoded at once
 _RANK_LIMIT = 256  # a rank must fit in a byte
 # Shift and mask operands of the decode, typed so numpy 1.x keeps uint64.
-_U3, _U11, _U30, _U62 = (np.uint64(n) for n in (3, 11, 30, 62))
+_U11, _U15 = np.uint64(11), np.uint64(15)
 _K_END = 2**53  # above every k = word >> 11
 
 
@@ -263,53 +265,60 @@ def _edge(t) -> int:
     return math.ceil(exact_real(t) * 2**53)
 
 
-def _decode_words(words, edges, control_edge) -> tuple[bytes, bytes, bytes, bytes]:
-    """The decode of raw 64-bit words that the module docstring describes:
-    (lo2, hi2, rank, control), one byte per word, against the given edges
-    (a tuple of np.uint64, so that numpy 1.x compares in uint64) and control
-    edge. The rank is one k >= edge pass per edge, summed in uint8 because
-    numpy adds two bool arrays as a logical or; one pass needs no sum, as a
-    bool's byte is 0 or 1."""
+def _decode_words(words, edges, control_edge) -> tuple[bytes, ...]:
+    """The decode of a whole number of rounds' raw 64-bit words that the
+    module docstring describes: (field0, field1, control, rank0, rank2,
+    rank3), one byte per round, against the given edges (a tuple of
+    np.uint64, so that numpy 1.x compares in uint64) and control edge. The
+    rank is one k >= edge pass per edge, summed in uint8 because numpy adds
+    two bool arrays as a logical or; one pass needs no sum, as a bool's byte
+    is 0 or 1."""
     k = words >> _U11
     first, *rest = edges or (np.uint64(_K_END),)  # no word's k reaches 2**53
     rank = k >= first
     for edge in rest:
         rank = np.add(rank, k >= edge, dtype=np.uint8)
+    fields = (words & _U15).astype(np.uint8)
     return (
-        ((words >> _U30) & _U3).astype(np.uint8).tobytes(),
-        (words >> _U62).astype(np.uint8).tobytes(),
-        rank.tobytes(),
-        (k < control_edge).tobytes(),
+        fields[0::4].tobytes(),
+        fields[1::4].tobytes(),
+        (k[1::4] < control_edge).tobytes(),
+        rank[0::4].tobytes(),
+        rank[2::4].tobytes(),
+        rank[3::4].tobytes(),
     )
 
 
-_UNITARIES = tuple(LocalUnitary)
+# field0 -> u_A, its low 2 bits.
+_UNITARIES = tuple(LocalUnitary) * 4
 
 
-def _by_draw(z_row, x_row) -> tuple:
-    """A row per basis indexed by a raw 2-bit draw, whose top bit is the
-    basis: draws 0 and 1 share the Z row, 2 and 3 the X row."""
-    return z_row, z_row, x_row, x_row
+def _by_field(rows) -> tuple:
+    """A row indexed by a 4-bit field, a 2-bit draw | a basis draw << 2,
+    from the (Z row, X row) of each draw: field f holds rows[f & 3][f >> 3],
+    the basis being the top bit of the basis draw."""
+    return tuple(row[d >> 1] for d in range(4) for row in rows)
 
 
 @functools.cache
 def _round_lookup(forward, backward, key_mode: KeyMode) -> tuple[tuple, tuple, type]:
     """(edges, root, key dtype): an attack's rounds in one key mode as
     nested tables, built from its round tables and indexed by the round's
-    draws in stream order, a basis by its raw 2-bit draw.
+    decoded bytes (see the module docstring).
 
-    - root[u_A] is the round's node, behind Eve's leg when she attacks the
-      forward leg.
-    - Eve's leg is [rank] -> ((basis, Eve's bit), what follows) for a fixed
-      basis, and [2-bit draw][rank] the same for the random policy.
-    - A node is (control, message) of u_A and the state that reached Bob:
-      control[Bob's 2-bit draw][rank_Bob][rank_Alice] = (detected,
-      ControlOutcome), and message[u_B] is a leaf row, behind Eve's leg
-      when she attacks the backward leg.
+    - root[field0] is the round's node, behind Eve's leg when she attacks
+      the forward leg: field0 is u_A | Eve's forward basis draw << 2.
+    - Eve's leg is [rank] -> ((basis, Eve's bit), what follows).
+    - A node is (control, message) of u_A and the state that reached Bob,
+      each indexed by field1, Bob's draw | Eve's backward basis draw << 2:
+      control[field1][rank_Bob][rank_Alice] = (detected, ControlOutcome),
+      its basis the top bit of Bob's draw, and message[field1] is the
+      leaf row of u_B = Bob's draw, behind Eve's leg when she attacks the
+      backward leg.
     - leaf_row[rank] = (Alice's key bytes + Bob's key bytes, MessageOutcome).
 
-    The rows of a [2-bit draw] index are the two basis rows, each twice
-    (_by_draw). edges holds the sorted distinct _edge of the round tables'
+    A field's 16 entries repeat the rows of its distinct draws (_by_field).
+    edges holds the sorted distinct _edge of the round tables'
     thresholds (each p0 and Bell threshold) that split the words, those
     strictly between 0 and 2**53, as np.uint64: the edges a word's rank
     counts (see the module docstring). Every rank 0 to len(edges) is some
@@ -352,13 +361,14 @@ def _round_lookup(forward, backward, key_mode: KeyMode) -> tuple[tuple, tuple, t
     key_bits = [[bytes(accumulate_key([], a, b, key_mode)) for b in range(4)] for a in range(4)]
 
     def leg(s, bases, then):
-        """then(s) when Eve leaves the leg alone; otherwise [rank] ->
-        ((basis, Eve's bit), then(the state after her measurement)), behind
-        a [2-bit draw] index for the random policy."""
+        """(Z row, X row) of a leg: then(s) twice when Eve leaves it alone;
+        otherwise [rank] -> ((basis, Eve's bit), then(the state after her
+        measurement)) in each basis she may measure in."""
         if not bases:
-            return then(s)
+            row = then(s)
+            return row, row
         rows = [tuple(((basis, bit), then(t)) for bit, t in measure_t[s][basis]) for basis in bases]
-        return _by_draw(*rows) if len(rows) == 2 else rows[0]
+        return rows[0], rows[-1]
 
     @functools.cache
     def leaf_row(u_a, u_b, t):
@@ -382,20 +392,20 @@ def _round_lookup(forward, backward, key_mode: KeyMode) -> tuple[tuple, tuple, t
 
     @functools.cache
     def node(u_a, s):
-        control = _by_draw(
-            *(
-                tuple(control_row(u_a, basis, bit, t) for bit, t in measure_t[s][basis])
-                for basis in MeasBasis
-            )
+        control = [
+            tuple(control_row(u_a, basis, bit, t) for bit, t in measure_t[s][basis])
+            for basis in MeasBasis
+        ]
+        message = _by_field(
+            [
+                leg(t, backward, functools.partial(leaf_row, u_a, u_b))
+                for u_b, t in zip(LocalUnitary, tables.encode[s])
+            ]
         )
-        message = tuple(
-            leg(t, backward, functools.partial(leaf_row, u_a, u_b))
-            for u_b, t in zip(LocalUnitary, tables.encode[s])
-        )
-        return control, message
+        return tuple(control[f >> 1 & 1] for f in range(16)), message
 
-    root = tuple(
-        leg(s, forward, functools.partial(node, u_a)) for u_a, s in enumerate(tables.prepared)
+    root = _by_field(
+        [leg(s, forward, functools.partial(node, u_a)) for u_a, s in enumerate(tables.prepared)]
     )
     key_dtype = np.uint16 if key_mode.bits_per_round == 2 else np.uint32
     return tuple(map(np.uint64, edges)), root, key_dtype
@@ -418,8 +428,6 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
     forward = eve_bases(config.attack, ChannelLeg.FORWARD)
     backward = eve_bases(config.attack, ChannelLeg.BACKWARD)
     forward_leg, backward_leg = ChannelLeg.FORWARD, ChannelLeg.BACKWARD
-    forward_random = len(forward) == 2
-    backward_random = len(backward) == 2
     edges, root, key_dtype = _round_lookup(forward, backward, config.key_mode)
     control_edge = _edge(config.control_prob)
     records: list[RoundRecord] = []
@@ -427,96 +435,49 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
     # Each message round appends Alice's key bytes, then Bob's.
     joint = bytearray()
     aborted = False
-    # The decoded stream: p is the next fresh word, half the buffered 2-bit
-    # value of the high half of the last opened word (-1 if none). A 32-bit
-    # draw opens word p (lo2[p], buffering hi2[p]) or takes half; a uniform
-    # is read as rank[p], or as control[p] for the mode. The lookup indexes
-    # a basis by its 2-bit value. A refill keeps the words from p on, so p
-    # restarts at 0 and half needs no index.
-    lo2 = hi2 = rank = control = b""
-    p, half = 0, -1
-    refill_at = -1
-    chunk = 64
-    words_read = 0
+    # A numpy integer's arithmetic would wrap or promote; the rounds count in int.
+    rounds, start, chunk = int(config.rounds), 0, _FIRST_CHUNK
 
-    for index in range(config.rounds):
-        if p > refill_at:
-            decoded = _decode_words(bitgen.random_raw(chunk), edges, control_edge)
-            lo2 = lo2[p:] + decoded[0]
-            hi2 = hi2[p:] + decoded[1]
-            rank = rank[p:] + decoded[2]
-            control = control[p:] + decoded[3]
-            p = 0
-            refill_at = len(rank) - _ROUND_WORDS
-            words_read += chunk
-            chunk = min(2 * chunk, _MAX_CHUNK_WORDS)
-        if half < 0:
-            u_a = lo2[p]
-            half = hi2[p]
-            p += 1
-        else:
-            u_a = half
-            half = -1
-        node = root[u_a]
-        if forward:
-            if forward_random:
-                if half < 0:
-                    node = node[lo2[p]]
-                    half = hi2[p]
-                    p += 1
-                else:
-                    node = node[half]
-                    half = -1
-            seen, node = node[rank[p]]
-            p += 1
+    while start < rounds and not aborted:
+        n = min(chunk, rounds - start)
+        # Each round's index and decoded bytes: its two fields index the
+        # lookup, its control flag picks the node's half, and a rank stands
+        # for each uniform the round reads.
+        words = bitgen.random_raw(4 * n)
+        decoded = zip(range(start, start + n), *_decode_words(words, edges, control_edge))
+        for index, field0, field1, control, rank0, rank2, rank3 in decoded:
+            node = root[field0]
+            if forward:
+                seen, node = node[rank0]
+                if keep_records:
+                    observations.append(EveObservation(index, forward_leg, *seen))
+            if control:
+                detected, outcome = node[0][field1][rank2][rank3]
+                if detected:
+                    aborted = True
+                    if keep_records:
+                        records.append(RoundRecord(index, _UNITARIES[field0], outcome))
+                    break
+            else:
+                leaf = node[1][field1]
+                if backward:
+                    seen, leaf = leaf[rank2]
+                    if keep_records:
+                        observations.append(EveObservation(index, backward_leg, *seen))
+                keys, outcome = leaf[rank3]
+                joint += keys
             if keep_records:
-                observations.append(EveObservation(index, forward_leg, *seen))
-        # The 32-bit draw after the mode uniform: Bob's basis (top bit) or u_B.
-        is_control = control[p]
-        if half < 0:
-            drawn = lo2[p + 1]
-            half = hi2[p + 1]
-            p += 2
-        else:
-            drawn = half
-            half = -1
-            p += 1
-        if is_control:
-            detected, outcome = node[0][drawn][rank[p]][rank[p + 1]]
-            p += 2
-            if detected:
-                aborted = True
-                if keep_records:
-                    records.append(RoundRecord(index, _UNITARIES[u_a], outcome))
-                break
-        else:
-            leaf = node[1][drawn]
-            if backward:
-                if backward_random:
-                    if half < 0:
-                        leaf = leaf[lo2[p]]
-                        half = hi2[p]
-                        p += 1
-                    else:
-                        leaf = leaf[half]
-                        half = -1
-                seen, leaf = leaf[rank[p]]
-                p += 1
-                if keep_records:
-                    observations.append(EveObservation(index, backward_leg, *seen))
-            keys, outcome = leaf[rank[p]]
-            p += 1
-            joint += keys
-        if keep_records:
-            records.append(RoundRecord(index, _UNITARIES[u_a], outcome))
+                records.append(RoundRecord(index, _UNITARIES[field0], outcome))
+        start = index + 1
+        chunk = min(2 * chunk, _MAX_CHUNK)
 
-    # A detection ends the session at round index; it is the only one.
+    # A detection ends the session at its last round; it is the only one.
     detections = int(aborted)
     abort_cause = ABORT_CONTROL if aborted else None
     # One item of key_dtype per party and message round, Alice's first.
     pairs = np.frombuffer(joint, key_dtype).reshape(-1, 2)
     message_rounds = len(pairs)
-    control_rounds = (index + 1 if aborted else config.rounds) - message_rounds
+    control_rounds = start - message_rounds
     alice_pre, bob_pre = pairs[:, 0].tobytes(), pairs[:, 1].tobytes()
     del joint, pairs  # freed before the key check, whose memory peaks
     alice_bits, bob_bits = (np.frombuffer(key, np.uint8) for key in (alice_pre, bob_pre))
@@ -529,9 +490,9 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
     transcript = [message for record in records for message in record.outcome.transcript]
     if not aborted:
         policy = KeyCheckPolicy(config.check_fraction, config.mismatch_threshold)
-        # The check reads from word 2**100 of the stream, however many words
-        # the rounds read.
-        check_rng = np.random.Generator(bitgen.advance(2**100 - words_read))
+        # The check reads from word 2**100 of the stream; the rounds read 4
+        # words each.
+        check_rng = np.random.Generator(bitgen.advance(2**100 - 4 * rounds))
         check = _check_keys(alice_bits, bob_bits, policy, check_rng)
         if keep_records:
             transcript += check.transcript
