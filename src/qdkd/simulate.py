@@ -48,31 +48,42 @@ in exact integer arithmetic, and whose statistics the oracle walks too: the
 12 to 20 states a session can reach under one attack, interned up to scale
 and sign, with each state's probabilities and successors precomputed.
 run_session draws the words in chunks of 16 rounds that double to 1024
-and decodes each chunk once with numpy into six bytes objects, one byte
-per round: the low 4 bits of w0 and of w1, w1's control flag and the
-ranks of w0, w2 and w3. The decode rests on one exact rule. A
-word's uniform is r = k * 2**-53 with k = word >> 11, and for every double
-or Fraction t in [0, 1], r < t holds exactly when k < ceil(t * 2**53): k is
-an integer, t * 2**53 is exact, and t = 1 gives 2**53, above every k. The
-edges are the sorted distinct ceilings of the attack's exact thresholds
-that split the words, those strictly between 0 and 2**53, and the rank is
-the number of edges at or below k. So r lies below a threshold exactly
-when the rank is at most the threshold's index: the index of its ceiling
-among the edges, -1 for a ceiling of 0, which no word lies below, and the
-number of edges for a ceiling of 2**53, which every word lies below. Every
-rank from 0 to the number of edges is some word's. The control flag is
-k < ceil(control_prob * 2**53), exact at control_prob 0 and 1 too; a
-control_prob of any real type, numpy's included, is compared as its exact
-value, so it decides the same on numpy 1.x and 2.
+and codes each chunk once with numpy, one round code per round, from the
+fields f0 and f1, the low 4 bits of w0 and of w1, w1's message flag and
+the ranks r0, r2 and r3 of w0, w2 and w3. With R the number of edges
+plus one, the code is
+
+    (f0 + 16 r0) + 16R (f1 + 16 message) + 512R (r2 + R r3),
+
+one of 512 R**3 values, each a distinct set of digits. The ranks rest on
+one exact rule. A word's uniform is r = k * 2**-53 with k = word >> 11,
+and for every double or Fraction t in [0, 1], r < t holds exactly when k <
+ceil(t * 2**53): k is an integer, t * 2**53 is exact, and t = 1 gives
+2**53, above every k. The edges are the sorted distinct ceilings of the
+attack's exact thresholds that split the words, those strictly between 0
+and 2**53, and the rank is the number of edges at or below k. So r lies
+below a threshold exactly when the rank is at most the threshold's index:
+the index of its ceiling among the edges, -1 for a ceiling of 0, which no
+word lies below, and the number of edges for a ceiling of 2**53, which
+every word lies below. Every rank from 0 to the number of edges is some
+word's. The message flag is k >= ceil(control_prob * 2**53), so a round is
+a control round iff k lies below that edge, exact at control_prob 0 and 1
+too; a control_prob of any real type, numpy's included, is compared as its
+exact value, so it decides the same on numpy 1.x and 2.
 
 Once a round's words are read, its outcome depends only on its draws, so
-the loop reads each round from the nested tables of _round_lookup, one
-lookup per leg, and makes no float comparison.
+it depends only on its code: a table compiled per attack and key mode,
+by reading the nested tables of _round_lookup at every code, gives each
+round's key bytes or its control verdict, and a session makes no float
+comparison. A table holds at most 2**16 codes, so an attack may have at
+most 4 edges; each of the 7 attacks has one, the edge of 1/2, and so
+4,096 codes.
 """
 
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import operator
@@ -250,11 +261,16 @@ def _error_rates(alice_bits, bob_bits) -> tuple[float, float, float]:
 
 # --- The protocol stream and the round automaton ---
 
-_FIRST_CHUNK, _MAX_CHUNK = 16, 1024  # rounds decoded at once
-_RANK_LIMIT = 256  # a rank must fit in a byte
-# Shift and mask operands of the decode, typed so numpy 1.x keeps uint64.
-_U11, _U15 = np.uint64(11), np.uint64(15)
+_FIRST_CHUNK, _MAX_CHUNK = 16, 1024  # rounds coded at once
+_CODE_LIMIT = 2**16  # codes a round's table may hold
+# Shift operands of the code, typed so numpy 1.x keeps uint64.
+_U4, _U11 = np.uint64(4), np.uint64(11)
 _K_END = 2**53  # above every k = word >> 11
+# The code's fields, the low 4 bits of w0 and w1, as a mask over a chunk's words.
+_FIELD_MASK = np.tile(np.array([15, 15, 0, 0], np.uint64), _MAX_CHUNK)
+# A control round's row in a code table: every byte 2 if it passes, 3 if it
+# detects. Key bytes are 0 or 1, so neither is ever a key byte.
+_PASS, _DETECT = b"\x02", b"\x03"
 
 
 def _edge(t) -> int:
@@ -265,28 +281,40 @@ def _edge(t) -> int:
     return math.ceil(exact_real(t) * 2**53)
 
 
-def _decode_words(words, edges, control_edge) -> tuple[bytes, ...]:
-    """The decode of a whole number of rounds' raw 64-bit words that the
-    module docstring describes: (field0, field1, control, rank0, rank2,
-    rank3), one byte per round, against the given edges (a tuple of
-    np.uint64, so that numpy 1.x compares in uint64) and control edge. The
-    rank is one k >= edge pass per edge, summed in uint8 because numpy adds
-    two bool arrays as a logical or; one pass needs no sum, as a bool's byte
-    is 0 or 1."""
+@functools.lru_cache(maxsize=64)
+def _code_passes(edges: tuple[int, ...], control_edge: int) -> tuple[tuple, np.ndarray]:
+    """(passes, weights) of the round code against the given edges and
+    control edge (see the module docstring). A pass is one k >= row
+    comparison, its row tiled over a whole chunk's words: [edge,
+    control_edge, edge, edge] for the first edge, so that w1's column is
+    the message flag, and [edge, 2**53, edge, edge] for each later one, as
+    no k reaches 2**53; with no edges the ranked columns are 2**53 too. The
+    weights turn a round's (f0 | r0 << 4, f1 | message << 4, r2 << 4,
+    r3 << 4) into its code, with R = len(edges) + 1. Cached, so that a
+    session builds no array of its own."""
+    radix = len(edges) + 1
+    rows = [[e, _K_END, e, e] for e in edges or (_K_END,)]
+    rows[0][1] = control_edge
+    passes = tuple(np.tile(np.array(row, np.uint64), _MAX_CHUNK) for row in rows)
+    return passes, np.array([1, 16 * radix, 32 * radix, 32 * radix**2], np.uint64)
+
+
+def _round_codes(words, passes, weights):
+    """The round code of each round of a chunk of at most _MAX_CHUNK rounds,
+    from its raw 64-bit words, as np.uint64: the rank is one k >= row pass
+    per edge, summed in uint64 when there are several, because numpy adds
+    two bool arrays as a logical or. The words, rows, mask, shifts and
+    weights are all np.uint64, so numpy 1.x cannot promote to float64."""
+    size = len(words)
     k = words >> _U11
-    first, *rest = edges or (np.uint64(_K_END),)  # no word's k reaches 2**53
-    rank = k >= first
-    for edge in rest:
-        rank = np.add(rank, k >= edge, dtype=np.uint8)
-    fields = (words & _U15).astype(np.uint8)
-    return (
-        fields[0::4].tobytes(),
-        fields[1::4].tobytes(),
-        (k[1::4] < control_edge).tobytes(),
-        rank[0::4].tobytes(),
-        rank[2::4].tobytes(),
-        rank[3::4].tobytes(),
-    )
+    first, *rest = passes
+    rank = k >= first[:size]
+    for row in rest:
+        rank = np.add(rank, k >= row[:size], dtype=np.uint64)
+    # k is spent: its buffer takes the fields, then the ranks beside them.
+    codes = np.bitwise_and(words, _FIELD_MASK[:size], out=k)
+    codes |= rank << _U4
+    return codes.reshape(-1, 4) @ weights
 
 
 # field0 -> u_A, its low 2 bits.
@@ -303,8 +331,9 @@ def _by_field(rows) -> tuple:
 @functools.cache
 def _round_lookup(forward, backward, key_mode: KeyMode) -> tuple[tuple, tuple, type]:
     """(edges, root, key dtype): an attack's rounds in one key mode as
-    nested tables, built from its round tables and indexed by the round's
-    decoded bytes (see the module docstring).
+    nested tables, built from its round tables and indexed by the digits
+    of the round code (see the module docstring); _code_table reads them
+    at every code.
 
     - root[field0] is the round's node, behind Eve's leg when she attacks
       the forward leg: field0 is u_A | Eve's forward basis draw << 2.
@@ -320,23 +349,24 @@ def _round_lookup(forward, backward, key_mode: KeyMode) -> tuple[tuple, tuple, t
     A field's 16 entries repeat the rows of its distinct draws (_by_field).
     edges holds the sorted distinct _edge of the round tables'
     thresholds (each p0 and Bell threshold) that split the words, those
-    strictly between 0 and 2**53, as np.uint64: the edges a word's rank
-    counts (see the module docstring). Every rank 0 to len(edges) is some
-    word's, so a rank row holds no None, and a branch of probability 0,
-    behind a threshold of exactly 0 or 1, is at no rank and needs no check
-    in the loop. Each table
-    entry at each rank, its outcome object included, is made once per
-    build. Nodes are shared by (u_A, state) and leaf rows by (u_A, u_B,
-    state), so the size grows as states times ranks. The key dtype holds
-    one party's key bytes of a round, so a view of the joint keys in it
+    strictly between 0 and 2**53: the edges a word's rank counts (see the
+    module docstring). A code table holds 512 * (len(edges) + 1)**3 codes,
+    so more than 4 edges, whose table would exceed 2**16 codes, raise
+    OverflowError. Every rank 0 to len(edges) is some word's, so a rank
+    row holds no None, and a branch of probability 0, behind a threshold
+    of exactly 0 or 1, is at no rank and needs no check. Each table entry
+    at each rank, its outcome object included, is made once per build.
+    Nodes are shared by (u_A, state) and leaf rows by (u_A, u_B, state),
+    so the size grows as states times ranks. The key dtype holds one
+    party's key bytes of a round, so a view of the joint keys in it
     alternates Alice's and Bob's.
     """
     tables = _round_tables(forward, backward)
     p0s = [e[0] for rows in tables.measure for row in rows for e in row if e is not None]
     edge = {t: _edge(t) for t in {*p0s, *(acc for row in tables.bell if row for acc in row)}}
     edges = sorted({e for e in edge.values() if 0 < e < _K_END})
-    if len(edges) >= _RANK_LIMIT:
-        raise OverflowError(f"{len(edges)} splitting edges: a rank must fit in a byte")
+    if 512 * (len(edges) + 1) ** 3 > _CODE_LIMIT:
+        raise OverflowError(f"{len(edges)} splitting edges: more than {_CODE_LIMIT} round codes")
     # r < t exactly when the rank is at most index[t] (see the module docstring).
     index = {
         t: -1 if e == 0 else len(edges) if e == _K_END else edges.index(e) for t, e in edge.items()
@@ -408,30 +438,93 @@ def _round_lookup(forward, backward, key_mode: KeyMode) -> tuple[tuple, tuple, t
         [leg(s, forward, functools.partial(node, u_a)) for u_a, s in enumerate(tables.prepared)]
     )
     key_dtype = np.uint16 if key_mode.bits_per_round == 2 else np.uint32
-    return tuple(map(np.uint64, edges)), root, key_dtype
+    return tuple(edges), root, key_dtype
+
+
+def _read_codes(forward, backward, key_mode: KeyMode):
+    """Each round code's reading of _round_lookup, in code order, by the
+    walk a round takes through it: (row, outcome, Eve's forward view, Eve's
+    backward view). The row is the message round's key bytes, Alice's then
+    Bob's, or a control round's sentinel bytes as wide; a view is (basis,
+    Eve's bit), or None on a leg she leaves alone. Digits that a round
+    does not read, such as r0 when Eve spares the forward leg, repeat the
+    same reading."""
+    edges, root, key_dtype = _round_lookup(forward, backward, key_mode)
+    ranks = range(len(edges) + 1)
+    width = 2 * np.dtype(key_dtype).itemsize
+    sentinels = _PASS * width, _DETECT * width
+    # itertools.product varies its last factor fastest: the code's lowest digit.
+    digits = itertools.product(ranks, ranks, (False, True), range(16), ranks, range(16))
+    for r3, r2, message, field1, r0, field0 in digits:
+        node, forward_view, backward_view = root[field0], None, None
+        if forward:
+            forward_view, node = node[r0]
+        if message:
+            leaf = node[1][field1]
+            if backward:
+                backward_view, leaf = leaf[r2]
+            row, outcome = leaf[r3]
+        else:
+            detected, outcome = node[0][field1][r2][r3]
+            row = sentinels[detected]
+        yield row, outcome, forward_view, backward_view
+
+
+@functools.cache
+def _code_table(forward, backward, key_mode: KeyMode) -> tuple[tuple, np.ndarray, type]:
+    """(edges, key rows, key dtype): _round_lookup's edges and key dtype,
+    and the row of every round code as one item of an unsigned integer
+    twice as wide as the key dtype, which np.take gathers at a chunk's
+    codes (see _read_codes)."""
+    edges, _, key_dtype = _round_lookup(forward, backward, key_mode)
+    # Appended one by one: bytes.join would hold an 80-byte buffer per code.
+    rows = bytearray()
+    for row, *_ in _read_codes(forward, backward, key_mode):
+        rows += row
+    row_dtype = np.uint32 if key_dtype is np.uint16 else np.uint64
+    return edges, np.frombuffer(bytes(rows), row_dtype), key_dtype
+
+
+@functools.cache
+def _code_records(forward, backward, key_mode: KeyMode) -> tuple:
+    """Every round code's (u_A, outcome, Eve's forward view, Eve's backward
+    view), from _read_codes, each distinct entry made once; only sessions
+    that keep records build it."""
+    interned = {}
+    entries = (
+        (_UNITARIES[code & 15], *reading[1:])
+        for code, reading in enumerate(_read_codes(forward, backward, key_mode))
+    )
+    return tuple(interned.setdefault(entry, entry) for entry in entries)
 
 
 def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
     """Execute one protocol session and return its report, keys and raw material.
 
     Rounds draw from the protocol stream described in the module docstring
-    and read their outcome from _round_lookup's tables; a round builds no
-    outcome of its own. keep_records is the one switch for the raw
-    material: only with it does the session build its RoundRecords, which
-    hold the lookup's outcomes, and Eve's observations, and list the public
-    transcript (the outcomes' transcripts followed by the key check's).
-    Without it those stay empty; the report and keys are the same either
-    way.
+    and are coded a chunk at a time; _code_table's rows at a chunk's codes
+    give its message rounds' key bytes and its first detection, which ends
+    the session at its round. A round builds no outcome of its own.
+    keep_records is the one switch for the raw material: only with it does
+    the session read _code_records at each code, build its RoundRecords,
+    which hold the lookup's outcomes, and Eve's observations, and list the
+    public transcript (the outcomes' transcripts followed by the key
+    check's). Without it those stay empty; the report and keys are the
+    same either way.
     """
     config.validate()
     bitgen = np.random.PCG64(np.random.SeedSequence(config.seed, spawn_key=(0,)))
     forward = eve_bases(config.attack, ChannelLeg.FORWARD)
     backward = eve_bases(config.attack, ChannelLeg.BACKWARD)
-    forward_leg, backward_leg = ChannelLeg.FORWARD, ChannelLeg.BACKWARD
-    edges, root, key_dtype = _round_lookup(forward, backward, config.key_mode)
-    control_edge = _edge(config.control_prob)
+    edges, key_rows, key_dtype = _code_table(forward, backward, config.key_mode)
+    passes, weights = _code_passes(edges, _edge(config.control_prob))
+    width = key_rows.itemsize
     records: list[RoundRecord] = []
     observations: list[EveObservation] = []
+    if keep_records:
+        readings = _code_records(forward, backward, config.key_mode)
+        record, observe = records.append, observations.append
+        forward_leg, backward_leg = ChannelLeg.FORWARD, ChannelLeg.BACKWARD
     # Each message round appends Alice's key bytes, then Bob's.
     joint = bytearray()
     aborted = False
@@ -440,35 +533,24 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
 
     while start < rounds and not aborted:
         n = min(chunk, rounds - start)
-        # Each round's index and decoded bytes: its two fields index the
-        # lookup, its control flag picks the node's half, and a rank stands
-        # for each uniform the round reads.
-        words = bitgen.random_raw(4 * n)
-        decoded = zip(range(start, start + n), *_decode_words(words, edges, control_edge))
-        for index, field0, field1, control, rank0, rank2, rank3 in decoded:
-            node = root[field0]
-            if forward:
-                seen, node = node[rank0]
-                if keep_records:
-                    observations.append(EveObservation(index, forward_leg, *seen))
-            if control:
-                detected, outcome = node[0][field1][rank2][rank3]
-                if detected:
-                    aborted = True
-                    if keep_records:
-                        records.append(RoundRecord(index, _UNITARIES[field0], outcome))
-                    break
-            else:
-                leaf = node[1][field1]
-                if backward:
-                    seen, leaf = leaf[rank2]
-                    if keep_records:
-                        observations.append(EveObservation(index, backward_leg, *seen))
-                keys, outcome = leaf[rank3]
-                joint += keys
-            if keep_records:
-                records.append(RoundRecord(index, _UNITARIES[field0], outcome))
-        start = index + 1
+        codes = _round_codes(bitgen.random_raw(4 * n), passes, weights)
+        rows = key_rows.take(codes).tobytes()
+        # The first detection ends the session at its round.
+        cut = rows.find(_DETECT)
+        if cut >= 0:
+            aborted = True
+            n = cut // width + 1
+            rows = rows[:cut]
+        joint += rows.translate(None, _PASS)
+        if keep_records:
+            for index, code in zip(range(start, start + n), codes.tolist()):
+                u_a, outcome, forward_view, backward_view = readings[code]
+                if forward_view:
+                    observe(EveObservation(index, forward_leg, *forward_view))
+                if backward_view:
+                    observe(EveObservation(index, backward_leg, *backward_view))
+                record(RoundRecord(index, u_a, outcome))
+        start += n
         chunk = min(2 * chunk, _MAX_CHUNK)
 
     # A detection ends the session at its last round; it is the only one.

@@ -66,8 +66,11 @@ from qdkd.quantum import BellOutcome, LocalUnitary, MeasBasis, QubitId
 from qdkd.simulate import (
     ABORT_CONTROL,
     _binomial_ci,
-    _decode_words,
+    _code_passes,
+    _code_records,
+    _code_table,
     _edge,
+    _round_codes,
     _round_lookup,
     _round_tables,
     ABORT_KEY_CHECK,
@@ -258,7 +261,8 @@ class TestSessionProperties:
         """The round outcomes are built with the round lookup, as many at
         300 rounds as at 3,000, and no session builds one; keep_records
         builds only the records and Eve's observations, and each record
-        holds an outcome of the lookup."""
+        holds an outcome of the lookup. Only a session that keeps records
+        builds the code records table."""
         built = Counter()
         for name in ("EveObservation", "ControlOutcome", "MessageOutcome", "RoundRecord"):
 
@@ -275,7 +279,8 @@ class TestSessionProperties:
         )
         per_build = []
         for rounds in (300, 3000):
-            _round_lookup.cache_clear()
+            for cache in (_round_lookup, _code_table, _code_records):
+                cache.cache_clear()
             built.clear()
             run_session(dataclasses.replace(config, rounds=rounds))
             per_build.append((built["ControlOutcome"], built["MessageOutcome"]))
@@ -285,8 +290,10 @@ class TestSessionProperties:
         session = run_session(config)
         assert not built
         assert session.transcript == session.observations == []
+        assert _code_records.cache_info().currsize == 0
 
         session = run_session(config, keep_records=True)
+        assert _code_records.cache_info().currsize == 1
         intercepted = (
             session.report.rounds_total if leg is ChannelLeg.FORWARD else session.report.message_rounds
         )
@@ -981,11 +988,49 @@ def _round_words(words):
     return np.repeat(np.asarray(words, dtype=np.uint64), 4)
 
 
+def _code_digits(code, radix):
+    """(f0, r0, f1, message, r2, r3) of a round code, read off the layout
+    of the qdkd.simulate docstring, (f0 + 16 r0) + 16R (f1 + 16 message) +
+    512R (r2 + R r3) with R = radix, once the code is found to lie in
+    range(512 * R**3)."""
+    assert 0 <= code < 512 * radix**3
+    high, low = divmod(code, 16 * radix)
+    r0, f0 = divmod(low, 16)
+    ranks, mode = divmod(high, 32)
+    message, f1 = divmod(mode, 16)
+    r3, r2 = divmod(ranks, radix)
+    return f0, r0, f1, message, r2, r3
+
+
+def _codes(words, edges, control_edge):
+    """The round codes of whole rounds' words, as Python ints, coded in
+    chunks of at most 1,024 rounds, the largest run_session codes."""
+    words = np.asarray(words, dtype=np.uint64)
+    passes, weights = _code_passes(tuple(edges), control_edge)
+    return [
+        int(code)
+        for start in range(0, len(words), 4 * 1024)
+        for code in _round_codes(words[start : start + 4 * 1024], passes, weights)
+    ]
+
+
+def _code_columns(words, edges, control_edge):
+    """(f0, r0, f1, message, r2, r3), each a list over the rounds of
+    whole rounds' words, from the digits of their round codes."""
+    radix = len(edges) + 1
+    digits = [_code_digits(code, radix) for code in _codes(words, edges, control_edge)]
+    return tuple(map(list, zip(*digits)))
+
+
 def _word_ranks(words, edges):
-    """The rank _decode_words gives each word, read in every ranked slot."""
-    _, _, _, *ranks = _decode_words(_round_words(words), edges, 0)
-    assert ranks[0] == ranks[1] == ranks[2]
-    return ranks[0]
+    """The rank the round code gives each word, read in every ranked slot:
+    round j holds words j to j + 3, cyclically, so each slot ranks every
+    word and a digit read from the wrong slot shows."""
+    words = list(words)
+    rounds = [words[(j + slot) % len(words)] for j in range(len(words)) for slot in range(4)]
+    _, r0, _, _, r2, r3 = _code_columns(rounds, edges, 0)
+    assert r2 == r0[2:] + r0[:2] and r3 == r0[3:] + r0[:3]
+    return r0
 
 
 class TestSessionStream:
@@ -1029,15 +1074,16 @@ class TestSessionStream:
             )
 
     @pytest.mark.parametrize("seed", [0, 5, 2**64 - 1])
-    def test_decoded_words_equal_generator_draws(self, seed):
-        """Every decoded byte is read off its slot, in every chunk size the
-        loop decodes: the fields are the low 4 bits of w0 and w1, and the
-        ranks of w0, w2 and w3 and the control flag of w1 decide r < t for
-        the word's uniform r, which is Generator.random() of that word and
-        _uniform's, for every table threshold t and every control_prob
-        in CONTROL_PROB_EDGES. The edges are the thresholds' ceilings that
-        split the words, and rank <= _rank_bound(t) decides r < t,
-        thresholds of exactly 0 and 1 included."""
+    def test_code_digits_equal_generator_draws(self, seed):
+        """Every digit of a round's code is read off its slot, in every
+        chunk size the session codes: the fields are the low 4 bits of w0
+        and w1, and the ranks of w0, w2 and w3 and the message flag of w1
+        decide r < t for the word's uniform r, which is Generator.random()
+        of that word and _uniform's, for every table threshold t and every
+        control_prob in CONTROL_PROB_EDGES. The edges are the thresholds'
+        ceilings that split the words, and rank <= _rank_bound(t) decides
+        r < t, thresholds of exactly 0 and 1 included. Every operand of the
+        code is np.uint64, so numpy 1.x cannot promote it to float64."""
         bitgen = np.random.PCG64(np.random.SeedSequence(seed))
         chunks = [bitgen.random_raw(4 * rounds) for rounds in (1, 7, 16, 1024)]
         words = np.concatenate(chunks).tolist()
@@ -1046,29 +1092,32 @@ class TestSessionStream:
         assert uniforms.tolist() == [_uniform(w) for w in words]
         kinds = set()
         for attack in ALL_ATTACKS:
-            edges = _round_lookup(*_bases(attack), KeyMode.COMBINED)[0]
+            edges = _code_table(*_bases(attack), KeyMode.COMBINED)[0]
             thresholds = _thresholds(_tables(attack))
             ceilings = {math.ceil(t * 2**53) for t in thresholds}
-            assert all(type(e) is np.uint64 for e in edges)
-            assert list(map(int, edges)) == sorted(c for c in ceilings if 0 < c < 2**53)
+            assert all(type(e) is int for e in edges)
+            assert list(edges) == sorted(c for c in ceilings if 0 < c < 2**53)
+            radix = len(edges) + 1
             for control_prob in CONTROL_PROB_EDGES:
-                field0, field1, control, *ranks = (
-                    b"".join(part)
-                    for part in zip(*(_decode_words(c, edges, _edge(control_prob)) for c in chunks))
+                passes, weights = _code_passes(edges, _edge(control_prob))
+                assert all(p.dtype == np.uint64 for p in (*passes, weights))
+                codes = np.concatenate([_round_codes(c, passes, weights) for c in chunks])
+                assert codes.dtype == np.uint64
+                field0, r0, field1, message, r2, r3 = map(
+                    np.array, zip(*(_code_digits(int(code), radix) for code in codes))
                 )
                 for t in thresholds:
                     j = _rank_bound(edges, t)
                     kinds.add({-1: "below none", len(edges): "below all"}.get(j, "edge"))
                     # t equals its float, so the fast float comparison is exact.
                     assert t == float(t)
-                    for slot, rank in zip((0, 2, 3), ranks):
-                        rank = np.frombuffer(rank, dtype=np.uint8)
+                    for slot, rank in zip((0, 2, 3), (r0, r2, r3)):
                         assert ((rank <= j) == (uniforms[slot::4] < float(t))).all()
-                assert list(control) == (uniforms[1::4] < control_prob).tolist()
+                assert (message == 0).tolist() == (uniforms[1::4] < control_prob).tolist()
         assert kinds == {"below none", "edge", "below all"}
-        # The fields do not depend on the edges: the last decode stands for all.
-        assert list(field0) == [w & 15 for w in words[0::4]]
-        assert list(field1) == [w & 15 for w in words[1::4]]
+        # The fields do not depend on the edges: the last code stands for all.
+        assert field0.tolist() == [w & 15 for w in words[0::4]]
+        assert field1.tolist() == [w & 15 for w in words[1::4]]
 
     @pytest.mark.parametrize(
         "edges",
@@ -1081,23 +1130,23 @@ class TestSessionStream:
     )
     def test_rank_sums_every_edge(self, edges):
         """The rank is the number of edges at or below k, summed over all of
-        them in uint8 as bisect_right counts them, in every chunk size the
-        loop decodes; a logical or of the passes would stop at 1. Real
-        attacks have a single splitting edge, so these are synthetic: none,
-        as thresholds of only 0 and 1 give, an adjacent pair e, e + 1, the
-        extreme edges 1 and 2**53 - 1, and 255 edges, whose top rank fills
-        the byte."""
+        them as bisect_right counts them, in every chunk size the session
+        codes, and read back from the code's digits; a logical or of the
+        passes would stop at 1. Real attacks have a single splitting edge,
+        so these are synthetic: none, as thresholds of only 0 and 1 give,
+        an adjacent pair e, e + 1, the extreme edges 1 and 2**53 - 1, and
+        255 edges, more than a code table takes, whose top rank 255 would
+        overflow a byte once shifted into its digit."""
         ks = sorted({0, 2**53 - 1, *(k + d for k in edges for d in (-1, 0, 1) if k + d < 2**53)})
         # The 11 low bits of a word are not part of its uniform.
         words = [k << 11 | low for k in ks for low in (0, 0x7FF)]
         rng = np.random.default_rng(7)
-        decoded_edges = tuple(map(np.uint64, edges))
         for rounds in (1, 7, 16, 1024):
             chunk = [words[i] for i in rng.integers(len(words), size=rounds)]
-            rank = _word_ranks(chunk, decoded_edges)
-            assert list(rank) == [bisect.bisect_right(edges, w >> 11) for w in chunk]
-        rank = _word_ranks(words, decoded_edges)
-        assert list(rank) == [bisect.bisect_right(edges, w >> 11) for w in words]
+            rank = _word_ranks(chunk, edges)
+            assert rank == [bisect.bisect_right(edges, w >> 11) for w in chunk]
+        rank = _word_ranks(words, edges)
+        assert rank == [bisect.bisect_right(edges, w >> 11) for w in words]
         assert max(rank) == len(edges)
 
     @pytest.mark.parametrize("control_prob", CONTROL_PROB_EDGES)
@@ -1134,8 +1183,9 @@ class TestSessionStream:
             assert edge == math.ceil(Fraction(*exact.as_integer_ratio()) * 2**53)
         ks = [k for k in (edge - 1, edge, edge + 1) if 0 <= k < 2**53]
         words = _round_words([k << 11 for k in ks])
-        control = _decode_words(words, _round_lookup((), (), KeyMode.COMBINED)[0], edge)[2]
-        assert list(control) == [k * 2.0**-53 < exact for k in ks]
+        edges = _code_table((), (), KeyMode.COMBINED)[0]
+        message = _code_columns(words, edges, edge)[3]
+        assert [m == 0 for m in message] == [k * 2.0**-53 < exact for k in ks]
 
     def test_every_round_reads_four_words(self, monkeypatch):
         """A round reads exactly 4 words, whatever it draws: under every
@@ -1495,7 +1545,7 @@ class TestRoundTables:
 
     @pytest.mark.parametrize("attack", ALL_ATTACKS)
     def test_ranked_entries_decide_as_thresholds(self, attack):
-        """Each entry of the round lookup, read at the rank _decode_words
+        """Each entry of the round lookup, read at the rank the round code
         gives a word, decides as the round tables' thresholds do at the
         word's uniform: bit 0 iff r < p0, and the first Bell outcome whose
         threshold exceeds r. Checked along every path of the lookup whose
@@ -1558,11 +1608,12 @@ class TestRoundTables:
                     assert leaf_row[rank][1] == _message_outcome(u_a, u_b, k)
         assert checked > 0
 
-    @pytest.mark.parametrize("count", [255, 256])
-    def test_ranks_must_fit_in_a_byte(self, count, monkeypatch):
-        """A rank is stored in a byte, so the round lookup refuses 256 or
-        more splitting edges when it is built. Thresholds of exactly 0 and 1
-        split no words and do not count."""
+    @pytest.mark.parametrize("count", [4, 5])
+    def test_code_tables_hold_at_most_2_16_codes(self, count, monkeypatch):
+        """A code table holds 512 * R**3 codes, R = edges + 1, so the round
+        lookup refuses more than 4 splitting edges, 2**16 codes, when it is
+        built: 4 edges give 64,000 codes and 5 give 110,592. Thresholds of
+        exactly 0 and 1 split no words and do not count."""
         thresholds = [0, 1] + [j / 512 for j in range(1, count + 1)]
         tables = types.SimpleNamespace(
             measure=([[(t, 0, 1), None] for t in thresholds], []),
@@ -1573,13 +1624,15 @@ class TestRoundTables:
         monkeypatch.setattr(simulate, "_round_tables", lambda forward, backward: tables)
         _round_lookup.cache_clear()
         try:
-            if count < 256:
+            if count <= 4:
                 assert len(_round_lookup((), (), KeyMode.COMBINED)[0]) == count
             else:
                 with pytest.raises(OverflowError):
                     _round_lookup((), (), KeyMode.COMBINED)
         finally:
-            _round_lookup.cache_clear()
+            # The code tables hold the cached lookup's outcomes: rebuild them too.
+            for cache in (_round_lookup, _code_table, _code_records):
+                cache.cache_clear()
 
     @pytest.mark.parametrize("key_mode", list(KeyMode))
     @pytest.mark.parametrize("attack", ALL_ATTACKS)
@@ -1593,7 +1646,7 @@ class TestRoundTables:
         accumulate_key. The reprs agree too, so an outcome holds enum
         members where the protocol's do. Each entry is checked at the
         first and the last uniform of its rank, which lie next to the
-        thresholds, and _decode_words gives that rank to a word of either
+        thresholds, and the round code gives that rank to a word of either
         uniform, whatever its 11 low bits. Every rank is some word's, and no
         rank row holds None. The root, the control rows and the message rows
         are read at each of their 16 fields. One node stands for each
@@ -1717,6 +1770,47 @@ class TestRoundTables:
         states = len(_tables(attack).states)
         assert 0 < len(nodes) <= 4 * states and 0 < len(leaf_rows) <= 16 * states
 
+    @pytest.mark.parametrize("key_mode", list(KeyMode))
+    @pytest.mark.parametrize("attack", ALL_ATTACKS)
+    def test_code_tables_read_the_lookup_at_the_digits(self, attack, key_mode):
+        """Every round code's key row and record entry equal the nested
+        round lookup read at the code's digits, as a round walks it: the
+        root at f0, Eve's forward leg at r0, then at f1 the control row at
+        r2 and r3, whose row is every byte 2 on a pass and 3 on a
+        detection, or the message row, Eve's backward leg at r2, and the
+        leaf at r3, whose row is the leaf's key bytes, each 0 or 1. The
+        record entry is (u_A, outcome, Eve's forward view, her backward
+        view), a view being None on a leg she leaves alone, and its outcome
+        is one the lookup holds."""
+        forward, backward = _bases(attack)
+        edges, root, key_dtype = _round_lookup(forward, backward, key_mode)
+        table_edges, key_rows, table_dtype = _code_table(forward, backward, key_mode)
+        readings = _code_records(forward, backward, key_mode)
+        radix = len(edges) + 1
+        assert (table_edges, table_dtype) == (edges, key_dtype)
+        assert len(key_rows) == len(readings) == 512 * radix**3
+        width = 2 * np.dtype(key_dtype).itemsize
+        assert key_rows.itemsize == width
+        rows = key_rows.tobytes()
+        held = {id(outcome) for outcome in _lookup_outcomes(root)}
+        for code, reading in enumerate(readings):
+            field0, r0, field1, message, r2, r3 = _code_digits(code, radix)
+            node, forward_view, backward_view = root[field0], None, None
+            if forward:
+                forward_view, node = node[r0]
+            if message:
+                leaf = node[1][field1]
+                if backward:
+                    backward_view, leaf = leaf[r2]
+                want_row, outcome = leaf[r3]
+                assert set(want_row) <= {0, 1} and len(want_row) == width
+            else:
+                detected, outcome = node[0][field1][r2][r3]
+                want_row = bytes([3 if detected else 2]) * width
+            assert rows[code * width : (code + 1) * width] == want_row
+            assert reading == (LocalUnitary(field0 & 3), outcome, forward_view, backward_view)
+            assert id(reading[1]) in held
+
     @staticmethod
     def _refuse_float_kernels(monkeypatch):
         """Make every float kernel raise, and empty the caches built from
@@ -1728,8 +1822,8 @@ class TestRoundTables:
         for name, value in list(vars(kernels).items()):
             if inspect.isfunction(value):
                 monkeypatch.setattr(kernels, name, refuse)
-        _round_tables.cache_clear()
-        _round_lookup.cache_clear()
+        for cache in (_round_tables, _round_lookup, _code_table, _code_records):
+            cache.cache_clear()
         oracle._round_statistics.cache_clear()
 
     @pytest.mark.parametrize("attack", ALL_ATTACKS)
