@@ -322,17 +322,55 @@ def require_policy(policy) -> None:
 
 @dataclass(frozen=True, eq=False)
 class KeyCheckResult:
-    """The outcome of a key check. The final keys and the two parties'
-    announced samples are bytes, one 0/1 byte per bit; positions is the
-    sorted, read-only array of the checked positions."""
+    """The outcome of a key check: its verdict and mismatch count, the two
+    keys it checked, as read-only uint8 arrays of their bits, and drawn, the
+    read-only int64 array of the checked positions in the order
+    public_rng.choice drew them.
+
+    What no check needs is built on the first read and kept, so a caller
+    that reads only the verdict pays for none of it: positions, the sorted
+    read-only array of the checked positions (a sort of m entries); the
+    final keys, each key's unchecked positions as bytes, one 0/1 byte per
+    bit (the int64 index of those positions, about 8 bytes per key bit
+    while they are built, then the two gathers); and the two parties'
+    announced samples, their bits at positions as bytes."""
 
     verdict: CheckVerdict
     mismatches: int
-    positions: np.ndarray
-    alice_final: bytes
-    bob_final: bytes
-    alice_sample: bytes
-    bob_sample: bytes
+    alice_bits: np.ndarray
+    bob_bits: np.ndarray
+    drawn: np.ndarray
+
+    @functools.cached_property
+    def positions(self) -> np.ndarray:
+        positions = np.sort(self.drawn)
+        positions.flags.writeable = False
+        return positions
+
+    @functools.cached_property
+    def _finals(self) -> tuple[bytes, bytes]:
+        # The unchecked positions, found once for both keys: a take at an
+        # index is faster than a gather by a boolean mask.
+        kept = np.ones(len(self.alice_bits), dtype=bool)
+        kept[self.drawn] = False
+        kept = np.flatnonzero(kept)
+        return self.alice_bits.take(kept).tobytes(), self.bob_bits.take(kept).tobytes()
+
+    @property
+    def alice_final(self) -> bytes:
+        return self._finals[0]
+
+    @property
+    def bob_final(self) -> bytes:
+        return self._finals[1]
+
+    @functools.cached_property
+    def alice_sample(self) -> bytes:
+        return self.alice_bits.take(self.positions).tobytes()
+
+    @functools.cached_property
+    def bob_sample(self) -> bytes:
+        return self.bob_bits.take(self.positions).tobytes()
 
     @property
     def transcript(self) -> tuple[ClassicalMessage, ...]:
@@ -352,15 +390,18 @@ def key_check(alice_key, bob_key, policy: KeyCheckPolicy, public_rng) -> KeyChec
     """Publicly compare a seed-derived sample of key positions.
 
     The sample is a uniform m-subset of the positions, m = checked_count:
-    public_rng.choice(length, m, replace=False, shuffle=False), sorted. It
-    is not nested in fraction: with the same public_rng, a larger fraction
-    checks a different sample, not a superset, though the probability of an
-    abort still grows with it. The draw, and then the int64 index of the
-    unchecked positions, each hold at most 8 bytes per key bit while the
-    check runs. Checked positions are removed from both final
-    keys. A policy that is not a valid KeyCheckPolicy, or a key that is not
-    a 1-D sequence of 0/1 values, raises ConfigError before anything is
-    compared.
+    public_rng.choice(length, m, replace=False, shuffle=False), sorted when
+    read. It is not nested in fraction: with the same public_rng, a larger
+    fraction checks a different sample, not a superset, though the
+    probability of an abort still grows with it. The draw holds at most 8
+    bytes per key bit while the check runs (see _checked_positions); the
+    first read of a final key holds about as much again, the int64 index of
+    the unchecked positions. Checked positions are removed from both final
+    keys. The result keeps a copy of
+    a key that the caller could change later, a bytearray or a numpy array,
+    so it reads the same whenever it is read. A policy that is not a valid
+    KeyCheckPolicy, or a key that is not a 1-D sequence of 0/1 values,
+    raises ConfigError before anything is compared.
     """
     require_policy(policy)
     alice, bob = _key_bits("alice_key", alice_key), _key_bits("bob_key", bob_key)
@@ -370,53 +411,42 @@ def key_check(alice_key, bob_key, policy: KeyCheckPolicy, public_rng) -> KeyChec
 
 
 def _check_keys(alice, bob, policy: KeyCheckPolicy, public_rng) -> KeyCheckResult:
-    """key_check of two equal-length uint8 arrays of 0/1 bits under a valid
-    policy, none of which it checks again."""
+    """key_check of two equal-length, read-only uint8 arrays of 0/1 bits
+    under a valid policy, none of which it checks again. It draws the
+    positions and counts the mismatches at them; the result builds the
+    rest when read."""
     length = len(alice)
-    picked = _checked_positions(length, checked_count(policy.fraction, length), public_rng)
-    alice_sample, bob_sample = alice[picked], bob[picked]
-    mismatches = int(np.count_nonzero(alice_sample != bob_sample))
+    drawn = _checked_positions(length, checked_count(policy.fraction, length), public_rng)
+    mismatches = int(np.count_nonzero(alice.take(drawn) != bob.take(drawn)))
     verdict = (
         CheckVerdict.ABORT if mismatches > policy.mismatch_threshold else CheckVerdict.ACCEPT
     )
-    # The unchecked positions, found once for both keys: a take at an index
-    # is faster than a gather by a boolean mask.
-    kept = np.ones(length, dtype=bool)
-    kept[picked] = False
-    kept = np.flatnonzero(kept)
-    return KeyCheckResult(
-        verdict,
-        mismatches,
-        picked,
-        alice.take(kept).tobytes(),
-        bob.take(kept).tobytes(),
-        alice_sample.tobytes(),
-        bob_sample.tobytes(),
-    )
+    return KeyCheckResult(verdict, mismatches, alice, bob, drawn)
 
 
 def _checked_positions(length: int, m: int, public_rng) -> np.ndarray:
-    """The sorted positions of public_rng.choice(length, m, replace=False,
-    shuffle=False), read-only. numpy draws them by Floyd's algorithm in
-    O(m), or, for length above 10,000 and m above length / 20, by shuffling
-    the tail of arange(length), 8 bytes per position, freed on return."""
+    """public_rng.choice(length, m, replace=False, shuffle=False), unsorted
+    and read-only; no draw when m is 0. numpy draws them by Floyd's
+    algorithm in O(m), or, for length above 10,000 and m above length / 20,
+    by shuffling the tail of arange(length), 8 bytes per position, freed on
+    return."""
     if m > 0:
-        picked = public_rng.choice(length, m, replace=False, shuffle=False)
-        picked.sort()
+        drawn = public_rng.choice(length, m, replace=False, shuffle=False)
     else:
-        picked = np.zeros(0, dtype=np.int64)
-    picked.flags.writeable = False
-    return picked
+        drawn = np.zeros(0, dtype=np.int64)
+    drawn.flags.writeable = False
+    return drawn
 
 
 def _key_bits(name: str, key) -> np.ndarray:
-    """A key as a uint8 array of its bits, viewed without a copy for a
-    bytes-like key. Raises ConfigError unless key is a 1-D sequence of 0/1
-    values."""
+    """A key as a read-only uint8 array of its bits that no later change to
+    key can alter: a view of a bytes key, a copy of any other. Raises
+    ConfigError unless key is a 1-D sequence of 0/1 values."""
     if isinstance(key, (bytes, bytearray)):
         if key.translate(None, b"\x00\x01"):
             raise ConfigError(f"{name} must hold only 0/1 values")
-        return np.frombuffer(key, dtype=np.uint8)
+        # bytes() of a bytes object is the object itself; of a bytearray, a copy.
+        return np.frombuffer(bytes(key), dtype=np.uint8)
     try:
         bits = np.asarray(key)
     except ValueError:  # a ragged nesting
@@ -425,4 +455,6 @@ def _key_bits(name: str, key) -> np.ndarray:
         raise ConfigError(f"{name} must be a 1-D sequence of 0/1 values, got a {type(key).__name__}")
     if bits.size and (bits.dtype.kind not in "biu" or ((bits != 0) & (bits != 1)).any()):
         raise ConfigError(f"{name} must hold only 0/1 values")
-    return bits.astype(np.uint8, copy=False)
+    bits = bits.astype(np.uint8)
+    bits.flags.writeable = False
+    return bits

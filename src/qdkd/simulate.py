@@ -108,6 +108,7 @@ from .protocol import (
     ControlVerdict,
     Correlation,
     KeyCheckPolicy,
+    KeyCheckResult,
     KeyMode,
     LocalUnitary,
     MessageOutcome,
@@ -201,14 +202,33 @@ class RoundRecord:
     outcome: ControlOutcome | MessageOutcome
 
 
-@dataclass
+# The attributes SessionResult compares and shows: its fields but check,
+# then the final keys.
+_SESSION_SHOWN = (
+    "report",
+    "records",
+    "transcript",
+    "observations",
+    "alice_pre_check",
+    "bob_pre_check",
+    "alice_final",
+    "bob_final",
+)
+
+
+@dataclass(eq=False, repr=False)
 class SessionResult:
     """Report and keys, plus the raw material tests and analyses need.
 
-    The keys are bytes, one 0/1 byte per bit. records, transcript and
-    observations are filled only by run_session(..., keep_records=True);
-    otherwise they are empty. Eve's view is her observations plus the
-    transcript: she sees every public message.
+    The keys are bytes, one 0/1 byte per bit. alice_final and bob_final are
+    read-only: check's final keys, built on the first read (see
+    KeyCheckResult), or the pre-check keys when no check ran, because a
+    control-round detection ended the session first. check is None then.
+    records, transcript and observations are filled only by
+    run_session(..., keep_records=True); otherwise they are empty. Eve's
+    view is her observations plus the transcript: she sees every public
+    message. Equality and repr cover the report, the raw material and all
+    four keys, not check itself.
     """
 
     report: SimulationReport
@@ -217,8 +237,24 @@ class SessionResult:
     observations: list[EveObservation] = field(default_factory=list)
     alice_pre_check: bytes = b""
     bob_pre_check: bytes = b""
-    alice_final: bytes = b""
-    bob_final: bytes = b""
+    check: KeyCheckResult | None = None
+
+    @property
+    def alice_final(self) -> bytes:
+        return self.alice_pre_check if self.check is None else self.check.alice_final
+
+    @property
+    def bob_final(self) -> bytes:
+        return self.bob_pre_check if self.check is None else self.check.bob_final
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in _SESSION_SHOWN)
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in _SESSION_SHOWN)
+        return f"{self.__class__.__qualname__}({shown})"
 
 
 def _binomial_ci(successes: int, trials: int) -> tuple[float, float, float]:
@@ -566,8 +602,7 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
     overall, amp_rate, phase_rate = _error_rates(alice_bits, bob_bits)
 
     checked = 0
-    alice_final = alice_pre
-    bob_final = bob_pre
+    check = None
     # Eve sees every public message: the rounds', then the key check's.
     transcript = [message for record in records for message in record.outcome.transcript]
     if not aborted:
@@ -578,9 +613,7 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
         check = _check_keys(alice_bits, bob_bits, policy, check_rng)
         if keep_records:
             transcript += check.transcript
-        checked = len(check.positions)
-        alice_final = check.alice_final
-        bob_final = check.bob_final
+        checked = len(check.drawn)
         if check.verdict is CheckVerdict.ABORT:
             aborted = True
             abort_cause = ABORT_KEY_CHECK
@@ -611,8 +644,7 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
         observations=observations,
         alice_pre_check=alice_pre,
         bob_pre_check=bob_pre,
-        alice_final=alice_final,
-        bob_final=bob_final,
+        check=check,
     )
 
 

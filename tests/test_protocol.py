@@ -458,9 +458,33 @@ class TestKeyCheckArrays:
         assert result.verdict is want
         assert all(type(key) is bytes for key in (result.alice_final, result.bob_final,
                                                   result.alice_sample, result.bob_sample))
-        assert not result.positions.flags.writeable
+        arrays = (result.positions, result.drawn, result.alice_bits, result.bob_bits)
+        assert not any(array.flags.writeable for array in arrays)
         messages = result.transcript
         assert all(type(b) is int for b in messages[0].positions + messages[1].bits + messages[2].bits)
+
+    @pytest.mark.parametrize(
+        "as_key",
+        [bytearray, lambda bits: np.array(bits, dtype=np.uint8)],
+        ids=["bytearray", "uint8-array"],
+    )
+    def test_result_ignores_later_changes_to_the_keys(self, as_key):
+        """The result is built when read, from the keys as they were at the
+        call: key_check views a bytearray or uint8 array key without a copy,
+        so the result keeps one of its own."""
+        rng = np.random.default_rng(5)
+        alice, bob = (tuple(int(b) for b in rng.integers(2, size=200)) for _ in range(2))
+        policy = KeyCheckPolicy(0.3, mismatch_threshold=200)
+        alice_key, bob_key = as_key(alice), as_key(bob)
+        result = key_check(alice_key, bob_key, policy, np.random.default_rng(11))
+        for key in (alice_key, bob_key):
+            key[:] = as_key([1 - b for b in key])
+        want = key_check(alice, bob, policy, np.random.default_rng(11))
+        assert np.array_equal(result.positions, want.positions)
+        assert (result.alice_sample, result.bob_sample) == (want.alice_sample, want.bob_sample)
+        assert (result.alice_final, result.bob_final) == (want.alice_final, want.bob_final)
+        assert result.transcript == want.transcript
+        assert result.mismatches == want.mismatches > 0
 
     @pytest.mark.parametrize("length", [1, 2, 3, 255, 256, 65535, 65536, 65537, 100003])
     @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])

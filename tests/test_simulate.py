@@ -304,13 +304,61 @@ class TestSessionProperties:
         held = {id(outcome) for outcome in _lookup_outcomes(root)}
         assert all(id(record.outcome) in held for record in session.records)
 
+    @pytest.mark.parametrize("fraction", [0.1, 0.01, 0.0])
+    def test_report_only_sessions_leave_the_check_unbuilt(self, fraction):
+        """A report-only session's key check only draws and counts: its
+        sorted positions, samples and final keys stay unbuilt until read,
+        and then equal those of the public key_check on the pre-check keys,
+        with the Generator of the stream at word 2**100."""
+        config = SimConfig(rounds=3000, check_fraction=fraction, attack=BACKWARD_Z, seed=4)
+        session = run_session(config)
+        check = session.check
+        assert session.report.final_key_length == len(check.alice_bits) - len(check.drawn)
+        lazy = ("positions", "_finals", "alice_sample", "bob_sample")
+        assert not set(lazy) & set(vars(check))
+
+        bitgen = np.random.PCG64(np.random.SeedSequence(config.seed, spawn_key=(0,)))
+        policy = KeyCheckPolicy(config.check_fraction, config.mismatch_threshold)
+        want = key_check(
+            session.alice_pre_check,
+            session.bob_pre_check,
+            policy,
+            np.random.Generator(bitgen.advance(2**100)),
+        )
+        assert (session.alice_final, session.bob_final) == (want.alice_final, want.bob_final)
+        assert np.array_equal(check.positions, want.positions)
+        assert (check.alice_sample, check.bob_sample) == (want.alice_sample, want.bob_sample)
+        assert check.transcript == want.transcript
+        assert (check.verdict, check.mismatches) == (want.verdict, want.mismatches)
+        assert set(lazy) <= set(vars(check))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            check.verdict = CheckVerdict.ACCEPT
+
+    def test_equality_and_repr_cover_the_final_keys(self):
+        """Two sessions compare on all four keys, the final ones read from
+        the check, and repr shows them; they are read-only."""
+        config = SimConfig(rounds=40, seed=3)
+        session = run_session(config)
+        assert session == run_session(config)
+        assert repr(session) == repr(run_session(config))
+        unchecked = dataclasses.replace(session, check=None)
+        assert unchecked.alice_final == session.alice_pre_check != session.alice_final
+        assert unchecked.bob_final == session.bob_pre_check != session.bob_final
+        assert unchecked != session
+        for name in ("alice_pre_check", "bob_pre_check", "alice_final", "bob_final"):
+            assert f"{name}={getattr(session, name)!r}" in repr(session)
+        with pytest.raises(AttributeError):
+            session.alice_final = b""
+
     def test_report_only_memory_per_key_bit(self):
         # Keys are bytes and the key check builds no Python object per bit,
-        # so the traced peak stays near 13 bytes per pre-check key bit: 8 of
-        # them are the arange(length) that numpy's choice shuffles the tail
-        # of, then 7.2 the int64 index of the unchecked positions that the
-        # final keys are gathered at; a tuple of the bits alone would take 8
-        # per bit for each key.
+        # so the traced peak stays near 10.8 bytes per pre-check key bit: 2
+        # of them are the two pre-check keys, 8 the arange(length) that
+        # numpy's choice shuffles the tail of, and 0.8 the int64 draw of a
+        # tenth of the positions, copied out of it. The final keys, and the int64 index of
+        # the unchecked positions they are gathered at, are built only when
+        # read, and a report-only session reads neither. A tuple of the bits
+        # alone would take 8 per bit for each key.
         config = SimConfig(rounds=200_000, control_prob=0.0, attack=BACKWARD_Z, seed=1)
         run_simulation(dataclasses.replace(config, rounds=100))  # the round tables
         tracemalloc.start()
