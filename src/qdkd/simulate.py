@@ -47,7 +47,7 @@ The rounds decide from tables of the round automaton that qdkd.oracle builds
 in exact integer arithmetic, and whose statistics the oracle walks too: the
 12 to 20 states a session can reach under one attack, interned up to scale
 and sign, with each state's probabilities and successors precomputed.
-run_session draws the words in chunks of 16 rounds that double to 1024
+run_session draws the words in chunks of 16 rounds that double to 4096
 and codes each chunk once with numpy, one round code per round, from the
 fields f0 and f1, the low 4 bits of w0 and of w1, w1's message flag and
 the ranks r0, r2 and r3 of w0, w2 and w3. With R the number of edges
@@ -74,10 +74,10 @@ exact value, so it decides the same on numpy 1.x and 2.
 Once a round's words are read, its outcome depends only on its draws, so
 it depends only on its code: a table compiled per attack and key mode,
 by reading the nested tables of _round_lookup at every code, gives each
-round's key bytes or its control verdict, and a session makes no float
-comparison. A table holds at most 2**16 codes, so an attack may have at
-most 4 edges; each of the 7 attacks has one, the edge of 1/2, and so
-4,096 codes.
+round's key bits, packed into one byte per party, or its control verdict,
+and a session makes no float comparison. A table holds at most 2**16
+codes, so an attack may have at most 4 edges; each of the 7 attacks has
+one, the edge of 1/2, and so 4,096 codes.
 """
 
 import csv
@@ -289,24 +289,36 @@ def _error_rates(alice_bits, bob_bits) -> tuple[float, float, float]:
     if n == 0:
         return 0.0, 0.0, 0.0
     differs = alice_bits != bob_bits
+    total = int(np.count_nonzero(differs))
     amp = int(np.count_nonzero(differs[0::2]))
-    phase = int(np.count_nonzero(differs[1::2]))
     half = n // 2
-    return (amp + phase) / n, amp / half, phase / half
+    return total / n, amp / half, (total - amp) / half
 
 
 # --- The protocol stream and the round automaton ---
 
-_FIRST_CHUNK, _MAX_CHUNK = 16, 1024  # rounds coded at once
+_FIRST_CHUNK, _MAX_CHUNK = 16, 4096  # rounds coded at once
 _CODE_LIMIT = 2**16  # codes a round's table may hold
 # Shift operands of the code, typed so numpy 1.x keeps uint64.
 _U4, _U11 = np.uint64(4), np.uint64(11)
 _K_END = 2**53  # above every k = word >> 11
 # The code's fields, the low 4 bits of w0 and w1, as a mask over a chunk's words.
 _FIELD_MASK = np.tile(np.array([15, 15, 0, 0], np.uint64), _MAX_CHUNK)
-# A control round's row in a code table: every byte 2 if it passes, 3 if it
-# detects. Key bytes are 0 or 1, so neither is ever a key byte.
-_PASS, _DETECT = b"\x02", b"\x03"
+# A control round's byte, for each party, in a code table's row: 0x10 if it
+# passes, 0x11 if it detects. A message round's byte packs 2 or 4 key bits,
+# so it is below 16 and never either.
+_PASS, _DETECT = b"\x10", b"\x11"
+# Packs a party's 2 or 4 key bytes of a round into one byte, key byte j in bit j.
+_BIT_WEIGHTS = np.array([1, 2, 4, 8], np.uint8)
+
+
+def _stream_seed(seed):
+    """SeedSequence(seed, spawn_key=(0,)), the stream's, from the entropy
+    words numpy assembles for it: the seed's 32-bit words, low first,
+    padded with zeros to the 4-word pool, then the spawn key's 0. The same
+    words give the same state, at half the cost of a spawn key."""
+    seed = int(seed)
+    return np.random.SeedSequence(np.array([seed & 0xFFFFFFFF, seed >> 32, 0, 0, 0], np.uint32))
 
 
 def _edge(t) -> int:
@@ -317,7 +329,7 @@ def _edge(t) -> int:
     return math.ceil(exact_real(t) * 2**53)
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=16)
 def _code_passes(edges: tuple[int, ...], control_edge: int) -> tuple[tuple, np.ndarray]:
     """(passes, weights) of the round code against the given edges and
     control edge (see the module docstring). A pass is one k >= row
@@ -327,7 +339,9 @@ def _code_passes(edges: tuple[int, ...], control_edge: int) -> tuple[tuple, np.n
     no k reaches 2**53; with no edges the ranked columns are 2**53 too. The
     weights turn a round's (f0 | r0 << 4, f1 | message << 4, r2 << 4,
     r3 << 4) into its code, with R = len(edges) + 1. Cached, so that a
-    session builds no array of its own."""
+    session builds no array of its own: an entry holds a 128 KiB row per
+    edge, so the 16 entries hold at most 2 MiB for the attacks' single
+    edge and 8 MiB at the 4-edge limit."""
     radix = len(edges) + 1
     rows = [[e, _K_END, e, e] for e in edges or (_K_END,)]
     rows[0][1] = control_edge
@@ -394,8 +408,8 @@ def _round_lookup(forward, backward, key_mode: KeyMode) -> tuple[tuple, tuple, t
     at each rank, its outcome object included, is made once per build.
     Nodes are shared by (u_A, state) and leaf rows by (u_A, u_B, state),
     so the size grows as states times ranks. The key dtype holds one
-    party's key bytes of a round, so a view of the joint keys in it
-    alternates Alice's and Bob's.
+    party's key bytes of a round: _code_table's unpack table holds one item
+    of it for each packed byte.
     """
     tables = _round_tables(forward, backward)
     p0s = [e[0] for rows in tables.measure for row in rows for e in row if e is not None]
@@ -481,14 +495,15 @@ def _read_codes(forward, backward, key_mode: KeyMode):
     """Each round code's reading of _round_lookup, in code order, by the
     walk a round takes through it: (row, outcome, Eve's forward view, Eve's
     backward view). The row is the message round's key bytes, Alice's then
-    Bob's, or a control round's sentinel bytes as wide; a view is (basis,
-    Eve's bit), or None on a leg she leaves alone. Digits that a round
-    does not read, such as r0 when Eve spares the forward leg, repeat the
-    same reading."""
-    edges, root, key_dtype = _round_lookup(forward, backward, key_mode)
+    Bob's, or a control round's row as wide: _PASS or _DETECT in each
+    party's first byte and zeros after, which _code_table packs to that
+    byte. A view is (basis, Eve's bit), or None on a leg she leaves alone.
+    Digits that a round does not read, such as r0 when Eve spares the
+    forward leg, repeat the same reading."""
+    edges, root, _ = _round_lookup(forward, backward, key_mode)
     ranks = range(len(edges) + 1)
-    width = 2 * np.dtype(key_dtype).itemsize
-    sentinels = _PASS * width, _DETECT * width
+    pad = bytes(key_mode.bits_per_round - 1)
+    sentinels = (_PASS + pad) * 2, (_DETECT + pad) * 2
     # itertools.product varies its last factor fastest: the code's lowest digit.
     digits = itertools.product(ranks, ranks, (False, True), range(16), ranks, range(16))
     for r3, r2, message, field1, r0, field0 in digits:
@@ -507,18 +522,26 @@ def _read_codes(forward, backward, key_mode: KeyMode):
 
 
 @functools.cache
-def _code_table(forward, backward, key_mode: KeyMode) -> tuple[tuple, np.ndarray, type]:
-    """(edges, key rows, key dtype): _round_lookup's edges and key dtype,
-    and the row of every round code as one item of an unsigned integer
-    twice as wide as the key dtype, which np.take gathers at a chunk's
-    codes (see _read_codes)."""
+def _code_table(forward, backward, key_mode: KeyMode) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """(edges, rows, unpack): _round_lookup's edges; the row of every round
+    code as one np.uint16 item, which np.take gathers at a chunk's codes;
+    and the table that turns a row's byte back into key bytes. A row's
+    byte 0 is Alice's and byte 1 Bob's: that party's key bytes of a
+    message round packed into one, key byte j in bit j, or a control
+    round's _PASS or _DETECT. unpack[b], for each b < 16, is one item of
+    _round_lookup's key dtype that holds the 0/1 key bytes which the
+    packed byte b stands for."""
     edges, _, key_dtype = _round_lookup(forward, backward, key_mode)
+    bits = key_mode.bits_per_round
     # Appended one by one: bytes.join would hold an 80-byte buffer per code.
     rows = bytearray()
     for row, *_ in _read_codes(forward, backward, key_mode):
         rows += row
-    row_dtype = np.uint32 if key_dtype is np.uint16 else np.uint64
-    return edges, np.frombuffer(bytes(rows), row_dtype), key_dtype
+    # [code][party][key byte] @ 2**j: a control row's sentinel, alone in
+    # its party's first byte, packs to itself.
+    packed = np.frombuffer(rows, np.uint8).reshape(-1, 2, bits) @ _BIT_WEIGHTS[:bits]
+    unpack = np.frombuffer(bytes(b >> j & 1 for b in range(16) for j in range(bits)), key_dtype)
+    return edges, packed.view(np.uint16).ravel(), unpack
 
 
 @functools.cache
@@ -539,8 +562,9 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
 
     Rounds draw from the protocol stream described in the module docstring
     and are coded a chunk at a time; _code_table's rows at a chunk's codes
-    give its message rounds' key bytes and its first detection, which ends
-    the session at its round. A round builds no outcome of its own.
+    give its message rounds' packed key bytes and its first detection,
+    which ends the session at its round, and one unpack per session turns
+    the packed bytes into the keys. A round builds no outcome of its own.
     keep_records is the one switch for the raw material: only with it does
     the session read _code_records at each code, build its RoundRecords,
     which hold the lookup's outcomes, and Eve's observations, and list the
@@ -549,19 +573,18 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
     same either way.
     """
     config.validate()
-    bitgen = np.random.PCG64(np.random.SeedSequence(config.seed, spawn_key=(0,)))
+    bitgen = np.random.PCG64(_stream_seed(config.seed))
     forward = eve_bases(config.attack, ChannelLeg.FORWARD)
     backward = eve_bases(config.attack, ChannelLeg.BACKWARD)
-    edges, key_rows, key_dtype = _code_table(forward, backward, config.key_mode)
+    edges, code_rows, unpack = _code_table(forward, backward, config.key_mode)
     passes, weights = _code_passes(edges, _edge(config.control_prob))
-    width = key_rows.itemsize
     records: list[RoundRecord] = []
     observations: list[EveObservation] = []
     if keep_records:
         readings = _code_records(forward, backward, config.key_mode)
         record, observe = records.append, observations.append
         forward_leg, backward_leg = ChannelLeg.FORWARD, ChannelLeg.BACKWARD
-    # Each message round appends Alice's key bytes, then Bob's.
+    # Each message round appends Alice's packed key byte, then Bob's.
     joint = bytearray()
     aborted = False
     # A numpy integer's arithmetic would wrap or promote; the rounds count in int.
@@ -570,12 +593,12 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
     while start < rounds and not aborted:
         n = min(chunk, rounds - start)
         codes = _round_codes(bitgen.random_raw(4 * n), passes, weights)
-        rows = key_rows.take(codes).tobytes()
-        # The first detection ends the session at its round.
+        rows = code_rows.take(codes).tobytes()
+        # The first detection ends the session at its round, a 2-byte row.
         cut = rows.find(_DETECT)
         if cut >= 0:
             aborted = True
-            n = cut // width + 1
+            n = cut // 2 + 1
             rows = rows[:cut]
         joint += rows.translate(None, _PASS)
         if keep_records:
@@ -592,8 +615,8 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
     # A detection ends the session at its last round; it is the only one.
     detections = int(aborted)
     abort_cause = ABORT_CONTROL if aborted else None
-    # One item of key_dtype per party and message round, Alice's first.
-    pairs = np.frombuffer(joint, key_dtype).reshape(-1, 2)
+    # One item of the key dtype per party and message round, Alice's first.
+    pairs = unpack.take(np.frombuffer(joint, np.uint8)).reshape(-1, 2)
     message_rounds = len(pairs)
     control_rounds = start - message_rounds
     alice_pre, bob_pre = pairs[:, 0].tobytes(), pairs[:, 1].tobytes()

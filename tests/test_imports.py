@@ -2,7 +2,10 @@
 that module."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -38,3 +41,17 @@ MODULES += sorted(TESTS.glob("*.py"))
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == set()
+
+
+def test_import_loads_no_numpy_submodule_of_its_own():
+    """Importing the package loads no numpy module that importing numpy
+    does not: numpy 2 loads numpy.random on first use, and a module-level
+    reference to it, an annotation included, would add its import to
+    every process's start-up."""
+    script = (
+        "import sys, numpy; before = set(sys.modules); import qdkd; "
+        "print(sorted(m for m in set(sys.modules) - before if m.startswith('numpy')))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(PACKAGE.parent), *sys.path])}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

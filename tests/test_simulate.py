@@ -7,6 +7,7 @@ import functools
 import hashlib
 import io
 import inspect
+import itertools
 import math
 import json
 import numbers
@@ -352,13 +353,16 @@ class TestSessionProperties:
 
     def test_report_only_memory_per_key_bit(self):
         # Keys are bytes and the key check builds no Python object per bit,
-        # so the traced peak stays near 10.8 bytes per pre-check key bit: 2
+        # so the traced peak stays near 10.85 bytes per pre-check key bit: 2
         # of them are the two pre-check keys, 8 the arange(length) that
-        # numpy's choice shuffles the tail of, and 0.8 the int64 draw of a
-        # tenth of the positions, copied out of it. The final keys, and the int64 index of
-        # the unchecked positions they are gathered at, are built only when
-        # read, and a report-only session reads neither. A tuple of the bits
-        # alone would take 8 per bit for each key.
+        # numpy's choice shuffles the tail of, 0.8 the int64 draw of a tenth
+        # of the positions, copied out of it, and the rest mostly the last
+        # chunk's codes and rows, up to 4,096 rounds' worth. The packed
+        # joint keys and their unpacked pairs are freed before the check.
+        # The final keys, and the int64 index of the unchecked positions
+        # they are gathered at, are built only when read, and a report-only
+        # session reads neither. A tuple of the bits alone would take 8 per
+        # bit for each key.
         config = SimConfig(rounds=200_000, control_prob=0.0, attack=BACKWARD_Z, seed=1)
         run_simulation(dataclasses.replace(config, rounds=100))  # the round tables
         tracemalloc.start()
@@ -1052,14 +1056,35 @@ def _code_digits(code, radix):
 
 def _codes(words, edges, control_edge):
     """The round codes of whole rounds' words, as Python ints, coded in
-    chunks of at most 1,024 rounds, the largest run_session codes."""
+    chunks of at most _MAX_CHUNK rounds, the largest run_session codes."""
     words = np.asarray(words, dtype=np.uint64)
     passes, weights = _code_passes(tuple(edges), control_edge)
+    size = 4 * simulate._MAX_CHUNK
     return [
         int(code)
-        for start in range(0, len(words), 4 * 1024)
-        for code in _round_codes(words[start : start + 4 * 1024], passes, weights)
+        for start in range(0, len(words), size)
+        for code in _round_codes(words[start : start + size], passes, weights)
     ]
+
+
+def _chunk_sizes(rounds):
+    """The chunks, in rounds, that run_session codes a session of this many
+    rounds in when no round detects: _FIRST_CHUNK rounds, doubling up to
+    the cap of _MAX_CHUNK, which they reach after _MAX_CHUNK - _FIRST_CHUNK
+    rounds, as _MAX_CHUNK is _FIRST_CHUNK times a power of 2."""
+    sizes, chunk = [], simulate._FIRST_CHUNK
+    while sum(sizes) < rounds:
+        sizes.append(min(chunk, rounds - sum(sizes)))
+        chunk = min(2 * chunk, simulate._MAX_CHUNK)
+    return sizes
+
+
+# Rounds that end in the second chunk of _MAX_CHUNK rounds, which starts at
+# round 2 * _MAX_CHUNK - _FIRST_CHUNK.
+PAST_THE_CAP = 2 * simulate._MAX_CHUNK + 500
+# The chunk sizes the code is checked at: 1 round, 7 rounds, which divide
+# neither cap, the first chunk and the cap.
+CHUNK_SIZES = (1, 7, simulate._FIRST_CHUNK, simulate._MAX_CHUNK)
 
 
 def _code_columns(words, edges, control_edge):
@@ -1133,7 +1158,7 @@ class TestSessionStream:
         r < t, thresholds of exactly 0 and 1 included. Every operand of the
         code is np.uint64, so numpy 1.x cannot promote it to float64."""
         bitgen = np.random.PCG64(np.random.SeedSequence(seed))
-        chunks = [bitgen.random_raw(4 * rounds) for rounds in (1, 7, 16, 1024)]
+        chunks = [bitgen.random_raw(4 * rounds) for rounds in CHUNK_SIZES]
         words = np.concatenate(chunks).tolist()
         generator = np.random.default_rng(np.random.SeedSequence(seed))
         uniforms = np.array([generator.random() for _ in words])
@@ -1189,7 +1214,7 @@ class TestSessionStream:
         # The 11 low bits of a word are not part of its uniform.
         words = [k << 11 | low for k in ks for low in (0, 0x7FF)]
         rng = np.random.default_rng(7)
-        for rounds in (1, 7, 16, 1024):
+        for rounds in CHUNK_SIZES:
             chunk = [words[i] for i in rng.integers(len(words), size=rounds)]
             rank = _word_ranks(chunk, edges)
             assert rank == [bisect.bisect_right(edges, w >> 11) for w in chunk]
@@ -1238,10 +1263,11 @@ class TestSessionStream:
     def test_every_round_reads_four_words(self, monkeypatch):
         """A round reads exactly 4 words, whatever it draws: under every
         attack and at control_prob 0, 1/2 and 1, a session that runs all
-        its R rounds reads 4R words, in chunks that span the 16-round first
-        chunk and the 1,024-round cap, and its key check starts at word
-        2**100. The reference reads round i from words 4i to 4i + 3, so a
-        session equal to it reads those words too."""
+        its R rounds reads 4R words, in the chunks of _chunk_sizes(R), which
+        span the _FIRST_CHUNK-round first chunk and two chunks at the
+        _MAX_CHUNK-round cap, and its key check starts at word 2**100. The
+        reference reads round i from words 4i to 4i + 3, so a session equal
+        to it reads those words too."""
         reads = []
 
         class CountedPCG64(np.random.PCG64):
@@ -1257,33 +1283,101 @@ class TestSessionStream:
         full = set()
         for attack in ALL_ATTACKS:
             for control_prob in (0.0, 0.5, 1.0):
-                for rounds in (0, 1, 17, 3000):
+                for rounds in (0, 1, 17, PAST_THE_CAP):
                     reads.clear()
                     config = SimConfig(rounds=rounds, control_prob=control_prob, attack=attack)
                     if run_simulation(config).abort_cause == ABORT_CONTROL:
                         continue
                     full.add((attack, rounds))
                     *chunks, advanced = reads
-                    assert sum(chunks) == 4 * rounds and all(c % 4 == 0 for c in chunks)
+                    assert chunks == [4 * size for size in _chunk_sizes(rounds)]
                     assert advanced == 2**100 - 4 * rounds
-        assert {(attack, 3000) for attack in ALL_ATTACKS} <= full
+        assert {(attack, PAST_THE_CAP) for attack in ALL_ATTACKS} <= full
+        assert _chunk_sizes(PAST_THE_CAP)[-2:] == [simulate._MAX_CHUNK, 500 + simulate._FIRST_CHUNK]
 
     @pytest.mark.parametrize("control_prob", [0.0, 0.5])
     @pytest.mark.parametrize("attack", REFILL_ATTACKS)
     def test_long_session_spans_refills(self, attack, control_prob):
-        # 2,500 rounds read past the 1,024-round chunk cap.
+        # PAST_THE_CAP rounds read past the first chunk of _MAX_CHUNK rounds.
         _assert_matches_reference(
-            SimConfig(rounds=2500, control_prob=control_prob, attack=attack, seed=31)
+            SimConfig(rounds=PAST_THE_CAP, control_prob=control_prob, attack=attack, seed=31)
         )
 
-    @pytest.mark.parametrize("seed", [0, 1, 12345, 2**64 - 1])
+    @pytest.mark.parametrize("after_cap", [0, 1], ids=["last-of-chunk", "first-of-next"])
+    def test_first_detection_at_a_chunk_boundary(self, monkeypatch, after_cap):
+        """A session whose first detection falls on the last round of its
+        first capped chunk, or on the first round of the next, ends at that
+        round, as the reference does, with and without its records: the
+        row that detects is found at the right offset of its chunk's rows.
+        The words come from a crafted stream: rounds of seed 3 that pass or
+        carry keys up to the detection, one that detects there, and others
+        after it, each classified by the reference."""
+        attack = FORWARD_Z
+        config = SimConfig(rounds=PAST_THE_CAP, control_prob=0.5, attack=attack, seed=0)
+        at = list(itertools.accumulate(_chunk_sizes(config.rounds)))[-2] - 1 + after_cap
+        bank = np.random.PCG64(np.random.SeedSequence(3)).random_raw(4 * 64).reshape(-1, 4)
+        detects = []
+        for words in bank:
+            outcome = _reference_round(attack, config.control_prob, words, 0, []).outcome
+            detects.append(getattr(outcome, "verdict", None) is ControlVerdict.EVE_DETECTED)
+        quiet = bank[[not d for d in detects]]
+        assert detects.count(True) > 0 and len(quiet) > 0
+        rounds = np.resize(quiet, (config.rounds, 4))
+        rounds[at] = bank[detects.index(True)]
+        stream = rounds.ravel()
+
+        class CraftedPCG64(np.random.PCG64):
+            """Serves the crafted words, in order, to each instance."""
+
+            def random_raw(self, size=None, output=True):
+                start = getattr(self, "read", 0)
+                self.read = start + size
+                return stream[start : start + size].copy()
+
+        monkeypatch.setattr(np.random, "PCG64", CraftedPCG64)
+        report, records, _, _, pre, _ = _reference_session(config)
+        assert (report.rounds_total, report.abort_cause) == (at + 1, ABORT_CONTROL)
+        assert records[-1].outcome.verdict is ControlVerdict.EVE_DETECTED
+        _assert_matches_reference(config)
+        bare = run_session(config)
+        assert serialize_report(bare.report) == serialize_report(report)
+        assert (tuple(bare.alice_pre_check), tuple(bare.bob_pre_check)) == pre
+
+    # sha-256 of the reprs of the sessions below, recorded when the chunks
+    # were capped at 1,024 rounds and a code table held a byte per key bit:
+    # it pins the records and the four keys, which GOLDEN_DIGEST does not.
+    # Its longest sessions read two chunks of _MAX_CHUNK rounds and more, so
+    # it moves with _MAX_CHUNK; the value is for _MAX_CHUNK = 4096.
+    SESSION_DIGEST = "74b519021f23c6a9e2f89db83343ba3c2445a9476c55914a8cc15008888e4cd2"
+
+    def test_session_digest(self):
+        """Every attack and key mode, at control_prob 0, 1/2 and 1, at 0
+        and 17 rounds with and without records, and past two capped chunks
+        without them: with records, over 8,000 rounds each, the reprs would
+        take seconds, and no key depends on the records."""
+        digest = hashlib.sha256()
+        for attack in ALL_ATTACKS:
+            for key_mode in KeyMode:
+                for control_prob in (0.0, 0.5, 1.0):
+                    for rounds in (0, 17, 2 * simulate._MAX_CHUNK + 5):
+                        config = SimConfig(rounds=rounds, control_prob=control_prob,
+                                           key_mode=key_mode, attack=attack, seed=7)
+                        for keep_records in (False, True)[: 1 + (rounds < 100)]:
+                            digest.update(repr(run_session(config, keep_records)).encode())
+        assert simulate._MAX_CHUNK == 4096
+        assert digest.hexdigest() == self.SESSION_DIGEST
+
+    @pytest.mark.parametrize("seed", [0, 1, 12345, 2**32 - 1, 2**32, 2**64 - 1, np.uint64(2**63 + 5)])
     def test_stream_sequences_are_spawned_children(self, seed):
-        # The stream's seed sequence is the first child of spawn(2).
-        child = np.random.SeedSequence(seed).spawn(2)[0]
-        direct = np.random.SeedSequence(seed, spawn_key=(0,))
-        assert direct.generate_state(4).tolist() == child.generate_state(4).tolist()
+        # The stream's seed sequence is the first child of spawn(2), and
+        # _stream_seed builds it from its entropy words.
+        child = np.random.SeedSequence(int(seed)).spawn(2)[0]
+        direct = np.random.SeedSequence(int(seed), spawn_key=(0,))
+        built = simulate._stream_seed(seed)
+        want = child.generate_state(4).tolist()
+        assert direct.generate_state(4).tolist() == built.generate_state(4).tolist() == want
         assert (
-            np.random.PCG64(direct).random_raw(8).tolist()
+            np.random.PCG64(built).random_raw(8).tolist()
             == np.random.PCG64(child).random_raw(8).tolist()
         )
 
@@ -1821,42 +1915,54 @@ class TestRoundTables:
     @pytest.mark.parametrize("key_mode", list(KeyMode))
     @pytest.mark.parametrize("attack", ALL_ATTACKS)
     def test_code_tables_read_the_lookup_at_the_digits(self, attack, key_mode):
-        """Every round code's key row and record entry equal the nested
-        round lookup read at the code's digits, as a round walks it: the
-        root at f0, Eve's forward leg at r0, then at f1 the control row at
-        r2 and r3, whose row is every byte 2 on a pass and 3 on a
-        detection, or the message row, Eve's backward leg at r2, and the
-        leaf at r3, whose row is the leaf's key bytes, each 0 or 1. The
-        record entry is (u_A, outcome, Eve's forward view, her backward
-        view), a view being None on a leg she leaves alone, and its outcome
-        is one the lookup holds."""
+        """Every round code's row and record entry equal the nested round
+        lookup read at the code's digits, as a round walks it: the root at
+        f0, Eve's forward leg at r0, then at f1 the control row at r2 and
+        r3, whose row is the 2 bytes 0x10 0x10 on a pass and 0x11 0x11 on
+        a detection, or the message row, Eve's backward leg at r2, and the
+        leaf at r3. A message round's row is Alice's key bits, then Bob's,
+        each party's packed into a byte with key bit j in bit j, and those
+        bits are the leaf's key bytes and accumulate_key's of the outcome;
+        the unpack table turns each byte back into them. The record entry
+        is (u_A, outcome, Eve's forward view, her backward view), a view
+        being None on a leg she leaves alone, and its outcome is one the
+        lookup holds."""
         forward, backward = _bases(attack)
         edges, root, key_dtype = _round_lookup(forward, backward, key_mode)
-        table_edges, key_rows, table_dtype = _code_table(forward, backward, key_mode)
+        table_edges, code_rows, unpack = _code_table(forward, backward, key_mode)
         readings = _code_records(forward, backward, key_mode)
         radix = len(edges) + 1
-        assert (table_edges, table_dtype) == (edges, key_dtype)
-        assert len(key_rows) == len(readings) == 512 * radix**3
-        width = 2 * np.dtype(key_dtype).itemsize
-        assert key_rows.itemsize == width
-        rows = key_rows.tobytes()
+        bits = key_mode.bits_per_round
+        assert table_edges == edges
+        assert len(code_rows) == len(readings) == 512 * radix**3
+        assert code_rows.dtype == np.uint16
+        assert unpack.dtype == key_dtype and np.dtype(key_dtype).itemsize == bits
+        unpacked = [unpack[b : b + 1].tobytes() for b in range(16)]
+        assert unpacked == [bytes(b >> j & 1 for j in range(bits)) for b in range(16)]
+        rows = code_rows.tobytes()
         held = {id(outcome) for outcome in _lookup_outcomes(root)}
         for code, reading in enumerate(readings):
             field0, r0, field1, message, r2, r3 = _code_digits(code, radix)
+            u_a = LocalUnitary(field0 & 3)
             node, forward_view, backward_view = root[field0], None, None
             if forward:
                 forward_view, node = node[r0]
+            row = rows[2 * code : 2 * code + 2]
             if message:
                 leaf = node[1][field1]
                 if backward:
                     backward_view, leaf = leaf[r2]
-                want_row, outcome = leaf[r3]
-                assert set(want_row) <= {0, 1} and len(want_row) == width
+                keys, outcome = leaf[r3]
+                alice = accumulate_key([], u_a, outcome.alice_view, key_mode)
+                bob = accumulate_key([], outcome.bob_view, outcome.u_b, key_mode)
+                assert keys == bytes(alice + bob)
+                packed = [sum(bit << j for j, bit in enumerate(key)) for key in (alice, bob)]
+                assert row == bytes(packed)
+                assert unpacked[row[0]] + unpacked[row[1]] == keys
             else:
                 detected, outcome = node[0][field1][r2][r3]
-                want_row = bytes([3 if detected else 2]) * width
-            assert rows[code * width : (code + 1) * width] == want_row
-            assert reading == (LocalUnitary(field0 & 3), outcome, forward_view, backward_view)
+                assert row == (b"\x11" if detected else b"\x10") * 2
+            assert reading == (u_a, outcome, forward_view, backward_view)
             assert id(reading[1]) in held
 
     @staticmethod
