@@ -15,7 +15,8 @@ enters only through injected generators.
 import functools
 import math
 import numbers
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
@@ -322,24 +323,36 @@ def require_policy(policy) -> None:
 
 @dataclass(frozen=True, eq=False)
 class KeyCheckResult:
-    """The outcome of a key check: its verdict and mismatch count, the two
-    keys it checked, as read-only uint8 arrays of their bits, and drawn, the
-    read-only int64 array of the checked positions in the order
+    """The outcome of a key check: its verdict and mismatch count, and
+    drawn, the read-only int64 array of the checked positions in the order
     public_rng.choice drew them.
 
     What no check needs is built on the first read and kept, so a caller
-    that reads only the verdict pays for none of it: positions, the sorted
-    read-only array of the checked positions (a sort of m entries); the
-    final keys, each key's unchecked positions as bytes, one 0/1 byte per
-    bit (the int64 index of those positions, about 8 bytes per key bit
-    while they are built, then the two gathers); and the two parties'
-    announced samples, their bits at positions as bytes."""
+    that reads only the verdict pays for none of it: alice_bits and
+    bob_bits, the two keys it checked as read-only uint8 arrays of their
+    bits, which read_keys() returns; positions, the sorted read-only array
+    of the checked positions (a sort of m entries); the final keys, each
+    key's unchecked positions as bytes, one 0/1 byte per bit (the int64
+    index of those positions, about 8 bytes per key bit while they are
+    built, then the two gathers); and the two parties' announced samples,
+    their bits at positions as bytes."""
 
     verdict: CheckVerdict
     mismatches: int
-    alice_bits: np.ndarray
-    bob_bits: np.ndarray
     drawn: np.ndarray
+    read_keys: Callable[[], tuple[np.ndarray, np.ndarray]] = field(repr=False)
+
+    @functools.cached_property
+    def _keys(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.read_keys()
+
+    @property
+    def alice_bits(self) -> np.ndarray:
+        return self._keys[0]
+
+    @property
+    def bob_bits(self) -> np.ndarray:
+        return self._keys[1]
 
     @functools.cached_property
     def positions(self) -> np.ndarray:
@@ -407,21 +420,27 @@ def key_check(alice_key, bob_key, policy: KeyCheckPolicy, public_rng) -> KeyChec
     alice, bob = _key_bits("alice_key", alice_key), _key_bits("bob_key", bob_key)
     if len(alice) != len(bob):
         raise ProtocolError(f"key length mismatch: {len(alice)} vs {len(bob)} (transcript desync)")
-    return _check_keys(alice, bob, policy, public_rng)
+
+    def differs_at(positions):
+        return alice.take(positions) != bob.take(positions)
+
+    return _check_keys(len(alice), differs_at, lambda: (alice, bob), policy, public_rng)
 
 
-def _check_keys(alice, bob, policy: KeyCheckPolicy, public_rng) -> KeyCheckResult:
-    """key_check of two equal-length, read-only uint8 arrays of 0/1 bits
-    under a valid policy, none of which it checks again. It draws the
-    positions and counts the mismatches at them; the result builds the
-    rest when read."""
-    length = len(alice)
+def _check_keys(length, differs_at, read_keys, policy, public_rng) -> KeyCheckResult:
+    """key_check of two keys of this length under a valid policy, which it
+    does not check again. differs_at(positions) is nonzero at each of the
+    positions where the keys differ; read_keys() returns the keys as
+    read-only uint8 arrays of their bits, and only a read of the result's
+    alice_bits or bob_bits calls it. It draws the positions and counts the
+    mismatches at them, calling differs_at only if it drew some; the result
+    builds the rest when read."""
     drawn = _checked_positions(length, checked_count(policy.fraction, length), public_rng)
-    mismatches = int(np.count_nonzero(alice.take(drawn) != bob.take(drawn)))
+    mismatches = int(np.count_nonzero(differs_at(drawn))) if len(drawn) else 0
     verdict = (
         CheckVerdict.ABORT if mismatches > policy.mismatch_threshold else CheckVerdict.ACCEPT
     )
-    return KeyCheckResult(verdict, mismatches, alice, bob, drawn)
+    return KeyCheckResult(verdict, mismatches, drawn, read_keys)
 
 
 def _checked_positions(length: int, m: int, public_rng) -> np.ndarray:

@@ -47,15 +47,17 @@ The rounds decide from tables of the round automaton that qdkd.oracle builds
 in exact integer arithmetic, and whose statistics the oracle walks too: the
 12 to 20 states a session can reach under one attack, interned up to scale
 and sign, with each state's probabilities and successors precomputed.
-run_session draws the words in chunks of 16 rounds that double to 4096
-and codes each chunk once with numpy, one round code per round, from the
-fields f0 and f1, the low 4 bits of w0 and of w1, w1's message flag and
-the ranks r0, r2 and r3 of w0, w2 and w3. With R the number of edges
-plus one, the code is
+run_session draws the words in chunks of 16 rounds that grow 4 times over
+to 4096 (16, 64, 256, 1024, then 4096 at a time) and codes each chunk once
+with numpy, one round code per round, from the fields f0 and f1, the low 4
+bits of w0 and of w1, w1's message flag and the ranks r0, r2 and r3 of w0,
+w2 and w3. With R the number of edges plus one, the code is
 
     (f0 + 16 r0) + 16R (f1 + 16 message) + 512R (r2 + R r3),
 
-one of 512 R**3 values, each a distinct set of digits. The ranks rest on
+one of 512 R**3 values, each a distinct set of digits. It is summed in
+16-bit lanes: each word's term is one uint16, and one uint64 multiply adds
+a round's four terms (see _round_codes). The ranks rest on
 one exact rule. A word's uniform is r = k * 2**-53 with k = word >> 11,
 and for every double or Fraction t in [0, 1], r < t holds exactly when k <
 ceil(t * 2**53): k is an integer, t * 2**53 is exact, and t = 1 gives
@@ -77,7 +79,9 @@ by reading the nested tables of _round_lookup at every code, gives each
 round's key bits, packed into one byte per party, or its control verdict,
 and a session makes no float comparison. A table holds at most 2**16
 codes, so an attack may have at most 4 edges; each of the 7 attacks has
-one, the edge of 1/2, and so 4,096 codes.
+one, the edge of 1/2, and so 4,096 codes. The report and the key check
+read the packed bytes: a message round's two bytes XOR to the set of its
+key bits that differ, so no key is unpacked unless it is read.
 """
 
 import csv
@@ -216,12 +220,39 @@ _SESSION_SHOWN = (
 )
 
 
+class _PreCheckKeys:
+    """A session's two pre-check keys, held as the joint bytes of its
+    message rounds, Alice's packed key byte and then Bob's (see
+    _code_table), until the first read unpacks them through unpack and
+    drops the joint bytes. With no joint bytes, both keys are empty."""
+
+    def __init__(self, joint=b"", unpack=None):
+        self._joint, self._unpack = joint, unpack
+
+    @functools.cached_property
+    def keys(self) -> tuple[bytes, bytes]:
+        """(Alice's key, Bob's key) as bytes, one 0/1 byte per bit."""
+        joint, unpack = self._joint, self._unpack
+        del self._joint, self._unpack
+        if not joint:
+            return b"", b""
+        pairs = unpack.take(np.frombuffer(joint, np.uint8)).reshape(-1, 2)
+        return pairs[:, 0].tobytes(), pairs[:, 1].tobytes()
+
+    def bits(self) -> tuple[np.ndarray, np.ndarray]:
+        """The keys as read-only uint8 arrays, views of their bytes."""
+        return tuple(np.frombuffer(key, np.uint8) for key in self.keys)
+
+
 @dataclass(eq=False, repr=False)
 class SessionResult:
     """Report and keys, plus the raw material tests and analyses need.
 
-    The keys are bytes, one 0/1 byte per bit. alice_final and bob_final are
-    read-only: check's final keys, built on the first read (see
+    The keys are bytes, one 0/1 byte per bit, and read-only. The pre-check
+    keys are unpacked from pre_check on their first read, or that of
+    check's alice_bits and bob_bits, which are views of them; a session
+    whose keys are never read never builds them. alice_final and
+    bob_final are check's final keys, built on the first read (see
     KeyCheckResult), or the pre-check keys when no check ran, because a
     control-round detection ended the session first. check is None then.
     records, transcript and observations are filled only by
@@ -235,9 +266,16 @@ class SessionResult:
     records: list[RoundRecord] = field(default_factory=list)
     transcript: list[ClassicalMessage] = field(default_factory=list)
     observations: list[EveObservation] = field(default_factory=list)
-    alice_pre_check: bytes = b""
-    bob_pre_check: bytes = b""
     check: KeyCheckResult | None = None
+    pre_check: _PreCheckKeys = field(default_factory=_PreCheckKeys)
+
+    @property
+    def alice_pre_check(self) -> bytes:
+        return self.pre_check.keys[0]
+
+    @property
+    def bob_pre_check(self) -> bytes:
+        return self.pre_check.keys[1]
 
     @property
     def alice_final(self) -> bytes:
@@ -281,35 +319,44 @@ def _wilson_low(successes: int, trials: int) -> float:
     return (successes + z2 / 2 - spread) / (trials + z2)
 
 
-def _error_rates(alice_bits, bob_bits) -> tuple[float, float, float]:
-    """(overall, amplitude-position, phase-position) mismatch frequencies of
-    two equal-length uint8 keys. A key holds 2 or 4 bits per message round,
-    so a non-empty key has both positions."""
-    n = len(alice_bits)
-    if n == 0:
-        return 0.0, 0.0, 0.0
-    differs = alice_bits != bob_bits
-    total = int(np.count_nonzero(differs))
-    amp = int(np.count_nonzero(differs[0::2]))
-    half = n // 2
-    return total / n, amp / half, (total - amp) / half
-
-
 # --- The protocol stream and the round automaton ---
 
-_FIRST_CHUNK, _MAX_CHUNK = 16, 4096  # rounds coded at once
+# Rounds coded at once: 16, growing 4 times over to 4096.
+_FIRST_CHUNK, _CHUNK_GROWTH, _MAX_CHUNK = 16, 4, 4096
 _CODE_LIMIT = 2**16  # codes a round's table may hold
-# Shift operands of the code, typed so numpy 1.x keeps uint64.
-_U4, _U11 = np.uint64(4), np.uint64(11)
+# Operands of the code, typed so numpy 1.x keeps each array's dtype.
+_U11, _U48, _U16_15 = np.uint64(11), np.uint64(48), np.uint16(15)
 _K_END = 2**53  # above every k = word >> 11
-# The code's fields, the low 4 bits of w0 and w1, as a mask over a chunk's words.
-_FIELD_MASK = np.tile(np.array([15, 15, 0, 0], np.uint64), _MAX_CHUNK)
+# Times a round's four uint16 lanes, viewed as one uint64, their sum in the top lane.
+_LANE_SUM = np.uint64(0x0001_0001_0001_0001)
 # A control round's byte, for each party, in a code table's row: 0x10 if it
 # passes, 0x11 if it detects. A message round's byte packs 2 or 4 key bits,
 # so it is below 16 and never either.
 _PASS, _DETECT = b"\x10", b"\x11"
 # Packs a party's 2 or 4 key bytes of a round into one byte, key byte j in bit j.
 _BIT_WEIGHTS = np.array([1, 2, 4, 8], np.uint8)
+
+
+def _differs_table() -> np.ndarray:
+    """Indexed by a message round's two packed bytes read as one uint16 item
+    v, whose bytes XOR to the set of its key bits that differ, (v & 255) ^
+    (v >> 8) on either byte order: a row of 4 uint8 flags, flag j set when
+    key bit j differs."""
+    v = np.arange(4096, dtype=np.int64)
+    return ((v & 255 ^ v >> 8)[:, None] >> np.arange(4) & 1).astype(np.uint8)
+
+
+_DIFFERS = _differs_table()
+# Each row's first 2 or 4 flags as one item: the items at a session's pairs,
+# viewed as bytes, are one flag per key bit, in key order.
+_KEY_DIFFERS = {
+    bits: np.ascontiguousarray(_DIFFERS[:, :bits]).view(f"u{bits}").ravel() for bits in (2, 4)
+}
+# _TALLY[v]: how many key bits differ, plus 2**32 times how many of them are
+# at amplitude positions, the even bits. A sum over at most _TALLY_BLOCK
+# rounds carries from neither count.
+_TALLY = _DIFFERS.sum(1, dtype=np.int64) + (_DIFFERS[:, ::2].sum(1, dtype=np.int64) << 32)
+_TALLY_BLOCK = 2**28
 
 
 def _stream_seed(seed):
@@ -330,41 +377,65 @@ def _edge(t) -> int:
 
 
 @functools.lru_cache(maxsize=16)
-def _code_passes(edges: tuple[int, ...], control_edge: int) -> tuple[tuple, np.ndarray]:
+def _code_passes(edges: tuple[int, ...], control_edge: int) -> tuple[tuple, tuple]:
     """(passes, weights) of the round code against the given edges and
-    control edge (see the module docstring). A pass is one k >= row
-    comparison, its row tiled over a whole chunk's words: [edge,
-    control_edge, edge, edge] for the first edge, so that w1's column is
-    the message flag, and [edge, 2**53, edge, edge] for each later one, as
-    no k reaches 2**53; with no edges the ranked columns are 2**53 too. The
-    weights turn a round's (f0 | r0 << 4, f1 | message << 4, r2 << 4,
-    r3 << 4) into its code, with R = len(edges) + 1. Cached, so that a
-    session builds no array of its own: an entry holds a 128 KiB row per
-    edge, so the 16 entries hold at most 2 MiB for the attacks' single
-    edge and 8 MiB at the 4-edge limit."""
+    control edge (see the module docstring), each tiled over a whole
+    chunk's words. A pass is one k >= row comparison, a row of np.uint64:
+    [edge, control_edge, edge, edge] for the first edge, so that w1's
+    column is the message flag, and [edge, 2**53, edge, edge] for each
+    later one, as no k reaches 2**53; with no edges the ranked columns are
+    2**53 too. The weights are np.uint16 (field weights, rank weights):
+    with R = len(edges) + 1 and a round's weights w = [1, 16R, 32R,
+    32R**2], the field weights are w at the two field words and 0 at the
+    others, and the rank weights are 16 w. A word's term of the code is
+    its field times its field weight plus its rank times its rank weight,
+    which is its digit (f0 | r0 << 4, f1 | message << 4, r2 << 4 or
+    r3 << 4) times its w. Cached, so that a session builds no array of its
+    own: an entry holds a 128 KiB row per edge and 64 KiB of weights, so
+    the 16 entries hold at most 3 MiB for the attacks' single edge and
+    9 MiB at the 4-edge limit."""
     radix = len(edges) + 1
     rows = [[e, _K_END, e, e] for e in edges or (_K_END,)]
     rows[0][1] = control_edge
     passes = tuple(np.tile(np.array(row, np.uint64), _MAX_CHUNK) for row in rows)
-    return passes, np.array([1, 16 * radix, 32 * radix, 32 * radix**2], np.uint64)
+    w = [1, 16 * radix, 32 * radix, 32 * radix**2]
+    weights = [w[0], w[1], 0, 0], [16 * x for x in w]
+    return passes, tuple(np.tile(np.array(row, np.uint16), _MAX_CHUNK) for row in weights)
+
+
+def _round_ranks(k, passes):
+    """Each word's rank from its k = word >> 11: the number of passes
+    whose row it reaches, as a bool array for one pass and as np.uint16,
+    summed over all of them, for several, because numpy adds two bool
+    arrays as a logical or."""
+    first, *rest = passes
+    rank = k >= first[: len(k)]
+    for row in rest:
+        rank = np.add(rank, k >= row[: len(k)], dtype=np.uint16)
+    return rank
 
 
 def _round_codes(words, passes, weights):
     """The round code of each round of a chunk of at most _MAX_CHUNK rounds,
-    from its raw 64-bit words, as np.uint64: the rank is one k >= row pass
-    per edge, summed in uint64 when there are several, because numpy adds
-    two bool arrays as a logical or. The words, rows, mask, shifts and
-    weights are all np.uint64, so numpy 1.x cannot promote to float64."""
+    from its raw 64-bit words, as np.uint64. Each word becomes one uint16
+    lane, its term of the code (see _code_passes), and a round's four
+    lanes, viewed as one uint64, are summed into the top lane by one
+    multiply. No lane carries: every term and every partial sum of a
+    round's terms is at most its code, which is below 2**16 (_CODE_LIMIT).
+    The sum lands in the top lane on either byte order. Every operand has
+    the dtype of the array it meets, or is bool, so numpy 1.x cannot
+    promote to float64."""
     size = len(words)
-    k = words >> _U11
-    first, *rest = passes
-    rank = k >= first[:size]
-    for row in rest:
-        rank = np.add(rank, k >= row[:size], dtype=np.uint64)
-    # k is spent: its buffer takes the fields, then the ranks beside them.
-    codes = np.bitwise_and(words, _FIELD_MASK[:size], out=k)
-    codes |= rank << _U4
-    return codes.reshape(-1, 4) @ weights
+    field_weights, rank_weights = weights
+    rank = _round_ranks(words >> _U11, passes)
+    lanes = words.astype(np.uint16)
+    lanes &= _U16_15
+    lanes *= field_weights[:size]
+    lanes += rank * rank_weights[:size]
+    codes = lanes.view(np.uint64)
+    codes *= _LANE_SUM
+    codes >>= _U48
+    return codes
 
 
 # field0 -> u_A, its low 2 bits.
@@ -563,8 +634,10 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
     Rounds draw from the protocol stream described in the module docstring
     and are coded a chunk at a time; _code_table's rows at a chunk's codes
     give its message rounds' packed key bytes and its first detection,
-    which ends the session at its round, and one unpack per session turns
-    the packed bytes into the keys. A round builds no outcome of its own.
+    which ends the session at its round. A round builds no outcome of its
+    own. The report and the key check read the packed bytes: a message
+    round's two bytes XOR to the set of its key bits that differ. The keys
+    are unpacked from them only when read (see SessionResult).
     keep_records is the one switch for the raw material: only with it does
     the session read _code_records at each code, build its RoundRecords,
     which hold the lookup's outcomes, and Eve's observations, and list the
@@ -593,14 +666,14 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
     while start < rounds and not aborted:
         n = min(chunk, rounds - start)
         codes = _round_codes(bitgen.random_raw(4 * n), passes, weights)
-        rows = code_rows.take(codes).tobytes()
+        rows = code_rows.take(codes.view(np.int64)).tobytes()
         # The first detection ends the session at its round, a 2-byte row.
         cut = rows.find(_DETECT)
         if cut >= 0:
             aborted = True
             n = cut // 2 + 1
             rows = rows[:cut]
-        joint += rows.translate(None, _PASS)
+        joint += rows.translate(None, _PASS) if _PASS in rows else rows
         if keep_records:
             for index, code in zip(range(start, start + n), codes.tolist()):
                 u_a, outcome, forward_view, backward_view = readings[code]
@@ -609,21 +682,36 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
                 if backward_view:
                     observe(EveObservation(index, backward_leg, *backward_view))
                 record(RoundRecord(index, u_a, outcome))
+        del codes, rows  # not held through the key check
         start += n
-        chunk = min(2 * chunk, _MAX_CHUNK)
+        chunk = min(_CHUNK_GROWTH * chunk, _MAX_CHUNK)
 
     # A detection ends the session at its last round; it is the only one.
     detections = int(aborted)
     abort_cause = ABORT_CONTROL if aborted else None
-    # One item of the key dtype per party and message round, Alice's first.
-    pairs = unpack.take(np.frombuffer(joint, np.uint8)).reshape(-1, 2)
-    message_rounds = len(pairs)
+    bits = config.key_mode.bits_per_round
+    message_rounds = len(joint) // 2
     control_rounds = start - message_rounds
-    alice_pre, bob_pre = pairs[:, 0].tobytes(), pairs[:, 1].tobytes()
-    del joint, pairs  # freed before the key check, whose memory peaks
-    alice_bits, bob_bits = (np.frombuffer(key, np.uint8) for key in (alice_pre, bob_pre))
-    overall, amp_rate, phase_rate = _error_rates(alice_bits, bob_bits)
+    key_length = bits * message_rounds
+    # A message round's two packed bytes, as one uint16 item, index _TALLY.
+    pairs = np.frombuffer(joint, np.uint16)
+    total = amp = 0
+    for block in range(0, message_rounds, _TALLY_BLOCK):
+        tally = int(_TALLY.take(pairs[block : block + _TALLY_BLOCK]).sum())
+        total += tally & 0xFFFF_FFFF
+        amp += tally >> 32
+    if key_length:
+        half = key_length // 2
+        overall, amp_rate, phase_rate = total / key_length, amp / half, (total - amp) / half
+    else:
+        overall = amp_rate = phase_rate = 0.0
 
+    def differs_at(positions):
+        # One flag per key bit, built after the check's draw has freed its
+        # memory, and only if it drew a position.
+        return _KEY_DIFFERS[bits].take(pairs).view(np.uint8).take(positions)
+
+    pre_check = _PreCheckKeys(joint, unpack)
     checked = 0
     check = None
     # Eve sees every public message: the rounds', then the key check's.
@@ -633,7 +721,7 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
         # The check reads from word 2**100 of the stream; the rounds read 4
         # words each.
         check_rng = np.random.Generator(bitgen.advance(2**100 - 4 * rounds))
-        check = _check_keys(alice_bits, bob_bits, policy, check_rng)
+        check = _check_keys(key_length, differs_at, pre_check.bits, policy, check_rng)
         if keep_records:
             transcript += check.transcript
         checked = len(check.drawn)
@@ -642,7 +730,7 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
             abort_cause = ABORT_KEY_CHECK
 
     detection_prob, ci_low, ci_high = _binomial_ci(detections, control_rounds)
-    capacity = len(alice_pre) / message_rounds if message_rounds else 0.0
+    capacity = key_length / message_rounds if message_rounds else 0.0
     report = SimulationReport(
         rounds_total=control_rounds + message_rounds,
         control_rounds=control_rounds,
@@ -656,7 +744,7 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
         key_error_rate_phase_bit=phase_rate,
         aborted=aborted,
         abort_cause=abort_cause,
-        final_key_length=len(alice_pre) - checked,
+        final_key_length=key_length - checked,
         capacity_bits_per_message_round=capacity,
         publicly_inferable_bits=2 * message_rounds,
     )
@@ -665,9 +753,8 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
         records=records,
         transcript=transcript,
         observations=observations,
-        alice_pre_check=alice_pre,
-        bob_pre_check=bob_pre,
         check=check,
+        pre_check=pre_check,
     )
 
 

@@ -73,6 +73,7 @@ from qdkd.simulate import (
     _edge,
     _round_codes,
     _round_lookup,
+    _round_ranks,
     _round_tables,
     ABORT_KEY_CHECK,
     RoundRecord,
@@ -254,6 +255,35 @@ class TestSessionProperties:
         assert bare.report == report
         assert (bare.alice_pre_check, bare.bob_pre_check) == keys
 
+    @pytest.mark.parametrize("key_mode", list(KeyMode))
+    @pytest.mark.parametrize("attack", ALL_ATTACKS)
+    def test_error_rates_are_those_of_the_keys(self, monkeypatch, attack, key_mode):
+        """The report counts its error rates from the message rounds' packed
+        key bytes, a round's two XORed, in blocks of _TALLY_BLOCK rounds;
+        they equal the rates of the keys unpacked from those bytes, at
+        control_prob 0 and 1/2, in one block or several, and are 0 for an
+        empty key."""
+        rates = []
+        for control_prob in (0.0, 0.5):
+            config = SimConfig(rounds=3000, control_prob=control_prob, key_mode=key_mode,
+                               attack=attack, seed=11)
+            session = run_session(config)
+            report = session.report
+            rates.append((report.key_error_rate_overall, report.key_error_rate_amplitude_bit,
+                          report.key_error_rate_phase_bit))
+            assert rates[-1] == _reference_error_rates(session.alice_pre_check, session.bob_pre_check)
+            with monkeypatch.context() as patch:
+                patch.setattr(simulate, "_TALLY_BLOCK", 7)
+                assert run_session(config).report == report
+        # With no control round to end it, every attack garbles the key; its
+        # basis decides at which positions.
+        assert (rates[0][0] > 0) == (attack != NoAttack())
+        empty = run_session(SimConfig(rounds=50, control_prob=1.0, key_mode=key_mode, attack=attack))
+        assert empty.alice_pre_check == b""
+        report = empty.report
+        assert report.key_error_rate_overall == report.key_error_rate_amplitude_bit == 0.0
+        assert report.key_error_rate_phase_bit == 0.0 == _reference_error_rates(b"", b"")[2]
+
     @pytest.mark.parametrize(
         "leg, control_prob",
         [(ChannelLeg.FORWARD, 0.0), (ChannelLeg.BACKWARD, 0.5)],
@@ -307,16 +337,29 @@ class TestSessionProperties:
 
     @pytest.mark.parametrize("fraction", [0.1, 0.01, 0.0])
     def test_report_only_sessions_leave_the_check_unbuilt(self, fraction):
-        """A report-only session's key check only draws and counts: its
-        sorted positions, samples and final keys stay unbuilt until read,
-        and then equal those of the public key_check on the pre-check keys,
+        """A report-only session's key check only draws and counts: the
+        pre-check keys, and the check's keys, sorted positions, samples and
+        final keys stay unbuilt until read. Then the pre-check keys equal
+        those of the scalar rounds, the check's keys are read-only uint8
+        views of them, and the rest equals the public key_check on them,
         with the Generator of the stream at word 2**100."""
         config = SimConfig(rounds=3000, check_fraction=fraction, attack=BACKWARD_Z, seed=4)
         session = run_session(config)
         check = session.check
-        assert session.report.final_key_length == len(check.alice_bits) - len(check.drawn)
-        lazy = ("positions", "_finals", "alice_sample", "bob_sample")
+        report = session.report
+        assert report.final_key_length == 4 * report.message_rounds - len(check.drawn)
+        lazy = ("_keys", "positions", "_finals", "alice_sample", "bob_sample")
         assert not set(lazy) & set(vars(check))
+        assert "keys" not in vars(session.pre_check)
+
+        keys = (check.alice_bits, check.bob_bits)
+        assert "keys" in vars(session.pre_check)
+        pre = (session.alice_pre_check, session.bob_pre_check)
+        assert tuple(map(tuple, pre)) == _reference_session(config)[4]
+        for bits, key in zip(keys, pre):
+            assert type(key) is bytes
+            assert bits.dtype == np.uint8 and not bits.flags.writeable
+            assert bits.tobytes() == key and np.shares_memory(bits, np.frombuffer(key, np.uint8))
 
         bitgen = np.random.PCG64(np.random.SeedSequence(config.seed, spawn_key=(0,)))
         policy = KeyCheckPolicy(config.check_fraction, config.mismatch_threshold)
@@ -352,17 +395,16 @@ class TestSessionProperties:
             session.alice_final = b""
 
     def test_report_only_memory_per_key_bit(self):
-        # Keys are bytes and the key check builds no Python object per bit,
-        # so the traced peak stays near 10.85 bytes per pre-check key bit: 2
-        # of them are the two pre-check keys, 8 the arange(length) that
-        # numpy's choice shuffles the tail of, 0.8 the int64 draw of a tenth
-        # of the positions, copied out of it, and the rest mostly the last
-        # chunk's codes and rows, up to 4,096 rounds' worth. The packed
-        # joint keys and their unpacked pairs are freed before the check.
-        # The final keys, and the int64 index of the unchecked positions
-        # they are gathered at, are built only when read, and a report-only
-        # session reads neither. A tuple of the bits alone would take 8 per
-        # bit for each key.
+        # The key check builds no Python object per bit, so the traced peak
+        # stays near 9.3 bytes per pre-check key bit: 8 of them are the
+        # arange(length) that numpy's choice shuffles the tail of, 0.8 the
+        # int64 draw of a tenth of the positions, copied out of it, and 0.5
+        # the packed joint keys, two bytes per message round of 4 key bits.
+        # The last chunk's codes and rows are freed before the check. The
+        # pre-check keys, the final keys, and the int64 index of the
+        # unchecked positions the final keys are gathered at, are built
+        # only when read, and a report-only session reads none of them. A
+        # tuple of the bits alone would take 8 per bit for each key.
         config = SimConfig(rounds=200_000, control_prob=0.0, attack=BACKWARD_Z, seed=1)
         run_simulation(dataclasses.replace(config, rounds=100))  # the round tables
         tracemalloc.start()
@@ -1069,22 +1111,31 @@ def _codes(words, edges, control_edge):
 
 def _chunk_sizes(rounds):
     """The chunks, in rounds, that run_session codes a session of this many
-    rounds in when no round detects: _FIRST_CHUNK rounds, doubling up to
-    the cap of _MAX_CHUNK, which they reach after _MAX_CHUNK - _FIRST_CHUNK
-    rounds, as _MAX_CHUNK is _FIRST_CHUNK times a power of 2."""
+    rounds in when no round detects: _FIRST_CHUNK rounds, growing
+    _CHUNK_GROWTH times over up to the cap of _MAX_CHUNK, which they reach
+    exactly, as _MAX_CHUNK is _FIRST_CHUNK times a power of _CHUNK_GROWTH:
+    16, 64, 256 and 1,024 rounds, then 4,096 at a time."""
     sizes, chunk = [], simulate._FIRST_CHUNK
     while sum(sizes) < rounds:
         sizes.append(min(chunk, rounds - sum(sizes)))
-        chunk = min(2 * chunk, simulate._MAX_CHUNK)
+        chunk = min(simulate._CHUNK_GROWTH * chunk, simulate._MAX_CHUNK)
     return sizes
 
 
+# The chunks before the first one of _MAX_CHUNK rounds: 16, 64, 256, 1,024.
+GROWING_CHUNKS = _chunk_sizes(simulate._MAX_CHUNK)[:-1]
 # Rounds that end in the second chunk of _MAX_CHUNK rounds, which starts at
-# round 2 * _MAX_CHUNK - _FIRST_CHUNK.
+# round sum(GROWING_CHUNKS) + _MAX_CHUNK.
 PAST_THE_CAP = 2 * simulate._MAX_CHUNK + 500
 # The chunk sizes the code is checked at: 1 round, 7 rounds, which divide
-# neither cap, the first chunk and the cap.
-CHUNK_SIZES = (1, 7, simulate._FIRST_CHUNK, simulate._MAX_CHUNK)
+# no chunk, and every chunk size of the schedule up to the cap.
+CHUNK_SIZES = (1, 7, *GROWING_CHUNKS, simulate._MAX_CHUNK)
+
+
+def _ranked_ks(edges):
+    """The k = word >> 11 either side of and at each edge, and the extreme
+    k 0 and 2**53 - 1."""
+    return sorted({0, 2**53 - 1, *(k + d for k in edges for d in (-1, 0, 1) if k + d < 2**53)})
 
 
 def _code_columns(words, edges, control_edge):
@@ -1155,8 +1206,9 @@ class TestSessionStream:
         of that word and _uniform's, for every table threshold t and every
         control_prob in CONTROL_PROB_EDGES. The edges are the thresholds'
         ceilings that split the words, and rank <= _rank_bound(t) decides
-        r < t, thresholds of exactly 0 and 1 included. Every operand of the
-        code is np.uint64, so numpy 1.x cannot promote it to float64."""
+        r < t, thresholds of exactly 0 and 1 included. The passes and the
+        codes are np.uint64 and the weights np.uint16, so numpy 1.x cannot
+        promote the code to float64."""
         bitgen = np.random.PCG64(np.random.SeedSequence(seed))
         chunks = [bitgen.random_raw(4 * rounds) for rounds in CHUNK_SIZES]
         words = np.concatenate(chunks).tolist()
@@ -1173,7 +1225,8 @@ class TestSessionStream:
             radix = len(edges) + 1
             for control_prob in CONTROL_PROB_EDGES:
                 passes, weights = _code_passes(edges, _edge(control_prob))
-                assert all(p.dtype == np.uint64 for p in (*passes, weights))
+                assert all(p.dtype == np.uint64 for p in passes)
+                assert all(w.dtype == np.uint16 for w in weights)
                 codes = np.concatenate([_round_codes(c, passes, weights) for c in chunks])
                 assert codes.dtype == np.uint64
                 field0, r0, field1, message, r2, r3 = map(
@@ -1204,23 +1257,50 @@ class TestSessionStream:
     def test_rank_sums_every_edge(self, edges):
         """The rank is the number of edges at or below k, summed over all of
         them as bisect_right counts them, in every chunk size the session
-        codes, and read back from the code's digits; a logical or of the
-        passes would stop at 1. Real attacks have a single splitting edge,
-        so these are synthetic: none, as thresholds of only 0 and 1 give,
-        an adjacent pair e, e + 1, the extreme edges 1 and 2**53 - 1, and
-        255 edges, more than a code table takes, whose top rank 255 would
-        overflow a byte once shifted into its digit."""
-        ks = sorted({0, 2**53 - 1, *(k + d for k in edges for d in (-1, 0, 1) if k + d < 2**53)})
+        codes; a logical or of the passes would stop at 1. The edges are
+        synthetic: none, as thresholds of only 0 and 1 give, an adjacent
+        pair e, e + 1 among the extreme edges 1 and 2**53 - 1, and 255
+        edges, more than a code table takes, whose top rank 255 would
+        overflow a digit's byte once shifted into it. Past 4 edges no round
+        code exists (test_round_codes_at_every_radix), so the rank is
+        checked alone, one pass row per edge."""
+        ks = _ranked_ks(edges)
         # The 11 low bits of a word are not part of its uniform.
-        words = [k << 11 | low for k in ks for low in (0, 0x7FF)]
+        words = np.array([k << 11 | low for k in ks for low in (0, 0x7FF)], np.uint64)
+        size = 4 * simulate._MAX_CHUNK
+        rows = [np.full(size, e, np.uint64) for e in edges or (2**53,)]
+        rng = np.random.default_rng(7)
+        for chunk in (*(words[rng.integers(len(words), size=4 * n)] for n in CHUNK_SIZES), words):
+            rank = _round_ranks(chunk >> np.uint64(11), rows)
+            assert rank.tolist() == [bisect.bisect_right(edges, w >> 11) for w in chunk.tolist()]
+        assert rank.max() == len(edges)
+
+    @pytest.mark.parametrize(
+        "edges",
+        [(), (2**52,), (2**40 + 7, 2**40 + 8), (1, 2**52 + 3, 2**53 - 1),
+         (1, 2**40 + 7, 2**40 + 8, 2**53 - 1)],
+        ids=lambda edges: f"R={len(edges) + 1}",
+    )
+    def test_round_codes_at_every_radix(self, edges):
+        """At every radix R the code table allows, 1 to 5, each word's rank
+        read back from the code's digits in every slot is the number of
+        edges at or below its k, in every chunk size the session codes; the
+        lowest code is 0 and the top one 512 R**3 - 1, each of whose four
+        uint16 lanes adds its most. Past R = 5 a code could exceed 2**16
+        and carry out of its lane, which _round_lookup refuses."""
+        radix = len(edges) + 1
+        words = [k << 11 | low for k in _ranked_ks(edges) for low in (0, 0x7FF)]
         rng = np.random.default_rng(7)
         for rounds in CHUNK_SIZES:
             chunk = [words[i] for i in rng.integers(len(words), size=rounds)]
-            rank = _word_ranks(chunk, edges)
-            assert rank == [bisect.bisect_right(edges, w >> 11) for w in chunk]
+            assert _word_ranks(chunk, edges) == [bisect.bisect_right(edges, w >> 11) for w in chunk]
         rank = _word_ranks(words, edges)
         assert rank == [bisect.bisect_right(edges, w >> 11) for w in words]
         assert max(rank) == len(edges)
+        top = _round_words([2**64 - 1])
+        assert _codes(top, edges, 0) == [512 * radix**3 - 1]
+        assert _codes(np.zeros(4, np.uint64), edges, 1) == [0]
+        assert 512 * radix**3 <= simulate._CODE_LIMIT
 
     @pytest.mark.parametrize("control_prob", CONTROL_PROB_EDGES)
     @pytest.mark.parametrize("attack", REFILL_ATTACKS)
@@ -1264,8 +1344,8 @@ class TestSessionStream:
         """A round reads exactly 4 words, whatever it draws: under every
         attack and at control_prob 0, 1/2 and 1, a session that runs all
         its R rounds reads 4R words, in the chunks of _chunk_sizes(R), which
-        span the _FIRST_CHUNK-round first chunk and two chunks at the
-        _MAX_CHUNK-round cap, and its key check starts at word 2**100. The
+        span the growing chunks and two chunks at the _MAX_CHUNK-round cap,
+        and its key check starts at word 2**100. The
         reference reads round i from words 4i to 4i + 3, so a session equal
         to it reads those words too."""
         reads = []
@@ -1293,7 +1373,9 @@ class TestSessionStream:
                     assert chunks == [4 * size for size in _chunk_sizes(rounds)]
                     assert advanced == 2**100 - 4 * rounds
         assert {(attack, PAST_THE_CAP) for attack in ALL_ATTACKS} <= full
-        assert _chunk_sizes(PAST_THE_CAP)[-2:] == [simulate._MAX_CHUNK, 500 + simulate._FIRST_CHUNK]
+        sizes = _chunk_sizes(PAST_THE_CAP)
+        assert sizes[:-2] == GROWING_CHUNKS == [16, 64, 256, 1024]
+        assert sizes[-2] == simulate._MAX_CHUNK > sizes[-1]
 
     @pytest.mark.parametrize("control_prob", [0.0, 0.5])
     @pytest.mark.parametrize("attack", REFILL_ATTACKS)
@@ -1346,14 +1428,15 @@ class TestSessionStream:
     # sha-256 of the reprs of the sessions below, recorded when the chunks
     # were capped at 1,024 rounds and a code table held a byte per key bit:
     # it pins the records and the four keys, which GOLDEN_DIGEST does not.
-    # Its longest sessions read two chunks of _MAX_CHUNK rounds and more, so
-    # it moves with _MAX_CHUNK; the value is for _MAX_CHUNK = 4096.
+    # Its longest sessions, 2 * _MAX_CHUNK + 5 rounds, read into a second
+    # chunk of _MAX_CHUNK rounds, so it moves with _MAX_CHUNK; the value is
+    # for _MAX_CHUNK = 4096.
     SESSION_DIGEST = "74b519021f23c6a9e2f89db83343ba3c2445a9476c55914a8cc15008888e4cd2"
 
     def test_session_digest(self):
         """Every attack and key mode, at control_prob 0, 1/2 and 1, at 0
-        and 17 rounds with and without records, and past two capped chunks
-        without them: with records, over 8,000 rounds each, the reprs would
+        and 17 rounds with and without records, and into the second capped
+        chunk without them: with records, over 8,000 rounds each, the reprs would
         take seconds, and no key depends on the records."""
         digest = hashlib.sha256()
         for attack in ALL_ATTACKS:
