@@ -76,12 +76,16 @@ exact value, so it decides the same on numpy 1.x and 2.
 Once a round's words are read, its outcome depends only on its draws, so
 it depends only on its code: a table compiled per attack and key mode,
 by reading the nested tables of _round_lookup at every code, gives each
-round's key bits, packed into one byte per party, or its control verdict,
-and a session makes no float comparison. A table holds at most 2**16
+round's row: its key bits, packed into one byte per party, or its control
+verdict. A session makes no float comparison. A table holds at most 2**16
 codes, so an attack may have at most 4 edges; each of the 7 attacks has
-one, the edge of 1/2, and so 4,096 codes. The report and the key check
-read the packed bytes: a message round's two bytes XOR to the set of its
-key bits that differ, so no key is unpacked unless it is read.
+one, the edge of 1/2, and so 4,096 codes. A session keeps every round's
+row before its first detection, a passing control round's as 0x1010, and
+the report counts them all in one pass: a message round's two bytes XOR
+to the set of its key bits that differ, and the pass rows count the
+control rounds. The message rounds' rows are gathered once, when the key
+check draws a position or the keys are first read, and no key is unpacked
+unless it is read.
 """
 
 import csv
@@ -221,23 +225,36 @@ _SESSION_SHOWN = (
 
 
 class _PreCheckKeys:
-    """A session's two pre-check keys, held as the joint bytes of its
-    message rounds, Alice's packed key byte and then Bob's (see
-    _code_table), until the first read unpacks them through unpack and
-    drops the joint bytes. With no joint bytes, both keys are empty."""
+    """A session's two pre-check keys, held until they are read as its
+    rows, one np.uint16 item per round but a detecting one (see
+    _code_table): Alice's packed key byte then Bob's for a message round,
+    and _PASS_ROW for each of its controls control rounds. pairs()
+    gathers the message rounds' rows on its first call: for the key
+    check's flags once it has drawn a position, or for the keys' first
+    read, which unpacks them through unpack and drops them. With no
+    control row there is nothing to gather; with no rows, both keys are
+    empty."""
 
-    def __init__(self, joint=b"", unpack=None):
-        self._joint, self._unpack = joint, unpack
+    def __init__(self, rows=(), unpack=None, controls=0):
+        self._rows, self._unpack, self._controls = rows, unpack, controls
+
+    def pairs(self) -> np.ndarray:
+        """The message rounds' rows, in round order; the first call with
+        control rows left gathers them, once, and keeps only them."""
+        if self._controls:
+            rows = self._rows
+            self._rows, self._controls = rows.compress(rows != _PASS_ROW), 0
+        return self._rows
 
     @functools.cached_property
     def keys(self) -> tuple[bytes, bytes]:
         """(Alice's key, Bob's key) as bytes, one 0/1 byte per bit."""
-        joint, unpack = self._joint, self._unpack
-        del self._joint, self._unpack
-        if not joint:
+        pairs, unpack = self.pairs(), self._unpack
+        del self._rows, self._unpack
+        if not len(pairs):
             return b"", b""
-        pairs = unpack.take(np.frombuffer(joint, np.uint8)).reshape(-1, 2)
-        return pairs[:, 0].tobytes(), pairs[:, 1].tobytes()
+        keys = unpack.take(pairs.view(np.uint8)).reshape(-1, 2)
+        return keys[:, 0].tobytes(), keys[:, 1].tobytes()
 
     def bits(self) -> tuple[np.ndarray, np.ndarray]:
         """The keys as read-only uint8 arrays, views of their bytes."""
@@ -333,30 +350,36 @@ _LANE_SUM = np.uint64(0x0001_0001_0001_0001)
 # passes, 0x11 if it detects. A message round's byte packs 2 or 4 key bits,
 # so it is below 16 and never either.
 _PASS, _DETECT = b"\x10", b"\x11"
+_PASS_ROW = 0x1010  # a passing control round's row, read as one uint16
 # Packs a party's 2 or 4 key bytes of a round into one byte, key byte j in bit j.
 _BIT_WEIGHTS = np.array([1, 2, 4, 8], np.uint8)
 
 
 def _differs_table() -> np.ndarray:
-    """Indexed by a message round's two packed bytes read as one uint16 item
-    v, whose bytes XOR to the set of its key bits that differ, (v & 255) ^
-    (v >> 8) on either byte order: a row of 4 uint8 flags, flag j set when
-    key bit j differs."""
-    v = np.arange(4096, dtype=np.int64)
+    """Indexed by a session's row v, up to _PASS_ROW, read as one uint16
+    item: a row of 4 uint8 flags, flag j set when key bit j differs. A
+    message round's two packed bytes XOR to the set of its key bits that
+    differ, (v & 255) ^ (v >> 8) on either byte order; a pass row's two
+    equal bytes XOR to 0, so no flag is set."""
+    v = np.arange(_PASS_ROW + 1, dtype=np.int64)
     return ((v & 255 ^ v >> 8)[:, None] >> np.arange(4) & 1).astype(np.uint8)
 
 
 _DIFFERS = _differs_table()
-# Each row's first 2 or 4 flags as one item: the items at a session's pairs,
-# viewed as bytes, are one flag per key bit, in key order.
+# Each row's first 2 or 4 flags as one item: the items at a session's
+# message rounds' rows, viewed as bytes, are one flag per key bit, in key
+# order.
 _KEY_DIFFERS = {
     bits: np.ascontiguousarray(_DIFFERS[:, :bits]).view(f"u{bits}").ravel() for bits in (2, 4)
 }
-# _TALLY[v]: how many key bits differ, plus 2**32 times how many of them are
-# at amplitude positions, the even bits. A sum over at most _TALLY_BLOCK
-# rounds carries from neither count.
-_TALLY = _DIFFERS.sum(1, dtype=np.int64) + (_DIFFERS[:, ::2].sum(1, dtype=np.int64) << 32)
-_TALLY_BLOCK = 2**28
+# _TALLY[v] holds three fields of _TALLY_FIELD bits, low first: how many
+# key bits differ, how many of them are at amplitude positions (the even
+# bits), and 1 for the pass row. Each field is at most 4 per row, so a sum
+# over at most _TALLY_BLOCK rows carries from none.
+_TALLY_FIELD = 21
+_TALLY = _DIFFERS.sum(1, dtype=np.int64) + (_DIFFERS[:, ::2].sum(1, dtype=np.int64) << _TALLY_FIELD)
+_TALLY[_PASS_ROW] = 1 << 2 * _TALLY_FIELD
+_TALLY_BLOCK = 2**18
 
 
 def _stream_seed(seed):
@@ -633,11 +656,15 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
 
     Rounds draw from the protocol stream described in the module docstring
     and are coded a chunk at a time; _code_table's rows at a chunk's codes
-    give its message rounds' packed key bytes and its first detection,
-    which ends the session at its round. A round builds no outcome of its
-    own. The report and the key check read the packed bytes: a message
-    round's two bytes XOR to the set of its key bits that differ. The keys
-    are unpacked from them only when read (see SessionResult).
+    give its first detection, which ends the session at its round, and
+    the session keeps every row before it, a passing control round's as
+    _PASS_ROW, with no compaction. A round builds no outcome of its own.
+    The report counts its mismatches and control rounds from the rows
+    through _TALLY: a message round's two bytes XOR to the set of its key
+    bits that differ. The message rounds' rows are gathered once, when
+    the key check draws a position or the keys are first read, and the
+    keys are unpacked from them only when read (see _PreCheckKeys and
+    SessionResult).
     keep_records is the one switch for the raw material: only with it does
     the session read _code_records at each code, build its RoundRecords,
     which hold the lookup's outcomes, and Eve's observations, and list the
@@ -657,7 +684,8 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
         readings = _code_records(forward, backward, config.key_mode)
         record, observe = records.append, observations.append
         forward_leg, backward_leg = ChannelLeg.FORWARD, ChannelLeg.BACKWARD
-    # Each message round appends Alice's packed key byte, then Bob's.
+    # Each round appends its row: Alice's packed key byte, then Bob's, or
+    # the pass row.
     joint = bytearray()
     aborted = False
     # A numpy integer's arithmetic would wrap or promote; the rounds count in int.
@@ -673,7 +701,7 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
             aborted = True
             n = cut // 2 + 1
             rows = rows[:cut]
-        joint += rows.translate(None, _PASS) if _PASS in rows else rows
+        joint += rows
         if keep_records:
             for index, code in zip(range(start, start + n), codes.tolist()):
                 u_a, outcome, forward_view, backward_view = readings[code]
@@ -689,17 +717,19 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
     # A detection ends the session at its last round; it is the only one.
     detections = int(aborted)
     abort_cause = ABORT_CONTROL if aborted else None
+    # A round's row, as one uint16 item, indexes _TALLY.
+    all_rows = np.frombuffer(joint, np.uint16)
+    total = amp = passes = 0
+    mask = (1 << _TALLY_FIELD) - 1
+    for block in range(0, len(all_rows), _TALLY_BLOCK):
+        tally = int(_TALLY.take(all_rows[block : block + _TALLY_BLOCK]).sum())
+        total += tally & mask
+        amp += tally >> _TALLY_FIELD & mask
+        passes += tally >> 2 * _TALLY_FIELD
     bits = config.key_mode.bits_per_round
-    message_rounds = len(joint) // 2
+    message_rounds = len(joint) // 2 - passes
     control_rounds = start - message_rounds
     key_length = bits * message_rounds
-    # A message round's two packed bytes, as one uint16 item, index _TALLY.
-    pairs = np.frombuffer(joint, np.uint16)
-    total = amp = 0
-    for block in range(0, message_rounds, _TALLY_BLOCK):
-        tally = int(_TALLY.take(pairs[block : block + _TALLY_BLOCK]).sum())
-        total += tally & 0xFFFF_FFFF
-        amp += tally >> 32
     if key_length:
         half = key_length // 2
         overall, amp_rate, phase_rate = total / key_length, amp / half, (total - amp) / half
@@ -709,9 +739,9 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
     def differs_at(positions):
         # One flag per key bit, built after the check's draw has freed its
         # memory, and only if it drew a position.
-        return _KEY_DIFFERS[bits].take(pairs).view(np.uint8).take(positions)
+        return _KEY_DIFFERS[bits].take(pre_check.pairs()).view(np.uint8).take(positions)
 
-    pre_check = _PreCheckKeys(joint, unpack)
+    pre_check = _PreCheckKeys(all_rows, unpack, passes)
     checked = 0
     check = None
     # Eve sees every public message: the rounds', then the key check's.
@@ -788,6 +818,21 @@ _report_values = operator.attrgetter(*_REPORT_FIELDS)
 # indent=2 selects json's pure-Python encoder; with no indent the C one runs,
 # and these separators lay a flat object out as indent=2 does.
 _JSON_ENCODER = json.JSONEncoder(separators=(",\n  ", ": "))
+# The C encoder that _JSON_ENCODER.encode builds on every call, built once
+# with its settings, but no circular check, which a flat object needs none
+# of. None without json's C accelerator (PyPy, say); _JSON_ENCODER.encode
+# runs then.
+_C_ENCODE = json.encoder.c_make_encoder and json.encoder.c_make_encoder(
+    None,
+    _JSON_ENCODER.default,
+    json.encoder.encode_basestring_ascii,
+    None,
+    _JSON_ENCODER.key_separator,
+    _JSON_ENCODER.item_separator,
+    _JSON_ENCODER.sort_keys,
+    _JSON_ENCODER.skipkeys,
+    _JSON_ENCODER.allow_nan,
+)
 
 
 def serialize_report(report: SimulationReport, fmt: str = "json") -> bytes:
@@ -799,7 +844,8 @@ def serialize_report(report: SimulationReport, fmt: str = "json") -> bytes:
     """
     values = _report_values(report)
     if fmt == "json":
-        body = _JSON_ENCODER.encode(dict(zip(_REPORT_FIELDS, values)))
+        data = dict(zip(_REPORT_FIELDS, values))
+        body = "".join(_C_ENCODE(data, 0)) if _C_ENCODE else _JSON_ENCODER.encode(data)
         return ("{\n  " + body[1:-1] + "\n}\n").encode()
     if fmt == "csv":
         buf = io.StringIO()

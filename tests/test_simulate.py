@@ -284,6 +284,30 @@ class TestSessionProperties:
         assert report.key_error_rate_overall == report.key_error_rate_amplitude_bit == 0.0
         assert report.key_error_rate_phase_bit == 0.0 == _reference_error_rates(b"", b"")[2]
 
+    def test_tally_fields_cannot_carry(self, monkeypatch):
+        """Each of _TALLY's three fields, its largest value per row summed
+        over _TALLY_BLOCK rows, fits in the field, and nothing lies above
+        the fields; the pass row counts 1 in the third field alone. Blocks
+        that split a run of control rows count the report of one block."""
+        width = simulate._TALLY_FIELD
+        tally = simulate._TALLY
+        for shift in (0, width, 2 * width):
+            largest = int((tally >> shift & (1 << width) - 1).max())
+            assert 0 < largest and largest * simulate._TALLY_BLOCK < 1 << width
+        assert not (tally >> 3 * width).any()
+        assert tally[simulate._PASS_ROW] == 1 << 2 * width
+        assert not (tally[: simulate._PASS_ROW] >> 2 * width).any()
+
+        block = 7
+        config = SimConfig(rounds=600, control_prob=0.5, attack=BACKWARD_R, seed=5)
+        session = run_session(config, keep_records=True)
+        control = [isinstance(r.outcome, ControlOutcome) for r in session.records]
+        assert any(control[i - 1] and control[i] for i in range(block, len(control), block))
+        assert serialize_report(session.report) == serialize_report(_reference_session(config)[0])
+        with monkeypatch.context() as patch:
+            patch.setattr(simulate, "_TALLY_BLOCK", block)
+            assert run_session(config).report == session.report
+
     @pytest.mark.parametrize(
         "leg, control_prob",
         [(ChannelLeg.FORWARD, 0.0), (ChannelLeg.BACKWARD, 0.5)],
@@ -351,9 +375,15 @@ class TestSessionProperties:
         lazy = ("_keys", "positions", "_finals", "alice_sample", "bob_sample")
         assert not set(lazy) & set(vars(check))
         assert "keys" not in vars(session.pre_check)
+        # The message rounds' rows are gathered from all the rows for the
+        # check's flags only if it drew a position.
+        assert report.rounds_total > report.message_rounds
+        gathered = len(session.pre_check._rows) == report.message_rounds
+        assert gathered == (len(check.drawn) > 0)
 
         keys = (check.alice_bits, check.bob_bits)
         assert "keys" in vars(session.pre_check)
+        assert not {"_rows", "_unpack"} & set(vars(session.pre_check))
         pre = (session.alice_pre_check, session.bob_pre_check)
         assert tuple(map(tuple, pre)) == _reference_session(config)[4]
         for bits, key in zip(keys, pre):
@@ -377,6 +407,34 @@ class TestSessionProperties:
         assert set(lazy) <= set(vars(check))
         with pytest.raises(dataclasses.FrozenInstanceError):
             check.verdict = CheckVerdict.ACCEPT
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            # The first seed >= 0 whose detection ends its session after a
+            # passing control round and a message round.
+            pytest.param(SimConfig(rounds=3000, attack=FORWARD_Z, seed=5), id="detected"),
+            pytest.param(
+                SimConfig(rounds=3000, check_fraction=0.0, attack=BACKWARD_Z, seed=4), id="unchecked"
+            ),
+        ],
+    )
+    def test_report_only_sessions_gather_no_message_rows(self, config):
+        """A session that a detection ends, or whose check draws no
+        position, never gathers its message rounds' rows from its control
+        rounds' pass rows. Its keys, when read, are unpacked from the rows
+        it then gathers and equal the scalar rounds' keys."""
+        session = run_session(config)
+        report = session.report
+        assert report.control_rounds > report.detections and report.message_rounds > 0
+        assert (report.abort_cause == ABORT_CONTROL) == (session.check is None)
+        assert session.check is None or not len(session.check.drawn)
+        assert "keys" not in vars(session.pre_check)
+        assert len(session.pre_check._rows) == report.rounds_total - report.detections
+        pre = (session.alice_pre_check, session.bob_pre_check)
+        assert tuple(map(tuple, pre)) == _reference_session(config)[4]
+        assert (session.alice_final, session.bob_final) == pre
+        assert not {"_rows", "_unpack"} & set(vars(session.pre_check))
 
     def test_equality_and_repr_cover_the_final_keys(self):
         """Two sessions compare on all four keys, the final ones read from
@@ -406,16 +464,37 @@ class TestSessionProperties:
         # only when read, and a report-only session reads none of them. A
         # tuple of the bits alone would take 8 per bit for each key.
         config = SimConfig(rounds=200_000, control_prob=0.0, attack=BACKWARD_Z, seed=1)
-        run_simulation(dataclasses.replace(config, rounds=100))  # the round tables
-        tracemalloc.start()
-        try:
-            report = run_simulation(config)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        report, peak = _traced_peak(config)
         key_bits = 4 * report.message_rounds
         assert key_bits == 800_000
         assert peak <= 16 * key_bits, f"traced peak {peak / key_bits:.1f} bytes per key bit"
+
+    def test_report_only_memory_per_key_bit_with_control_rounds(self):
+        # At control_prob 1/2 a session holds a row for every round, a
+        # control round's pass row too: 2 bytes per round, 1 per key bit,
+        # through the check's draw, where numpy's arange(length) still sets
+        # the peak. The message rounds' rows are gathered, 0.5 bytes per
+        # key bit more, only after the draw. The traced peak is 9.83 bytes
+        # per key bit (9.32 at control_prob 0, where the rows hold no pass
+        # row).
+        config = SimConfig(rounds=200_000, control_prob=0.5, attack=BACKWARD_Z, seed=1)
+        report, peak = _traced_peak(config)
+        key_bits = 4 * report.message_rounds
+        assert key_bits == 399_108
+        assert peak <= 16 * key_bits, f"traced peak {peak / key_bits:.1f} bytes per key bit"
+
+
+def _traced_peak(config):
+    """(report, traced peak in bytes) of a report-only session, its round
+    tables built beforehand."""
+    run_simulation(dataclasses.replace(config, rounds=100))  # the round tables
+    tracemalloc.start()
+    try:
+        report = run_simulation(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return report, peak
 
 
 class TestAttackedRuns:
@@ -856,6 +935,7 @@ class TestSerialization:
         ]
         accelerated = [serialize_report(report) for report in reports]
         monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+        monkeypatch.setattr(simulate, "_C_ENCODE", None)  # the one built at import
         assert [serialize_report(report) for report in reports] == accelerated
         for report, data in zip(reports, accelerated):
             assert data == (json.dumps(dataclasses.asdict(report), indent=2) + "\n").encode()
