@@ -404,7 +404,7 @@ def key_check(alice_key, bob_key, policy: KeyCheckPolicy, public_rng) -> KeyChec
 
     The sample is a uniform m-subset of the positions, m = checked_count:
     public_rng.choice(length, m, replace=False, shuffle=False), sorted when
-    read. It is not nested in fraction: with the same public_rng, a larger
+    read. It does not grow with fraction: with the same public_rng, a larger
     fraction checks a different sample, not a superset, though the
     probability of an abort still grows with it. The draw holds at most 8
     bytes per key bit while the check runs (see _checked_positions); the

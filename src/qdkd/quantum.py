@@ -90,8 +90,8 @@ class TwoQubitState:
     Amplitudes must be finite and normalized (sum |amp|^2 = 1 within 1e-9).
     The constructor checks this; kernel outputs, normalized by construction,
     skip the check through _trusted.
-    Physical equality is defined only up to a global phase; use
-    states_equal_up_to_phase rather than ==, which compares amplitudes.
+    Physical equality is defined only up to a global phase, which ==, comparing
+    amplitudes, does not ignore.
     """
 
     amps: tuple[complex, complex, complex, complex]
@@ -143,9 +143,6 @@ def apply_local(state: TwoQubitState, qubit: QubitId, u: LocalUnitary) -> TwoQub
     return _trusted(kernels.apply_u(state.amps, qubit, u))
 
 
-def prob_qubit(state: TwoQubitState, qubit: QubitId, basis: MeasBasis) -> tuple[float, float]:
-    """Exact Born probabilities (p0, p1) for a single-qubit measurement."""
-    return kernels.qubit_probs(state.amps, qubit, basis)
 
 
 def measure_qubit(
@@ -159,17 +156,9 @@ def measure_qubit(
     return bit, _trusted(amps)
 
 
-def prob_bell(state: TwoQubitState) -> tuple[float, float, float, float]:
-    """Exact Bell-basis probabilities in outcome-label order."""
-    return kernels.bell_probs(state.amps)
 
 
 def measure_bell(state: TwoQubitState, randomness: float) -> tuple[BellOutcome, TwoQubitState]:
     """Bell-basis measurement; the collapsed state is the outcome's Bell state."""
     k, amps = kernels.measure_bell(state.amps, randomness)
     return BellOutcome(k), _trusted(amps)
-
-
-def states_equal_up_to_phase(a: TwoQubitState, b: TwoQubitState, eps: float = 1e-9) -> bool:
-    """True iff |<a|b>| >= 1 - eps (equality modulo a global phase)."""
-    return abs(kernels.inner(a.amps, b.amps)) >= 1.0 - eps

@@ -15,7 +15,8 @@ session's rounds, through Generator(the same PCG64 advanced to word
 2**100). It checks ceil(v * length) positions for the check_fraction v as
 written (see qdkd.protocol.checked_count), drawn as
 choice(length, m, replace=False, shuffle=False) and sorted: a uniform
-m-subset, not nested in v, drawn with at most 8 bytes per key bit.
+m-subset, not a superset of a smaller v's, drawn with at most 8 bytes per
+key bit.
 A word's uniform is r = (w >> 11) * 2**-53, the value Generator.random()
 returns for it on PCG64. A 2-bit draw is a field of the word's low bits,
 which no uniform uses: a unitary (u_A, u_B) is the field, a basis its top
@@ -49,9 +50,10 @@ in exact integer arithmetic, and whose statistics the oracle walks too: the
 and sign, with each state's probabilities and successors precomputed.
 run_session draws the words in chunks of 16 rounds that grow 4 times over
 to 4096 (16, 64, 256, 1024, then 4096 at a time) and codes each chunk once
-with numpy, one round code per round, from the fields f0 and f1, the low 4
-bits of w0 and of w1, w1's message flag and the ranks r0, r2 and r3 of w0,
-w2 and w3. With R the number of edges plus one, the code is
+with numpy, one round code per round, whose digits _DIGITS declares: the
+fields f0 and f1, the low 4 bits of w0 and of w1, w1's message flag and
+the ranks r0, r2 and r3 of w0, w2 and w3. With R the number of edges plus
+one, the code is
 
     (f0 + 16 r0) + 16R (f1 + 16 message) + 512R (r2 + R r3),
 
@@ -74,9 +76,9 @@ too; a control_prob of any real type, numpy's included, is compared as its
 exact value, so it decides the same on numpy 1.x and 2.
 
 Once a round's words are read, its outcome depends only on its draws, so
-it depends only on its code: a table compiled per attack and key mode,
-by reading the nested tables of _round_lookup at every code, gives each
-round's row: its key bits, packed into one byte per party, or its control
+it depends only on its code: a table compiled per attack and key mode
+straight from the round tables (see _compile_codes) gives each round's
+row: its key bits, packed into one byte per party, or its control
 verdict. A session makes no float comparison. A table holds at most 2**16
 codes, so an attack may have at most 4 edges; each of the 7 attacks has
 one, the edge of 1/2, and so 4,096 codes. A session keeps every round's
@@ -341,6 +343,17 @@ def _wilson_low(successes: int, trials: int) -> float:
 # Rounds coded at once: 16, growing 4 times over to 4096.
 _FIRST_CHUNK, _CHUNK_GROWTH, _MAX_CHUNK = 16, 4, 4096
 _CODE_LIMIT = 2**16  # codes a round's table may hold
+# The round code's digits, least significant first: (word slot, kind,
+# radix), a rank's radix, None here, being the number of ranks.
+_FIELD, _FLAG, _RANK = "field", "flag", "rank"
+_DIGITS = (
+    (0, _FIELD, 16),  # f0: u_A | Eve's forward basis draw << 2
+    (0, _RANK, None),  # r0: Eve's forward measurement
+    (1, _FIELD, 16),  # f1: Bob's draw | Eve's backward basis draw << 2
+    (1, _FLAG, 2),  # message
+    (2, _RANK, None),  # r2: Bob's measurement, or Eve's backward one
+    (3, _RANK, None),  # r3: Alice's measurement, or the Bell measurement
+)
 # Operands of the code, typed so numpy 1.x keeps each array's dtype.
 _U11, _U48, _U16_15 = np.uint64(11), np.uint64(48), np.uint16(15)
 _K_END = 2**53  # above every k = word >> 11
@@ -351,8 +364,6 @@ _LANE_SUM = np.uint64(0x0001_0001_0001_0001)
 # so it is below 16 and never either.
 _PASS, _DETECT = b"\x10", b"\x11"
 _PASS_ROW = 0x1010  # a passing control round's row, read as one uint16
-# Packs a party's 2 or 4 key bytes of a round into one byte, key byte j in bit j.
-_BIT_WEIGHTS = np.array([1, 2, 4, 8], np.uint8)
 
 
 def _differs_table() -> np.ndarray:
@@ -402,27 +413,28 @@ def _edge(t) -> int:
 @functools.lru_cache(maxsize=16)
 def _code_passes(edges: tuple[int, ...], control_edge: int) -> tuple[tuple, tuple]:
     """(passes, weights) of the round code against the given edges and
-    control edge (see the module docstring), each tiled over a whole
-    chunk's words. A pass is one k >= row comparison, a row of np.uint64:
-    [edge, control_edge, edge, edge] for the first edge, so that w1's
-    column is the message flag, and [edge, 2**53, edge, edge] for each
-    later one, as no k reaches 2**53; with no edges the ranked columns are
-    2**53 too. The weights are np.uint16 (field weights, rank weights):
-    with R = len(edges) + 1 and a round's weights w = [1, 16R, 32R,
-    32R**2], the field weights are w at the two field words and 0 at the
-    others, and the rank weights are 16 w. A word's term of the code is
-    its field times its field weight plus its rank times its rank weight,
-    which is its digit (f0 | r0 << 4, f1 | message << 4, r2 << 4 or
-    r3 << 4) times its w. Cached, so that a session builds no array of its
-    own: an entry holds a 128 KiB row per edge and 64 KiB of weights, so
-    the 16 entries hold at most 3 MiB for the attacks' single edge and
-    9 MiB at the 4-edge limit."""
-    radix = len(edges) + 1
-    rows = [[e, _K_END, e, e] for e in edges or (_K_END,)]
-    rows[0][1] = control_edge
+    control edge, each tiled over a whole chunk's words. A pass is one k >=
+    row comparison, a row of np.uint64 per edge (one of 2**53, which no k
+    reaches, with no edges): the edge at each rank's word, control_edge at
+    the flag's in the first row, 2**53 elsewhere. The weights are np.uint16
+    (field weights, rank weights): each digit's place in the code, at its
+    word, and 0 where a word has no such digit. A word's term of the code
+    is its field times its field weight plus its rank times its rank
+    weight. Cached, so that a session builds no array of its own: an entry
+    holds a 128 KiB row per edge and 64 KiB of weights, at most 9 MiB for
+    the 16 entries at the 4-edge limit."""
+    rows = [[_K_END] * 4 for _ in edges or (_K_END,)]
+    weights = [0] * 4, [0] * 4
+    radices = [radix or len(edges) + 1 for _, _, radix in _DIGITS]
+    places = itertools.accumulate(radices, operator.mul, initial=1)
+    for (slot, kind, _), place in zip(_DIGITS, places):
+        weights[kind is not _FIELD][slot] = place
+        if kind is _FLAG:
+            rows[0][slot] = control_edge
+        elif kind is _RANK:
+            for row, e in zip(rows, edges):
+                row[slot] = e
     passes = tuple(np.tile(np.array(row, np.uint64), _MAX_CHUNK) for row in rows)
-    w = [1, 16 * radix, 32 * radix, 32 * radix**2]
-    weights = [w[0], w[1], 0, 0], [16 * x for x in w]
     return passes, tuple(np.tile(np.array(row, np.uint16), _MAX_CHUNK) for row in weights)
 
 
@@ -461,194 +473,121 @@ def _round_codes(words, passes, weights):
     return codes
 
 
-# field0 -> u_A, its low 2 bits.
-_UNITARIES = tuple(LocalUnitary) * 4
-
-
-def _by_field(rows) -> tuple:
-    """A row indexed by a 4-bit field, a 2-bit draw | a basis draw << 2,
-    from the (Z row, X row) of each draw: field f holds rows[f & 3][f >> 3],
-    the basis being the top bit of the basis draw."""
-    return tuple(row[d >> 1] for d in range(4) for row in rows)
-
-
 @functools.cache
-def _round_lookup(forward, backward, key_mode: KeyMode) -> tuple[tuple, tuple, type]:
-    """(edges, root, key dtype): an attack's rounds in one key mode as
-    nested tables, built from its round tables and indexed by the digits
-    of the round code (see the module docstring); _code_table reads them
-    at every code.
+def _compile_codes(forward, backward, key_mode: KeyMode) -> tuple[tuple, np.ndarray, list, list]:
+    """(edges, ids, rows, records): an attack's rounds in one key mode,
+    compiled from its round tables, one entry per path a round can take.
+    Its row is 2 bytes: Alice's key bits of a message round, then Bob's,
+    each packed into one byte with key bit j in bit j, or a control round's
+    _PASS or _DETECT in each. Its record is (u_A, outcome, Eve's forward
+    view, Eve's backward view), a view being (basis, Eve's bit), or None on
+    a leg she leaves alone. ids holds each round code's entry.
 
-    - root[field0] is the round's node, behind Eve's leg when she attacks
-      the forward leg: field0 is u_A | Eve's forward basis draw << 2.
-    - Eve's leg is [rank] -> ((basis, Eve's bit), what follows).
-    - A node is (control, message) of u_A and the state that reached Bob,
-      each indexed by field1, Bob's draw | Eve's backward basis draw << 2:
-      control[field1][rank_Bob][rank_Alice] = (detected, ControlOutcome),
-      its basis the top bit of Bob's draw, and message[field1] is the
-      leaf row of u_B = Bob's draw, behind Eve's leg when she attacks the
-      backward leg.
-    - leaf_row[rank] = (Alice's key bytes + Bob's key bytes, MessageOutcome).
-
-    A field's 16 entries repeat the rows of its distinct draws (_by_field).
-    edges holds the sorted distinct _edge of the round tables'
-    thresholds (each p0 and Bell threshold) that split the words, those
-    strictly between 0 and 2**53: the edges a word's rank counts (see the
-    module docstring). A code table holds 512 * (len(edges) + 1)**3 codes,
-    so more than 4 edges, whose table would exceed 2**16 codes, raise
-    OverflowError. Every rank 0 to len(edges) is some word's, so a rank
-    row holds no None, and a branch of probability 0, behind a threshold
-    of exactly 0 or 1, is at no rank and needs no check. Each table entry
-    at each rank, its outcome object included, is made once per build.
-    Nodes are shared by (u_A, state) and leaf rows by (u_A, u_B, state),
-    so the size grows as states times ranks. The key dtype holds one
-    party's key bytes of a round: _code_table's unpack table holds one item
-    of it for each packed byte.
+    Each path's entry id goes into one slice of an array shaped by _DIGITS,
+    most significant first, each 4-bit field split as (basis bit, unused
+    bit, 2-bit draw); a digit the path does not read is a full slice.
+    edges are the sorted distinct _edge of the thresholds that split the
+    words (see the module docstring); more than _CODE_LIMIT codes raise
+    OverflowError. A branch of probability 0 is at no rank: no entry.
     """
     tables = _round_tables(forward, backward)
     p0s = [e[0] for rows in tables.measure for row in rows for e in row if e is not None]
     edge = {t: _edge(t) for t in {*p0s, *(acc for row in tables.bell if row for acc in row)}}
     edges = sorted({e for e in edge.values() if 0 < e < _K_END})
-    if 512 * (len(edges) + 1) ** 3 > _CODE_LIMIT:
+    ranks = len(edges) + 1
+    radices = [radix or ranks for _, _, radix in _DIGITS]
+    if math.prod(radices) > _CODE_LIMIT:
         raise OverflowError(f"{len(edges)} splitting edges: more than {_CODE_LIMIT} round codes")
     # r < t exactly when the rank is at most index[t] (see the module docstring).
     index = {
         t: -1 if e == 0 else len(edges) if e == _K_END else edges.index(e) for t, e in edge.items()
     }
-    ranks = range(len(edges) + 1)
+    full = slice(None)
 
-    def rank_row(thresholds, outcomes):
-        """At each rank, the first of outcomes whose threshold the word's
-        uniform lies below, else the last."""
-        js = [index[t] for t in thresholds]
-        return tuple(
-            next((o for j, o in zip(js, outcomes) if rank <= j), outcomes[-1]) for rank in ranks
-        )
+    def decided(thresholds, outcomes):
+        """(outcome, ranks) of each of outcomes that some word decides: the
+        first whose threshold its uniform lies below, else the last."""
+        bounds = [0, *(index[t] + 1 for t in thresholds), ranks]
+        return [(o, slice(lo, hi)) for o, lo, hi in zip(outcomes, bounds, bounds[1:]) if lo < hi]
 
-    # A None entry or Bell row, one the round tables never fill, stays None.
-    measure_h, measure_t = (
-        [[e and rank_row(e[:1], ((0, e[1]), (1, e[2]))) for e in row] for row in rows]
-        for rows in (tables.measure[QubitId.H], tables.measure[QubitId.T])
-    )
-    bell = [row and rank_row(row, tuple(BellOutcome)) for row in tables.bell]
-    # [alice label][bob label]: the bytes a message round appends to a key.
-    key_bits = [[bytes(accumulate_key([], a, b, key_mode)) for b in range(4)] for a in range(4)]
+    def measured(qubit, s, basis):
+        """((bit, successor), ranks) of measuring qubit of state s in basis."""
+        p0, *after = tables.measure[qubit][s][basis]
+        return decided([p0], enumerate(after))
 
-    def leg(s, bases, then):
-        """(Z row, X row) of a leg: then(s) twice when Eve leaves it alone;
-        otherwise [rank] -> ((basis, Eve's bit), then(the state after her
-        measurement)) in each basis she may measure in."""
+    def leg(s, bases):
+        """(Eve's view, state, basis bit, ranks) of each way a leg entered in
+        state s ends; the basis bit is read only if she draws her basis."""
         if not bases:
-            row = then(s)
-            return row, row
-        rows = [tuple(((basis, bit), then(t)) for bit, t in measure_t[s][basis]) for basis in bases]
-        return rows[0], rows[-1]
-
-    @functools.cache
-    def leaf_row(u_a, u_b, t):
-        def entry(k):
-            alice_view, bob_view = decode(u_a, k), decode(u_b, k)
-            keys = key_bits[u_a][alice_view] + key_bits[bob_view][u_b]
-            return keys, MessageOutcome(u_b, k, alice_view, bob_view)
-
-        return tuple(map(entry, bell[t]))
-
-    def control_row(u_a, basis, bob_bit, t):
-        correlated = expected_correlation(u_a, basis) is Correlation.CORRELATED
-
-        def entry(measured):
-            alice_bit = measured[0]
-            detected = (alice_bit == bob_bit) != correlated
-            verdict = ControlVerdict.EVE_DETECTED if detected else ControlVerdict.PASS
-            return detected, ControlOutcome(verdict, basis, bob_bit, alice_bit)
-
-        return tuple(map(entry, measure_h[t][basis]))
-
-    @functools.cache
-    def node(u_a, s):
-        control = [
-            tuple(control_row(u_a, basis, bit, t) for bit, t in measure_t[s][basis])
-            for basis in MeasBasis
+            return [(None, s, full, full)]
+        return [
+            ((basis, bit), t, i if len(bases) > 1 else full, at)
+            for i, basis in enumerate(bases)
+            for (bit, t), at in measured(QubitId.T, s, basis)
         ]
-        message = _by_field(
-            [
-                leg(t, backward, functools.partial(leaf_row, u_a, u_b))
-                for u_b, t in zip(LocalUnitary, tables.encode[s])
-            ]
-        )
-        return tuple(control[f >> 1 & 1] for f in range(16)), message
 
-    root = _by_field(
-        [leg(s, forward, functools.partial(node, u_a)) for u_a, s in enumerate(tables.prepared)]
-    )
-    key_dtype = np.uint16 if key_mode.bits_per_round == 2 else np.uint32
-    return tuple(edges), root, key_dtype
+    shape = []
+    for (_, kind, _), radix in zip(_DIGITS, radices):
+        shape[:0] = (2, 2, 4) if kind is _FIELD else (radix,)
+    ids = np.empty(shape, np.intp)
+    rows, records = [], []
 
+    def write(row, record, *digits):
+        """Enter (row, record) at digits in _DIGITS order, a field's digit
+        a pair (basis bit, 2-bit draw)."""
+        at = []
+        for (_, kind, _), digit in zip(_DIGITS, digits):
+            at[:0] = (digit[0], full, digit[1]) if kind is _FIELD else (digit,)
+        ids[tuple(at)] = len(rows)
+        rows.append(row)
+        records.append(record)
 
-def _read_codes(forward, backward, key_mode: KeyMode):
-    """Each round code's reading of _round_lookup, in code order, by the
-    walk a round takes through it: (row, outcome, Eve's forward view, Eve's
-    backward view). The row is the message round's key bytes, Alice's then
-    Bob's, or a control round's row as wide: _PASS or _DETECT in each
-    party's first byte and zeros after, which _code_table packs to that
-    byte. A view is (basis, Eve's bit), or None on a leg she leaves alone.
-    Digits that a round does not read, such as r0 when Eve spares the
-    forward leg, repeat the same reading."""
-    edges, root, _ = _round_lookup(forward, backward, key_mode)
-    ranks = range(len(edges) + 1)
-    pad = bytes(key_mode.bits_per_round - 1)
-    sentinels = (_PASS + pad) * 2, (_DETECT + pad) * 2
-    # itertools.product varies its last factor fastest: the code's lowest digit.
-    digits = itertools.product(ranks, ranks, (False, True), range(16), ranks, range(16))
-    for r3, r2, message, field1, r0, field0 in digits:
-        node, forward_view, backward_view = root[field0], None, None
-        if forward:
-            forward_view, node = node[r0]
-        if message:
-            leaf = node[1][field1]
-            if backward:
-                backward_view, leaf = leaf[r2]
-            row, outcome = leaf[r3]
-        else:
-            detected, outcome = node[0][field1][r2][r3]
-            row = sentinels[detected]
-        yield row, outcome, forward_view, backward_view
+    # [a][b]: the byte a party packs accumulate_key's bits of labels a, b into.
+    keys = [[accumulate_key([], a, b, key_mode) for b in range(4)] for a in range(4)]
+    packed = [[sum(bit << j for j, bit in enumerate(key)) for key in row] for row in keys]
+    for u_a, prepared in zip(LocalUnitary, tables.prepared):
+        for forward_view, s, forward_basis, r0 in leg(prepared, forward):
+            f0 = forward_basis, u_a
+            for basis in MeasBasis:
+                correlated = expected_correlation(u_a, basis) is Correlation.CORRELATED
+                # Bob's basis is the top bit of his draw.
+                f1 = full, slice(2 * basis, 2 * basis + 2)
+                for (bob_bit, t), r2 in measured(QubitId.T, s, basis):
+                    for (alice_bit, _), r3 in measured(QubitId.H, t, basis):
+                        detected = (alice_bit == bob_bit) != correlated
+                        verdict = ControlVerdict.EVE_DETECTED if detected else ControlVerdict.PASS
+                        outcome = ControlOutcome(verdict, basis, bob_bit, alice_bit)
+                        record = u_a, outcome, forward_view, None
+                        write((_DETECT if detected else _PASS) * 2, record, f0, r0, f1, 0, r2, r3)
+            for u_b, returned in zip(LocalUnitary, tables.encode[s]):
+                for backward_view, t, backward_basis, r2 in leg(returned, backward):
+                    for k, r3 in decided(tables.bell[t], BellOutcome):
+                        alice_view, bob_view = decode(u_a, k), decode(u_b, k)
+                        row = bytes((packed[u_a][alice_view], packed[bob_view][u_b]))
+                        outcome = MessageOutcome(u_b, k, alice_view, bob_view)
+                        record = u_a, outcome, forward_view, backward_view
+                        write(row, record, f0, r0, (backward_basis, u_b), 1, r2, r3)
+    return tuple(edges), ids.ravel(), rows, records
 
 
 @functools.cache
 def _code_table(forward, backward, key_mode: KeyMode) -> tuple[tuple, np.ndarray, np.ndarray]:
-    """(edges, rows, unpack): _round_lookup's edges; the row of every round
-    code as one np.uint16 item, which np.take gathers at a chunk's codes;
-    and the table that turns a row's byte back into key bytes. A row's
-    byte 0 is Alice's and byte 1 Bob's: that party's key bytes of a
-    message round packed into one, key byte j in bit j, or a control
-    round's _PASS or _DETECT. unpack[b], for each b < 16, is one item of
-    _round_lookup's key dtype that holds the 0/1 key bytes which the
-    packed byte b stands for."""
-    edges, _, key_dtype = _round_lookup(forward, backward, key_mode)
+    """(edges, rows, unpack): _compile_codes' edges; each round code's row
+    (see _compile_codes) as one np.uint16 item, which np.take gathers at a
+    chunk's codes; and, for each packed byte b < 16, unpack[b], one item of
+    the 0/1 key bytes that b stands for."""
+    edges, ids, rows, _ = _compile_codes(forward, backward, key_mode)
     bits = key_mode.bits_per_round
-    # Appended one by one: bytes.join would hold an 80-byte buffer per code.
-    rows = bytearray()
-    for row, *_ in _read_codes(forward, backward, key_mode):
-        rows += row
-    # [code][party][key byte] @ 2**j: a control row's sentinel, alone in
-    # its party's first byte, packs to itself.
-    packed = np.frombuffer(rows, np.uint8).reshape(-1, 2, bits) @ _BIT_WEIGHTS[:bits]
-    unpack = np.frombuffer(bytes(b >> j & 1 for b in range(16) for j in range(bits)), key_dtype)
-    return edges, packed.view(np.uint16).ravel(), unpack
+    unpack = np.frombuffer(bytes(b >> j & 1 for b in range(16) for j in range(bits)), f"u{bits}")
+    return edges, np.frombuffer(b"".join(rows), np.uint16).take(ids), unpack
 
 
 @functools.cache
 def _code_records(forward, backward, key_mode: KeyMode) -> tuple:
-    """Every round code's (u_A, outcome, Eve's forward view, Eve's backward
-    view), from _read_codes, each distinct entry made once; only sessions
-    that keep records build it."""
-    interned = {}
-    entries = (
-        (_UNITARIES[code & 15], *reading[1:])
-        for code, reading in enumerate(_read_codes(forward, backward, key_mode))
-    )
-    return tuple(interned.setdefault(entry, entry) for entry in entries)
+    """Every round code's record from _compile_codes, each entry one
+    object; only sessions that keep records build it."""
+    _, ids, _, records = _compile_codes(forward, backward, key_mode)
+    return tuple(map(records.__getitem__, ids.tolist()))
 
 
 def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
@@ -667,7 +606,7 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
     SessionResult).
     keep_records is the one switch for the raw material: only with it does
     the session read _code_records at each code, build its RoundRecords,
-    which hold the lookup's outcomes, and Eve's observations, and list the
+    which hold the compiled outcomes, and Eve's observations, and list the
     public transcript (the outcomes' transcripts followed by the key
     check's). Without it those stay empty; the report and keys are the
     same either way.

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qdkd.adversary import ChannelLeg, EveBasisPolicy, InterceptResend, NoAttack
+from qdkd import _kernels_py as kernels
 from qdkd.quantum import TwoQubitState
 
 FORWARD_Z = InterceptResend(ChannelLeg.FORWARD, EveBasisPolicy.Z)
@@ -40,3 +41,22 @@ class ScriptedRng:
 
     def random(self):
         return self._randoms.pop(0)
+
+
+# The float layer's probabilities and phase-blind equality, which only the
+# tests read.
+
+
+def prob_qubit(state: TwoQubitState, qubit, basis) -> tuple[float, float]:
+    """Exact Born probabilities (p0, p1) for a single-qubit measurement."""
+    return kernels.qubit_probs(state.amps, qubit, basis)
+
+
+def prob_bell(state: TwoQubitState) -> tuple[float, float, float, float]:
+    """Exact Bell-basis probabilities in outcome-label order."""
+    return kernels.bell_probs(state.amps)
+
+
+def states_equal_up_to_phase(a: TwoQubitState, b: TwoQubitState, eps: float = 1e-9) -> bool:
+    """True iff |<a|b>| >= 1 - eps (equality modulo a global phase)."""
+    return abs(kernels.inner(a.amps, b.amps)) >= 1.0 - eps

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from conftest import BACKWARD_Z, FORWARD_Z
+from conftest import BACKWARD_Z, FORWARD_Z, prob_bell, prob_qubit
 from qdkd.oracle import abort_probability, control_detection_probability, exact_oracle
 from qdkd.protocol import KeyCheckPolicy, KeyMode
 from qdkd.quantum import (
@@ -24,8 +24,6 @@ from qdkd.quantum import (
     bell_state,
     measure_bell,
     measure_qubit,
-    prob_bell,
-    prob_qubit,
 )
 from qdkd.simulate import (
     SimConfig,

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import ALL_ATTACKS
+from conftest import ALL_ATTACKS, prob_qubit, states_equal_up_to_phase
 from qdkd.adversary import (
     ChannelLeg,
     EveBasisPolicy,
@@ -25,8 +25,6 @@ from qdkd.quantum import (
     apply_local,
     bell_state,
     measure_bell,
-    prob_qubit,
-    states_equal_up_to_phase,
 )
 
 

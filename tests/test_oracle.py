@@ -21,6 +21,8 @@ from conftest import (
     FORWARD_R,
     FORWARD_X,
     FORWARD_Z,
+    prob_bell,
+    prob_qubit,
 )
 from qdkd import oracle
 from qdkd.adversary import ChannelLeg, EveBasisPolicy, InterceptResend, NoAttack
@@ -45,8 +47,6 @@ from qdkd.quantum import (
     QubitId,
     apply_local,
     bell_state,
-    prob_bell,
-    prob_qubit,
 )
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ScriptedRng
+from conftest import ScriptedRng, prob_qubit, states_equal_up_to_phase
 from qdkd.errors import ConfigError, ProtocolError
 from qdkd.protocol import (
     AbortNotice,
@@ -43,8 +43,6 @@ from qdkd.quantum import (
     TwoQubitState,
     apply_local,
     bell_state,
-    prob_qubit,
-    states_equal_up_to_phase,
 )
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_state
+from conftest import prob_bell, prob_qubit, random_state, states_equal_up_to_phase
 from qdkd.errors import QdkdError
 from qdkd.quantum import (
     BellOutcome,
@@ -17,9 +17,6 @@ from qdkd.quantum import (
     bell_state,
     measure_bell,
     measure_qubit,
-    prob_bell,
-    prob_qubit,
-    states_equal_up_to_phase,
 )
 
 INV = math.sqrt(0.5)

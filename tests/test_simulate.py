@@ -70,9 +70,9 @@ from qdkd.simulate import (
     _code_passes,
     _code_records,
     _code_table,
+    _compile_codes,
     _edge,
     _round_codes,
-    _round_lookup,
     _round_ranks,
     _round_tables,
     ABORT_KEY_CHECK,
@@ -313,11 +313,11 @@ class TestSessionProperties:
         [(ChannelLeg.FORWARD, 0.0), (ChannelLeg.BACKWARD, 0.5)],
     )
     def test_only_kept_sessions_build_round_objects(self, monkeypatch, leg, control_prob):
-        """The round outcomes are built with the round lookup, as many at
-        300 rounds as at 3,000, and no session builds one; keep_records
-        builds only the records and Eve's observations, and each record
-        holds an outcome of the lookup. Only a session that keeps records
-        builds the code records table."""
+        """The round outcomes are built with the compiled code table, as
+        many at 300 rounds as at 3,000, and no session builds one;
+        keep_records builds only the records and Eve's observations, and
+        each record holds an outcome of the compile. Only a session that
+        keeps records builds the code records table."""
         built = Counter()
         for name in ("EveObservation", "ControlOutcome", "MessageOutcome", "RoundRecord"):
 
@@ -334,7 +334,7 @@ class TestSessionProperties:
         )
         per_build = []
         for rounds in (300, 3000):
-            for cache in (_round_lookup, _code_table, _code_records):
+            for cache in (_compile_codes, _code_table, _code_records):
                 cache.cache_clear()
             built.clear()
             run_session(dataclasses.replace(config, rounds=rounds))
@@ -355,8 +355,8 @@ class TestSessionProperties:
         assert built["EveObservation"] == len(session.observations) == intercepted > 0
         assert built["RoundRecord"] == session.report.rounds_total
         assert built["ControlOutcome"] == built["MessageOutcome"] == 0
-        root = _round_lookup(*_bases(config.attack), config.key_mode)[1]
-        held = {id(outcome) for outcome in _lookup_outcomes(root)}
+        entries = _compile_codes(*_bases(config.attack), config.key_mode)[3]
+        held = {id(outcome) for _, outcome, _, _ in entries}
         assert all(id(record.outcome) in held for record in session.records)
 
     @pytest.mark.parametrize("fraction", [0.1, 0.01, 0.0])
@@ -739,6 +739,42 @@ class TestDetectionInterval:
         ) / n
         se = math.sqrt(float(coverage) * (1.0 - float(coverage)) / n)
         assert abs(share - float(coverage)) <= 5 * se
+
+    # A session stops at its first detection, so at control_prob 1 and a
+    # per-round rate d its control count K is geometric, P(K = k) = d (1 -
+    # d)**(k - 1), and a report that detects prints 1 in K: detection_prob is
+    # 1/K. Exact sums over K, uncensored, at d = 1/4 (every forward attack's
+    # rate) and at smaller rates.
+    @pytest.mark.parametrize(
+        "d, mean, coverage, covered",
+        [
+            (Fraction(1, 4), 0.462, 0.994, (1, 18)),
+            (Fraction(1, 8), 0.297, 0.871, (2, 41)),
+            (Fraction(1, 16), 0.185, 0.875, (3, 86)),
+        ],
+    )
+    def test_detection_prob_under_the_stopping_rule(self, d, mean, coverage, covered):
+        """E[1/K] is -d ln d / (1 - d), not d: 0.462 at d = 1/4, 1.85 times
+        the rate, which pooled counts (detections over control rounds summed
+        over sessions) estimate instead. The Wilson interval of 1 in K
+        covers d only for K in an interval of counts, with probability
+        0.994 at d = 1/4 and below the 0.95 it names at 1/8 and 1/16."""
+        terms = 1000  # the tail past it is below 2**-80 at d = 1/16
+        law = [d * (1 - d) ** (k - 1) for k in range(1, terms + 1)]
+        expected = sum(p / k for k, p in enumerate(law, 1))
+        tail = (1 - d) ** terms
+        closed = -float(d) * math.log(d) / (1 - float(d))
+        assert abs(closed - float(expected)) <= float(tail) + 1e-15
+        assert round(closed, 3) == mean
+        if d == Fraction(1, 4):
+            assert round(closed / float(d), 2) == 1.85
+        intervals = [_binomial_ci(1, k)[1:] for k in range(1, terms + 1)]
+        hits = [k for k, (low, high) in enumerate(intervals, 1) if low <= d <= high]
+        low, high = covered
+        assert hits == list(range(low, high + 1))
+        exact = sum(law[k - 1] for k in hits)
+        assert exact == (1 - d) ** (low - 1) - (1 - d) ** high
+        assert round(float(exact), 3) == coverage
 
     def test_report_without_detections_has_width(self):
         config = SimConfig(rounds=500, attack=BACKWARD_Z, check_fraction=0.0, seed=3)
@@ -1176,6 +1212,11 @@ def _code_digits(code, radix):
     return f0, r0, f1, message, r2, r3
 
 
+def _code_at(radix, f0, r0, f1, message, r2, r3):
+    """The round code of the given digits, by the same layout."""
+    return f0 + 16 * r0 + 16 * radix * (f1 + 16 * message) + 512 * radix * (r2 + radix * r3)
+
+
 def _codes(words, edges, control_edge):
     """The round codes of whole rounds' words, as Python ints, coded in
     chunks of at most _MAX_CHUNK rounds, the largest run_session codes."""
@@ -1367,7 +1408,7 @@ class TestSessionStream:
         edges at or below its k, in every chunk size the session codes; the
         lowest code is 0 and the top one 512 R**3 - 1, each of whose four
         uint16 lanes adds its most. Past R = 5 a code could exceed 2**16
-        and carry out of its lane, which _round_lookup refuses."""
+        and carry out of its lane, which _compile_codes refuses."""
         radix = len(edges) + 1
         words = [k << 11 | low for k in _ranked_ks(edges) for low in (0, 0x7FF)]
         rng = np.random.default_rng(7)
@@ -1380,7 +1421,8 @@ class TestSessionStream:
         top = _round_words([2**64 - 1])
         assert _codes(top, edges, 0) == [512 * radix**3 - 1]
         assert _codes(np.zeros(4, np.uint64), edges, 1) == [0]
-        assert 512 * radix**3 <= simulate._CODE_LIMIT
+        codes = math.prod(r or radix for _, _, r in simulate._DIGITS)
+        assert codes == 512 * radix**3 <= simulate._CODE_LIMIT
 
     @pytest.mark.parametrize("control_prob", CONTROL_PROB_EDGES)
     @pytest.mark.parametrize("attack", REFILL_ATTACKS)
@@ -1585,24 +1627,15 @@ def _bell_rule(thresholds, r):
     return next((k for k, acc in enumerate(thresholds) if r < acc), 3)
 
 
-def _control_entry(detected, basis, bob_bit, alice_bit):
-    """A control round's lookup entry: the detection and the outcome."""
+def _control_outcome(detected, basis, bob_bit, alice_bit):
+    """A control round's outcome, with or without a detection."""
     verdict = ControlVerdict.EVE_DETECTED if detected else ControlVerdict.PASS
-    return detected, ControlOutcome(verdict, basis, bob_bit, alice_bit)
+    return ControlOutcome(verdict, basis, bob_bit, alice_bit)
 
 
 def _message_outcome(u_a, u_b, k):
     """A message round's outcome when Alice announces Bell outcome k."""
     return MessageOutcome(u_b, k, decode(u_a, k), decode(u_b, k))
-
-
-def _lookup_outcomes(table):
-    """Every ControlOutcome and MessageOutcome held in a nested round lookup."""
-    if isinstance(table, (ControlOutcome, MessageOutcome)):
-        yield table
-    elif isinstance(table, tuple):
-        for entry in table:
-            yield from _lookup_outcomes(entry)
 
 
 def _bases(attack):
@@ -1850,17 +1883,20 @@ class TestRoundTables:
 
     @pytest.mark.parametrize("attack", ALL_ATTACKS)
     def test_ranked_entries_decide_as_thresholds(self, attack):
-        """Each entry of the round lookup, read at the rank the round code
+        """Each compiled row and record, read at the rank the round code
         gives a word, decides as the round tables' thresholds do at the
         word's uniform: bit 0 iff r < p0, and the first Bell outcome whose
-        threshold exceeds r. Checked along every path of the lookup whose
-        draws all share one uniform r, for r at and next to every threshold
-        and at 0 and 1 - 2**-53, with the root, the control rows and the
-        message rows read at each of their 16 fields."""
+        threshold exceeds r. Checked at every code whose three ranks are
+        those of one uniform r, for r at and next to every threshold and at
+        0 and 1 - 2**-53, with both fields at each of their 16 values, in a
+        control round and in a message round."""
         tables = _tables(attack)
         forward, backward = _bases(attack)
         measure_h, measure_t = tables.measure[QubitId.H], tables.measure[QubitId.T]
-        edges, root, _ = _round_lookup(forward, backward, KeyMode.COMBINED)
+        edges, code_rows, _ = _code_table(forward, backward, KeyMode.COMBINED)
+        readings = _code_records(forward, backward, KeyMode.COMBINED)
+        radix = len(edges) + 1
+        rows = code_rows.tobytes()
         uniforms = _uniforms_around(*_thresholds(tables))
         assert uniforms[0] == 0.0 and uniforms[-1] == 1.0 - 2.0**-53
         # The 11 low bits of a word are not part of its uniform.
@@ -1876,49 +1912,52 @@ class TestRoundTables:
             p0, s0, s1 = entry
             return (0, s0) if r < p0 else (1, s1)
 
-        def eve(row, s, bases, field, r, rank):
-            """(subtree, state) after Eve's measurement on a leg, in the
-            basis the field draws; the row itself when she leaves the leg
-            alone."""
+        def eve(view, s, bases, field, r):
+            """The state after Eve's measurement on a leg, in the basis the
+            field draws, once her view is found to be the one the threshold
+            decides; s and no view when she leaves the leg alone."""
             nonlocal checked
             if not bases:
-                return row, s
+                assert view is None
+                return s
             basis = _eve_basis(bases, field)
-            (seen, bit), subtree = row[rank]
             want_bit, t = measured(measure_t[s][basis], r)
             checked += 1
-            assert (seen, bit) == (basis, want_bit)
-            return subtree, t
+            assert view == (basis, want_bit)
+            return t
 
         for r, rank in zip(uniforms, ranks):
-            for field0 in range(16):
+            for field0, field1 in itertools.product(range(16), repeat=2):
                 u_a = LocalUnitary(field0 & 3)
-                prepared = tables.prepared[u_a]
-                (control, message), s = eve(root[field0], prepared, forward, field0, r, rank)
-                for field1 in range(16):
-                    basis = MeasBasis(field1 >> 1 & 1)
-                    correlated = expected_correlation(u_a, basis) is Correlation.CORRELATED
-                    bob_bit, t = measured(measure_t[s][basis], r)
-                    alice_bit, _ = measured(measure_h[t][basis], r)
-                    detected = (alice_bit == bob_bit) != correlated
-                    checked += 1
-                    assert control[field1][rank][rank] == _control_entry(
-                        detected, basis, bob_bit, alice_bit
-                    )
-                    u_b = LocalUnitary(field1 & 3)
-                    returned = tables.encode[s][u_b]
-                    leaf_row, t = eve(message[field1], returned, backward, field1, r, rank)
-                    checked += 1
-                    k = BellOutcome(_bell_rule(tables.bell[t], r))
-                    assert leaf_row[rank][1] == _message_outcome(u_a, u_b, k)
+                control, message = (
+                    _code_at(radix, field0, rank, field1, flag, rank, rank) for flag in (0, 1)
+                )
+                _, outcome, forward_view, backward_view = readings[control]
+                assert readings[control][0] == readings[message][0] == u_a
+                assert readings[message][2] == forward_view and backward_view is None
+                s = eve(forward_view, tables.prepared[u_a], forward, field0, r)
+                basis = MeasBasis(field1 >> 1 & 1)
+                correlated = expected_correlation(u_a, basis) is Correlation.CORRELATED
+                bob_bit, t = measured(measure_t[s][basis], r)
+                alice_bit, _ = measured(measure_h[t][basis], r)
+                detected = (alice_bit == bob_bit) != correlated
+                checked += 1
+                assert outcome == _control_outcome(detected, basis, bob_bit, alice_bit)
+                assert rows[2 * control : 2 * control + 2] == (b"\x11" if detected else b"\x10") * 2
+                u_b = LocalUnitary(field1 & 3)
+                t = eve(readings[message][3], tables.encode[s][u_b], backward, field1, r)
+                checked += 1
+                k = BellOutcome(_bell_rule(tables.bell[t], r))
+                assert readings[message][1] == _message_outcome(u_a, u_b, k)
         assert checked > 0
 
     @pytest.mark.parametrize("count", [4, 5])
     def test_code_tables_hold_at_most_2_16_codes(self, count, monkeypatch):
-        """A code table holds 512 * R**3 codes, R = edges + 1, so the round
-        lookup refuses more than 4 splitting edges, 2**16 codes, when it is
-        built: 4 edges give 64,000 codes and 5 give 110,592. Thresholds of
-        exactly 0 and 1 split no words and do not count."""
+        """A code table holds the product of the radices of the code's
+        digits, 512 * R**3 codes with R = edges + 1, so the compile refuses
+        more than 4 splitting edges, 2**16 codes, when it is built: 4 edges
+        give 64,000 codes and 5 give 110,592. Thresholds of exactly 0 and 1
+        split no words and do not count."""
         thresholds = [0, 1] + [j / 512 for j in range(1, count + 1)]
         tables = types.SimpleNamespace(
             measure=([[(t, 0, 1), None] for t in thresholds], []),
@@ -1926,207 +1965,205 @@ class TestRoundTables:
             prepared=(),
             encode=[],
         )
+        codes = math.prod(radix or count + 1 for _, _, radix in simulate._DIGITS)
+        assert codes == 512 * (count + 1) ** 3
         monkeypatch.setattr(simulate, "_round_tables", lambda forward, backward: tables)
-        _round_lookup.cache_clear()
+        _compile_codes.cache_clear()
         try:
             if count <= 4:
-                assert len(_round_lookup((), (), KeyMode.COMBINED)[0]) == count
+                edges, ids, _, _ = _compile_codes((), (), KeyMode.COMBINED)
+                assert len(edges) == count and len(ids) == codes <= simulate._CODE_LIMIT
             else:
+                assert codes > simulate._CODE_LIMIT
                 with pytest.raises(OverflowError):
-                    _round_lookup((), (), KeyMode.COMBINED)
+                    _compile_codes((), (), KeyMode.COMBINED)
         finally:
-            # The code tables hold the cached lookup's outcomes: rebuild them too.
-            for cache in (_round_lookup, _code_table, _code_records):
+            # The code tables hold the cached compile's entries: rebuild them too.
+            for cache in (_compile_codes, _code_table, _code_records):
                 cache.cache_clear()
 
     @pytest.mark.parametrize("key_mode", list(KeyMode))
     @pytest.mark.parametrize("attack", ALL_ATTACKS)
-    def test_lookup_entries_equal_the_state_walk(self, attack, key_mode):
-        """Every entry of the nested round lookup that a word can reach
-        equals the walk through the round tables from Alice's prepared
-        state, decided at the word's uniform r as the protocol decides: bit
-        0 iff r < p0, the first Bell outcome whose threshold exceeds r, a
-        detection iff the bits' correlation differs from the expected one,
-        the round's ControlOutcome or MessageOutcome, and the key bytes of
-        accumulate_key. The reprs agree too, so an outcome holds enum
-        members where the protocol's do. Each entry is checked at the
-        first and the last uniform of its rank, which lie next to the
-        thresholds, and the round code gives that rank to a word of either
-        uniform, whatever its 11 low bits. Every rank is some word's, and no
-        rank row holds None. The root, the control rows and the message rows
-        are read at each of their 16 fields. One node stands for each
-        (u_A, state at Bob) and one leaf row for each (u_A, u_B, state at
-        Alice), so the lookup holds at most 4 and 16 of them per state,
-        however many draws lead there."""
+    def test_code_tables_equal_the_state_walk(self, attack, key_mode):
+        """Every round code's row and record equal the walk through the
+        round tables from Alice's prepared state, read at the code's
+        digits and decided at a word's uniform r as the protocol decides:
+        bit 0 iff r < p0, the first Bell outcome whose threshold exceeds r,
+        a detection iff the bits' correlation differs from the expected
+        one. A rank is read at the first and the last uniform of its span,
+        which lie next to the thresholds, and both decide alike; the round
+        code gives that rank to a word of either uniform, whatever its 11
+        low bits, and every rank is some word's. The walk reads u_A and
+        Eve's forward basis from f0 and her measurement from r0, then at f1
+        either Bob's basis, his measurement at r2 and Alice's at r3, whose
+        row is the 2 bytes 0x10 0x10 on a pass and 0x11 0x11 on a
+        detection, or u_B and Eve's backward basis, her measurement at r2
+        and the Bell measurement at r3. A message round's row is
+        accumulate_key's bits of its outcome, Alice's then Bob's, each
+        party's packed into a byte with key bit j in bit j, and the unpack
+        table turns each byte back into them. The record is (u_A, the
+        round's ControlOutcome or MessageOutcome, Eve's forward view, her
+        backward view), a view being None on a leg she leaves alone; the
+        reprs agree too, so an outcome holds enum members where the
+        protocol's do. Equal records are one object."""
         forward, backward = _bases(attack)
         tables = _tables(attack)
-        measure_h, measure_t = tables.measure[QubitId.H], tables.measure[QubitId.T]
-        edges, root, key_dtype = _round_lookup(forward, backward, key_mode)
-        assert np.dtype(key_dtype).itemsize == key_mode.bits_per_round
+        edges, code_rows, unpack = _code_table(forward, backward, key_mode)
+        readings = _code_records(forward, backward, key_mode)
+        radix = len(edges) + 1
+        bits = key_mode.bits_per_round
+        assert len(code_rows) == len(readings) == 512 * radix**3
+        assert code_rows.dtype == np.uint16 and unpack.dtype.itemsize == bits
+        unpacked = [unpack[b : b + 1].tobytes() for b in range(16)]
+        assert unpacked == [bytes(b >> j & 1 for j in range(bits)) for b in range(16)]
         spans = _rank_spans(edges)
-        assert all(first <= last for first, last in spans.values())
-        assert len(spans) == len(edges) + 1
+        assert len(spans) == radix and all(first <= last for first, last in spans.values())
         for rank, span in spans.items():
             # The 11 low bits of a word are not part of its uniform.
             words = [k << 11 | low for k in span for low in (0, 0x7FF)]
             assert set(_word_ranks(words, edges)) == {rank}
-        entries = 0
 
-        def by_rank(row, rule):
-            """(row[rank], rule(r)) at each rank, rule(r) being the same at
-            the rank's first and last uniform r, once the row is found to
-            hold no None."""
-            nonlocal entries
-            assert len(row) == len(edges) + 1
-            assert all(e is not None for e in row)
-            entries += len(spans)
-            pairs = []
-            for rank, span in spans.items():
-                first, last = (rule(Fraction(k, 2**53)) for k in span)
-                assert first == last
-                pairs.append((row[rank], first))
-            return pairs
+        @functools.cache
+        def decide(thresholds, rank):
+            """The index of the first of thresholds that a word's uniform at
+            rank lies below, else len(thresholds), once the rank's first and
+            last uniform are found to agree."""
+            first, last = (
+                next((j for j, t in enumerate(thresholds) if k < t * 2**53), len(thresholds))
+                for k in spans[rank]
+            )
+            assert first == last
+            return first
 
-        def measured(entry):
-            """A table entry's measurement at uniform r: (bit, successor),
-            bit 0 iff r < p0."""
-            p0, s0, s1 = entry
-            return lambda r: (0, s0) if r < p0 else (1, s1)
+        def measure(qubit, s, basis, rank):
+            """(bit, successor) of a table entry at rank."""
+            p0, *after = tables.measure[qubit][s][basis]
+            bit = decide((p0,), rank)
+            return bit, after[bit]
 
-        def leg(entry, s, bases, field):
-            """(entry, state) after Eve's measurement in the basis the field
-            draws, at each rank; (entry, s) when she leaves the leg alone."""
+        def leg(s, bases, field, rank):
+            """(Eve's view, state) after a leg entered in state s: her
+            measurement in the basis the field draws, or none."""
             if not bases:
-                return [(entry, s)]
+                return None, s
             basis = _eve_basis(bases, field)
-            walked = []
-            for (seen, after), (want_bit, t) in by_rank(entry, measured(measure_t[s][basis])):
-                assert seen == (basis, want_bit)
-                assert type(seen[0]) is MeasBasis
-                walked.append((after, t))
-            return walked
+            bit, t = measure(QubitId.T, s, basis, rank)
+            return (basis, bit), t
 
-        nodes, leaf_rows = {}, {}
-        for field0 in range(16):
-            u_a = LocalUnitary(field0 & 3)
-            for node, s in leg(root[field0], tables.prepared[u_a], forward, field0):
-                nodes.setdefault((u_a, s), set()).add(id(node))
-                control, message = node
-                assert len(control) == len(message) == 16
-                for field1 in range(16):
-                    basis = MeasBasis(field1 >> 1 & 1)
-                    correlated = expected_correlation(u_a, basis) is Correlation.CORRELATED
-                    bob = measured(measure_t[s][basis])
-                    for row, (bob_bit, t) in by_rank(control[field1], bob):
-                        for entry, (alice_bit, _) in by_rank(row, measured(measure_h[t][basis])):
-                            detected = (alice_bit == bob_bit) != correlated
-                            want = _control_entry(detected, basis, bob_bit, alice_bit)
-                            assert entry == want
-                            assert repr(entry) == repr(want)
-                    u_b = LocalUnitary(field1 & 3)
-                    returned = tables.encode[s][u_b]
-                    for leaf_row, t in leg(message[field1], returned, backward, field1):
-                        leaf_rows.setdefault((u_a, u_b, t), set()).add(id(leaf_row))
-                        bell = functools.partial(_bell_rule, tables.bell[t])
-                        for (keys, outcome), k in by_rank(leaf_row, bell):
-                            k = BellOutcome(k)
-                            want = _message_outcome(u_a, u_b, k)
-                            assert outcome == want
-                            assert repr(outcome) == repr(want)
-                            alice = accumulate_key([], u_a, decode(u_a, k), key_mode)
-                            bob = accumulate_key([], decode(u_b, k), u_b, key_mode)
-                            assert keys == bytes(alice + bob)
-        assert entries > 0
-        assert all(len(ids) == 1 for ids in [*nodes.values(), *leaf_rows.values()])
-        states = len(tables.states)
-        assert len(nodes) <= 4 * states and len(leaf_rows) <= 16 * states
-
-    @pytest.mark.parametrize("attack", ALL_ATTACKS)
-    def test_draw_indexing_adds_no_rows(self, attack):
-        """A row indexed by a 4-bit field holds each distinct entry several
-        times, as the same object: the root and the message rows read the
-        2-bit draw in bits 0-1 and, when Eve draws her basis on that leg,
-        its top bit, bit 3; the control rows read only bit 1, the top bit
-        of Bob's draw, which is his basis. So the lookup holds no more
-        nodes and leaf rows than one per (u_A, state) and per (u_A, u_B,
-        state): at most 4 and 16 per state."""
-        forward, backward = _bases(attack)
-        root = _round_lookup(forward, backward, KeyMode.COMBINED)[1]
-
-        def distinct(row, mask):
-            """The distinct entries of a field-indexed row, once field f is
-            found to hold the entry of f & mask and those to differ."""
-            assert len(row) == 16
-            assert all(row[f] is row[f & mask] for f in range(16))
-            kept = [row[f] for f in range(16) if f & mask == f]
-            assert len({id(entry) for entry in kept}) == len(kept)
-            return kept
-
-        def after(row, bases):
-            """What follows Eve's leg, at each distinct field and rank."""
-            entries = distinct(row, 0b1011 if len(bases) == 2 else 0b0011)
-            return [then for entry in entries for _, then in entry] if bases else entries
-
-        nodes = {id(node): node for node in after(root, forward)}
-        leaf_rows = set()
-        for control, message in nodes.values():
-            distinct(control, 0b0010)
-            leaf_rows.update(id(row) for row in after(message, backward))
-        states = len(_tables(attack).states)
-        assert 0 < len(nodes) <= 4 * states and 0 < len(leaf_rows) <= 16 * states
-
-    @pytest.mark.parametrize("key_mode", list(KeyMode))
-    @pytest.mark.parametrize("attack", ALL_ATTACKS)
-    def test_code_tables_read_the_lookup_at_the_digits(self, attack, key_mode):
-        """Every round code's row and record entry equal the nested round
-        lookup read at the code's digits, as a round walks it: the root at
-        f0, Eve's forward leg at r0, then at f1 the control row at r2 and
-        r3, whose row is the 2 bytes 0x10 0x10 on a pass and 0x11 0x11 on
-        a detection, or the message row, Eve's backward leg at r2, and the
-        leaf at r3. A message round's row is Alice's key bits, then Bob's,
-        each party's packed into a byte with key bit j in bit j, and those
-        bits are the leaf's key bytes and accumulate_key's of the outcome;
-        the unpack table turns each byte back into them. The record entry
-        is (u_A, outcome, Eve's forward view, her backward view), a view
-        being None on a leg she leaves alone, and its outcome is one the
-        lookup holds."""
-        forward, backward = _bases(attack)
-        edges, root, key_dtype = _round_lookup(forward, backward, key_mode)
-        table_edges, code_rows, unpack = _code_table(forward, backward, key_mode)
-        readings = _code_records(forward, backward, key_mode)
-        radix = len(edges) + 1
-        bits = key_mode.bits_per_round
-        assert table_edges == edges
-        assert len(code_rows) == len(readings) == 512 * radix**3
-        assert code_rows.dtype == np.uint16
-        assert unpack.dtype == key_dtype and np.dtype(key_dtype).itemsize == bits
-        unpacked = [unpack[b : b + 1].tobytes() for b in range(16)]
-        assert unpacked == [bytes(b >> j & 1 for j in range(bits)) for b in range(16)]
         rows = code_rows.tobytes()
-        held = {id(outcome) for outcome in _lookup_outcomes(root)}
         for code, reading in enumerate(readings):
             field0, r0, field1, message, r2, r3 = _code_digits(code, radix)
             u_a = LocalUnitary(field0 & 3)
-            node, forward_view, backward_view = root[field0], None, None
-            if forward:
-                forward_view, node = node[r0]
+            forward_view, s = leg(tables.prepared[u_a], forward, field0, r0)
             row = rows[2 * code : 2 * code + 2]
             if message:
-                leaf = node[1][field1]
-                if backward:
-                    backward_view, leaf = leaf[r2]
-                keys, outcome = leaf[r3]
+                u_b = LocalUnitary(field1 & 3)
+                backward_view, t = leg(tables.encode[s][u_b], backward, field1, r2)
+                outcome = _message_outcome(u_a, u_b, BellOutcome(decide(tables.bell[t], r3)))
                 alice = accumulate_key([], u_a, outcome.alice_view, key_mode)
-                bob = accumulate_key([], outcome.bob_view, outcome.u_b, key_mode)
-                assert keys == bytes(alice + bob)
-                packed = [sum(bit << j for j, bit in enumerate(key)) for key in (alice, bob)]
+                bob = accumulate_key([], outcome.bob_view, u_b, key_mode)
+                packed = (sum(bit << j for j, bit in enumerate(key)) for key in (alice, bob))
                 assert row == bytes(packed)
-                assert unpacked[row[0]] + unpacked[row[1]] == keys
+                assert unpacked[row[0]] + unpacked[row[1]] == bytes(alice + bob)
             else:
-                detected, outcome = node[0][field1][r2][r3]
+                basis = MeasBasis(field1 >> 1 & 1)
+                bob_bit, t = measure(QubitId.T, s, basis, r2)
+                alice_bit, _ = measure(QubitId.H, t, basis, r3)
+                correlated = expected_correlation(u_a, basis) is Correlation.CORRELATED
+                detected = (alice_bit == bob_bit) != correlated
+                outcome = _control_outcome(detected, basis, bob_bit, alice_bit)
+                backward_view = None
                 assert row == (b"\x11" if detected else b"\x10") * 2
-            assert reading == (u_a, outcome, forward_view, backward_view)
-            assert id(reading[1]) in held
+            want = (u_a, outcome, forward_view, backward_view)
+            assert reading == want
+            assert repr(reading) == repr(want)
+        assert len({id(reading) for reading in readings}) == len(set(readings))
+
+    @pytest.mark.parametrize("attack", ALL_ATTACKS)
+    def test_draw_indexing_adds_no_rows(self, attack):
+        """The compile makes one entry per path a round can take and enters
+        it at every code that takes it: a digit that the round does not
+        read repeats the entry. f0 is read at its 2-bit draw, bits 0-1,
+        and, when Eve draws her forward basis, at its top bit, bit 3; r0
+        only when she attacks the forward leg. A control round reads f1
+        only at bit 1, the top bit of Bob's draw, which is his basis; a
+        message round reads it at bits 0-1 and, when Eve draws her backward
+        basis, at bit 3, and reads r2 only when she attacks the backward
+        leg. No two entries are equal, and every entry is some code's."""
+        forward, backward = _bases(attack)
+        edges, ids, rows, records = _compile_codes(forward, backward, KeyMode.COMBINED)
+        radix = len(edges) + 1
+        ids = ids.tolist()
+
+        def drawn(bases):
+            """The bits of a leg's field that a round reads."""
+            return 0b1011 if len(bases) == 2 else 0b0011
+
+        for code, entry in enumerate(ids):
+            field0, r0, field1, message, r2, r3 = _code_digits(code, radix)
+            field0 &= drawn(forward)
+            r0 *= bool(forward)
+            if message:
+                field1 &= drawn(backward)
+                r2 *= bool(backward)
+            else:
+                field1 &= 0b0010
+            assert entry == ids[_code_at(radix, field0, r0, field1, message, r2, r3)]
+        assert sorted(set(ids)) == list(range(len(rows))) == list(range(len(records)))
+        assert len(set(records)) == len(records)
+
+    @pytest.mark.parametrize("key_mode", list(KeyMode))
+    @pytest.mark.parametrize("attack", ALL_ATTACKS)
+    def test_code_table_law_is_the_oracles(self, attack, key_mode):
+        """The law run_session samples, read off the code tables alone,
+        with no state: a code weighs the product of its digits' widths,
+        1/16 per value of a 4-bit field, (bounds[r + 1] - bounds[r]) / 2**53
+        for rank r, the bounds being 0, the edges and 2**53, and, for
+        control_prob cp, c = ceil(cp * 2**53) / 2**53 for a control round
+        and 1 - c for a message round. Summed over the codes' rows, the
+        rounds that detect weigh c times control_detection_probability and
+        the message rounds of each error mask e, read off the XOR of the
+        row's two bytes (key bit 0 the amplitude bit of e, key bit 1 its
+        phase bit), 1 - c times message_error_distribution's, exactly;
+        all the codes weigh 1. The records agree with the rows: a control
+        record's verdict is its row's, and a message record's mask
+        label(announced) ^ u_A ^ u_B, in every key bit, is its row's XOR."""
+        forward, backward = _bases(attack)
+        edges, code_rows, _ = _code_table(forward, backward, key_mode)
+        readings = _code_records(forward, backward, key_mode)
+        radix = len(edges) + 1
+        bits = key_mode.bits_per_round
+        widths = [last - first + 1 for first, last in _rank_spans(edges).values()]
+        assert sum(widths) == 2**53
+        rows = code_rows.tobytes()
+        # Integer weights of the ranks, in units of 2**-159; the fields'
+        # 256 values and the flag come in below.
+        detected = control = 0
+        errors = [0] * 4
+        for code, (u_a, outcome, _, _) in enumerate(readings):
+            _, r0, _, message, r2, r3 = _code_digits(code, radix)
+            weight = widths[r0] * widths[r2] * widths[r3]
+            alice, bob = rows[2 * code : 2 * code + 2]
+            if message:
+                xor = alice ^ bob
+                e = (xor & 1) << 1 | xor >> 1 & 1
+                flags = LocalUnitary(outcome.announced ^ u_a ^ outcome.u_b).bits * (bits // 2)
+                assert xor == sum(flag << j for j, flag in enumerate(flags))
+                errors[e] += weight
+            else:
+                assert alice == bob and alice in b"\x10\x11"
+                assert (alice == 0x11) == (outcome.verdict is ControlVerdict.EVE_DETECTED)
+                detected += weight * (alice == 0x11)
+                control += weight
+        unit = 256 * 2**159
+        assert control == sum(errors) == unit
+        for cp in (0.1, 0.5):
+            c = Fraction(_edge(cp), 2**53)
+            assert c * Fraction(detected, unit) == c * control_detection_probability(attack)
+            law = {e: (1 - c) * Fraction(w, unit) for e, w in enumerate(errors)}
+            oracle_law = message_error_distribution(attack)
+            assert law == {e: (1 - c) * p for e, p in oracle_law.items()}
+            assert c * Fraction(control, unit) + sum(law.values()) == 1
 
     @staticmethod
     def _refuse_float_kernels(monkeypatch):
@@ -2139,7 +2176,7 @@ class TestRoundTables:
         for name, value in list(vars(kernels).items()):
             if inspect.isfunction(value):
                 monkeypatch.setattr(kernels, name, refuse)
-        for cache in (_round_tables, _round_lookup, _code_table, _code_records):
+        for cache in (_round_tables, _compile_codes, _code_table, _code_records):
             cache.cache_clear()
         oracle._round_statistics.cache_clear()
 
