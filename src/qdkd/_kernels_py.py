@@ -47,16 +47,6 @@ def norm_sq(amps):
     return _abs2(a0) + _abs2(a1) + _abs2(a2) + _abs2(a3)
 
 
-def inner(a, b):
-    """<a|b>, conjugate-linear in the first argument."""
-    return (
-        a[0].conjugate() * b[0]
-        + a[1].conjugate() * b[1]
-        + a[2].conjugate() * b[2]
-        + a[3].conjugate() * b[3]
-    )
-
-
 def apply_u(amps, qubit, u):
     """Apply one of the four encoding unitaries to a single qubit.
 

@@ -9,20 +9,22 @@ scaled by 2 every step maps integer amplitudes to integer amplitudes. Each
 branch's probability is an exact Fraction of squared norms, and every
 statistic here is a sum over the automaton's paths of products of those
 Fractions and the uniform choice probabilities; no sampling, no floating
-point. An attack's automaton is built and walked once: the tables and the
-statistics are cached by Eve's bases on each leg, looked up after the
-attack is validated. The key check's abort probability is one coefficient
-of a power of the per-round generating function of checked positions and
-checked mismatches, taken by an exact integer recurrence that stops at the
-checked count. The recurrence's integer weights are cached with the
-attack's statistics, as rows by power of y; a query truncates them at its
-threshold, and the recurrence starts from a zero history, so each checked
-position is one flat pass over each row.
+point. An attack's automaton is built and its paths walked once, into one
+list: the tables, with that list, and the statistics are cached by Eve's
+bases on each leg, looked up after the attack is validated. The key check's
+abort probability is one coefficient of a power of the per-round generating
+function of checked positions and checked mismatches, taken by an exact
+integer recurrence that stops at the checked count. The recurrence's
+integer weights are cached with the attack's statistics, as rows by power
+of y; a query truncates them at its threshold, and the recurrence starts
+from a zero history, so each checked position is one flat pass over each
+row.
 
-The simulator's sessions run on the same cached tables (_round_tables), so
-checks of the simulator against the oracle test its sampling and protocol
-logic, not its physics: the physics check lives in the tests, against the
-float kernels and TwoQubitState, which this module does not use.
+The simulator's sessions run on the same cached tables (_round_tables),
+its code table compiled from the same path list, so checks of the
+simulator against the oracle test its sampling and protocol logic, not
+its physics: the physics check lives in the tests, against the float
+kernels and TwoQubitState, which this module does not use.
 """
 
 import functools
@@ -34,11 +36,15 @@ from itertools import accumulate
 
 from .adversary import AttackStrategy, ChannelLeg, eve_bases, validate_attack
 from .protocol import (
+    ControlOutcome,
+    ControlVerdict,
     Correlation,
     KeyCheckPolicy,
     KeyMode,
+    MessageOutcome,
     accumulate_key,
     checked_count,
+    decode,
     expected_correlation,
     require_count,
     require_key_mode,
@@ -98,7 +104,13 @@ class _RoundTables:
 
     Each p0 and Bell threshold is the exact Fraction of two squared norms;
     every one a session reaches is 0, 1/2 or 1. outcomes and leg walk the
-    automaton with each branch's exact probability.
+    automaton with each branch's exact probability and span, the (low,
+    high) of the uniforms low <= r < high that decide it. paths holds every
+    way a round can go, walked once: (probability given the round's mode,
+    u_A, the ControlOutcome or MessageOutcome, the forward leg, the
+    backward leg or None, w2's span, w3's span), a leg an entry of leg. A
+    control round's w2 and w3 decide Bob's and Alice's measurements, a
+    message round's Eve's backward one and the Bell measurement.
     """
 
     def __init__(self, forward: tuple[MeasBasis, ...], backward: tuple[MeasBasis, ...]):
@@ -108,20 +120,45 @@ class _RoundTables:
         self.encode: list = []
         self.bell: list = []
         self.prepared = tuple(self._intern(_apply_1q(_BELL[0], QubitId.T, m)) for m in _U_MATRICES)
-        at_bob = dict.fromkeys(t for s in self.prepared for _, _, t in self.leg(s, forward))
+        at_bob = dict.fromkeys(t for s in self.prepared for _, _, t, _, _ in self.leg(s, forward))
         at_alice = []
         for s in at_bob:
             for basis in MeasBasis:
-                for _, _, after_bob in self.outcomes(s, QubitId.T, basis):
+                for _, _, after_bob, _ in self.outcomes(s, QubitId.T, basis):
                     self.outcomes(after_bob, QubitId.H, basis)
             self.encode[s] = tuple(
                 self._intern(_apply_1q(self.states[s], QubitId.T, m)) for m in _U_MATRICES
             )
-            at_alice += (t for u in self.encode[s] for _, _, t in self.leg(u, backward))
+            at_alice += (t for u in self.encode[s] for _, _, t, _, _ in self.leg(u, backward))
         for t in dict.fromkeys(at_alice):
             weights = [sum(b * x for b, x in zip(vector, self.states[t])) ** 2 for vector in _BELL]
             total = sum(weights)
             self.bell[t] = tuple(Fraction(w, total) for w in accumulate(weights[:3]))
+        paths = self.paths = []
+        for u_a, prepared in zip(LocalUnitary, self.prepared):
+            for forward_leg in self.leg(prepared, forward):
+                p_forward, _, s, _, _ = forward_leg
+                for basis in MeasBasis:
+                    correlated = expected_correlation(u_a, basis) is Correlation.CORRELATED
+                    for p_bob, bob_bit, t, w2 in self.outcomes(s, QubitId.T, basis):
+                        for p_alice, alice_bit, _, w3 in self.outcomes(t, QubitId.H, basis):
+                            verdict = ControlVerdict.PASS
+                            if (alice_bit == bob_bit) != correlated:
+                                verdict = ControlVerdict.EVE_DETECTED
+                            outcome = ControlOutcome(verdict, basis, bob_bit, alice_bit)
+                            p = p_forward * p_bob * p_alice / 8
+                            paths.append((p, u_a, outcome, forward_leg, None, w2, w3))
+                for u_b, returned in zip(LocalUnitary, self.encode[s]):
+                    for backward_leg in self.leg(returned, backward):
+                        p_backward, _, t, _, w2 = backward_leg
+                        edges = (0, *self.bell[t], 1)
+                        for k, w3 in zip(BellOutcome, zip(edges, edges[1:])):
+                            low, high = w3
+                            if low == high:
+                                continue
+                            outcome = MessageOutcome(u_b, k, decode(u_a, k), decode(u_b, k))
+                            p = p_forward * p_backward * (high - low) / 16
+                            paths.append((p, u_a, outcome, forward_leg, backward_leg, w2, w3))
 
     def _intern(self, state) -> int:
         scale = math.gcd(*state) * (1 if next(x for x in state if x) > 0 else -1)
@@ -137,8 +174,9 @@ class _RoundTables:
         return s
 
     def outcomes(self, s: int, qubit: int, basis: int) -> list[tuple]:
-        """(probability, bit, successor) of each possible outcome of measuring
-        qubit of state s in basis; the entry is built on first use."""
+        """(probability, bit, successor, span) of each possible outcome of
+        measuring qubit of state s in basis; the entry is built on first
+        use. Bit 0's span is (0, p0), bit 1's (p0, 1)."""
         row = self.measure[qubit][s]
         if row[basis] is None:
             low, high = (_apply_1q(self.states[s], qubit, proj) for proj in _PROJ[basis])
@@ -148,19 +186,22 @@ class _RoundTables:
                 *(self._intern(t) if any(t) else None for t in (low, high)),
             )
         p0, s0, s1 = row[basis]
-        return [(p, bit, t) for p, bit, t in ((p0, 0, s0), (1 - p0, 1, s1)) if t is not None]
+        branches = (p0, 0, s0, (0, p0)), (1 - p0, 1, s1, (p0, 1))
+        return [branch for branch in branches if branch[2] is not None]
 
     def leg(self, s: int, bases: tuple[MeasBasis, ...]) -> list[tuple]:
-        """(probability, Eve's observation, state) of each way a leg entered
-        in state s can end, Eve measuring the travel photon in one of bases,
-        each equally likely; with no bases she does not attack the leg and
-        observes None."""
+        """(probability, Eve's observation, state, Eve's basis draw, span) of
+        each way a leg entered in state s can end, Eve measuring the travel
+        photon in one of bases, each equally likely. Her draw is her basis's
+        index in bases, or None when she has only one to measure in; with no
+        bases she does not attack the leg and observes None, and every
+        uniform ends it."""
         if not bases:
-            return [(Fraction(1), None, s)]
+            return [(Fraction(1), None, s, None, (0, 1))]
         return [
-            (p / len(bases), (basis, bit), t)
-            for basis in bases
-            for p, bit, t in self.outcomes(s, QubitId.T, basis)
+            (p / len(bases), (basis, bit), t, i if len(bases) > 1 else None, span)
+            for i, basis in enumerate(bases)
+            for p, bit, t, span in self.outcomes(s, QubitId.T, basis)
         ]
 
 
@@ -174,55 +215,24 @@ def _bases(attack) -> tuple[tuple[MeasBasis, ...], tuple[MeasBasis, ...]]:
     return eve_bases(attack, ChannelLeg.FORWARD), eve_bases(attack, ChannelLeg.BACKWARD)
 
 
-def _message_paths(forward: tuple[MeasBasis, ...], backward: tuple[MeasBasis, ...]):
-    """Yield (probability, u_A label, u_B label, Eve's forward observation,
-    Eve's backward observation, Bell outcome label) for every possible
-    branch of one message round under Eve's bases on each leg."""
-    tables = _round_tables(forward, backward)
-    for a, prepared in enumerate(tables.prepared):
-        for p_forward, obs_f, s in tables.leg(prepared, forward):
-            for b, returned in enumerate(tables.encode[s]):
-                for p_backward, obs_b, t in tables.leg(returned, backward):
-                    edges = (0, *tables.bell[t], 1)
-                    for k in range(4):
-                        if edges[k + 1] != edges[k]:
-                            p = p_forward * p_backward * (edges[k + 1] - edges[k]) / 16
-                            yield p, a, b, obs_f, obs_b, k
-
-
 @functools.cache
 def _round_statistics(forward, backward) -> tuple[Fraction, tuple[Fraction, ...], tuple]:
     """(control detection probability, the error mask's probabilities by e,
-    the key check's weights) under Eve's bases on each leg, walked once per
-    attack.
-
-    A control round flags Eve when the parties' bits disagree with the
-    correlation Alice's unitary and Bob's basis predict; both are uniform,
-    so each path also has probability 1/4 * 1/2 of its choices.
+    the key check's weights) under Eve's bases on each leg, summed once per
+    attack over the round tables' paths.
 
     The weights are (denom, rows), where q0, q1, q2 over denom are the
     probabilities of 0, 1 and 2 erring label positions and rows[g - 1][j - 1]
     lists the nonzero (t, denom^(j - 1) [y^j z^t] R) of abort_probability's
     R for g key positions per label position, 1 <= j <= 2g.
     """
-    tables = _round_tables(forward, backward)
     detection = Fraction(0)
-    for a, prepared in enumerate(tables.prepared):
-        for p_forward, _, s in tables.leg(prepared, forward):
-            for basis in MeasBasis:
-                expected = expected_correlation(LocalUnitary(a), basis)
-                for p_bob, bob_bit, t in tables.outcomes(s, QubitId.T, basis):
-                    for p_alice, alice_bit, _ in tables.outcomes(t, QubitId.H, basis):
-                        observed = (
-                            Correlation.CORRELATED
-                            if alice_bit == bob_bit
-                            else Correlation.ANTICORRELATED
-                        )
-                        if observed is not expected:
-                            detection += p_forward * p_bob * p_alice
     errors = [Fraction(0)] * 4
-    for p, a, b, _, _, k in _message_paths(forward, backward):
-        errors[k ^ a ^ b] += p
+    for p, a, outcome, _, backward_leg, _, _ in _round_tables(forward, backward).paths:
+        if backward_leg is not None:
+            errors[outcome.announced ^ a ^ outcome.u_b] += p
+        elif outcome.verdict is ControlVerdict.EVE_DETECTED:
+            detection += p
     q = (errors[0], errors[1] + errors[2], errors[3])
     denom = math.lcm(*(p.denominator for p in q))
     q0, q1, q2 = (p.numerator * (denom // p.denominator) for p in q)
@@ -238,7 +248,7 @@ def _round_statistics(forward, backward) -> tuple[Fraction, tuple[Fraction, ...]
         )
         for g in (1, 2)
     )
-    return detection / 8, tuple(errors), (denom, rows)
+    return detection, tuple(errors), (denom, rows)
 
 
 def control_detection_probability(attack: AttackStrategy) -> Fraction:
@@ -255,10 +265,12 @@ def unitary_outcome_table() -> list[list[BellOutcome]]:
     one possible outcome.
     """
     table = [[None] * 4 for _ in LocalUnitary]
-    for _p, a, b, _f, _b, k in _message_paths((), ()):
-        if table[a][b] is not None:
-            raise AssertionError(f"honest composite u{a}, u{b} not deterministic")
-        table[a][b] = BellOutcome(k)
+    for _, a, outcome, _, backward_leg, _, _ in _round_tables((), ()).paths:
+        if backward_leg is not None:
+            b = outcome.u_b
+            if table[a][b] is not None:
+                raise AssertionError(f"honest composite u{a}, u{b} not deterministic")
+            table[a][b] = outcome.announced
     return table
 
 
@@ -343,10 +355,12 @@ def eve_resolved_bits(attack: AttackStrategy, key_mode: KeyMode = KeyMode.COMBIN
     require_key_mode(key_mode)
     mass: dict[tuple, Fraction] = {}  # by view: the summed path probabilities
     support: dict[tuple, set[tuple]] = {}  # by view: the kept key bits of each path
-    for p, a, b, obs_f, obs_b, k in _message_paths(*_bases(attack)):
-        view = (obs_f, obs_b, k)
+    for p, a, outcome, forward_leg, backward_leg, _, _ in _round_tables(*_bases(attack)).paths:
+        if backward_leg is None:
+            continue
+        view = (forward_leg[1], backward_leg[1], outcome.announced)
         mass[view] = mass.get(view, 0) + p
-        support.setdefault(view, set()).add(tuple(accumulate_key([], a, b, key_mode)))
+        support.setdefault(view, set()).add(tuple(accumulate_key([], a, outcome.u_b, key_mode)))
     return sum(
         (
             mass[view] * sum(len(set(column)) == 1 for column in zip(*kept))

@@ -45,9 +45,10 @@ there the kernels' thresholds for an exact 1/2 are 0.4999999999999999,
 with probability at most 2**-52.
 
 The rounds decide from tables of the round automaton that qdkd.oracle builds
-in exact integer arithmetic, and whose statistics the oracle walks too: the
-12 to 20 states a session can reach under one attack, interned up to scale
-and sign, with each state's probabilities and successors precomputed.
+in exact integer arithmetic: the 12 to 20 states a session can reach under
+one attack, interned up to scale and sign, with each state's probabilities
+and successors precomputed, and the list of every path a round can take,
+which the oracle's statistics sum over too.
 run_session draws the words in chunks of 16 rounds that grow 4 times over
 to 4096 (16, 64, 256, 1024, then 4096 at a time) and codes each chunk once
 with numpy, one round code per round, whose digits _DIGITS declares: the
@@ -77,8 +78,8 @@ exact value, so it decides the same on numpy 1.x and 2.
 
 Once a round's words are read, its outcome depends only on its draws, so
 it depends only on its code: a table compiled per attack and key mode
-straight from the round tables (see _compile_codes) gives each round's
-row: its key bits, packed into one byte per party, or its control
+straight from the round tables' path list (see _compile_codes) gives each
+round's row: its key bits, packed into one byte per party, or its control
 verdict. A session makes no float comparison. A table holds at most 2**16
 codes, so an attack may have at most 4 edges; each of the 7 attacks has
 one, the edge of 1/2, and so 4,096 codes. A session keeps every round's
@@ -111,12 +112,10 @@ from .adversary import (
 )
 from .errors import ConfigError
 from .protocol import (
-    BellOutcome,
     CheckVerdict,
     ClassicalMessage,
     ControlOutcome,
     ControlVerdict,
-    Correlation,
     KeyCheckPolicy,
     KeyCheckResult,
     KeyMode,
@@ -124,9 +123,7 @@ from .protocol import (
     MessageOutcome,
     _check_keys,
     accumulate_key,
-    decode,
     exact_real,
-    expected_correlation,
     is_int,
     require_count,
     require_key_mode,
@@ -134,7 +131,6 @@ from .protocol import (
     require_probability,
 )
 from .oracle import _round_tables
-from .quantum import MeasBasis, QubitId
 
 
 # The version of the stream the module docstring specifies. The float
@@ -476,26 +472,29 @@ def _round_codes(words, passes, weights):
 @functools.cache
 def _compile_codes(forward, backward, key_mode: KeyMode) -> tuple[tuple, np.ndarray, list, list]:
     """(edges, ids, rows, records): an attack's rounds in one key mode,
-    compiled from its round tables, one entry per path a round can take.
-    Its row is 2 bytes: Alice's key bits of a message round, then Bob's,
-    each packed into one byte with key bit j in bit j, or a control round's
-    _PASS or _DETECT in each. Its record is (u_A, outcome, Eve's forward
-    view, Eve's backward view), a view being (basis, Eve's bit), or None on
-    a leg she leaves alone. ids holds each round code's entry.
+    compiled from its round tables, one entry per path a round can take
+    (see oracle._RoundTables). Its row is 2 bytes: Alice's key bits of a
+    message round, then Bob's, each packed into one byte with key bit j in
+    bit j, or a control round's _PASS or _DETECT in each. Its record is
+    (u_A, outcome, Eve's forward view, Eve's backward view), a view being
+    (basis, Eve's bit), or None on a leg she leaves alone. ids holds each
+    round code's entry.
 
     Each path's entry id goes into one slice of an array shaped by _DIGITS,
     most significant first, each 4-bit field split as (basis bit, unused
-    bit, 2-bit draw); a digit the path does not read is a full slice.
-    edges are the sorted distinct _edge of the thresholds that split the
+    bit, 2-bit draw); a digit the path does not read is a full slice. A
+    span (low, high) of a word's uniform is the ranks from index[low] + 1
+    to index[high], index[t] being the largest rank whose words lie below
+    t. edges are the sorted distinct _edge of the thresholds that split the
     words (see the module docstring); more than _CODE_LIMIT codes raise
-    OverflowError. A branch of probability 0 is at no rank: no entry.
+    OverflowError. A path whose span no word decides is at no code.
     """
     tables = _round_tables(forward, backward)
     p0s = [e[0] for rows in tables.measure for row in rows for e in row if e is not None]
-    edge = {t: _edge(t) for t in {*p0s, *(acc for row in tables.bell if row for acc in row)}}
+    bells = [acc for row in tables.bell if row for acc in row]
+    edge = {t: _edge(t) for t in {0, 1, *p0s, *bells}}
     edges = sorted({e for e in edge.values() if 0 < e < _K_END})
-    ranks = len(edges) + 1
-    radices = [radix or ranks for _, _, radix in _DIGITS]
+    radices = [radix or len(edges) + 1 for _, _, radix in _DIGITS]
     if math.prod(radices) > _CODE_LIMIT:
         raise OverflowError(f"{len(edges)} splitting edges: more than {_CODE_LIMIT} round codes")
     # r < t exactly when the rank is at most index[t] (see the module docstring).
@@ -503,70 +502,40 @@ def _compile_codes(forward, backward, key_mode: KeyMode) -> tuple[tuple, np.ndar
         t: -1 if e == 0 else len(edges) if e == _K_END else edges.index(e) for t, e in edge.items()
     }
     full = slice(None)
-
-    def decided(thresholds, outcomes):
-        """(outcome, ranks) of each of outcomes that some word decides: the
-        first whose threshold its uniform lies below, else the last."""
-        bounds = [0, *(index[t] + 1 for t in thresholds), ranks]
-        return [(o, slice(lo, hi)) for o, lo, hi in zip(outcomes, bounds, bounds[1:]) if lo < hi]
-
-    def measured(qubit, s, basis):
-        """((bit, successor), ranks) of measuring qubit of state s in basis."""
-        p0, *after = tables.measure[qubit][s][basis]
-        return decided([p0], enumerate(after))
-
-    def leg(s, bases):
-        """(Eve's view, state, basis bit, ranks) of each way a leg entered in
-        state s ends; the basis bit is read only if she draws her basis."""
-        if not bases:
-            return [(None, s, full, full)]
-        return [
-            ((basis, bit), t, i if len(bases) > 1 else full, at)
-            for i, basis in enumerate(bases)
-            for (bit, t), at in measured(QubitId.T, s, basis)
-        ]
-
     shape = []
     for (_, kind, _), radix in zip(_DIGITS, radices):
         shape[:0] = (2, 2, 4) if kind is _FIELD else (radix,)
     ids = np.empty(shape, np.intp)
     rows, records = [], []
-
-    def write(row, record, *digits):
-        """Enter (row, record) at digits in _DIGITS order, a field's digit
-        a pair (basis bit, 2-bit draw)."""
-        at = []
-        for (_, kind, _), digit in zip(_DIGITS, digits):
-            at[:0] = (digit[0], full, digit[1]) if kind is _FIELD else (digit,)
-        ids[tuple(at)] = len(rows)
-        rows.append(row)
-        records.append(record)
-
     # [a][b]: the byte a party packs accumulate_key's bits of labels a, b into.
     keys = [[accumulate_key([], a, b, key_mode) for b in range(4)] for a in range(4)]
     packed = [[sum(bit << j for j, bit in enumerate(key)) for key in row] for row in keys]
-    for u_a, prepared in zip(LocalUnitary, tables.prepared):
-        for forward_view, s, forward_basis, r0 in leg(prepared, forward):
-            f0 = forward_basis, u_a
-            for basis in MeasBasis:
-                correlated = expected_correlation(u_a, basis) is Correlation.CORRELATED
-                # Bob's basis is the top bit of his draw.
-                f1 = full, slice(2 * basis, 2 * basis + 2)
-                for (bob_bit, t), r2 in measured(QubitId.T, s, basis):
-                    for (alice_bit, _), r3 in measured(QubitId.H, t, basis):
-                        detected = (alice_bit == bob_bit) != correlated
-                        verdict = ControlVerdict.EVE_DETECTED if detected else ControlVerdict.PASS
-                        outcome = ControlOutcome(verdict, basis, bob_bit, alice_bit)
-                        record = u_a, outcome, forward_view, None
-                        write((_DETECT if detected else _PASS) * 2, record, f0, r0, f1, 0, r2, r3)
-            for u_b, returned in zip(LocalUnitary, tables.encode[s]):
-                for backward_view, t, backward_basis, r2 in leg(returned, backward):
-                    for k, r3 in decided(tables.bell[t], BellOutcome):
-                        alice_view, bob_view = decode(u_a, k), decode(u_b, k)
-                        row = bytes((packed[u_a][alice_view], packed[bob_view][u_b]))
-                        outcome = MessageOutcome(u_b, k, alice_view, bob_view)
-                        record = u_a, outcome, forward_view, backward_view
-                        write(row, record, f0, r0, (backward_basis, u_b), 1, r2, r3)
+    for _, u_a, outcome, forward_leg, backward_leg, w2, w3 in tables.paths:
+        _, forward_view, _, forward_draw, w0 = forward_leg
+        if backward_leg is None:
+            detected = outcome.verdict is ControlVerdict.EVE_DETECTED
+            row, backward_view, message = (_DETECT if detected else _PASS) * 2, None, 0
+            # Bob's basis is the top bit of his draw.
+            f1 = None, slice(2 * outcome.basis, 2 * outcome.basis + 2)
+        else:
+            _, backward_view, _, backward_draw, _ = backward_leg
+            alice, bob = packed[u_a][outcome.alice_view], packed[outcome.bob_view][outcome.u_b]
+            row, message = bytes((alice, bob)), 1
+            f1 = backward_draw, outcome.u_b
+        # Digits in _DIGITS order, a field's as (Eve's basis bit or None, 2-bit draw).
+        at = []
+        for (_, kind, _), digit in zip(_DIGITS, ((forward_draw, u_a), w0, f1, message, w2, w3)):
+            if kind is _FIELD:
+                basis_bit, draw = digit
+                at[:0] = (full if basis_bit is None else basis_bit, full, draw)
+            elif kind is _RANK:
+                low, high = digit
+                at[:0] = (slice(index[low] + 1, index[high] + 1),)
+            else:
+                at[:0] = (digit,)
+        ids[tuple(at)] = len(rows)
+        rows.append(row)
+        records.append((u_a, outcome, forward_view, backward_view))
     return tuple(edges), ids.ravel(), rows, records
 
 
@@ -799,8 +768,8 @@ def parse_report(data: bytes) -> SimulationReport:
     """Inverse of serialize_report for the JSON format.
 
     data is bytes or a bytearray. Every field must be present and hold its
-    annotated type: a count is an int (not a bool), a rate a float, aborted a
-    bool and abort_cause None or a str.
+    annotated type: a count is a non-negative int (not a bool), a rate a
+    finite float, aborted a bool and abort_cause None or a str.
     """
     if not isinstance(data, (bytes, bytearray)):
         raise ConfigError(f"report must be bytes, got {type(data).__name__}")
@@ -814,5 +783,7 @@ def parse_report(data: bytes) -> SimulationReport:
         value = raw[name]
         if not (is_int(value) if kind is int else isinstance(value, kind)):
             raise ConfigError(f"report field {name} has the wrong type: {value!r}")
+        if kind is int and value < 0 or kind is float and not math.isfinite(value):
+            raise ConfigError(f"report field {name} is out of range: {value!r}")
     return SimulationReport(**raw)
 

@@ -59,4 +59,4 @@ def prob_bell(state: TwoQubitState) -> tuple[float, float, float, float]:
 
 def states_equal_up_to_phase(a: TwoQubitState, b: TwoQubitState, eps: float = 1e-9) -> bool:
     """True iff |<a|b>| >= 1 - eps (equality modulo a global phase)."""
-    return abs(kernels.inner(a.amps, b.amps)) >= 1.0 - eps
+    return abs(np.vdot(a.amps, b.amps)) >= 1.0 - eps

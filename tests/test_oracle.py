@@ -393,6 +393,20 @@ class TestTruncatedPower:
             assert got == want
 
 
+class TestRoundPaths:
+    @pytest.mark.parametrize("attack", ALL_ATTACKS, ids=ATTACK_IDS)
+    def test_probabilities_sum_to_one_in_each_mode(self, attack):
+        """The round tables' paths list every way a round can go once: their
+        probabilities, given the round's mode, are positive and sum to
+        exactly 1 over the control paths and exactly 1 over the message
+        paths."""
+        paths = oracle._round_tables(*oracle._bases(attack)).paths
+        control = [p for p, _, _, _, backward_leg, _, _ in paths if backward_leg is None]
+        message = [p for p, _, _, _, backward_leg, _, _ in paths if backward_leg is not None]
+        assert all(type(p) is Fraction and p > 0 for p in control + message)
+        assert sum(control) == sum(message) == 1
+
+
 class TestRoundStatisticsCache:
     """Each attack's round is enumerated once, cached by Eve's bases."""
 

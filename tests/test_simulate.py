@@ -313,19 +313,24 @@ class TestSessionProperties:
         [(ChannelLeg.FORWARD, 0.0), (ChannelLeg.BACKWARD, 0.5)],
     )
     def test_only_kept_sessions_build_round_objects(self, monkeypatch, leg, control_prob):
-        """The round outcomes are built with the compiled code table, as
+        """The round outcomes are built with the round tables' paths, as
         many at 300 rounds as at 3,000, and no session builds one;
         keep_records builds only the records and Eve's observations, and
         each record holds an outcome of the compile. Only a session that
         keeps records builds the code records table."""
         built = Counter()
-        for name in ("EveObservation", "ControlOutcome", "MessageOutcome", "RoundRecord"):
+        for module, name in (
+            (simulate, "EveObservation"),
+            (oracle, "ControlOutcome"),
+            (oracle, "MessageOutcome"),
+            (simulate, "RoundRecord"),
+        ):
 
-            def counted(*args, _cls=getattr(simulate, name), _name=name, **kwargs):
+            def counted(*args, _cls=getattr(module, name), _name=name, **kwargs):
                 built[_name] += 1
                 return _cls(*args, **kwargs)
 
-            monkeypatch.setattr(simulate, name, counted)
+            monkeypatch.setattr(module, name, counted)
         config = SimConfig(
             rounds=300,
             control_prob=control_prob,
@@ -334,7 +339,7 @@ class TestSessionProperties:
         )
         per_build = []
         for rounds in (300, 3000):
-            for cache in (_compile_codes, _code_table, _code_records):
+            for cache in (_round_tables, _compile_codes, _code_table, _code_records):
                 cache.cache_clear()
             built.clear()
             run_session(dataclasses.replace(config, rounds=rounds))
@@ -1022,6 +1027,12 @@ class TestSerialization:
             _bad_report(aborted=0),
             _bad_report(abort_cause=7),
             _bad_report(abort_cause=False),
+            _bad_report(rounds_total=-5, detection_prob=math.nan),
+            _bad_report(rounds_total=-5),
+            _bad_report(final_key_length=-1),
+            _bad_report(detection_prob=math.nan),
+            _bad_report(key_error_rate_overall=math.inf),
+            _bad_report(capacity_bits_per_message_round=-math.inf),
             "{}",
             None,
         ],
@@ -1679,7 +1690,7 @@ def _eve_basis(bases, field):
 def _same_ray(amps, state):
     """Whether float amplitudes and an integer state agree up to scale and phase."""
     norm = math.sqrt(sum(x * x for x in state))
-    return abs(kernels.inner(amps, [x / norm for x in state])) >= 1.0 - 1e-12
+    return abs(np.vdot(amps, [x / norm for x in state])) >= 1.0 - 1e-12
 
 
 # The only stream uniforms at which a float kernel decides otherwise than the
@@ -1962,8 +1973,7 @@ class TestRoundTables:
         tables = types.SimpleNamespace(
             measure=([[(t, 0, 1), None] for t in thresholds], []),
             bell=[None] * len(thresholds),
-            prepared=(),
-            encode=[],
+            paths=(),
         )
         codes = math.prod(radix or count + 1 for _, _, radix in simulate._DIGITS)
         assert codes == 512 * (count + 1) ** 3
