@@ -49,12 +49,15 @@ in exact integer arithmetic: the 12 to 20 states a session can reach under
 one attack, interned up to scale and sign, with each state's probabilities
 and successors precomputed, and the list of every path a round can take,
 which the oracle's statistics sum over too.
-run_session draws the words in chunks of 16 rounds that grow 4 times over
-to 4096 (16, 64, 256, 1024, then 4096 at a time) and codes each chunk once
-with numpy, one round code per round, whose digits _DIGITS declares: the
-fields f0 and f1, the low 4 bits of w0 and of w1, w1's message flag and
-the ranks r0, r2 and r3 of w0, w2 and w3. With R the number of edges plus
-one, the code is
+run_session draws the words in chunks and codes each chunk once with
+numpy. Where a round can detect, and so end the session, the chunks start
+at 16 rounds and grow 4 times over to 4096 (16, 64, 256, 1024, then 4096
+at a time); where none can, at control_prob 0 or when the attack's table
+has no detecting row (no attack, or a backward one), they are 4096 rounds
+from the first. The words drawn are the same either way. Each round has
+one round code, whose digits _DIGITS declares: the fields f0 and f1, the
+low 4 bits of w0 and of w1, w1's message flag and the ranks r0, r2 and r3
+of w0, w2 and w3. With R the number of edges plus one, the code is
 
     (f0 + 16 r0) + 16R (f1 + 16 message) + 512R (r2 + R r3),
 
@@ -71,10 +74,15 @@ below a threshold exactly when the rank is at most the threshold's index:
 the index of its ceiling among the edges, -1 for a ceiling of 0, which no
 word lies below, and the number of edges for a ceiling of 2**53, which
 every word lies below. Every rank from 0 to the number of edges is some
-word's. The message flag is k >= ceil(control_prob * 2**53), so a round is
-a control round iff k lies below that edge, exact at control_prob 0 and 1
-too; a control_prob of any real type, numpy's included, is compared as its
-exact value, so it decides the same on numpy 1.x and 2.
+word's. The code compares raw words, not k: for an integer edge 1 <= e <=
+2**53, k >= e exactly when word > e * 2**11 - 1, and 2**53 gives 2**64 - 1,
+which no word exceeds. The message flag is k >= ceil(control_prob * 2**53),
+so a round is a control round iff k lies below that edge, exact at
+control_prob 0 and 1 too; at 0, the one edge no word comparison expresses,
+the flag is always 1, and the session reads the code tables from the
+flag's place on instead of coding it. A control_prob of any real type,
+numpy's included, is compared as its exact value, so it decides the same
+on numpy 1.x and 2.
 
 Once a round's words are read, its outcome depends only on its draws, so
 it depends only on its code: a table compiled per attack and key mode
@@ -351,8 +359,8 @@ _DIGITS = (
     (3, _RANK, None),  # r3: Alice's measurement, or the Bell measurement
 )
 # Operands of the code, typed so numpy 1.x keeps each array's dtype.
-_U11, _U48, _U16_15 = np.uint64(11), np.uint64(48), np.uint16(15)
-_K_END = 2**53  # above every k = word >> 11
+_U48, _U16_15 = np.uint64(48), np.uint16(15)
+_K_END = 2**53  # above every k = word >> 11; 2**64 - 1 in word units
 # Times a round's four uint16 lanes, viewed as one uint64, their sum in the top lane.
 _LANE_SUM = np.uint64(0x0001_0001_0001_0001)
 # A control round's byte, for each party, in a code table's row: 0x10 if it
@@ -360,6 +368,7 @@ _LANE_SUM = np.uint64(0x0001_0001_0001_0001)
 # so it is below 16 and never either.
 _PASS, _DETECT = b"\x10", b"\x11"
 _PASS_ROW = 0x1010  # a passing control round's row, read as one uint16
+_DETECT_ROW = 0x1111  # a detecting one's
 
 
 def _differs_table() -> np.ndarray:
@@ -407,42 +416,53 @@ def _edge(t) -> int:
 
 
 @functools.lru_cache(maxsize=16)
-def _code_passes(edges: tuple[int, ...], control_edge: int) -> tuple[tuple, tuple]:
-    """(passes, weights) of the round code against the given edges and
-    control edge, each tiled over a whole chunk's words. A pass is one k >=
-    row comparison, a row of np.uint64 per edge (one of 2**53, which no k
-    reaches, with no edges): the edge at each rank's word, control_edge at
-    the flag's in the first row, 2**53 elsewhere. The weights are np.uint16
-    (field weights, rank weights): each digit's place in the code, at its
-    word, and 0 where a word has no such digit. A word's term of the code
-    is its field times its field weight plus its rank times its rank
-    weight. Cached, so that a session builds no array of its own: an entry
-    holds a 128 KiB row per edge and 64 KiB of weights, at most 9 MiB for
-    the 16 entries at the 4-edge limit."""
+def _code_passes(edges: tuple[int, ...], control_edge: int) -> tuple[tuple, tuple, int]:
+    """(passes, weights, offset) of the round code against the given edges
+    and control edge, the passes and weights tiled over a whole chunk's
+    words. A pass is one word > row comparison, a row of np.uint64 per
+    edge (one row with no edges) in word units, e * 2**11 - 1 for an edge
+    e: the edge at each rank's word, control_edge at the flag's in the
+    first row, and 2**53 elsewhere, whose 2**64 - 1 no word exceeds. At
+    control_edge 0 every round is a message round and no row expresses
+    it, so the flag's entry is 2**53 too, its digit always 0, and offset
+    is the flag's place: a session reads the code tables from there, at
+    code + offset. offset is 0 at any other control edge. The
+    weights are np.uint16 (field weights, rank weights): each digit's
+    place in the code, at its word, and 0 where a word has no such digit.
+    A word's term of the code is its field times its field weight plus
+    its rank times its rank weight. Cached, so that a session builds no
+    array of its own: an entry holds a 128 KiB row per edge and 64 KiB of
+    weights, at most 9 MiB for the 16 entries at the 4-edge limit."""
     rows = [[_K_END] * 4 for _ in edges or (_K_END,)]
     weights = [0] * 4, [0] * 4
     radices = [radix or len(edges) + 1 for _, _, radix in _DIGITS]
     places = itertools.accumulate(radices, operator.mul, initial=1)
+    offset = 0
     for (slot, kind, _), place in zip(_DIGITS, places):
         weights[kind is not _FIELD][slot] = place
         if kind is _FLAG:
-            rows[0][slot] = control_edge
+            if control_edge:
+                rows[0][slot] = control_edge
+            else:
+                offset = place
         elif kind is _RANK:
             for row, e in zip(rows, edges):
                 row[slot] = e
+    # k >= e, for k = word >> 11, exactly when word > e * 2**11 - 1.
+    rows = [[(e << 11) - 1 for e in row] for row in rows]
     passes = tuple(np.tile(np.array(row, np.uint64), _MAX_CHUNK) for row in rows)
-    return passes, tuple(np.tile(np.array(row, np.uint16), _MAX_CHUNK) for row in weights)
+    return passes, tuple(np.tile(np.array(row, np.uint16), _MAX_CHUNK) for row in weights), offset
 
 
-def _round_ranks(k, passes):
-    """Each word's rank from its k = word >> 11: the number of passes
-    whose row it reaches, as a bool array for one pass and as np.uint16,
-    summed over all of them, for several, because numpy adds two bool
-    arrays as a logical or."""
+def _round_ranks(words, passes):
+    """Each word's rank from the raw word: the number of passes whose row
+    it exceeds, as a bool array for one pass and as np.uint16, summed over
+    all of them, for several, because numpy adds two bool arrays as a
+    logical or."""
     first, *rest = passes
-    rank = k >= first[: len(k)]
+    rank = words > first[: len(words)]
     for row in rest:
-        rank = np.add(rank, k >= row[: len(k)], dtype=np.uint16)
+        rank = np.add(rank, words > row[: len(words)], dtype=np.uint16)
     return rank
 
 
@@ -458,7 +478,7 @@ def _round_codes(words, passes, weights):
     promote to float64."""
     size = len(words)
     field_weights, rank_weights = weights
-    rank = _round_ranks(words >> _U11, passes)
+    rank = _round_ranks(words, passes)
     lanes = words.astype(np.uint16)
     lanes &= _U16_15
     lanes *= field_weights[:size]
@@ -487,7 +507,8 @@ def _compile_codes(forward, backward, key_mode: KeyMode) -> tuple[tuple, np.ndar
     to index[high], index[t] being the largest rank whose words lie below
     t. edges are the sorted distinct _edge of the thresholds that split the
     words (see the module docstring); more than _CODE_LIMIT codes raise
-    OverflowError. A path whose span no word decides is at no code.
+    OverflowError. A path whose span no word decides is at no code. ids
+    starts at -1, and a code that no path covers raises RuntimeError.
     """
     tables = _round_tables(forward, backward)
     p0s = [e[0] for rows in tables.measure for row in rows for e in row if e is not None]
@@ -505,7 +526,7 @@ def _compile_codes(forward, backward, key_mode: KeyMode) -> tuple[tuple, np.ndar
     shape = []
     for (_, kind, _), radix in zip(_DIGITS, radices):
         shape[:0] = (2, 2, 4) if kind is _FIELD else (radix,)
-    ids = np.empty(shape, np.intp)
+    ids = np.full(shape, -1, np.intp)
     rows, records = [], []
     # [a][b]: the byte a party packs accumulate_key's bits of labels a, b into.
     keys = [[accumulate_key([], a, b, key_mode) for b in range(4)] for a in range(4)]
@@ -536,19 +557,24 @@ def _compile_codes(forward, backward, key_mode: KeyMode) -> tuple[tuple, np.ndar
         ids[tuple(at)] = len(rows)
         rows.append(row)
         records.append((u_a, outcome, forward_view, backward_view))
+    uncovered = np.count_nonzero(ids < 0)
+    if uncovered:
+        raise RuntimeError(f"_compile_codes: {uncovered} round codes that no path covers")
     return tuple(edges), ids.ravel(), rows, records
 
 
 @functools.cache
-def _code_table(forward, backward, key_mode: KeyMode) -> tuple[tuple, np.ndarray, np.ndarray]:
-    """(edges, rows, unpack): _compile_codes' edges; each round code's row
-    (see _compile_codes) as one np.uint16 item, which np.take gathers at a
-    chunk's codes; and, for each packed byte b < 16, unpack[b], one item of
-    the 0/1 key bytes that b stands for."""
+def _code_table(forward, backward, key_mode: KeyMode) -> tuple[tuple, np.ndarray, np.ndarray, bool]:
+    """(edges, rows, unpack, detects): _compile_codes' edges; each round
+    code's row (see _compile_codes) as one np.uint16 item, which np.take
+    gathers at a chunk's codes; for each packed byte b < 16, unpack[b],
+    one item of the 0/1 key bytes that b stands for; and whether any
+    code's row is a detecting control round's."""
     edges, ids, rows, _ = _compile_codes(forward, backward, key_mode)
     bits = key_mode.bits_per_round
     unpack = np.frombuffer(bytes(b >> j & 1 for b in range(16) for j in range(bits)), f"u{bits}")
-    return edges, np.frombuffer(b"".join(rows), np.uint16).take(ids), unpack
+    table = np.frombuffer(b"".join(rows), np.uint16).take(ids)
+    return edges, table, unpack, bool((table == _DETECT_ROW).any())
 
 
 @functools.cache
@@ -563,9 +589,11 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
     """Execute one protocol session and return its report, keys and raw material.
 
     Rounds draw from the protocol stream described in the module docstring
-    and are coded a chunk at a time; _code_table's rows at a chunk's codes
-    give its first detection, which ends the session at its round, and
-    the session keeps every row before it, a passing control round's as
+    and are coded a chunk at a time, in chunks that grow from _FIRST_CHUNK
+    rounds only where a round can detect, and of _MAX_CHUNK rounds from
+    the first otherwise. _code_table's rows, read from _code_passes'
+    offset, at a chunk's codes give its first detection, which ends the
+    session at its round, and the session keeps every row before it, a passing control round's as
     _PASS_ROW, with no compaction. A round builds no outcome of its own.
     The report counts its mismatches and control rounds from the rows
     through _TALLY: a message round's two bytes XOR to the set of its key
@@ -584,12 +612,14 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
     bitgen = np.random.PCG64(_stream_seed(config.seed))
     forward = eve_bases(config.attack, ChannelLeg.FORWARD)
     backward = eve_bases(config.attack, ChannelLeg.BACKWARD)
-    edges, code_rows, unpack = _code_table(forward, backward, config.key_mode)
-    passes, weights = _code_passes(edges, _edge(config.control_prob))
+    edges, code_rows, unpack, detects = _code_table(forward, backward, config.key_mode)
+    control_edge = _edge(config.control_prob)
+    passes, weights, offset = _code_passes(edges, control_edge)
+    code_rows = code_rows[offset:]
     records: list[RoundRecord] = []
     observations: list[EveObservation] = []
     if keep_records:
-        readings = _code_records(forward, backward, config.key_mode)
+        readings = _code_records(forward, backward, config.key_mode)[offset:]
         record, observe = records.append, observations.append
         forward_leg, backward_leg = ChannelLeg.FORWARD, ChannelLeg.BACKWARD
     # Each round appends its row: Alice's packed key byte, then Bob's, or
@@ -597,7 +627,9 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
     joint = bytearray()
     aborted = False
     # A numpy integer's arithmetic would wrap or promote; the rounds count in int.
-    rounds, start, chunk = int(config.rounds), 0, _FIRST_CHUNK
+    rounds, start = int(config.rounds), 0
+    # Small chunks first only where a round can detect and end the session.
+    chunk = _FIRST_CHUNK if detects and control_edge else _MAX_CHUNK
 
     while start < rounds and not aborted:
         n = min(chunk, rounds - start)

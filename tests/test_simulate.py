@@ -22,7 +22,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ALL_ATTACKS, BACKWARD_R, BACKWARD_Z, FORWARD_R, FORWARD_Z, ScriptedRng
+from conftest import (
+    ALL_ATTACKS,
+    BACKWARD_R,
+    BACKWARD_X,
+    BACKWARD_Z,
+    FORWARD_R,
+    FORWARD_X,
+    FORWARD_Z,
+    ScriptedRng,
+)
 from qdkd import _kernels_py as kernels
 from qdkd import oracle, simulate
 from qdkd.adversary import (
@@ -1230,24 +1239,28 @@ def _code_at(radix, f0, r0, f1, message, r2, r3):
 
 def _codes(words, edges, control_edge):
     """The round codes of whole rounds' words, as Python ints, coded in
-    chunks of at most _MAX_CHUNK rounds, the largest run_session codes."""
+    chunks of at most _MAX_CHUNK rounds, the largest run_session codes,
+    each plus the offset that run_session reads the code tables from:
+    the flag's place at control edge 0, where no pass holds the flag,
+    else 0."""
     words = np.asarray(words, dtype=np.uint64)
-    passes, weights = _code_passes(tuple(edges), control_edge)
+    passes, weights, offset = _code_passes(tuple(edges), control_edge)
     size = 4 * simulate._MAX_CHUNK
     return [
-        int(code)
+        int(code) + offset
         for start in range(0, len(words), size)
         for code in _round_codes(words[start : start + size], passes, weights)
     ]
 
 
-def _chunk_sizes(rounds):
+def _chunk_sizes(rounds, first=simulate._FIRST_CHUNK):
     """The chunks, in rounds, that run_session codes a session of this many
-    rounds in when no round detects: _FIRST_CHUNK rounds, growing
-    _CHUNK_GROWTH times over up to the cap of _MAX_CHUNK, which they reach
-    exactly, as _MAX_CHUNK is _FIRST_CHUNK times a power of _CHUNK_GROWTH:
-    16, 64, 256 and 1,024 rounds, then 4,096 at a time."""
-    sizes, chunk = [], simulate._FIRST_CHUNK
+    rounds in when no round detects: by default _FIRST_CHUNK rounds,
+    growing _CHUNK_GROWTH times over up to the cap of _MAX_CHUNK, which
+    they reach exactly, as _MAX_CHUNK is _FIRST_CHUNK times a power of
+    _CHUNK_GROWTH: 16, 64, 256 and 1,024 rounds, then 4,096 at a time.
+    With first=_MAX_CHUNK, 4,096 at a time from the start."""
+    sizes, chunk = [], first
     while sum(sizes) < rounds:
         sizes.append(min(chunk, rounds - sum(sizes)))
         chunk = min(simulate._CHUNK_GROWTH * chunk, simulate._MAX_CHUNK)
@@ -1262,6 +1275,30 @@ PAST_THE_CAP = 2 * simulate._MAX_CHUNK + 500
 # The chunk sizes the code is checked at: 1 round, 7 rounds, which divide
 # no chunk, and every chunk size of the schedule up to the cap.
 CHUNK_SIZES = (1, 7, *GROWING_CHUNKS, simulate._MAX_CHUNK)
+
+
+def _first_chunk(attack, control_prob):
+    """The first chunk run_session codes: _FIRST_CHUNK rounds when a round
+    can detect, which only a control round under a forward attack can,
+    else _MAX_CHUNK."""
+    can_detect = bool(eve_bases(attack, ChannelLeg.FORWARD)) and control_prob > 0
+    return simulate._FIRST_CHUNK if can_detect else simulate._MAX_CHUNK
+
+
+# The multiplier of PCG64's 128-bit LCG.
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _pcg64_serving(word):
+    """A PCG64 whose next raw word is word: its LCG steps to the state
+    whose high half is 0 and whose low half is word, and its XSL-RR output
+    of that state rotates by 0 and is high ^ low."""
+    bitgen = np.random.PCG64()
+    inc = 1
+    state = (word - inc) * pow(_PCG64_MULTIPLIER, -1, 2**128) % 2**128
+    bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                    "has_uint32": 0, "uinteger": 0}
+    return bitgen
 
 
 def _ranked_ks(edges):
@@ -1356,13 +1393,13 @@ class TestSessionStream:
             assert list(edges) == sorted(c for c in ceilings if 0 < c < 2**53)
             radix = len(edges) + 1
             for control_prob in CONTROL_PROB_EDGES:
-                passes, weights = _code_passes(edges, _edge(control_prob))
+                passes, weights, offset = _code_passes(edges, _edge(control_prob))
                 assert all(p.dtype == np.uint64 for p in passes)
                 assert all(w.dtype == np.uint16 for w in weights)
                 codes = np.concatenate([_round_codes(c, passes, weights) for c in chunks])
                 assert codes.dtype == np.uint64
                 field0, r0, field1, message, r2, r3 = map(
-                    np.array, zip(*(_code_digits(int(code), radix) for code in codes))
+                    np.array, zip(*(_code_digits(int(code) + offset, radix) for code in codes))
                 )
                 for t in thresholds:
                     j = _rank_bound(edges, t)
@@ -1400,10 +1437,11 @@ class TestSessionStream:
         # The 11 low bits of a word are not part of its uniform.
         words = np.array([k << 11 | low for k in ks for low in (0, 0x7FF)], np.uint64)
         size = 4 * simulate._MAX_CHUNK
-        rows = [np.full(size, e, np.uint64) for e in edges or (2**53,)]
+        # Pass rows in word units: k >= e exactly when word > e * 2**11 - 1.
+        rows = [np.full(size, (e << 11) - 1, np.uint64) for e in edges or (2**53,)]
         rng = np.random.default_rng(7)
         for chunk in (*(words[rng.integers(len(words), size=4 * n)] for n in CHUNK_SIZES), words):
-            rank = _round_ranks(chunk >> np.uint64(11), rows)
+            rank = _round_ranks(chunk, rows)
             assert rank.tolist() == [bisect.bisect_right(edges, w >> 11) for w in chunk.tolist()]
         assert rank.max() == len(edges)
 
@@ -1476,9 +1514,10 @@ class TestSessionStream:
     def test_every_round_reads_four_words(self, monkeypatch):
         """A round reads exactly 4 words, whatever it draws: under every
         attack and at control_prob 0, 1/2 and 1, a session that runs all
-        its R rounds reads 4R words, in the chunks of _chunk_sizes(R), which
-        span the growing chunks and two chunks at the _MAX_CHUNK-round cap,
-        and its key check starts at word 2**100. The
+        its R rounds reads 4R words, in the chunks of _chunk_sizes(R,
+        _first_chunk(...)), which span the growing chunks, where a round
+        can detect, and two chunks at the _MAX_CHUNK-round cap, and its key
+        check starts at word 2**100. The
         reference reads round i from words 4i to 4i + 3, so a session equal
         to it reads those words too."""
         reads = []
@@ -1503,12 +1542,90 @@ class TestSessionStream:
                         continue
                     full.add((attack, rounds))
                     *chunks, advanced = reads
-                    assert chunks == [4 * size for size in _chunk_sizes(rounds)]
+                    first = _first_chunk(attack, control_prob)
+                    assert chunks == [4 * size for size in _chunk_sizes(rounds, first)]
                     assert advanced == 2**100 - 4 * rounds
         assert {(attack, PAST_THE_CAP) for attack in ALL_ATTACKS} <= full
         sizes = _chunk_sizes(PAST_THE_CAP)
         assert sizes[:-2] == GROWING_CHUNKS == [16, 64, 256, 1024]
         assert sizes[-2] == simulate._MAX_CHUNK > sizes[-1]
+
+    def test_chunk_schedule(self, monkeypatch):
+        """A session that no round can end reads whole chunks of _MAX_CHUNK
+        rounds from its first read: no attack and the backward attacks at
+        every control_prob, and every attack at control_prob 0. A forward
+        attack at control_prob 1/2 keeps the growing chunks 16, 64, 256,
+        1,024 and then 4,096 rounds, here on a stream whose every w1 has
+        its top bit set, so that every round is a message round and the
+        session runs all its rounds."""
+        reads = []
+        crafted = []
+
+        class CountedPCG64(np.random.PCG64):
+            def random_raw(self, size=None, output=True):
+                reads.append(size)
+                if crafted:
+                    start = getattr(self, "read", 0)
+                    self.read = start + size
+                    return crafted[0][start : start + size].copy()
+                return super().random_raw(size, output)
+
+        monkeypatch.setattr(np.random, "PCG64", CountedPCG64)
+        rounds = PAST_THE_CAP
+        full = [4 * simulate._MAX_CHUNK] * 2 + [4 * 500]
+        quiet = [(attack, cp) for attack in (NoAttack(), BACKWARD_Z, BACKWARD_X, BACKWARD_R)
+                 for cp in (0.5, 1.0)]
+        quiet += [(attack, 0.0) for attack in ALL_ATTACKS]
+        for attack, control_prob in quiet:
+            reads.clear()
+            run_simulation(SimConfig(rounds=rounds, control_prob=control_prob, attack=attack))
+            assert reads == full
+        words = np.random.PCG64(np.random.SeedSequence(11)).random_raw(4 * rounds)
+        words[1::4] |= np.uint64(2**63)
+        crafted.append(words)
+        for attack in (FORWARD_Z, FORWARD_X, FORWARD_R):
+            reads.clear()
+            config = SimConfig(rounds=rounds, control_prob=0.5, attack=attack)
+            report = run_simulation(config)
+            assert (report.rounds_total, report.control_rounds) == (rounds, 0)
+            growing = [16, 64, 256, 1024, 4096]
+            assert reads == [4 * n for n in (*growing, rounds - sum(growing))]
+
+    @pytest.mark.parametrize("attack", ALL_ATTACKS)
+    def test_pass_rows_decide_at_the_word_boundaries(self, attack):
+        """The pass rows compare raw words: word > e * 2**11 - 1 holds
+        exactly when k = word >> 11 reaches the edge e. At each of the
+        attack's edges and each control edge of CONTROL_PROB_EDGES, 0 and
+        2**53 included, the words e * 2**11 - 1, e * 2**11 and e * 2**11 +
+        2047, and the words 0 and 2**64 - 1, get the ranks and the message
+        flag that Generator.random() of the word decides: the rank counts
+        the edges e with r >= e * 2**-53, which is r >= t for each
+        threshold t of the edge, and a round is a control round iff r <
+        control_prob, control_prob 0 (where no pass holds the flag) and 1
+        included."""
+        edges = _code_table(*_bases(attack), KeyMode.COMBINED)[0]
+        radix = len(edges) + 1
+        control_edges = [_edge(cp) for cp in CONTROL_PROB_EDGES]
+        assert control_edges[0] == 0 and control_edges[-1] == 2**53
+        points = {0, 2**64 - 1}
+        for e in (*edges, *control_edges):
+            points.update(w for w in ((e << 11) - 1, e << 11, (e << 11) + 2047) if 0 <= w < 2**64)
+        words = sorted(points)
+        uniforms = []
+        for word in words:
+            bitgen = _pcg64_serving(word)
+            assert int(_pcg64_serving(word).random_raw()) == word
+            uniforms.append(np.random.Generator(bitgen).random())
+        assert uniforms[0] == 0.0 and uniforms[-1] == 1.0 - 2.0**-53
+        thresholds = _thresholds(_tables(attack))
+        for control_prob, control_edge in zip(CONTROL_PROB_EDGES, control_edges):
+            codes = _codes(_round_words(words), edges, control_edge)
+            for r, code in zip(uniforms, codes):
+                _, r0, _, message, r2, r3 = _code_digits(code, radix)
+                assert r0 == r2 == r3 == sum(not r < e * 2.0**-53 for e in edges)
+                for t in thresholds:
+                    assert (r0 <= _rank_bound(edges, t)) == (r < t)
+                assert message == (not r < control_prob)
 
     @pytest.mark.parametrize("control_prob", [0.0, 0.5])
     @pytest.mark.parametrize("attack", REFILL_ATTACKS)
@@ -1904,7 +2021,7 @@ class TestRoundTables:
         tables = _tables(attack)
         forward, backward = _bases(attack)
         measure_h, measure_t = tables.measure[QubitId.H], tables.measure[QubitId.T]
-        edges, code_rows, _ = _code_table(forward, backward, KeyMode.COMBINED)
+        edges, code_rows, _, _ = _code_table(forward, backward, KeyMode.COMBINED)
         readings = _code_records(forward, backward, KeyMode.COMBINED)
         radix = len(edges) + 1
         rows = code_rows.tobytes()
@@ -1968,7 +2085,9 @@ class TestRoundTables:
         digits, 512 * R**3 codes with R = edges + 1, so the compile refuses
         more than 4 splitting edges, 2**16 codes, when it is built: 4 edges
         give 64,000 codes and 5 give 110,592. Thresholds of exactly 0 and 1
-        split no words and do not count."""
+        split no words and do not count. The fake tables hold no path, so
+        below the limit the compile sizes the table and then refuses it,
+        naming itself and every one of its codes as uncovered."""
         thresholds = [0, 1] + [j / 512 for j in range(1, count + 1)]
         tables = types.SimpleNamespace(
             measure=([[(t, 0, 1), None] for t in thresholds], []),
@@ -1981,14 +2100,32 @@ class TestRoundTables:
         _compile_codes.cache_clear()
         try:
             if count <= 4:
-                edges, ids, _, _ = _compile_codes((), (), KeyMode.COMBINED)
-                assert len(edges) == count and len(ids) == codes <= simulate._CODE_LIMIT
+                assert codes <= simulate._CODE_LIMIT
+                message = f"_compile_codes: {codes} round codes that no path covers"
+                with pytest.raises(RuntimeError, match=message):
+                    _compile_codes((), (), KeyMode.COMBINED)
             else:
                 assert codes > simulate._CODE_LIMIT
                 with pytest.raises(OverflowError):
                     _compile_codes((), (), KeyMode.COMBINED)
         finally:
             # The code tables hold the cached compile's entries: rebuild them too.
+            for cache in (_compile_codes, _code_table, _code_records):
+                cache.cache_clear()
+
+    @pytest.mark.parametrize("attack", [NoAttack(), FORWARD_R, BACKWARD_R])
+    def test_compile_refuses_a_code_no_path_covers(self, attack, monkeypatch):
+        """A code that no path covers is refused at the compile, not read
+        later as an entry id: the round tables less their first path leave
+        the codes of that path uncovered."""
+        tables = _tables(attack)
+        fewer = types.SimpleNamespace(measure=tables.measure, bell=tables.bell, paths=tables.paths[1:])
+        monkeypatch.setattr(simulate, "_round_tables", lambda forward, backward: fewer)
+        _compile_codes.cache_clear()
+        try:
+            with pytest.raises(RuntimeError, match="_compile_codes: [0-9]+ round codes that no path"):
+                _compile_codes(*_bases(attack), KeyMode.COMBINED)
+        finally:
             for cache in (_compile_codes, _code_table, _code_records):
                 cache.cache_clear()
 
@@ -2018,7 +2155,7 @@ class TestRoundTables:
         protocol's do. Equal records are one object."""
         forward, backward = _bases(attack)
         tables = _tables(attack)
-        edges, code_rows, unpack = _code_table(forward, backward, key_mode)
+        edges, code_rows, unpack, _ = _code_table(forward, backward, key_mode)
         readings = _code_records(forward, backward, key_mode)
         radix = len(edges) + 1
         bits = key_mode.bits_per_round
@@ -2139,7 +2276,7 @@ class TestRoundTables:
         record's verdict is its row's, and a message record's mask
         label(announced) ^ u_A ^ u_B, in every key bit, is its row's XOR."""
         forward, backward = _bases(attack)
-        edges, code_rows, _ = _code_table(forward, backward, key_mode)
+        edges, code_rows, _, _ = _code_table(forward, backward, key_mode)
         readings = _code_records(forward, backward, key_mode)
         radix = len(edges) + 1
         bits = key_mode.bits_per_round
@@ -2174,6 +2311,43 @@ class TestRoundTables:
             oracle_law = message_error_distribution(attack)
             assert law == {e: (1 - c) * p for e, p in oracle_law.items()}
             assert c * Fraction(control, unit) + sum(law.values()) == 1
+
+    @pytest.mark.parametrize("key_mode", list(KeyMode))
+    @pytest.mark.parametrize("attack", ALL_ATTACKS)
+    def test_code_table_key_law_is_the_message_paths(self, attack, key_mode):
+        """The key-bit law of a message round read off the code table alone
+        equals the law of the message paths of _RoundTables.paths, exactly:
+        the joint law of (u_A, u_B, Alice's key bits, Bob's key bits). A
+        code weighs its digits' widths as in
+        test_code_table_law_is_the_oracles, u_A is the 2-bit draw of f0,
+        u_B that of f1, and the key bits are the code's row unpacked
+        through the table's unpack, Alice's byte then Bob's. A path weighs
+        its probability given the round's mode, and its key bits are
+        accumulate_key's of its outcome."""
+        forward, backward = _bases(attack)
+        edges, code_rows, unpack, _ = _code_table(forward, backward, key_mode)
+        radix = len(edges) + 1
+        widths = [last - first + 1 for first, last in _rank_spans(edges).values()]
+        unpacked = [tuple(unpack[b : b + 1].tobytes()) for b in range(16)]
+        rows = code_rows.tobytes()
+        table_law = Counter()
+        for code in range(len(code_rows)):
+            field0, r0, field1, message, r2, r3 = _code_digits(code, radix)
+            if message:
+                alice, bob = rows[2 * code : 2 * code + 2]
+                key = (field0 & 3, field1 & 3, unpacked[alice], unpacked[bob])
+                table_law[key] += widths[r0] * widths[r2] * widths[r3]
+        # The 16 * 16 values of the fields, the flag fixed, and 2**53 per rank.
+        unit = 256 * 2**159
+        table_law = {key: Fraction(weight, unit) for key, weight in table_law.items()}
+        path_law = Counter()
+        for p, u_a, outcome, _, backward_leg, _, _ in _tables(attack).paths:
+            if backward_leg is not None:
+                alice = accumulate_key([], u_a, outcome.alice_view, key_mode)
+                bob = accumulate_key([], outcome.bob_view, outcome.u_b, key_mode)
+                path_law[u_a, outcome.u_b, tuple(alice), tuple(bob)] += p
+        assert sum(table_law.values()) == sum(path_law.values()) == 1
+        assert table_law == dict(path_law)
 
     @staticmethod
     def _refuse_float_kernels(monkeypatch):
