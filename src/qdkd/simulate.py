@@ -67,9 +67,10 @@ a round's four terms (see _round_codes). The ranks rest on
 one exact rule. A word's uniform is r = k * 2**-53 with k = word >> 11,
 and for every double or Fraction t in [0, 1], r < t holds exactly when k <
 ceil(t * 2**53): k is an integer, t * 2**53 is exact, and t = 1 gives
-2**53, above every k. The edges are the sorted distinct ceilings of the
-attack's exact thresholds that split the words, those strictly between 0
-and 2**53, and the rank is the number of edges at or below k. So r lies
+2**53, above every k. The attack's exact thresholds are the ends of its
+paths' spans. The edges are the sorted distinct ceilings of those that
+split the words, those strictly between 0 and 2**53, and the rank is the
+number of edges at or below k. So r lies
 below a threshold exactly when the rank is at most the threshold's index:
 the index of its ceiling among the edges, -1 for a ceiling of 0, which no
 word lies below, and the number of edges for a ceiling of 2**53, which
@@ -87,16 +88,16 @@ on numpy 1.x and 2.
 Once a round's words are read, its outcome depends only on its draws, so
 it depends only on its code: a table compiled per attack and key mode
 straight from the round tables' path list (see _compile_codes) gives each
-round's row: its key bits, packed into one byte per party, or its control
-verdict. A session makes no float comparison. A table holds at most 2**16
-codes, so an attack may have at most 4 edges; each of the 7 attacks has
-one, the edge of 1/2, and so 4,096 codes. A session keeps every round's
-row before its first detection, a passing control round's as 0x1010, and
-the report counts them all in one pass: a message round's two bytes XOR
-to the set of its key bits that differ, and the pass rows count the
-control rounds. The message rounds' rows are gathered once, when the key
-check draws a position or the keys are first read, and no key is unpacked
-unless it is read.
+round's row: its key bits, packed into one byte per party with key bit j
+in bit j, or its control verdict. A session makes no float comparison. A
+table holds at most 2**16 codes, so an attack may have at most 4 edges;
+each of the 7 attacks has one, the edge of 1/2, and so 4,096 codes. A
+session keeps every round's row before its first detection, a passing
+control round's as 0x1010, and the report counts them all in one pass: a
+message round's two bytes XOR to the set of its key bits that differ, and
+the pass rows count the control rounds. The message rounds' rows are
+gathered once, when the key check draws a position or the keys are first
+read, and no key is unpacked unless it is read.
 """
 
 import csv
@@ -237,9 +238,9 @@ class _PreCheckKeys:
     and _PASS_ROW for each of its controls control rounds. pairs()
     gathers the message rounds' rows on its first call: for the key
     check's flags once it has drawn a position, or for the keys' first
-    read, which unpacks them through unpack and drops them. With no
-    control row there is nothing to gather; with no rows, both keys are
-    empty."""
+    read, which unpacks them through unpack, the key mode's _UNPACK
+    table, and drops them. With no control row there is nothing to
+    gather; with no rows, both keys are empty."""
 
     def __init__(self, rows=(), unpack=None, controls=0):
         self._rows, self._unpack, self._controls = rows, unpack, controls
@@ -365,35 +366,29 @@ _K_END = 2**53  # above every k = word >> 11; 2**64 - 1 in word units
 _LANE_SUM = np.uint64(0x0001_0001_0001_0001)
 # A control round's byte, for each party, in a code table's row: 0x10 if it
 # passes, 0x11 if it detects. A message round's byte packs 2 or 4 key bits,
-# so it is below 16 and never either.
+# key bit j in bit j, so it is below 16 and never either. The tables below
+# follow from these two rules.
 _PASS, _DETECT = b"\x10", b"\x11"
-_PASS_ROW = 0x1010  # a passing control round's row, read as one uint16
-_DETECT_ROW = 0x1111  # a detecting one's
-
-
-def _differs_table() -> np.ndarray:
-    """Indexed by a session's row v, up to _PASS_ROW, read as one uint16
-    item: a row of 4 uint8 flags, flag j set when key bit j differs. A
-    message round's two packed bytes XOR to the set of its key bits that
-    differ, (v & 255) ^ (v >> 8) on either byte order; a pass row's two
-    equal bytes XOR to 0, so no flag is set."""
-    v = np.arange(_PASS_ROW + 1, dtype=np.int64)
-    return ((v & 255 ^ v >> 8)[:, None] >> np.arange(4) & 1).astype(np.uint8)
-
-
-_DIFFERS = _differs_table()
-# Each row's first 2 or 4 flags as one item: the items at a session's
-# message rounds' rows, viewed as bytes, are one flag per key bit, in key
-# order.
-_KEY_DIFFERS = {
-    bits: np.ascontiguousarray(_DIFFERS[:, :bits]).view(f"u{bits}").ravel() for bits in (2, 4)
+_PASS_ROW, _DETECT_ROW = _PASS[0] * 0x0101, _DETECT[0] * 0x0101  # as one uint16 item
+# _UNPACK[bits][b]: one item of the 0/1 key bytes that a packed byte b < 16 stands for.
+_UNPACK = {
+    bits: np.frombuffer(bytes(b >> j & 1 for b in range(16) for j in range(bits)), f"u{bits}")
+    for bits in (2, 4)
 }
+# Indexed by a session's row v, up to _PASS_ROW, read as one uint16 item: the
+# set of key bits that differ, which a message round's two bytes XOR to on
+# either byte order; a pass row's two equal bytes XOR to 0.
+_ROWS = np.arange(_PASS_ROW + 1, dtype=np.int64)
+_DIFFER = (_ROWS ^ _ROWS >> 8) & 15
+# At a session's message rounds' rows, viewed as bytes: one flag per key bit, in key order.
+_KEY_DIFFERS = {bits: unpack.take(_DIFFER) for bits, unpack in _UNPACK.items()}
 # _TALLY[v] holds three fields of _TALLY_FIELD bits, low first: how many
 # key bits differ, how many of them are at amplitude positions (the even
 # bits), and 1 for the pass row. Each field is at most 4 per row, so a sum
 # over at most _TALLY_BLOCK rows carries from none.
 _TALLY_FIELD = 21
-_TALLY = _DIFFERS.sum(1, dtype=np.int64) + (_DIFFERS[:, ::2].sum(1, dtype=np.int64) << _TALLY_FIELD)
+_POPCOUNT = np.array([bin(b).count("1") for b in range(16)], np.int64)
+_TALLY = _POPCOUNT.take(_DIFFER) + (_POPCOUNT.take(_DIFFER & 0b0101) << _TALLY_FIELD)
 _TALLY[_PASS_ROW] = 1 << 2 * _TALLY_FIELD
 _TALLY_BLOCK = 2**18
 
@@ -498,22 +493,24 @@ def _compile_codes(forward, backward, key_mode: KeyMode) -> tuple[tuple, np.ndar
     bit j, or a control round's _PASS or _DETECT in each. Its record is
     (u_A, outcome, Eve's forward view, Eve's backward view), a view being
     (basis, Eve's bit), or None on a leg she leaves alone. ids holds each
-    round code's entry.
+    round code's entry. The compile reads the round tables' paths and
+    nothing else.
 
     Each path's entry id goes into one slice of an array shaped by _DIGITS,
     most significant first, each 4-bit field split as (basis bit, unused
     bit, 2-bit draw); a digit the path does not read is a full slice. A
     span (low, high) of a word's uniform is the ranks from index[low] + 1
     to index[high], index[t] being the largest rank whose words lie below
-    t. edges are the sorted distinct _edge of the thresholds that split the
-    words (see the module docstring); more than _CODE_LIMIT codes raise
-    OverflowError. A path whose span no word decides is at no code. ids
-    starts at -1, and a code that no path covers raises RuntimeError.
+    t. The thresholds are the ends of every path's spans: its forward
+    leg's, w0's, and w2's and w3's. edges are the sorted distinct _edge of
+    those that split the words (see the module docstring); more than
+    _CODE_LIMIT codes raise OverflowError. A path whose span no word
+    decides is at no code. ids starts at -1; a path whose slice holds an
+    earlier path's id, and a code that no path covers, raise RuntimeError.
     """
-    tables = _round_tables(forward, backward)
-    p0s = [e[0] for rows in tables.measure for row in rows for e in row if e is not None]
-    bells = [acc for row in tables.bell if row for acc in row]
-    edge = {t: _edge(t) for t in {0, 1, *p0s, *bells}}
+    paths = _round_tables(forward, backward).paths
+    spans = {span for *_, forward_leg, _, w2, w3 in paths for span in (forward_leg[4], w2, w3)}
+    edge = {t: _edge(t) for span in spans for t in span}
     edges = sorted({e for e in edge.values() if 0 < e < _K_END})
     radices = [radix or len(edges) + 1 for _, _, radix in _DIGITS]
     if math.prod(radices) > _CODE_LIMIT:
@@ -531,7 +528,7 @@ def _compile_codes(forward, backward, key_mode: KeyMode) -> tuple[tuple, np.ndar
     # [a][b]: the byte a party packs accumulate_key's bits of labels a, b into.
     keys = [[accumulate_key([], a, b, key_mode) for b in range(4)] for a in range(4)]
     packed = [[sum(bit << j for j, bit in enumerate(key)) for key in row] for row in keys]
-    for _, u_a, outcome, forward_leg, backward_leg, w2, w3 in tables.paths:
+    for _, u_a, outcome, forward_leg, backward_leg, w2, w3 in paths:
         _, forward_view, _, forward_draw, w0 = forward_leg
         if backward_leg is None:
             detected = outcome.verdict is ControlVerdict.EVE_DETECTED
@@ -554,7 +551,10 @@ def _compile_codes(forward, backward, key_mode: KeyMode) -> tuple[tuple, np.ndar
                 at[:0] = (slice(index[low] + 1, index[high] + 1),)
             else:
                 at[:0] = (digit,)
-        ids[tuple(at)] = len(rows)
+        at = tuple(at)
+        if (ids[at] != -1).any():
+            raise RuntimeError(f"_compile_codes: path {len(rows)} overlaps an earlier path's codes")
+        ids[at] = len(rows)
         rows.append(row)
         records.append((u_a, outcome, forward_view, backward_view))
     uncovered = np.count_nonzero(ids < 0)
@@ -564,17 +564,14 @@ def _compile_codes(forward, backward, key_mode: KeyMode) -> tuple[tuple, np.ndar
 
 
 @functools.cache
-def _code_table(forward, backward, key_mode: KeyMode) -> tuple[tuple, np.ndarray, np.ndarray, bool]:
-    """(edges, rows, unpack, detects): _compile_codes' edges; each round
-    code's row (see _compile_codes) as one np.uint16 item, which np.take
-    gathers at a chunk's codes; for each packed byte b < 16, unpack[b],
-    one item of the 0/1 key bytes that b stands for; and whether any
-    code's row is a detecting control round's."""
+def _code_table(forward, backward, key_mode: KeyMode) -> tuple[tuple, np.ndarray, bool]:
+    """(edges, rows, detects): _compile_codes' edges; each round code's
+    row (see _compile_codes) as one np.uint16 item, which np.take gathers
+    at a chunk's codes, and which _UNPACK unpacks; and whether any code's
+    row is a detecting control round's."""
     edges, ids, rows, _ = _compile_codes(forward, backward, key_mode)
-    bits = key_mode.bits_per_round
-    unpack = np.frombuffer(bytes(b >> j & 1 for b in range(16) for j in range(bits)), f"u{bits}")
     table = np.frombuffer(b"".join(rows), np.uint16).take(ids)
-    return edges, table, unpack, bool((table == _DETECT_ROW).any())
+    return edges, table, bool((table == _DETECT_ROW).any())
 
 
 @functools.cache
@@ -612,7 +609,7 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
     bitgen = np.random.PCG64(_stream_seed(config.seed))
     forward = eve_bases(config.attack, ChannelLeg.FORWARD)
     backward = eve_bases(config.attack, ChannelLeg.BACKWARD)
-    edges, code_rows, unpack, detects = _code_table(forward, backward, config.key_mode)
+    edges, code_rows, detects = _code_table(forward, backward, config.key_mode)
     control_edge = _edge(config.control_prob)
     passes, weights, offset = _code_passes(edges, control_edge)
     code_rows = code_rows[offset:]
@@ -681,7 +678,7 @@ def run_session(config: SimConfig, keep_records: bool = False) -> SessionResult:
         # memory, and only if it drew a position.
         return _KEY_DIFFERS[bits].take(pre_check.pairs()).view(np.uint8).take(positions)
 
-    pre_check = _PreCheckKeys(all_rows, unpack, passes)
+    pre_check = _PreCheckKeys(all_rows, _UNPACK[bits], passes)
     checked = 0
     check = None
     # Eve sees every public message: the rounds', then the key check's.
@@ -758,21 +755,6 @@ _report_values = operator.attrgetter(*_REPORT_FIELDS)
 # indent=2 selects json's pure-Python encoder; with no indent the C one runs,
 # and these separators lay a flat object out as indent=2 does.
 _JSON_ENCODER = json.JSONEncoder(separators=(",\n  ", ": "))
-# The C encoder that _JSON_ENCODER.encode builds on every call, built once
-# with its settings, but no circular check, which a flat object needs none
-# of. None without json's C accelerator (PyPy, say); _JSON_ENCODER.encode
-# runs then.
-_C_ENCODE = json.encoder.c_make_encoder and json.encoder.c_make_encoder(
-    None,
-    _JSON_ENCODER.default,
-    json.encoder.encode_basestring_ascii,
-    None,
-    _JSON_ENCODER.key_separator,
-    _JSON_ENCODER.item_separator,
-    _JSON_ENCODER.sort_keys,
-    _JSON_ENCODER.skipkeys,
-    _JSON_ENCODER.allow_nan,
-)
 
 
 def serialize_report(report: SimulationReport, fmt: str = "json") -> bytes:
@@ -785,7 +767,7 @@ def serialize_report(report: SimulationReport, fmt: str = "json") -> bytes:
     values = _report_values(report)
     if fmt == "json":
         data = dict(zip(_REPORT_FIELDS, values))
-        body = "".join(_C_ENCODE(data, 0)) if _C_ENCODE else _JSON_ENCODER.encode(data)
+        body = _JSON_ENCODER.encode(data)
         return ("{\n  " + body[1:-1] + "\n}\n").encode()
     if fmt == "csv":
         buf = io.StringIO()

@@ -13,7 +13,7 @@ import json
 import numbers
 import tracemalloc
 import types
-from collections import Counter
+from collections import Counter, defaultdict
 from decimal import Decimal
 from fractions import Fraction
 
@@ -912,7 +912,9 @@ def _report_json(**changes) -> bytes:
 
 
 def _bad_report(**changes):
-    return pytest.param(_report_json(**changes), id=",".join(f"{k}={v!r}" for k, v in changes.items()))
+    """The field changes of a malformed report, whose JSON the test builds,
+    so that no session runs while the tests are collected."""
+    return pytest.param(changes, id=",".join(f"{k}={v!r}" for k, v in changes.items()))
 
 
 _WRITER_COUNTS = st.one_of(
@@ -985,7 +987,6 @@ class TestSerialization:
         ]
         accelerated = [serialize_report(report) for report in reports]
         monkeypatch.setattr(json.encoder, "c_make_encoder", None)
-        monkeypatch.setattr(simulate, "_C_ENCODE", None)  # the one built at import
         assert [serialize_report(report) for report in reports] == accelerated
         for report, data in zip(reports, accelerated):
             assert data == (json.dumps(dataclasses.asdict(report), indent=2) + "\n").encode()
@@ -1047,6 +1048,8 @@ class TestSerialization:
         ],
     )
     def test_malformed_report_rejected(self, data):
+        if isinstance(data, dict):
+            data = _report_json(**data)
         with pytest.raises(ConfigError):
             parse_report(data)
 
@@ -1774,6 +1777,13 @@ def _tables(attack):
     return _round_tables(*_bases(attack))
 
 
+def _with_spans(path, w0, w2, w3):
+    """A round tables' path with its forward leg's span w0 and its own w2
+    and w3 replaced."""
+    p, u_a, outcome, forward_leg, backward_leg, _, _ = path
+    return p, u_a, outcome, (*forward_leg[:4], w0), backward_leg, w2, w3
+
+
 def _thresholds(tables):
     """Every p0 and Bell threshold of the round tables."""
     p0s = [e[0] for rows in tables.measure for row in rows for e in row if e is not None]
@@ -2021,7 +2031,7 @@ class TestRoundTables:
         tables = _tables(attack)
         forward, backward = _bases(attack)
         measure_h, measure_t = tables.measure[QubitId.H], tables.measure[QubitId.T]
-        edges, code_rows, _, _ = _code_table(forward, backward, KeyMode.COMBINED)
+        edges, code_rows, _ = _code_table(forward, backward, KeyMode.COMBINED)
         readings = _code_records(forward, backward, KeyMode.COMBINED)
         radix = len(edges) + 1
         rows = code_rows.tobytes()
@@ -2079,55 +2089,84 @@ class TestRoundTables:
                 assert readings[message][1] == _message_outcome(u_a, u_b, k)
         assert checked > 0
 
+    @staticmethod
+    def _compile_paths(paths, attack=NoAttack()):
+        """_compile_codes of attack's bases, its round tables replaced by a
+        fake that holds only paths, which is all the compile reads."""
+        tables = types.SimpleNamespace(paths=paths)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulate, "_round_tables", lambda forward, backward: tables)
+            _compile_codes.cache_clear()
+            try:
+                return _compile_codes(*_bases(attack), KeyMode.COMBINED)
+            finally:
+                # The code tables hold the cached compile's entries: rebuild them too.
+                for cache in (_compile_codes, _code_table, _code_records):
+                    cache.cache_clear()
+
     @pytest.mark.parametrize("count", [4, 5])
-    def test_code_tables_hold_at_most_2_16_codes(self, count, monkeypatch):
+    def test_code_tables_hold_at_most_2_16_codes(self, count):
         """A code table holds the product of the radices of the code's
         digits, 512 * R**3 codes with R = edges + 1, so the compile refuses
         more than 4 splitting edges, 2**16 codes, when it is built: 4 edges
         give 64,000 codes and 5 give 110,592. Thresholds of exactly 0 and 1
-        split no words and do not count. The fake tables hold no path, so
-        below the limit the compile sizes the table and then refuses it,
-        naming itself and every one of its codes as uncovered."""
+        split no words and do not count. The compile takes its thresholds
+        from the paths' spans; each fake path's spans are empty, (t, t), so
+        no word decides them and no path covers a code: below the limit
+        the compile sizes the table and then refuses it, naming itself and
+        every one of its codes as uncovered."""
         thresholds = [0, 1] + [j / 512 for j in range(1, count + 1)]
-        tables = types.SimpleNamespace(
-            measure=([[(t, 0, 1), None] for t in thresholds], []),
-            bell=[None] * len(thresholds),
-            paths=(),
-        )
+        path = _tables(NoAttack()).paths[0]
+        paths = [_with_spans(path, (t, t), (t, t), (t, t)) for t in thresholds]
         codes = math.prod(radix or count + 1 for _, _, radix in simulate._DIGITS)
         assert codes == 512 * (count + 1) ** 3
-        monkeypatch.setattr(simulate, "_round_tables", lambda forward, backward: tables)
-        _compile_codes.cache_clear()
-        try:
-            if count <= 4:
-                assert codes <= simulate._CODE_LIMIT
-                message = f"_compile_codes: {codes} round codes that no path covers"
-                with pytest.raises(RuntimeError, match=message):
-                    _compile_codes((), (), KeyMode.COMBINED)
-            else:
-                assert codes > simulate._CODE_LIMIT
-                with pytest.raises(OverflowError):
-                    _compile_codes((), (), KeyMode.COMBINED)
-        finally:
-            # The code tables hold the cached compile's entries: rebuild them too.
-            for cache in (_compile_codes, _code_table, _code_records):
-                cache.cache_clear()
+        if count <= 4:
+            assert codes <= simulate._CODE_LIMIT
+            message = f"_compile_codes: {codes} round codes that no path covers"
+            with pytest.raises(RuntimeError, match=message):
+                self._compile_paths(paths)
+        else:
+            assert codes > simulate._CODE_LIMIT
+            with pytest.raises(OverflowError):
+                self._compile_paths(paths)
 
     @pytest.mark.parametrize("attack", [NoAttack(), FORWARD_R, BACKWARD_R])
-    def test_compile_refuses_a_code_no_path_covers(self, attack, monkeypatch):
+    def test_compile_refuses_a_code_no_path_covers(self, attack):
         """A code that no path covers is refused at the compile, not read
-        later as an entry id: the round tables less their first path leave
-        the codes of that path uncovered."""
-        tables = _tables(attack)
-        fewer = types.SimpleNamespace(measure=tables.measure, bell=tables.bell, paths=tables.paths[1:])
-        monkeypatch.setattr(simulate, "_round_tables", lambda forward, backward: fewer)
-        _compile_codes.cache_clear()
-        try:
-            with pytest.raises(RuntimeError, match="_compile_codes: [0-9]+ round codes that no path"):
-                _compile_codes(*_bases(attack), KeyMode.COMBINED)
-        finally:
-            for cache in (_compile_codes, _code_table, _code_records):
-                cache.cache_clear()
+        later as an entry id: the round tables' paths less their first
+        leave the codes of that path uncovered."""
+        with pytest.raises(RuntimeError, match="_compile_codes: [0-9]+ round codes that no path"):
+            self._compile_paths(_tables(attack).paths[1:], attack)
+
+    @pytest.mark.parametrize("attack", [NoAttack(), FORWARD_R, BACKWARD_R])
+    def test_compile_refuses_overlapping_paths(self, attack):
+        """A code that two paths cover is refused at the compile, naming
+        the later path, not left to the path written last: the round
+        tables' paths with the first one twice."""
+        paths = _tables(attack).paths
+        with pytest.raises(RuntimeError, match="_compile_codes: path 1 overlaps an earlier path"):
+            self._compile_paths(paths[:1] * 2 + paths[1:], attack)
+
+    def test_compile_reads_thresholds_from_the_paths_spans(self):
+        """The edges come from the paths' spans alone: the honest paths,
+        whose one edge is 1/2, with the first split at 1/3 on w0 compile
+        to the 2 edges of 1/3 and 1/2. The first half is at r0's rank 0
+        only, the second at ranks 1 and 2, and every other path at all 3
+        ranks, so each code is still covered once."""
+        first, *rest = _tables(NoAttack()).paths
+        _, _, _, _, _, w2, w3 = first
+        third = Fraction(1, 3)
+        halves = [_with_spans(first, w0, w2, w3) for w0 in ((0, third), (third, 1))]
+        edges, ids, rows, _ = self._compile_paths(halves + rest)
+        assert edges == (_edge(third), _edge(Fraction(1, 2)))
+        radix = len(edges) + 1
+        assert len(ids) == 512 * radix**3
+        ranks = defaultdict(set)
+        for code, entry in enumerate(ids.tolist()):
+            ranks[entry].add(_code_digits(code, radix)[1])
+        assert sorted(ranks) == list(range(len(rows))) == list(range(len(rest) + 2))
+        assert ranks.pop(0) == {0} and ranks.pop(1) == {1, 2}
+        assert all(r0s == {0, 1, 2} for r0s in ranks.values())
 
     @pytest.mark.parametrize("key_mode", list(KeyMode))
     @pytest.mark.parametrize("attack", ALL_ATTACKS)
@@ -2147,15 +2186,16 @@ class TestRoundTables:
         detection, or u_B and Eve's backward basis, her measurement at r2
         and the Bell measurement at r3. A message round's row is
         accumulate_key's bits of its outcome, Alice's then Bob's, each
-        party's packed into a byte with key bit j in bit j, and the unpack
-        table turns each byte back into them. The record is (u_A, the
+        party's packed into a byte with key bit j in bit j, and _UNPACK
+        turns each byte back into them. The record is (u_A, the
         round's ControlOutcome or MessageOutcome, Eve's forward view, her
         backward view), a view being None on a leg she leaves alone; the
         reprs agree too, so an outcome holds enum members where the
         protocol's do. Equal records are one object."""
         forward, backward = _bases(attack)
         tables = _tables(attack)
-        edges, code_rows, unpack, _ = _code_table(forward, backward, key_mode)
+        edges, code_rows, _ = _code_table(forward, backward, key_mode)
+        unpack = simulate._UNPACK[key_mode.bits_per_round]
         readings = _code_records(forward, backward, key_mode)
         radix = len(edges) + 1
         bits = key_mode.bits_per_round
@@ -2276,7 +2316,7 @@ class TestRoundTables:
         record's verdict is its row's, and a message record's mask
         label(announced) ^ u_A ^ u_B, in every key bit, is its row's XOR."""
         forward, backward = _bases(attack)
-        edges, code_rows, _, _ = _code_table(forward, backward, key_mode)
+        edges, code_rows, _ = _code_table(forward, backward, key_mode)
         readings = _code_records(forward, backward, key_mode)
         radix = len(edges) + 1
         bits = key_mode.bits_per_round
@@ -2321,11 +2361,12 @@ class TestRoundTables:
         code weighs its digits' widths as in
         test_code_table_law_is_the_oracles, u_A is the 2-bit draw of f0,
         u_B that of f1, and the key bits are the code's row unpacked
-        through the table's unpack, Alice's byte then Bob's. A path weighs
+        through _UNPACK, Alice's byte then Bob's. A path weighs
         its probability given the round's mode, and its key bits are
         accumulate_key's of its outcome."""
         forward, backward = _bases(attack)
-        edges, code_rows, unpack, _ = _code_table(forward, backward, key_mode)
+        edges, code_rows, _ = _code_table(forward, backward, key_mode)
+        unpack = simulate._UNPACK[key_mode.bits_per_round]
         radix = len(edges) + 1
         widths = [last - first + 1 for first, last in _rank_spans(edges).values()]
         unpacked = [tuple(unpack[b : b + 1].tobytes()) for b in range(16)]
